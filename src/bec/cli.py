@@ -601,8 +601,6 @@ def _add_model_flags(p, with_bc=True):
     p.add_argument("--k-resolution", dest="k_resolution", type=int)
     p.add_argument("--lam-resolution", dest="lam_resolution", type=int)
     p.add_argument("--out", help="write the main output to this file")
-    p.add_argument("--seed", type=int,
-                   help="seed for randomized property checks")
 
 
 def make_parser():
@@ -653,8 +651,6 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except (NumericalFailure, InsufficientResolutionError,

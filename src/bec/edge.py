@@ -9,8 +9,11 @@ built on the normalized jet matrix J of the decaying exponential solutions at
 energy lam; a kernel vector assembles a genuine decaying eigenfunction, so
 dips of the smallest singular value signal true edge dispersion points (this
 also sees eigenvalues where the raw condition matrix is identically trivial,
-e.g. for a reference condition).  Windings are computed from the phase of
-det U along a compactified momentum line.
+e.g. for a reference condition).  A momentum column is scanned on an energy
+grid, and each dip of the scan is refined by golden section; the columns of
+a band track are handled a block at a time, so one detector batch serves a
+refinement step of every column in the block.  Windings are computed from
+the phase of det U along a compactified momentum line.
 """
 
 import numpy as np
@@ -165,120 +168,144 @@ def _fiber_stacks(Fs):
 
 
 # ---------------------------------------------------------------------------
-# detector scan at fixed momentum
-
-
-def _detector_at(bc, T, F, lams):
-    """Smallest singular value of the detector matrix at fixed k over an
-    array of real energies.  Returns (ms, scale, valid)."""
-    lams = np.asarray(lams, dtype=float)
-    n = len(lams)
-    k = F.k
-    stacks = _fiber_stacks([F] * n) if n else None
-    if n == 0:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
-    J, valid = _full_jets_batch(T, stacks, np.full(n, k),
-                                lams.astype(complex))
-    if J.shape[2] != T.dimV:
-        raise TripleDegeneracyError(
-            "detector is not square: %d deficiency columns for dimV=%d"
-            % (J.shape[2], T.dimV))
-    A, B = bc.ab_at(k)
-    M = A @ (T.G1_at(k) @ J) - B @ (T.G2_at(k) @ J)
-    ms = np.linalg.svd(M, compute_uv=False)[..., -1]
-    scale = 1.0 + np.abs(M).max(axis=(1, 2))
-    return ms, scale, valid
-
-
-def _multiplicity_at(bc, T, F, lam, threshold):
-    """Number of detector singular values below threshold*scale at one
-    energy: the multiplicity of a located edge eigenvalue (decoupled
-    interfaces can carry coinciding branches from both sides)."""
-    lams = np.asarray([lam], dtype=float)
-    stacks = _fiber_stacks([F])
-    J, valid = _full_jets_batch(T, stacks, np.asarray([F.k], dtype=float),
-                                lams.astype(complex))
-    if not valid[0]:
-        return 1
-    A, B = bc.ab_at(F.k)
-    M = A @ (T.G1_at(F.k) @ J) - B @ (T.G2_at(F.k) @ J)
-    s = np.linalg.svd(M[0], compute_uv=False)
-    scale = 1.0 + np.abs(M[0]).max()
-    return max(1, int(np.sum(s < threshold * scale)))
-
-
-def _golden_multi(f, los, his, xtol, iters=80):
-    """Batched golden-section minimization; one f call per iteration."""
-    a = np.asarray(los, dtype=float).copy()
-    b = np.asarray(his, dtype=float).copy()
-    r = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(iters):
-        w = b - a
-        if np.all(w <= xtol):
-            break
-        x1 = b - r * w
-        x2 = a + r * w
-        v = f(np.concatenate([x1, x2]))
-        take = v[: len(a)] < v[len(a):]
-        b = np.where(take, x2, b)
-        a = np.where(take, a, x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+# detector columns: energy scan, batched dip refinement, multiplicity
 
 
 _DIP_FRACTION = 0.6      # local minima below this fraction of scale refine
 _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _column(bc, T, F, lo, hi, nl, xtol=None):
-    """Edge eigenvalues of one momentum fiber within the open window
-    (lo, hi): list of (lam, relative residual), ascending."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        return []
-    # uniform sweep plus geometric ladders toward both window ends: states
-    # about to delocalize sit arbitrarily close to the window edge and their
-    # detector dip narrows with the binding energy
-    span = hi - lo
-    base = np.linspace(lo, hi, int(nl))
-    lad = np.geomspace(1e-9, 1.0 / max(int(nl), 2), 24) * span
-    lams = np.unique(np.concatenate([base, lo + lad, hi - lad]))
-    ms, scale, valid = _detector_at(bc, T, F, lams)
-    rel = np.where(valid, ms / scale, np.inf)
-    cand = []
-    for i in range(len(lams)):
-        left = rel[i - 1] if i > 0 else np.inf
-        right = rel[i + 1] if i + 1 < len(lams) else np.inf
-        if rel[i] < _DIP_FRACTION and rel[i] <= left and rel[i] <= right:
-            cand.append(i)
-    if not cand:
-        return []
-    los = np.array([lams[max(i - 1, 0)] for i in cand])
-    his = np.array([lams[min(i + 1, len(lams) - 1)] for i in cand])
+def _detector(bc, T, fibers):
+    """Detector over the momenta of a list of fibers, one per column.
 
-    def f(xs):
-        m, s, v = _detector_at(bc, T, F, xs)
-        return np.where(v, m / s, np.inf)
+    Returns det(rows, lams) -> (sv, scale, valid): the singular values
+    (n, dimV) of M(k, lam) at the momenta of the columns indexed by rows and
+    the energies lams, the scale 1 + max|M|, and the basis validity.
+    """
+    ks = np.array([F.k for F in fibers], dtype=float)
+    stacks = _fiber_stacks(fibers)
+    A, B = bc.ab_batch(ks)
+    G1 = _poly_stack(T.G1_coeffs, ks)
+    G2 = _poly_stack(T.G2_coeffs, ks)
 
-    if xtol is None:
-        xtol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    xs, vmin = _golden_multi(f, los, his, xtol)
+    def det(rows, lams):
+        # per-row fiber stacks gathered from the per-column ones
+        row_stacks = (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
+        J, valid = _full_jets_batch(T, row_stacks, ks[rows],
+                                    np.asarray(lams, dtype=complex))
+        if J.shape[2] != T.dimV:
+            raise TripleDegeneracyError(
+                "detector is not square: %d deficiency columns for dimV=%d"
+                % (J.shape[2], T.dimV))
+        M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
+        sv = np.linalg.svd(M, compute_uv=False)
+        return sv, 1.0 + np.abs(M).max(axis=(1, 2)), valid
+    return det
+
+
+def _dips(r):
+    """Indices of the local minima of a scan's relative detector values r
+    (ties count, infinity beyond both ends) that lie below _DIP_FRACTION."""
+    left = np.concatenate([[np.inf], r[:-1]])
+    right = np.concatenate([r[1:], [np.inf]])
+    return np.nonzero((r < _DIP_FRACTION) & (r <= left) & (r <= right))[0]
+
+
+def _golden(rel, owner, a, b, tol, iters=80):
+    """Golden-section minimization of rel over the brackets [a, b], one
+    detector batch per step for all of them.  owner gives each bracket's
+    column and tol each column's width tolerance: a column stops once all of
+    its brackets are that narrow.  Returns (x, rel(owner, x))."""
+    a, b = a.copy(), b.copy()
+    for _ in range(iters):
+        w = b - a
+        wide = np.zeros(len(tol), dtype=bool)
+        wide[owner[~(w <= tol[owner])]] = True
+        run = wide[owner]
+        if not np.any(run):
+            break
+        x1 = b[run] - _GOLDEN * w[run]
+        x2 = a[run] + _GOLDEN * w[run]
+        v = rel(np.concatenate([owner[run], owner[run]]),
+                np.concatenate([x1, x2]))
+        take = v[: len(x1)] < v[len(x1):]
+        b[run] = np.where(take, x2, b[run])
+        a[run] = np.where(take, a[run], x1)
+    x = 0.5 * (a + b)
+    return x, rel(owner, x)
+
+
+def _columns(bc, T, fibers, windows, nl, xtol=None):
+    """Edge eigenvalues of momentum fibers, each within its own open window
+    (lo, hi): one list of (lam, relative residual), ascending, per fiber.
+
+    Every column is scanned on its own energy grid.  The detector dips of
+    all columns are then refined together, so that each golden-section step
+    is one detector batch, while each column keeps its own width tolerance
+    (xtol, by default 1e-9 of the window's magnitude) and so its own result.
+    """
+    out = [[] for _ in fibers]
+    cols = [i for i, (lo, hi) in enumerate(windows)
+            if np.isfinite(lo) and np.isfinite(hi) and hi > lo]
+    if not cols:
+        return out
+    det = _detector(bc, T, [fibers[i] for i in cols])
+
+    def rel(rows, lams):
+        sv, scale, valid = det(rows, lams)
+        return np.where(valid, sv[:, -1] / scale, np.inf)
+
+    nl = int(nl)
+    tol, fine, los, his, owner = [], [], [], [], []
+    for c, i in enumerate(cols):
+        lo, hi = windows[i]
+        size = 1.0 + max(abs(lo), abs(hi))
+        tol.append(1e-9 * size if xtol is None else xtol)
+        fine.append(1e-13 * size)
+        # uniform sweep plus geometric ladders toward both window ends:
+        # states about to delocalize sit arbitrarily close to the window
+        # edge and their detector dip narrows with the binding energy
+        lad = np.geomspace(1e-9, 1.0 / max(nl, 2), 24) * (hi - lo)
+        lams = np.unique(np.concatenate([np.linspace(lo, hi, nl),
+                                         lo + lad, hi - lad]))
+        dips = _dips(rel(np.full(len(lams), c), lams))
+        los.append(lams[np.maximum(dips - 1, 0)])
+        his.append(lams[np.minimum(dips + 1, len(lams) - 1)])
+        owner.append(np.full(len(dips), c))
+    owner = np.concatenate(owner)
+    if len(owner) == 0:
+        return out
+    tol, fine = np.array(tol), np.array(fine)
+    xs, vmin = _golden(rel, owner, np.concatenate(los), np.concatenate(his),
+                       tol)
     # near-window states give very steep dips; candidates that stopped just
     # above the acceptance bar get a second, machine-level refinement
     retry = (vmin >= _ACCEPT_REL) & (vmin < 1e-3)
     if np.any(retry):
-        fine = 1e-13 * (1.0 + max(abs(lo), abs(hi)))
-        xs2, v2 = _golden_multi(f, xs[retry] - 2.0 * xtol,
-                                xs[retry] + 2.0 * xtol, fine)
-        xs = np.array(xs, dtype=float)
-        vmin = np.array(vmin, dtype=float)
-        xs[retry], vmin[retry] = xs2, v2
-    out = []
-    for x, v in zip(xs, vmin):
-        if v < _ACCEPT_REL:
-            if not any(abs(x - y[0]) <= 1e-7 * (1.0 + abs(x)) for y in out):
-                mult = _multiplicity_at(bc, T, F, float(x), 1e2 * _ACCEPT_REL)
-                out.extend([(float(x), float(v))] * mult)
-    out.sort()
+        step = 2.0 * tol[owner[retry]]
+        xs[retry], vmin[retry] = _golden(rel, owner[retry],
+                                         xs[retry] - step, xs[retry] + step,
+                                         fine)
+    seen = [[] for _ in cols]
+    keep = []
+    for j in np.nonzero(vmin < _ACCEPT_REL)[0]:
+        x, c = xs[j], owner[j]
+        if not any(abs(x - y) <= 1e-7 * (1.0 + abs(x)) for y in seen[c]):
+            seen[c].append(x)
+            keep.append(j)
+    if keep:
+        # multiplicity: decoupled interfaces can carry coinciding branches
+        # from both sides, seen as several small singular values
+        keep = np.array(keep)
+        sv, scale, valid = det(owner[keep], xs[keep])
+        small = np.sum(sv < 1e2 * _ACCEPT_REL * scale[:, None], axis=1)
+        mult = np.where(valid, np.maximum(1, small), 1)
+        for j, m in zip(keep, mult):
+            out[cols[owner[j]]].extend([(float(xs[j]), float(vmin[j]))]
+                                       * int(m))
+    for col in out:
+        col.sort()
     return out
 
 
@@ -291,7 +318,7 @@ def edge_eigenvalues(bc, T, F, gap, lam_resolution=400):
     if not np.isfinite(lo):
         lo = hi - max(100.0, 20.0 * (1.0 + F.k ** 2))
     pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
-    return _column(bc, T, F, lo + pad, hi - pad, lam_resolution)
+    return _columns(bc, T, [F], [(lo + pad, hi - pad)], lam_resolution)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +370,17 @@ class _Tracker:
     def window(self, k):
         return self.model.scan_window(k, self.gap)
 
+    def columns(self, ks):
+        """Scan and cache the full-window columns at momenta ks together."""
+        ks = [k for k in ks if k not in self.cols]
+        found = _columns(self.bc, self.T,
+                         [self.model.fiber(k, self.side) for k in ks],
+                         [self.window(k) for k in ks], self.nl)
+        self.cols.update(zip(ks, found))
+
     def column(self, k):
         if k not in self.cols:
-            lo, hi = self.window(k)
-            self.cols[k] = _column(self.bc, self.T,
-                                   self.model.fiber(k, self.side),
-                                   lo, hi, self.nl)
+            self.columns([k])
         return self.cols[k]
 
     def narrow_column(self, k, lo, hi, nl=160, xtol=None):
@@ -356,8 +388,8 @@ class _Tracker:
         lo, hi = max(lo, wlo), min(hi, whi)
         if not hi > lo:
             return []
-        return _column(self.bc, self.T, self.model.fiber(k, self.side),
-                       lo, hi, nl, xtol=xtol)
+        return _columns(self.bc, self.T, [self.model.fiber(k, self.side)],
+                        [(lo, hi)], nl, xtol=xtol)[0]
 
     def decay_exponents(self, k, lam):
         """All decay exponents mu of the fiber's exponential solutions at a
@@ -527,10 +559,18 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
                 lam_resolution=400):
     """Follow all edge dispersion branches over |k| <= k_window.
 
+    The columns of the k grid do not depend on the tracking decisions, so
+    they are computed ahead, a block of consecutive columns at a time: every
+    column of the block is scanned over its energy window, and the dips of
+    all of them are refined in one batched golden-section pass (each column
+    to its own tolerance, so the result equals a column computed alone).
+
     Returns a list of DispersionBand.  Steps halve (up to 8 times) whenever a
     branch jumps by more than a fiftieth of the gap width or two branches get
-    within 2e-3 gap widths; a branch that still cannot be continued and does
-    not terminate at a window or bulk edge raises LostBandError.
+    within 2e-3 gap widths; the halving momenta and the bulk-merge searches
+    compute their columns one at a time.  A branch that still cannot be
+    continued and does not terminate at a window or bulk edge raises
+    LostBandError.
     """
     if not model.edge_enabled:
         raise ContractViolation("%s ships no boundary data" % model.name)
@@ -548,6 +588,13 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
                                  if np.isfinite(hi - lo)]) or 1.0)
     tol_jump = width / 50.0
     tol_close = 2e-3 * width
+
+    # the grid's columns are computed a block at a time, not all at once, to
+    # bound the size of a refinement batch: with one to three dips per column
+    # and two energies per dip and golden step, a block of nl/4 columns gives
+    # batches of about one scan's size (nl energies)
+    block = max(1, int(lam_resolution) // 4)
+    tracker.columns(ks[:block])
 
     finished = []
     active = []
@@ -622,8 +669,10 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
                                           0.5 * (k0 + k1), lam)
                 active.append(b)
 
-    for i in range(len(ks) - 1):
-        advance(ks[i], ks[i + 1], 0)
+    for i in range(1, len(ks)):
+        if i % block == 0:
+            tracker.columns(ks[i:i + block])
+        advance(ks[i - 1], ks[i], 0)
 
     for band in active:
         band.right = BandEndpoint("exits-k-window", ks[-1], band.lams[-1])

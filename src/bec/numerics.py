@@ -7,9 +7,7 @@ coefficient arrays indexed by degree.
 """
 
 import heapq
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -301,53 +299,3 @@ def unwind_phase(samples):
             "phase jump of at least pi/2 between consecutive samples; "
             "refine the sampling")
     return float(np.sum(steps) / (2.0 * np.pi))
-
-
-# ---------------------------------------------------------------------------
-# scalar minimisation and parallel helpers
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, a, b, xtol=1e-9, fvals=None):
-    """Golden-section minimum of a unimodal scalar function on [a, b].
-
-    Returns (x, f(x)).  fvals, if given, must be (f(a), f(b)) and is only
-    used to avoid re-evaluating the endpoints.
-    """
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
-
-
-def num_threads():
-    try:
-        n = int(os.environ.get("BEC_NUM_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(func, items):
-    """Map func over items, optionally with a thread pool (BEC_NUM_THREADS).
-
-    Results are returned in input order regardless of scheduling.
-    """
-    items = list(items)
-    n = num_threads()
-    if n <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))

@@ -95,10 +95,10 @@ def test_relative_chern_two_band_masses():
 # winding commands
 
 
-def test_winding_robin_with_seed():
+def test_winding_robin():
     code, out, err = run_cli(["winding", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--k-window", "8", "--seed", "7"])
+                              "--k-window", "8"])
     assert code == 0, err
     assert "winding = -1 (resid" in out
 

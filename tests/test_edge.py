@@ -14,6 +14,7 @@ Closed forms used as oracles
 import numpy as np
 import pytest
 
+from bec import edge
 from bec.edge import (
     DispersionBand,
     dispersion_csv,
@@ -25,6 +26,7 @@ from bec.edge import (
     winding,
 )
 from bec.errors import ContractViolation, NotComparableError
+from bec.models import build_model
 from bec.symbol import GapWindow
 
 
@@ -96,6 +98,129 @@ def test_edge_eigenvalue_multiplicity_two_for_coinciding_branches(
     assert len(out) == 2
     assert abs(out[0][0] - 0.3) < 1e-8
     assert abs(out[1][0] - 0.3) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# many columns in one detector pass
+
+
+def _columns_match_single_calls(bc, T, model, side, ks, gap, nl):
+    fibers = [model.fiber(k, side) for k in ks]
+    windows = [model.scan_window(k, gap) for k in ks]
+    together = edge._columns(bc, T, fibers, windows, nl)
+    alone = [edge._columns(bc, T, [F], [w], nl)[0]
+             for F, w in zip(fibers, windows)]
+    assert together == alone
+    return together
+
+
+def test_columns_match_single_calls_robin_unbounded_window(lap_model):
+    # the gap is unbounded below: the window is clipped to the model's depth
+    T = lap_model.triple("halfline")
+    bc = lap_model.make_bc("robin", K=1.0, ell=1.0, M=1.0)
+    out = _columns_match_single_calls(bc, T, lap_model, "halfline",
+                                      np.linspace(-4.0, 4.0, 9),
+                                      GapWindow(-np.inf, 0.0), 200)
+    assert sum(len(col) for col in out) >= 4
+
+
+def test_columns_match_single_calls_two_band_family(dirac_model):
+    out = _columns_match_single_calls(dirac_model.make_bc("a", a=2.0),
+                                      dirac_model.triple("halfline"),
+                                      dirac_model, "halfline",
+                                      np.linspace(-3.0, 3.0, 9),
+                                      dirac_model.declared_gap, 200)
+    assert sum(len(col) for col in out) >= 4
+
+
+def test_columns_match_single_calls_with_retry_pass(monkeypatch):
+    model = build_model("regdirac", m=-1.0, eps=0.1)
+    tols = []
+    golden = edge._golden
+
+    def counted(rel, owner, a, b, tol):
+        tols.append(tol)
+        return golden(rel, owner, a, b, tol)
+
+    monkeypatch.setattr(edge, "_golden", counted)
+    _columns_match_single_calls(model.make_bc("a", a=2.0),
+                                model.triple("halfline"), model, "halfline",
+                                np.linspace(-12.0, 12.0, 9),
+                                model.declared_gap, 320)
+    # some dips stop just above the acceptance bar and are refined again at
+    # the machine-level tolerance
+    assert any(np.all(t < 1e-11) for t in tols)
+
+
+def test_columns_match_single_calls_with_multiplicity(dirac_interface_model):
+    model = dirac_interface_model
+    bc = model.make_bc("decoupled", aplus=1.0, aminus=1.0)
+    out = _columns_match_single_calls(bc, model.triple("interface"), model,
+                                      "interface", np.linspace(-2.0, 2.0, 9),
+                                      model.declared_gap, 200)
+    assert any(len(col) == 2 for col in out)
+
+
+def test_columns_skip_empty_and_unbounded_windows(dirac_model):
+    T = dirac_model.triple("halfline")
+    bc = dirac_model.make_bc("a", a=2.0)
+    F = dirac_model.fiber(0.25)
+    good = (-0.999, 0.999)
+    out = edge._columns(bc, T, [F] * 4,
+                        [(0.3, 0.3), (-np.inf, 0.0), good, (0.5, -0.5)], 200)
+    assert out[0] == [] and out[1] == [] and out[3] == []
+    assert out[2] == edge._columns(bc, T, [F], [good], 200)[0]
+    assert abs(out[2][0][0] - 0.8) < 1e-7
+
+
+def _dips_by_loop(r):
+    cand = []
+    for i in range(len(r)):
+        left = r[i - 1] if i > 0 else np.inf
+        right = r[i + 1] if i + 1 < len(r) else np.inf
+        if r[i] < edge._DIP_FRACTION and r[i] <= left and r[i] <= right:
+            cand.append(i)
+    return cand
+
+
+def test_dips_match_scan_loop():
+    rng = np.random.default_rng(3)
+    levels = np.array([0.0, 1e-9, 0.3, 0.59, 0.6, 0.61, 2.0, np.inf])
+    for n in (1, 2, 3, 7, 50):
+        for _ in range(40):
+            # few distinct values, so plateaus and ties are common
+            r = rng.choice(levels, size=n)
+            assert edge._dips(r).tolist() == _dips_by_loop(r)
+    r = rng.random(400)
+    assert edge._dips(r).tolist() == _dips_by_loop(r)
+
+
+def _parabolas(centres, steps):
+    def rel(rows, xs):
+        steps.append(np.bincount(rows, minlength=len(centres)))
+        return (xs - centres[rows]) ** 2
+    return rel
+
+
+def test_golden_columns_stop_on_their_own_tolerance():
+    # two columns of one batch with different tolerances converge after
+    # different numbers of steps; each ends where refining it alone ends
+    centres = np.array([0.3, -0.2])
+    owner = np.array([0, 1, 1])
+    a = np.array([-1.0, -0.5, -0.4])
+    b = np.array([1.0, 0.5, 0.0])
+    tol = np.array([1e-3, 1e-10])
+    steps = []
+    x, v = edge._golden(_parabolas(centres, steps), owner, a, b, tol)
+    running = (np.array(steps[:-1]) > 0).sum(axis=0)
+    assert 0 < running[0] < running[1]
+    for c in (0, 1):
+        mine = owner == c
+        xc, vc = edge._golden(_parabolas(centres[c:c + 1], []),
+                              np.zeros(mine.sum(), dtype=int),
+                              a[mine], b[mine], tol[c:c + 1])
+        assert np.array_equal(x[mine], xc) and np.array_equal(v[mine], vc)
+    assert np.all(np.abs(x - centres[owner]) < 1e-3)
 
 
 # ---------------------------------------------------------------------------

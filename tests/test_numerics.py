@@ -16,13 +16,10 @@ from bec.numerics import (
     as_square,
     check_hermitian,
     complex_eig,
-    golden_min,
     herm_eig,
     min_singular,
     norm_inf,
     null_vectors,
-    num_threads,
-    parallel_map,
     poly_eval,
     poly_from_roots,
     poly_roots,
@@ -260,32 +257,3 @@ def test_unwind_phase_concatenation_is_additive():
         total = unwind_phase(s)
         parts = unwind_phase(s[: j + 1]) + unwind_phase(s[j:])
         assert abs(total - parts) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# scalar minimisation / threading helpers
-
-
-def test_golden_min_quadratic():
-    x, fx = golden_min(lambda t: (t - 0.3) ** 2 + 1.0, -1.0, 1.0, xtol=1e-10)
-    assert abs(x - 0.3) < 1e-6
-    assert abs(fx - 1.0) < 1e-12
-
-
-def test_num_threads_env(monkeypatch):
-    monkeypatch.delenv("BEC_NUM_THREADS", raising=False)
-    assert num_threads() == 1
-    monkeypatch.setenv("BEC_NUM_THREADS", "4")
-    assert num_threads() == 4
-    monkeypatch.setenv("BEC_NUM_THREADS", "junk")
-    assert num_threads() == 1
-    monkeypatch.setenv("BEC_NUM_THREADS", "-2")
-    assert num_threads() == 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("BEC_NUM_THREADS", "3")
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-    monkeypatch.setenv("BEC_NUM_THREADS", "1")
-    assert parallel_map(lambda x: x + 1, items) == [x + 1 for x in items]
