@@ -241,6 +241,15 @@ def _check_gap_for_level(ctx):
             raise
 
 
+def _recorded(fn, *args, **kwargs):
+    """Call fn; return its result and one WARN report line per warning it
+    raised, so no warning is lost from the report."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, ["WARN: %s" % w.message for w in caught]
+
+
 def _chern_lines(rep, name, value, resid, tol):
     if resid > max(10.0 * tol, 1e-3):
         rep.add_line("%s = %.3f (NON-INTEGER - not strongly affiliated)"
@@ -253,13 +262,12 @@ def cmd_bulk(args):
     ctx = _build_context(args)
     _check_gap_for_level(ctx)
     rep = _base_report(ctx, "bulk chern pairing")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, resid = chern(ctx.model.symbol, ctx.task["level"],
-                             tol=ctx.numerics["tol"])
+    (value, resid), warns = _recorded(chern, ctx.model.symbol,
+                                      ctx.task["level"],
+                                      tol=ctx.numerics["tol"])
     _chern_lines(rep, "chern", value, resid, ctx.numerics["tol"])
-    for w in caught:
-        rep.add_line("WARN: %s" % w.message)
+    for line in warns:
+        rep.add_line(line)
     rep.add_value("level", ctx.task["level"])
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0
@@ -272,14 +280,12 @@ def cmd_relative_chern(args):
     rep.add_line("second model: %s(%s)" % (
         ctx2.model.name, ", ".join("%s=%g" % (k, v) for k, v in
                                    sorted(ctx2.model.params.items()))))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, resid = relative_chern(ctx1.model.symbol, ctx2.model.symbol,
-                                      ctx1.task["level"],
+    (value, resid), warns = _recorded(relative_chern, ctx1.model.symbol,
+                                      ctx2.model.symbol, ctx1.task["level"],
                                       tol=ctx1.numerics["tol"])
     _chern_lines(rep, "relative chern", value, resid, ctx1.numerics["tol"])
-    for w in caught:
-        rep.add_line("WARN: %s" % w.message)
+    for line in warns:
+        rep.add_line(line)
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0
 
@@ -376,26 +382,29 @@ def cmd_winding(args):
 
 def _bulk_term(ctx, rep):
     """Model-specific bulk invariant entering the corrected identity, or
-    None when it is not an integer class."""
+    None when it is not an integer class.  Warnings of the pairing go into
+    the report."""
     name = ctx.model.name
     level, tol = ctx.task["level"], ctx.numerics["tol"]
     if ctx.side() == "interface":
-        value, resid = relative_chern(ctx.model.symbol,
-                                      ctx.model.symbol_minus, level, tol=tol)
+        (value, resid), warns = _recorded(relative_chern, ctx.model.symbol,
+                                          ctx.model.symbol_minus, level,
+                                          tol=tol)
         rep.add_value("relative chern (upper vs lower symbol)", value, resid)
-        return int(round(value))
-    if name == "laplacian":
+        sigma = int(round(value))
+    elif name == "laplacian":
         rep.add_value("bulk chern", 0.0, 0.0, note="scalar symbol")
         return 0
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        value, resid = chern(ctx.model.symbol, level, tol=tol)
-    if abs(value - round(value)) > max(10.0 * tol, 1e-3):
-        rep.add_value("bulk chern", value, resid,
-                      note="non-integer; bulk identity skipped")
-        return None
-    rep.add_value("bulk chern", value, resid)
-    return int(round(value))
+    else:
+        (value, resid), warns = _recorded(chern, ctx.model.symbol, level,
+                                          tol=tol)
+        integer = abs(value - round(value)) <= max(10.0 * tol, 1e-3)
+        rep.add_value("bulk chern", value, resid, note="" if integer else
+                      "non-integer; bulk identity skipped")
+        sigma = int(round(value)) if integer else None
+    for line in warns:
+        rep.add_line(line)
+    return sigma
 
 
 def cmd_verify(args):
@@ -551,18 +560,19 @@ def _table_regdirac(rep):
         rep.add_line("%-10s computed SF (%+d, %+d)  expected (%+d, %+d)  %s"
                      % (label, got[0], got[1], sf_m_neg, sf_m_pos,
                         "ok" if ok else "MISMATCH"))
-    cherns = []
+    cherns, warns = [], []
     for m in (-1.0, 1.0):
         model = build_model("regdirac", m=m, eps=0.1)
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            val, _ = chern(model.symbol, 0.0, tol=1e-4)
+        (val, _), w = _recorded(chern, model.symbol, 0.0, tol=1e-4)
         cherns.append(int(round(val)))
+        warns += w
     ok = tuple(cherns) == REGDIRAC_BULK
     mism += 0 if ok else 1
     rep.add_line("%-10s computed (%+d, %+d)  expected (%+d, %+d)  %s"
                  % ("bulk", cherns[0], cherns[1], REGDIRAC_BULK[0],
                     REGDIRAC_BULK[1], "ok" if ok else "MISMATCH"))
+    for line in warns:
+        rep.add_line(line)
     return mism
 
 

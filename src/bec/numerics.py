@@ -7,6 +7,7 @@ coefficient arrays indexed by degree.
 """
 
 import heapq
+import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -183,41 +184,45 @@ _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _GL4_NODES, _GL4_WEIGHTS = leggauss(4)
 
 
-def _batched(f):
-    """Return a version of f that accepts coordinate arrays, probing whether
-    the given integrand already does."""
-    t1 = np.array([0.1037, -0.271])
-    t2 = np.array([0.0459, 0.356])
-    try:
-        out = np.asarray(f(t1, t2), dtype=complex)
-        if out.shape == t1.shape:
-            return f
-    except Exception:
-        pass
-
-    def wrapped(x1, x2):
-        return np.array([f(float(a), float(b)) for a, b in zip(x1, x2)],
-                        dtype=complex)
-
-    return wrapped
-
-
-def _cell_values(fbat, a1, b1, a2, b2, nodes, weights):
-    """Product Gauss-Legendre value of the compactified integrand on the
-    s-space cell [a1,b1]x[a2,b2]."""
+def _cell_rule(a1, b1, a2, b2, nodes, weights):
+    """Product Gauss-Legendre rule on the s-space cell [a1,b1]x[a2,b2]:
+    the momenta of its nodes and the function that sums integrand values
+    at those nodes into the cell's value of the compactified integral."""
     m1, h1 = (a1 + b1) / 2.0, (b1 - a1) / 2.0
     m2, h2 = (a2 + b2) / 2.0, (b2 - a2) / 2.0
     s1 = m1 + h1 * nodes
     s2 = m2 + h2 * nodes
-    S1, S2 = np.meshgrid(s1, s2, indexing="ij")
-    # tangent compactification of the plane onto the open unit square
-    K1 = np.tan(np.pi * S1 / 2.0)
-    K2 = np.tan(np.pi * S2 / 2.0)
-    jac = (np.pi / 2.0) ** 2 / (np.cos(np.pi * S1 / 2.0) ** 2
-                                * np.cos(np.pi * S2 / 2.0) ** 2)
-    vals = fbat(K1.ravel(), K2.ravel()).reshape(K1.shape)
+    n = nodes.size
+    # tangent compactification of the plane onto the open unit square;
+    # node (i, j) of the product rule sits at (s1[i], s2[j])
+    K1 = np.repeat(np.tan(np.pi * s1 / 2.0), n)
+    K2 = np.tile(np.tan(np.pi * s2 / 2.0), n)
+    jac = (np.pi / 2.0) ** 2 / (np.cos(np.pi * s1 / 2.0)[:, None] ** 2
+                                * np.cos(np.pi * s2 / 2.0)[None, :] ** 2)
     W = np.outer(weights, weights)
-    return complex(np.sum(vals * jac * W) * h1 * h2)
+
+    def cell_sum(vals):
+        return complex(np.sum(vals.reshape(n, n) * jac * W) * h1 * h2)
+
+    return K1, K2, cell_sum
+
+
+_RULES = ((_GL_NODES, _GL_WEIGHTS), (_GL4_NODES, _GL4_WEIGHTS))
+
+
+def _make_cells(f, boxes):
+    """Cells (a1, b1, a2, b2, v8, |v8 - v4|) of the s-space boxes, with both
+    rules on every box taken from one call of the integrand."""
+    rules = [_cell_rule(*box, nodes, weights)
+             for box in boxes for nodes, weights in _RULES]
+    vals = f(np.concatenate([K1 for K1, _, _ in rules]),
+             np.concatenate([K2 for _, K2, _ in rules]))
+    sums, at = [], 0
+    for K1, _, cell_sum in rules:
+        sums.append(cell_sum(vals[at:at + K1.size]))
+        at += K1.size
+    return [box + (v8, abs(v8 - v4))
+            for box, v8, v4 in zip(boxes, sums[0::2], sums[1::2])]
 
 
 def quad_2d(f, tol=1e-6, max_cells=6000):
@@ -228,27 +233,27 @@ def quad_2d(f, tol=1e-6, max_cells=6000):
     adaptive product Gauss-Legendre rule (order 8, embedded order 4 for the
     local error estimate, worst-cell-first refinement).
 
+    f must be array-valued: f(k1, k2) takes two 1D float arrays of momenta
+    and returns an array of the same length.  It is called once for the
+    initial 2x2 split and once per refinement, with the nodes of both rules
+    on all four new cells, so L final cells cost 1 + (L - 4)/3 calls.
+
     Returns QuadResult(value, error, converged, cells).  Summation over the
     final cells happens in a fixed sorted order so the result is independent
     of the refinement schedule.
     """
-    fbat = _batched(f)
+    order = itertools.count()
+    heap = []
 
-    def make_cell(a1, b1, a2, b2):
-        v8 = _cell_values(fbat, a1, b1, a2, b2, _GL_NODES, _GL_WEIGHTS)
-        v4 = _cell_values(fbat, a1, b1, a2, b2, _GL4_NODES, _GL4_WEIGHTS)
-        return (a1, b1, a2, b2, v8, abs(v8 - v4))
+    def push_split(a1, b1, a2, b2):
+        m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
+        boxes = [(x1, y1, x2, y2) for (x1, y1) in ((a1, m1), (m1, b1))
+                 for (x2, y2) in ((a2, m2), (m2, b2))]
+        for c in _make_cells(f, boxes):
+            heapq.heappush(heap, (-c[5], next(order), c))
 
     # start from a 2x2 split so symmetric integrands do not fool the estimate
-    cells = []
-    counter = 0
-    heap = []
-    for (a1, b1) in ((-1.0, 0.0), (0.0, 1.0)):
-        for (a2, b2) in ((-1.0, 0.0), (0.0, 1.0)):
-            c = make_cell(a1, b1, a2, b2)
-            heapq.heappush(heap, (-c[5], counter, c))
-            counter += 1
-
+    push_split(-1.0, 1.0, -1.0, 1.0)
     while True:
         total_err = sum(-e for e, _, _ in heap)
         if total_err <= tol:
@@ -258,13 +263,7 @@ def quad_2d(f, tol=1e-6, max_cells=6000):
             converged = False
             break
         _, _, worst = heapq.heappop(heap)
-        a1, b1, a2, b2, _, _ = worst
-        m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
-        for (x1, y1) in ((a1, m1), (m1, b1)):
-            for (x2, y2) in ((a2, m2), (m2, b2)):
-                c = make_cell(x1, y1, x2, y2)
-                heapq.heappush(heap, (-c[5], counter, c))
-                counter += 1
+        push_split(*worst[:4])
 
     leaves = sorted((c for _, _, c in heap), key=lambda c: (c[0], c[2]))
     value = complex(sum(c[4] for c in leaves))

@@ -43,7 +43,8 @@ class Symbol:
                 self.terms[(a, b)] = C
 
     def __call__(self, k1, k2):
-        return eval_symbol(self, k1, k2)
+        """H(k1, k2) at one momentum; Hermitian for real momenta."""
+        return self.eval_batch(k1, k2)[0]
 
     def eval_batch(self, k1, k2):
         """Evaluate at arrays of momenta; returns a (n, N, N) stack."""
@@ -54,16 +55,16 @@ class Symbol:
             out += (k1 ** a * k2 ** b)[:, None, None] * C
         return out
 
-    def max_degree(self):
-        return max((a + b for a in [0] for a, b in self.terms), default=0)
-
-
-def eval_symbol(S, k1, k2):
-    """H(k1, k2) = sum c_ab k1^a k2^b; Hermitian for real momenta."""
-    out = np.zeros((S.N, S.N), dtype=complex)
-    for (a, b), C in S.terms.items():
-        out += (float(k1) ** a) * (float(k2) ** b) * C
-    return out
+    def derivative(self, axis):
+        """Exact partial derivative d/dk1 (axis 0) or d/dk2 (axis 1)."""
+        if axis not in (0, 1):
+            raise ContractViolation("axis must be 0 or 1, got %r" % (axis,))
+        terms = {}
+        for (a, b), C in self.terms.items():
+            p = (a, b)[axis]
+            if p:
+                terms[(a - 1, b) if axis == 0 else (a, b - 1)] = p * C
+        return Symbol(self.N, terms)
 
 
 class FiberOperator:
@@ -171,16 +172,22 @@ def find_gap(S, around, k_window, resolution=128):
 # Fermi projection and Chern pairings
 
 
-def _projection_stack(S, K1, K2, level):
-    """Spectral projections below `level` at a batch of momenta."""
-    H = S.eval_batch(K1, K2)
-    w, V = np.linalg.eigh(H)
+def _eigh_gapped(S, K1, K2, level):
+    """Eigenvalues and eigenvectors of H at a batch of momenta, refusing any
+    momentum where an eigenvalue lies within 1e-8 of `level`."""
+    w, V = np.linalg.eigh(S.eval_batch(K1, K2))
     gap_dist = np.min(np.abs(w - level))
     if gap_dist <= 1e-8:
         i = int(np.argmin(np.min(np.abs(w - level), axis=1)))
         raise GaplessPointError(
             "eigenvalue within 1e-8 of level %g at k=(%g, %g)"
             % (level, K1[i], K2[i]))
+    return w, V
+
+
+def _projection_stack(S, K1, K2, level):
+    """Spectral projections below `level` at a batch of momenta."""
+    w, V = _eigh_gapped(S, K1, K2, level)
     mask = (w < level).astype(float)
     Vm = V * mask[:, None, :]
     return Vm @ V.conj().swapaxes(1, 2)
@@ -199,44 +206,47 @@ def fermi_projection(S, k1, k2, level):
     return P
 
 
-def _curvature_batch(S, level, k1, k2):
-    """Berry-curvature-style integrand Tr(P [d2 P, d1 P]) / (2 pi i) at a
-    batch of momenta, with Richardson-extrapolated central differences."""
-    k1 = np.asarray(k1, dtype=float).ravel()
-    k2 = np.asarray(k2, dtype=float).ravel()
-    n = k1.size
-    h = 1e-4 * (1.0 + np.hypot(k1, k2))
-    K1 = np.concatenate([k1, k1 + h, k1 - h, k1 + h / 2, k1 - h / 2,
-                         k1, k1, k1, k1])
-    K2 = np.concatenate([k2, k2, k2, k2, k2,
-                         k2 + h, k2 - h, k2 + h / 2, k2 - h / 2])
-    P = _projection_stack(S, K1, K2, level).reshape(9, n, S.N, S.N)
-    hh = h[:, None, None]
-    d1_h = (P[1] - P[2]) / (2 * hh)
-    d1_h2 = (P[3] - P[4]) / hh
-    d1 = (4 * d1_h2 - d1_h) / 3.0
-    d2_h = (P[5] - P[6]) / (2 * hh)
-    d2_h2 = (P[7] - P[8]) / hh
-    d2 = (4 * d2_h2 - d2_h) / 3.0
-    comm = d2 @ d1 - d1 @ d2
-    tr = np.einsum("nij,nji->n", P[0], comm)
-    return tr / (2j * np.pi)
+def _curvature_integrand(S, level):
+    """Batched integrand Tr(P [d2 P, d1 P]) / (2 pi i) of the Chern pairing
+    of the Fermi projection P below `level`, in Kubo (TKNN) form.
+
+    Each momentum takes one eigendecomposition H = V diag(E) V^dag.  In that
+    eigenbasis P = diag(f) with occupations f = [E < level], and the exact
+    derivatives of the polynomial symbol give
+    (d_j P)_ab = (V^dag d_j H V)_ab (f_b - f_a) / (E_b - E_a),
+    so there is no step size.  The returned function maps 1D float arrays
+    k1, k2 to an array of integrand values of the same length.
+    """
+    dS = (S.derivative(0), S.derivative(1))
+
+    def f(k1, k2):
+        w, V = _eigh_gapped(S, k1, k2, level)
+        occ = (w < level).astype(float)
+        df = occ[:, None, :] - occ[:, :, None]
+        dE = w[:, None, :] - w[:, :, None]
+        # states on the same side of the level do not mix: df = 0 there,
+        # and across the level |dE| > 2e-8
+        D = np.divide(df, dE, out=np.zeros_like(df), where=df != 0)
+        Vh = V.conj().swapaxes(1, 2)
+        d1, d2 = (Vh @ d.eval_batch(k1, k2) @ V * D for d in dS)
+        tr = (np.einsum("na,nab,nba->n", occ, d2, d1)
+              - np.einsum("na,nab,nba->n", occ, d1, d2))
+        return tr / (2j * np.pi)
+
+    return f
 
 
 def chern(S, level, tol=1e-4):
     """Chern pairing of the Fermi projection below `level`.
 
-    Integrates Tr(P [d2 P, d1 P]) / (2 pi i) over the momentum plane.
+    Integrates Tr(P [d2 P, d1 P]) / (2 pi i) over the momentum plane, with
+    the integrand in Kubo form (`_curvature_integrand`).
     Returns (value, residual) where residual is the distance of the value
     from the nearest integer; a large residual triggers a warning because it
     signals the integrand does not actually pair with an integer class (the
     projection fails to settle at momentum infinity).
     """
-
-    def f(x1, x2):
-        return _curvature_batch(S, level, x1, x2)
-
-    res = quad_2d(f, tol=tol)
+    res = quad_2d(_curvature_integrand(S, level), tol=tol)
     if not res.converged:
         warnings.warn("chern quadrature did not reach tol=%g (error %.2e)"
                       % (tol, res.error))
@@ -271,11 +281,9 @@ def relative_chern(S1, S2, level, tol=1e-4):
             "symbols are not comparable and the relative pairing may not be "
             "an integer" % (dev, radius))
 
-    def f(x1, x2):
-        return (_curvature_batch(S1, level, x1, x2)
-                - _curvature_batch(S2, level, x1, x2))
-
-    res = quad_2d(f, tol=tol)
+    f1 = _curvature_integrand(S1, level)
+    f2 = _curvature_integrand(S2, level)
+    res = quad_2d(lambda x1, x2: f1(x1, x2) - f2(x1, x2), tol=tol)
     if not res.converged:
         warnings.warn("relative chern quadrature did not reach tol=%g "
                       "(error %.2e)" % (tol, res.error))

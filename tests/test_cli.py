@@ -174,6 +174,18 @@ def test_verify_passes_for_affiliated_robin():
     assert "PASS" in out
 
 
+def test_verify_reports_non_integer_chern_warning():
+    # the Chern warning of the bulk term lands in the report, not nowhere
+    code, out, err = run_cli(["verify", "--model", "dirac",
+                              "--param", "m=1,a=2", "--bc", "a",
+                              "--k-window", "8", "--k-resolution", "241",
+                              "--lam-resolution", "200", "--tol", "1e-4"])
+    assert code == 0, err
+    assert "[non-integer; bulk identity skipped]" in out
+    assert "WARN: Chern pairing 0.500042 is not close to an integer" in out
+    assert "PASS" in out
+
+
 def test_verify_skips_unaffiliated_condition():
     code, out, err = run_cli(["verify", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=0,ell=1,M=1"])

@@ -179,9 +179,7 @@ def test_build_inline_symbol_is_bulk_only():
     assert not model.edge_enabled
     assert model.declared_gap.lo == -1.0 and model.declared_gap.hi == 1.0
     # the inline terms reproduce the 2x2 two-band symbol
-    from bec.symbol import eval_symbol
-
-    H = eval_symbol(model.symbol, 0.0, 0.0)
+    H = model.symbol(0.0, 0.0)
     assert np.allclose(H, np.diag([1.0, -1.0]))
 
 

@@ -3,8 +3,11 @@
 Expected numbers are either exact by construction or frozen values of simple
 closed forms (square roots, Gaussian integrals) computed independently.
 """
+import heapq
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from bec.errors import (
     ContractViolation,
@@ -216,6 +219,89 @@ def test_quad_2d_is_linear():
     vg = quad_2d(g, tol=1e-8).value
     vfg = quad_2d(lambda x, y: 2.0 * f(x, y) - 3.0 * g(x, y), tol=1e-8).value
     assert abs(vfg - (2.0 * vf - 3.0 * vg)) < 1e-6
+
+
+def _quad_2d_per_cell(f, tol):
+    """Reference adaptive quadrature: the same rules, error estimate and
+    refinement order as quad_2d, but each rule on each cell evaluated by a
+    call of its own."""
+    rules = (leggauss(8), leggauss(4))
+
+    def rule_value(a1, b1, a2, b2, nodes, weights):
+        m1, h1 = (a1 + b1) / 2.0, (b1 - a1) / 2.0
+        m2, h2 = (a2 + b2) / 2.0, (b2 - a2) / 2.0
+        S1, S2 = np.meshgrid(m1 + h1 * nodes, m2 + h2 * nodes, indexing="ij")
+        K1, K2 = np.tan(np.pi * S1 / 2.0), np.tan(np.pi * S2 / 2.0)
+        jac = (np.pi / 2.0) ** 2 / (np.cos(np.pi * S1 / 2.0) ** 2
+                                    * np.cos(np.pi * S2 / 2.0) ** 2)
+        vals = f(K1.ravel(), K2.ravel()).reshape(K1.shape)
+        W = np.outer(weights, weights)
+        return complex(np.sum(vals * jac * W) * h1 * h2)
+
+    heap, counter = [], 0
+
+    def push(a1, b1, a2, b2):
+        nonlocal counter
+        v8, v4 = (rule_value(a1, b1, a2, b2, *r) for r in rules)
+        c = (a1, b1, a2, b2, v8, abs(v8 - v4))
+        heapq.heappush(heap, (-c[5], counter, c))
+        counter += 1
+
+    for box in ((-1.0, 0.0, -1.0, 0.0), (-1.0, 0.0, 0.0, 1.0),
+                (0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 0.0, 1.0)):
+        push(*box)
+    while sum(-e for e, _, _ in heap) > tol:
+        a1, b1, a2, b2 = heapq.heappop(heap)[2][:4]
+        m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
+        for x1, y1 in ((a1, m1), (m1, b1)):
+            for x2, y2 in ((a2, m2), (m2, b2)):
+                push(x1, y1, x2, y2)
+    leaves = sorted((c for _, _, c in heap), key=lambda c: (c[0], c[2]))
+    return (complex(sum(c[4] for c in leaves)),
+            float(sum(c[5] for c in leaves)), len(leaves))
+
+
+def _counted(f):
+    sizes = []
+
+    def g(x, y):
+        sizes.append(len(x))
+        return f(x, y)
+
+    return g, sizes
+
+
+QUAD_INTEGRANDS = [
+    lambda x, y: np.exp(-(x * x + y * y)),
+    lambda x, y: np.exp(-((x - 1.0) ** 2 + y * y)) * x,
+    lambda x, y: (1.0 + 2j * x) / (1.0 + x * x + y ** 4) ** 2,
+]
+
+
+@pytest.mark.parametrize("i", range(len(QUAD_INTEGRANDS)))
+def test_quad_2d_one_call_per_refinement(i):
+    g, sizes = _counted(QUAD_INTEGRANDS[i])
+    res = quad_2d(g, tol=1e-8)
+    assert res.converged
+    assert res.cells > 4 and (res.cells - 4) % 3 == 0
+    assert len(sizes) == 1 + (res.cells - 4) // 3
+    # both rules (64 + 16 nodes) on the four cells of every split
+    assert sizes == [4 * 80] * len(sizes)
+
+
+@pytest.mark.parametrize("i", range(len(QUAD_INTEGRANDS)))
+def test_quad_2d_equals_per_cell_reference(i):
+    res = quad_2d(QUAD_INTEGRANDS[i], tol=1e-8)
+    assert (res.value, res.error, res.cells) == \
+        _quad_2d_per_cell(QUAD_INTEGRANDS[i], 1e-8)
+
+
+def test_quad_2d_stops_at_max_cells():
+    g, sizes = _counted(QUAD_INTEGRANDS[2])
+    res = quad_2d(g, tol=1e-14, max_cells=40)
+    assert not res.converged
+    assert res.cells == 40
+    assert len(sizes) == 13
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from bec.numerics import (
     poly_roots,
     unwind_phase,
 )
-from bec.symbol import eval_symbol, fermi_projection
+from bec.symbol import fermi_projection
 
 LAP = laplacian()
 DIRAC = dirac(1.0)
@@ -87,7 +87,7 @@ def test_poly_roots_recover_separated_roots(seed, n):
 @given(st.floats(-4.0, 4.0, **finite), st.floats(-4.0, 4.0, **finite))
 def test_symbols_hermitian_everywhere(k1, k2):
     for S in (LAP.symbol, DIRAC.symbol, REGD.symbol, SHALLOW.symbol):
-        H = eval_symbol(S, k1, k2)
+        H = S(k1, k2)
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
 

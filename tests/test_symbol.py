@@ -14,12 +14,14 @@ from bec.errors import (
     GaplessPointError,
     NoGapError,
 )
+from bec import symbol
 from bec.symbol import (
     GapWindow,
     Symbol,
+    _curvature_integrand,
+    _projection_stack,
     bulk_bands,
     chern,
-    eval_symbol,
     fermi_projection,
     fiberize,
     find_gap,
@@ -53,23 +55,23 @@ def test_symbol_rejects_degree_above_four():
 def test_symbol_drops_zero_coefficients():
     S = Symbol(1, {(0, 0): [[1.0]], (2, 0): [[0.0]]})
     assert set(S.terms) == {(0, 0)}
-    assert S.max_degree() == 0
+    assert np.allclose(S(2.0, 0.0), [[1.0]])
 
 
 def test_eval_two_band_at_origin_is_mass_term(dirac_model):
-    H = eval_symbol(dirac_model.symbol, 0.0, 0.0)
+    H = dirac_model.symbol(0.0, 0.0)
     assert np.allclose(H, SZ)
 
 
 def test_eval_scalar_second_order(lap_model):
-    assert np.allclose(eval_symbol(lap_model.symbol, 1.0, 2.0), [[5.0]])
+    assert np.allclose(lap_model.symbol(1.0, 2.0), [[5.0]])
 
 
 def test_eval_shallow_water_matrix():
     from bec.models import shallow_water
 
     S = shallow_water(1.0, 0.0).symbol
-    H = eval_symbol(S, 1.0, 0.0)
+    H = S(1.0, 0.0)
     want = np.array([[0.0, 1.0, 0.0],
                      [1.0, 0.0, 1.0j],
                      [0.0, -1.0j, 0.0]])
@@ -80,8 +82,33 @@ def test_eval_is_hermitian_at_random_momenta(shallow_model, regdirac_model):
     rng = np.random.default_rng(3)
     for S in (shallow_model.symbol, regdirac_model.symbol):
         for k1, k2 in rng.normal(scale=3.0, size=(25, 2)):
-            H = eval_symbol(S, k1, k2)
+            H = S(k1, k2)
             assert np.max(np.abs(H - H.conj().T)) < 1e-12
+
+
+def test_derivative_of_fourth_order_symbol(regdirac_model):
+    m, eps = 1.0, 0.1
+    S = regdirac_model.symbol
+    for k1, k2 in ((0.0, 0.0), (0.7, -1.3), (-2.0, 0.4)):
+        assert np.allclose(S.derivative(0)(k1, k2), SX + 2 * eps * k1 * SZ)
+        assert np.allclose(S.derivative(1)(k1, k2), SY + 2 * eps * k2 * SZ)
+    assert set(S.derivative(0).derivative(0).terms) == {(0, 0)}
+
+
+def test_derivative_matches_difference_quotient(lap_model, shallow_model,
+                                                dirac_model):
+    h = 1e-5
+    for S in (lap_model.symbol, shallow_model.symbol, dirac_model.symbol):
+        for k1, k2 in ((0.3, -0.8), (1.7, 2.1)):
+            d1 = (S(k1 + h, k2) - S(k1 - h, k2)) / (2 * h)
+            d2 = (S(k1, k2 + h) - S(k1, k2 - h)) / (2 * h)
+            assert np.max(np.abs(S.derivative(0)(k1, k2) - d1)) < 1e-8
+            assert np.max(np.abs(S.derivative(1)(k1, k2) - d2)) < 1e-8
+
+
+def test_derivative_rejects_bad_axis(dirac_model):
+    with pytest.raises(ContractViolation):
+        dirac_model.symbol.derivative(2)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +256,62 @@ def test_fermi_projection_rejects_gapless_point(lap_model):
 
 
 # ---------------------------------------------------------------------------
+# curvature integrand
+
+
+def _curvature_by_differences(S, level, k1, k2):
+    """Oracle for the curvature integrand Tr(P [d2 P, d1 P]) / (2 pi i):
+    derivatives of P by Richardson-extrapolated central differences."""
+    h = 1e-4 * (1.0 + np.hypot(k1, k2))
+    hh = h[:, None, None]
+
+    def P(dk1, dk2):
+        return _projection_stack(S, k1 + dk1, k2 + dk2, level)
+
+    d1 = (4 * (P(h / 2, 0) - P(-h / 2, 0)) / hh
+          - (P(h, 0) - P(-h, 0)) / (2 * hh)) / 3.0
+    d2 = (4 * (P(0, h / 2) - P(0, -h / 2)) / hh
+          - (P(0, h) - P(0, -h)) / (2 * hh)) / 3.0
+    comm = d2 @ d1 - d1 @ d2
+    return np.einsum("nij,nji->n", P(0, 0), comm) / (2j * np.pi)
+
+
+@pytest.mark.parametrize("name, params, level", [
+    ("dirac", {"m": 1.0}, 0.0),
+    ("regdirac", {"m": -1.0, "eps": 0.1}, 0.0),
+    ("shallow", {"f": 1.0, "nu": 0.1}, 0.5),
+])
+def test_curvature_integrand_matches_differences(name, params, level):
+    from bec.models import build_model
+
+    S = build_model(name, **params).symbol
+    rng = np.random.default_rng(5)
+    # nodes spread like the quadrature's, over the compactified plane
+    k1, k2 = np.tan(np.pi / 2 * rng.uniform(-0.99, 0.99, size=(2, 300)))
+    got = _curvature_integrand(S, level)(k1, k2)
+    assert got.shape == (300,)
+    assert np.max(np.abs(got - _curvature_by_differences(S, level, k1, k2))) \
+        < 1e-10
+
+
+def test_curvature_integrand_of_two_band_closed_form():
+    # Berry curvature of k1 sx + k2 sy + m sz below zero: m / (4 pi r^3)
+    k1 = np.array([0.0, 0.5, -1.2, 3.0])
+    k2 = np.array([0.0, 0.3, 0.8, -4.0])
+    got = _curvature_integrand(dirac_symbol(1.0), 0.0)(k1, k2)
+    r = np.sqrt(k1 ** 2 + k2 ** 2 + 1.0)
+    assert np.allclose(got, 1.0 / (4 * np.pi * r ** 3), rtol=0, atol=1e-14)
+
+
+def test_curvature_integrand_rejects_gapless_node(lap_model):
+    f = _curvature_integrand(lap_model.symbol, 1.0)
+    f(np.array([0.3, 2.0]), np.array([0.2, 0.0]))
+    # the scalar band k^2 crosses level 1 at the second node
+    with pytest.raises(GaplessPointError):
+        f(np.array([0.3, 1.0]), np.array([0.2, 0.0]))
+
+
+# ---------------------------------------------------------------------------
 # Chern pairings
 
 
@@ -238,13 +321,24 @@ def test_chern_of_scalar_symbol_is_zero(lap_model):
     assert resid < 1e-8
 
 
-def test_chern_fourth_order_negative_mass():
+def test_chern_fourth_order_negative_mass(monkeypatch):
     from bec.models import regularized_dirac
 
+    cells = []
+    quad_2d = symbol.quad_2d
+
+    def counted(f, **kwargs):
+        res = quad_2d(f, **kwargs)
+        cells.append(res.cells)
+        return res
+
+    monkeypatch.setattr(symbol, "quad_2d", counted)
     S = regularized_dirac(-1.0, 0.1).symbol
     value, resid = chern(S, 0.0, tol=1e-4)
     assert abs(value + 1.0) < 1e-3
     assert resid < 1e-3
+    # the cell schedule of the finite-difference integrand it replaced
+    assert cells == [199]
 
 
 def test_chern_two_band_half_integer_warns(dirac_model):
