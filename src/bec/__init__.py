@@ -25,7 +25,6 @@ from .edge import (
     winding,
 )
 from .errors import (
-    BandEdgeError,
     BecError,
     BoundaryOfRegularityError,
     ContractViolation,

@@ -42,15 +42,6 @@ K_LIMIT = 1e4
 # batched exponential bases
 
 
-def _stack_Ds(fibers):
-    o, N = fibers[0].order, fibers[0].N
-    arr = np.empty((len(fibers), o + 1, N, N), dtype=complex)
-    for i, F in enumerate(fibers):
-        for j in range(o + 1):
-            arr[i, j] = F.Ds[j]
-    return arr
-
-
 def _basis_batch(Ds, ks, zs, side, expect):
     """Decaying exponential solutions for a stack of fibers.
 
@@ -127,44 +118,48 @@ def _jets_batch(mus, phis, order):
     return J / nrm
 
 
-def _is_interface(F):
-    return hasattr(F, "plus")
-
-
-def _full_jets_batch(T, F_or_stacks, ks, zs):
-    """Jet matrices in the triple's layout for a batch of spectral points.
-
-    F_or_stacks: either ('half', Ds) or ('int', Ds_plus, Ds_minus).
-    Returns (jets (n, W, dimV), valid (n,)).
-    """
-    if F_or_stacks[0] == "half":
-        Ds = F_or_stacks[1]
+def _side_bases(stacks, ks, zs):
+    """Decaying solutions for fiber stacks ('half', Ds), on y > 0, or
+    ('int', Ds_plus, Ds_minus), on y > 0 and on y < 0, as
+    `FiberFamily.stacks` returns them: one (mus, phis, valid, order) per
+    side."""
+    out = []
+    for Ds, side in zip(stacks[1:], ("right", "left")):
         order = Ds.shape[1] - 1
-        N = Ds.shape[2]
-        expect = (order * N) // 2
-        mus, phis, valid = _basis_batch(Ds, ks, zs, "right", expect)
-        return _jets_batch(mus, phis, order), valid
-    _, Dp, Dm = F_or_stacks
-    op, Np = Dp.shape[1] - 1, Dp.shape[2]
-    om, Nm = Dm.shape[1] - 1, Dm.shape[2]
-    ep, em = (op * Np) // 2, (om * Nm) // 2
-    mp, pp, vp = _basis_batch(Dp, ks, zs, "right", ep)
-    mm, pm, vm = _basis_batch(Dm, ks, zs, "left", em)
-    jp = _jets_batch(mp, pp, op)
-    jm = _jets_batch(mm, pm, om)
-    n = len(ks)
-    w = T.order * T.N
-    J = np.zeros((n, 2 * w, ep + em), dtype=complex)
+        expect = (order * Ds.shape[2]) // 2
+        out.append(_basis_batch(Ds, ks, zs, side, expect) + (order,))
+    return out
+
+
+def _full_jets_batch(T, stacks, ks, zs):
+    """Jet matrices in the triple's layout for a batch of spectral points.
+    Returns (jets (n, W, dimV), valid (n,))."""
+    jets, valid = [], True
+    for mus, phis, v, order in _side_bases(stacks, ks, zs):
+        jets.append(_jets_batch(mus, phis, order))
+        valid = valid & v
+    if len(jets) == 1:
+        return jets[0], valid
+    # interface: solutions on y > 0 have a vanishing jet at 0-, and vice versa
+    jp, jm = jets
+    w, ep = T.order * T.N, jp.shape[2]
+    J = np.zeros((len(ks), 2 * w, ep + jm.shape[2]), dtype=complex)
     J[:, :w, :ep] = jp
     J[:, w:, ep:] = jm
-    return J, vp & vm
+    return J, valid
 
 
-def _fiber_stacks(Fs):
-    if _is_interface(Fs[0]):
-        return ("int", _stack_Ds([F.plus for F in Fs]),
-                _stack_Ds([F.minus for F in Fs]))
-    return ("half", _stack_Ds(Fs))
+def _rows(stacks, rows):
+    """The fiber stacks of the momenta indexed by rows."""
+    return (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
+
+
+def _stacks_of(F):
+    """Fiber stacks of the single fiber F (a FiberOperator or an
+    InterfaceFiber)."""
+    if hasattr(F, "plus"):
+        return ("int", np.array(F.plus.Ds)[None], np.array(F.minus.Ds)[None])
+    return ("half", np.array(F.Ds)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +171,20 @@ _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _detector(bc, T, fibers):
-    """Detector over the momenta of a list of fibers, one per column.
+def _detector(bc, T, stacks, ks):
+    """Detector over momenta ks with fiber stacks `stacks`, one per column.
 
     Returns det(rows, lams) -> (sv, scale, valid): the singular values
     (n, dimV) of M(k, lam) at the momenta of the columns indexed by rows and
     the energies lams, the scale 1 + max|M|, and the basis validity.
     """
-    ks = np.array([F.k for F in fibers], dtype=float)
-    stacks = _fiber_stacks(fibers)
     A, B = bc.ab_batch(ks)
     G1 = _poly_stack(T.G1_coeffs, ks)
     G2 = _poly_stack(T.G2_coeffs, ks)
 
     def det(rows, lams):
         # per-row fiber stacks gathered from the per-column ones
-        row_stacks = (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
-        J, valid = _full_jets_batch(T, row_stacks, ks[rows],
+        J, valid = _full_jets_batch(T, _rows(stacks, rows), ks[rows],
                                     np.asarray(lams, dtype=complex))
         if J.shape[2] != T.dimV:
             raise TripleDegeneracyError(
@@ -236,21 +228,23 @@ def _golden(rel, owner, a, b, tol, iters=80):
     return x, rel(owner, x)
 
 
-def _columns(bc, T, fibers, windows, nl, xtol=None):
-    """Edge eigenvalues of momentum fibers, each within its own open window
-    (lo, hi): one list of (lam, relative residual), ascending, per fiber.
+def _columns(bc, T, stacks, ks, windows, nl, xtol=None):
+    """Edge eigenvalues at momenta ks with fiber stacks `stacks`, each
+    within its own open window (lo, hi): one list of (lam, relative
+    residual), ascending, per momentum.
 
     Every column is scanned on its own energy grid.  The detector dips of
     all columns are then refined together, so that each golden-section step
     is one detector batch, while each column keeps its own width tolerance
     (xtol, by default 1e-9 of the window's magnitude) and so its own result.
     """
-    out = [[] for _ in fibers]
+    out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
             if np.isfinite(lo) and np.isfinite(hi) and hi > lo]
     if not cols:
         return out
-    det = _detector(bc, T, [fibers[i] for i in cols])
+    det = _detector(bc, T, _rows(stacks, cols),
+                    np.asarray(ks, dtype=float)[cols])
 
     def rel(rows, lams):
         sv, scale, valid = det(rows, lams)
@@ -318,7 +312,8 @@ def edge_eigenvalues(bc, T, F, gap, lam_resolution=400):
     if not np.isfinite(lo):
         lo = hi - max(100.0, 20.0 * (1.0 + F.k ** 2))
     pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
-    return _columns(bc, T, [F], [(lo + pad, hi - pad)], lam_resolution)[0]
+    return _columns(bc, T, _stacks_of(F), [F.k], [(lo + pad, hi - pad)],
+                    lam_resolution)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +359,7 @@ class _Tracker:
         self.model = model
         self.gap = gap
         self.nl = lam_resolution
-        self.side = T.side
+        self.fam = model.fiber_family(T.side)
         self.cols = {}
 
     def window(self, k):
@@ -373,8 +368,7 @@ class _Tracker:
     def columns(self, ks):
         """Scan and cache the full-window columns at momenta ks together."""
         ks = [k for k in ks if k not in self.cols]
-        found = _columns(self.bc, self.T,
-                         [self.model.fiber(k, self.side) for k in ks],
+        found = _columns(self.bc, self.T, self.fam.stacks(ks), ks,
                          [self.window(k) for k in ks], self.nl)
         self.cols.update(zip(ks, found))
 
@@ -388,28 +382,15 @@ class _Tracker:
         lo, hi = max(lo, wlo), min(hi, whi)
         if not hi > lo:
             return []
-        return _columns(self.bc, self.T, [self.model.fiber(k, self.side)],
+        return _columns(self.bc, self.T, self.fam.stacks([k]), [k],
                         [(lo, hi)], nl, xtol=xtol)[0]
 
     def decay_exponents(self, k, lam):
         """All decay exponents mu of the fiber's exponential solutions at a
         real energy inside the gap."""
-        F = self.model.fiber(k, self.side)
-        stacks = _fiber_stacks([F])
-        mus = []
-        if stacks[0] == "half":
-            Ds = stacks[1]
-            expect = ((Ds.shape[1] - 1) * Ds.shape[2]) // 2
-            m, _, v = _basis_batch(Ds, [k], [complex(lam)], "right", expect)
-            if v[0]:
-                mus.extend(m[0])
-        else:
-            for Ds, side in ((stacks[1], "right"), (stacks[2], "left")):
-                expect = ((Ds.shape[1] - 1) * Ds.shape[2]) // 2
-                m, _, v = _basis_batch(Ds, [k], [complex(lam)], side, expect)
-                if v[0]:
-                    mus.extend(m[0])
-        return np.asarray(mus)
+        bases = _side_bases(_stacks_of(self.fam(k)), [k], [complex(lam)])
+        return np.concatenate([np.zeros(0)]
+                              + [m[0] for m, _, v, _ in bases if v[0]])
 
 
 def _predict(band, k):
@@ -757,16 +738,20 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
 # windings of von Neumann unitaries
 
 
-def _unitary_family(bc, T, fiber_family, ks):
-    """Stacked U(k) = W(i)^{-1} W(-i) for an array of momenta."""
+def _krein_family(T, fiber_family, ks):
+    """Krein matrices (Q(i), Q(-i)), each (n, dimV, dimV), at an array of
+    momenta: Q(z) = (G2 J)(G1 J)^{-1} on the deficiency jets J.
+
+    Q depends on the triple and the fibers only, so every boundary condition
+    over the same momenta shares it.
+    """
     ks = np.asarray(ks, dtype=float)
-    Fs = [fiber_family(k) for k in ks]
-    stacks = _fiber_stacks(Fs)
-    n = len(ks)
-    Ws = []
-    A, B = bc.ab_batch(ks)
+    stacks = fiber_family.stacks(ks)
+    G1 = _poly_stack(T.G1_coeffs, ks)
+    G2 = _poly_stack(T.G2_coeffs, ks)
+    Qs = []
     for z in (1j, -1j):
-        J, valid = _full_jets_batch(T, stacks, ks, np.full(n, z))
+        J, valid = _full_jets_batch(T, stacks, ks, np.full(len(ks), z))
         if not np.all(valid):
             raise NumericalFailure(
                 "deficiency basis failed at k=%s"
@@ -775,19 +760,22 @@ def _unitary_family(bc, T, fiber_family, ks):
             raise TripleDegeneracyError(
                 "deficiency space has dimension %d, dimV=%d"
                 % (J.shape[2], T.dimV))
-        G1 = _poly_stack(T.G1_coeffs, ks)
-        G2 = _poly_stack(T.G2_coeffs, ks)
         M1 = G1 @ J
         M2 = G2 @ J
         sv = np.linalg.svd(M1, compute_uv=False)
         if np.any(sv[:, -1] <= 1e-10 * (1.0 + sv[:, 0])):
             raise TripleDegeneracyError(
                 "G1 restricted to the deficiency space is singular")
-        Q = np.linalg.solve(M1.transpose(0, 2, 1),
-                            M2.transpose(0, 2, 1)).transpose(0, 2, 1)
-        Ws.append(A - B @ Q)
-    U = np.linalg.solve(Ws[0], Ws[1])
-    return U
+        Qs.append(np.linalg.solve(M1.transpose(0, 2, 1),
+                                  M2.transpose(0, 2, 1)).transpose(0, 2, 1))
+    return Qs
+
+
+def _unitary(bc, Q, ks):
+    """Stacked U(k) = W(i)^{-1} W(-i), W(z) = A(k) - B(k) Q(z), from the
+    Krein family Q = (Q(i), Q(-i)) at momenta ks."""
+    A, B = bc.ab_batch(ks)
+    return np.linalg.solve(A - B @ Q[0], A - B @ Q[1])
 
 
 def _poly_stack(coeffs, ks):
@@ -798,9 +786,20 @@ def _poly_stack(coeffs, ks):
     return out
 
 
+def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
+    """U(k), or with bc_ref the relative unitary U(k) U_ref(k)^{-1}, at
+    momenta ks; both conditions share one Krein family."""
+    Q = _krein_family(T, fiber_family, ks)
+    U = _unitary(bc, Q, ks)
+    if bc_ref is not None:
+        U = U @ np.linalg.inv(_unitary(bc_ref, Q, ks))
+    return U
+
+
 def vn_unitary_family(bc, T, fiber_family, ks):
-    """Public batched version of the per-momentum von Neumann unitary."""
-    return _unitary_family(bc, T, fiber_family, ks)
+    """Von Neumann unitaries U(k) stacked over an array of momenta, with
+    fiber_family a `FiberFamily` (`ModelDescriptor.fiber_family`)."""
+    return _unitaries(bc, T, fiber_family, ks)
 
 
 def _det_curve(detfun, k_window, n_seed=1025, max_points=60000):
@@ -851,19 +850,12 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     0.05); otherwise the winding is not defined and NotComparableError is
     raised.  Returns (integer, rounding residual)."""
 
-    def detfun(ks):
-        U = _unitary_family(bc, T, fiber_family, ks)
-        if bc_ref is not None:
-            Ur = _unitary_family(bc_ref, T, fiber_family, ks)
-            U = U @ np.linalg.inv(Ur)
-        return np.linalg.det(U)
+    def unitaries(ks):
+        return _unitaries(bc, T, fiber_family, ks, bc_ref=bc_ref)
 
     p = T.dimV
-    ends = _unitary_family(bc, T, fiber_family, np.array([-K_LIMIT, K_LIMIT]))
+    ends = unitaries(np.array([-K_LIMIT, K_LIMIT]))
     if bc_ref is not None:
-        er = _unitary_family(bc_ref, T, fiber_family,
-                             np.array([-K_LIMIT, K_LIMIT]))
-        ends = ends @ np.linalg.inv(er)
         gap_dev = max(np.linalg.norm(ends[0] - np.eye(p), 2),
                       np.linalg.norm(ends[1] - np.eye(p), 2))
     else:
@@ -872,7 +864,7 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
         raise NotComparableError(
             "unitary does not settle to a common large-momentum limit "
             "(deviation %.3f)" % gap_dev)
-    _, vals = _det_curve(detfun, k_window)
+    _, vals = _det_curve(lambda ks: np.linalg.det(unitaries(ks)), k_window)
     _check_unimodular(vals)
     loop = np.append(vals, vals[0])
     raw = unwind_phase(loop)

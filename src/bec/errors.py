@@ -61,10 +61,6 @@ class InsufficientResolutionError(BecError):
     """Sampling too coarse for a guaranteed answer (phase jump >= pi/2, ...)."""
 
 
-class BandEdgeError(BecError):
-    """An edge eigenvalue was found too close to the gap boundary to certify."""
-
-
 class LostBandError(BecError):
     """Band continuation failed to reconnect after the maximum number of
     step-halvings."""

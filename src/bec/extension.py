@@ -415,12 +415,22 @@ def _bases_for(T, F, z):
             _exp_basis(Fm, z, "left", allow_real=True))
 
 
+def _krein_pair(T, F):
+    """(Q(i), Q(-i)) of the fiber F; shared by every boundary condition."""
+    return krein_Q(T, _bases_for(T, F, 1j)), krein_Q(T, _bases_for(T, F, -1j))
+
+
 def vn_unitary(bc, T, F, k=None):
     """Von Neumann unitary U = W(i)^{-1} W(-i) of the extension at momentum
     k; similar to a unitary, so its eigenvalues lie on the unit circle."""
-    k = F.k if k is None else float(k)
-    Wp = weyl_W(bc, krein_Q(T, _bases_for(T, F, 1j)), k)
-    Wm = weyl_W(bc, krein_Q(T, _bases_for(T, F, -1j)), k)
+    return _unitary_from_Q(bc, _krein_pair(T, F),
+                           F.k if k is None else float(k))
+
+
+def _unitary_from_Q(bc, Q, k):
+    """vn_unitary from the Krein pair Q = (Q(i), Q(-i)) at momentum k."""
+    Wp = weyl_W(bc, Q[0], k)
+    Wm = weyl_W(bc, Q[1], k)
     if min_singular(Wp) <= 1e-12 * max(1.0, norm_inf(Wp)):
         raise InadmissibleConditionError("W(i) is singular at k=%g" % k)
     U = np.linalg.solve(Wp, Wm)
@@ -455,18 +465,19 @@ def affiliation_check(bc, T, fiber_family, bc_ref=None):
     1e4 (U_ref = 1 when no reference condition is given).  Affiliated needs a
     decreasing trend with r(1e4) < 0.05 on both sides; a limit above 0.5 on a
     side reports not-affiliated in that direction; anything else is
-    inconclusive.
+    inconclusive.  The deficiency bases and Krein matrices of each momentum
+    serve both conditions.
     """
     kappas = (1e2, 1e3, 1e4)
     evidence = {}
     for sign, key in ((1.0, "+"), (-1.0, "-")):
         rs = []
         for kap in kappas:
-            k = sign * kap
-            F = fiber_family(k)
-            U = vn_unitary(bc, T, F)
+            F = fiber_family(sign * kap)
+            Q = _krein_pair(T, F)
+            U = _unitary_from_Q(bc, Q, F.k)
             if bc_ref is not None:
-                Uref = vn_unitary(bc_ref, T, F)
+                Uref = _unitary_from_Q(bc_ref, Q, F.k)
                 dev = np.linalg.norm(U @ np.linalg.inv(Uref) - np.eye(T.dimV), 2)
             else:
                 dev = np.linalg.norm(U - np.eye(T.dimV), 2)

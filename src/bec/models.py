@@ -20,7 +20,7 @@ from .extension import (
     from_ab,
     from_klm,
 )
-from .symbol import FiberOperator, GapWindow, Symbol, fiberize
+from .symbol import GapWindow, Symbol, fiberize
 
 
 class InterfaceFiber:
@@ -34,6 +34,29 @@ class InterfaceFiber:
         self.k = plus.k
         self.N = plus.N
         self.order = max(plus.order, minus.order)
+
+
+class FiberFamily:
+    """The fibers of a model over the boundary momenta, on one side.
+
+    fam(k) is the fiber at one momentum (a FiberOperator, or an
+    InterfaceFiber on the interface side).  fam.stacks(ks) gives the fiber
+    coefficients of a whole array of momenta at once: ("half", Ds) or
+    ("int", Ds_plus, Ds_minus), each of shape (len(ks), order+1, N, N).
+    """
+
+    def __init__(self, model, side):
+        self.model = model
+        self.side = side
+
+    def __call__(self, k):
+        return self.model.fiber(k, self.side)
+
+    def stacks(self, ks):
+        if self.side == "interface":
+            return ("int",) + tuple(S.fiber_stack(ks) for S in
+                                    self.model.interface_symbols())
+        return ("half", self.model.symbol.fiber_stack(ks))
 
 
 class ModelDescriptor:
@@ -56,16 +79,20 @@ class ModelDescriptor:
         self.edge_enabled = bool(edge_enabled)
         self._scan_window = scan_window
 
+    def interface_symbols(self):
+        """(upper symbol, lower symbol) of the interface problem."""
+        if self.symbol_minus is None:
+            raise ContractViolation("%s has no interface form" % self.name)
+        return self.symbol, self.symbol_minus
+
     def fiber(self, k, side="halfline"):
         if side == "interface":
-            if self.symbol_minus is None:
-                raise ContractViolation("%s has no interface form" % self.name)
-            return InterfaceFiber(fiberize(self.symbol, k),
-                                  fiberize(self.symbol_minus, k))
+            plus, minus = self.interface_symbols()
+            return InterfaceFiber(fiberize(plus, k), fiberize(minus, k))
         return fiberize(self.symbol, k)
 
     def fiber_family(self, side="halfline"):
-        return lambda k: self.fiber(k, side)
+        return FiberFamily(self, side)
 
     def triple(self, side="halfline"):
         if side not in self.triples:

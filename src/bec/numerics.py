@@ -81,44 +81,12 @@ def herm_eig(M):
     return w, V
 
 
-def complex_eig(M):
-    """Eigenpairs of a general complex matrix as a list of (lam, v)."""
-    A = as_square(M)
-    try:
-        w, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigen iteration failed: %s" % exc, data=A)
-    pairs = []
-    scale = norm_inf(A)
-    for i in range(A.shape[0]):
-        v = V[:, i]
-        resid = np.linalg.norm(A @ v - w[i] * v)
-        if resid >= 1e-9 * max(scale, 1e-300) * np.linalg.norm(v) and resid > 1e-13:
-            raise NumericalFailure(
-                "eigenpair residual %.3e too large" % resid, data=A)
-        pairs.append((complex(w[i]), v))
-    return pairs
-
-
 def min_singular(M):
     """Smallest singular value of a square matrix."""
     A = as_square(M)
     if A.size == 0:
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-def null_vectors(M, tol):
-    """Orthonormal basis of the numerical kernel: right singular vectors whose
-    singular value is below tol (absolute)."""
-    A = as_matrix(M)
-    _, s, Vh = np.linalg.svd(A)
-    ns = Vh[s <= tol].conj().T if s.size else Vh.conj().T
-    # A wide/tall matrix can have more kernel directions than singular values.
-    k = A.shape[1] - len(s)
-    if k > 0:
-        ns = np.concatenate([ns, Vh[len(s):].conj().T], axis=1) if ns.size else Vh[len(s):].conj().T
-    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +134,6 @@ def poly_roots(coeffs):
             raise NumericalFailure(
                 "polynomial root residual exceeds bound at root %s" % r, data=c)
     return [complex(r) for r in roots]
-
-
-def poly_from_roots(roots, leading=1.0):
-    c = np.array([complex(leading)])
-    for r in roots:
-        c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
-    return c
 
 
 # ---------------------------------------------------------------------------

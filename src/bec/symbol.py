@@ -66,6 +66,20 @@ class Symbol:
                 terms[(a - 1, b) if axis == 0 else (a, b - 1)] = p * C
         return Symbol(self.N, terms)
 
+    def fiber_stack(self, ks):
+        """Half-plane fiber coefficients at an array of boundary momenta.
+
+        Returns the (n, order+1, N, N) stack of D_j(k) = i^j sum_a c_aj k^a
+        (see `fiberize`), polynomial in k.  The order is the symbol's largest
+        y-degree at every momentum, also where the top coefficient vanishes.
+        """
+        ks = np.asarray(ks, dtype=float).ravel()
+        order = max((b for (_, b) in self.terms), default=0)
+        out = np.zeros((ks.size, order + 1, self.N, self.N), dtype=complex)
+        for (a, b), C in self.terms.items():
+            out[:, b] += ((1j ** b) * ks ** a)[:, None, None] * C
+        return out
+
 
 class FiberOperator:
     """Half-plane fiber of a symbol at boundary momentum k:
@@ -100,12 +114,7 @@ def fiberize(S, k):
     the massive 2x2 model k1 sx + k2 sy + m sz maps onto
     sx k + [[0,1],[-1,0]] d/dy + m sz.
     """
-    k = float(k)
-    nmax = max((b for (_, b) in S.terms), default=0)
-    Ds = [np.zeros((S.N, S.N), dtype=complex) for _ in range(nmax + 1)]
-    for (a, b), C in S.terms.items():
-        Ds[b] = Ds[b] + (1j ** b) * (k ** a) * C
-    return FiberOperator(k, S.N, Ds)
+    return FiberOperator(k, S.N, S.fiber_stack([k])[0])
 
 
 def bulk_bands(S, k, ky_grid):

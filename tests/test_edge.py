@@ -105,11 +105,11 @@ def test_edge_eigenvalue_multiplicity_two_for_coinciding_branches(
 
 
 def _columns_match_single_calls(bc, T, model, side, ks, gap, nl):
-    fibers = [model.fiber(k, side) for k in ks]
+    fam = model.fiber_family(side)
     windows = [model.scan_window(k, gap) for k in ks]
-    together = edge._columns(bc, T, fibers, windows, nl)
-    alone = [edge._columns(bc, T, [F], [w], nl)[0]
-             for F, w in zip(fibers, windows)]
+    together = edge._columns(bc, T, fam.stacks(ks), ks, windows, nl)
+    alone = [edge._columns(bc, T, fam.stacks([k]), [k], [w], nl)[0]
+             for k, w in zip(ks, windows)]
     assert together == alone
     return together
 
@@ -164,12 +164,14 @@ def test_columns_match_single_calls_with_multiplicity(dirac_interface_model):
 def test_columns_skip_empty_and_unbounded_windows(dirac_model):
     T = dirac_model.triple("halfline")
     bc = dirac_model.make_bc("a", a=2.0)
-    F = dirac_model.fiber(0.25)
+    ks = [0.25] * 4
+    stacks = dirac_model.fiber_family().stacks(ks)
     good = (-0.999, 0.999)
-    out = edge._columns(bc, T, [F] * 4,
+    out = edge._columns(bc, T, stacks, ks,
                         [(0.3, 0.3), (-np.inf, 0.0), good, (0.5, -0.5)], 200)
     assert out[0] == [] and out[1] == [] and out[3] == []
-    assert out[2] == edge._columns(bc, T, [F], [good], 200)[0]
+    assert out[2] == edge._columns(bc, T, edge._rows(stacks, [2]), [0.25],
+                                   [good], 200)[0]
     assert abs(out[2][0][0] - 0.8) < 1e-7
 
 
@@ -432,3 +434,72 @@ def test_unitary_family_determinants_unimodular(lap_model, dirac_model):
                               model.fiber_family(), ks)
         dets = np.linalg.det(U)
         assert np.max(np.abs(np.abs(dets) - 1.0)) < 1e-8
+
+
+_UNITARY_CASES = [
+    ("lap_model", "halfline", ("robin", {"K": 1.0, "ell": 2.0, "M": 1.0}),
+     ("dirichlet", {})),
+    ("dirac_model", "halfline", ("a", {"a": -2.0}), ("a", {"a": 1.0})),
+    ("regdirac_model", "halfline", ("a", {"a": 2.0}), ("dirichlet", {})),
+    ("dirac_interface_model", "interface",
+     ("decoupled", {"aplus": 1.0, "aminus": 1.0}), ("transparent", {})),
+]
+
+
+@pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
+def test_unitary_family_matches_per_point_unitary(request, fixture, side,
+                                                  cond, ref):
+    from bec.extension import vn_unitary
+
+    model = request.getfixturevalue(fixture)
+    T, fam = model.triple(side), model.fiber_family(side)
+    ks = [-1e4, -50.0, -1.3, 0.0, 0.7, 2.0, 50.0, 1e4]
+    for family, kw in (cond, ref):
+        bc = model.make_bc(family, **kw)
+        U = vn_unitary_family(bc, T, fam, ks)
+        for k, Uk in zip(ks, U):
+            assert np.max(np.abs(Uk - vn_unitary(bc, T, fam(k)))) < 1e-10
+
+
+@pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
+def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
+                                                   fixture, side, cond, ref):
+    model = request.getfixturevalue(fixture)
+    T, fam = model.triple(side), model.fiber_family(side)
+    bc, bc_ref = model.make_bc(cond[0], **cond[1]), model.make_bc(ref[0],
+                                                                  **ref[1])
+    ks = np.tan(0.5 * np.pi * np.linspace(-0.999, 0.999, 257))
+    # two independent families, as each condition computed its own before
+    two = (vn_unitary_family(bc, T, fam, ks)
+           @ np.linalg.inv(vn_unitary_family(bc_ref, T, fam, ks)))
+    calls = []
+    krein = edge._krein_family
+
+    def counted(T, fam, ks):
+        calls.append(len(ks))
+        return krein(T, fam, ks)
+
+    monkeypatch.setattr(edge, "_krein_family", counted)
+    shared = edge._unitaries(bc, T, fam, ks, bc_ref=bc_ref)
+    assert calls == [len(ks)]
+    assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
+
+
+def test_unitary_family_reports_vanishing_top_coefficient(lap_model):
+    # the coefficient (1 + k) of d^2/dy^2 vanishes at k = -1: the stack
+    # keeps order 2 there and the basis fails at exactly that momentum
+    from bec.errors import NumericalFailure
+    from bec.models import ModelDescriptor
+    from bec.symbol import Symbol
+
+    S = Symbol(1, {(2, 0): [[1.0]], (0, 2): [[1.0]], (1, 2): [[1.0]]})
+    model = ModelDescriptor("vanishing-top", {}, S,
+                            triples={"halfline": lap_model.triple()})
+    T, fam = model.triple(), model.fiber_family()
+    bc = lap_model.make_bc("robin", K=1.0, ell=0.0, M=1.0)
+    with pytest.raises(NumericalFailure, match=r"k=\[-1\.\]"):
+        vn_unitary_family(bc, T, fam, [0.5, -1.0, 2.0])
+    with pytest.raises(NumericalFailure, match=r"k=\[-1\.\]"):
+        vn_unitary_family(bc, T, fam, [-1.0, 0.5])
+    U = vn_unitary_family(bc, T, fam, [0.5, 2.0])
+    assert np.max(np.abs(np.abs(np.linalg.det(U)) - 1.0)) < 1e-10

@@ -428,3 +428,58 @@ def test_affiliation_fourth_order_family_boundary_cases(regdirac_model):
     v = affiliation_check(regdirac_model.make_bc("a", a=2.0), T, fam,
                           bc_ref=ref)
     assert v.verdict == "affiliated"
+
+
+def _evidence_per_condition(bc, T, fam, bc_ref):
+    """The affiliation evidence with every unitary computed on its own."""
+    evidence = {}
+    for sign, key in ((1.0, "+"), (-1.0, "-")):
+        rs = []
+        for kap in (1e2, 1e3, 1e4):
+            F = fam(sign * kap)
+            U = vn_unitary(bc, T, F)
+            if bc_ref is not None:
+                U = U @ np.linalg.inv(vn_unitary(bc_ref, T, F))
+            rs.append(float(np.linalg.norm(U - np.eye(T.dimV), 2)))
+        evidence[key] = rs
+    return evidence
+
+
+def test_affiliation_shares_krein_matrices_between_conditions(
+        monkeypatch, lap_model, regdirac_model, dirac_interface_model):
+    import bec.extension as ext
+
+    cases = (
+        (lap_model, "halfline", lap_model.make_bc("robin", K=1.0, ell=2.0,
+                                                  M=1.0), None),
+        (regdirac_model, "halfline", regdirac_model.make_bc("a", a=2.0),
+         regdirac_model.make_bc("dirichlet")),
+        (dirac_interface_model, "interface",
+         dirac_interface_model.make_bc("decoupled", aplus=1.0, aminus=1.0),
+         dirac_interface_model.make_bc("transparent")),
+    )
+    pair = ext._krein_pair
+    calls = []
+
+    def counted(T, F):
+        calls.append(F.k)
+        return pair(T, F)
+
+    for model, side, bc, ref in cases:
+        T, fam = model.triple(side), model.fiber_family(side)
+        want = _evidence_per_condition(bc, T, fam, ref)
+        calls.clear()
+        monkeypatch.setattr(ext, "_krein_pair", counted)
+        v = affiliation_check(bc, T, fam, bc_ref=ref)
+        monkeypatch.setattr(ext, "_krein_pair", pair)
+        assert v.evidence == want
+        assert len(calls) == 6
+
+
+def test_affiliation_checks_the_reference_condition(lap_model):
+    bc = lap_model.make_bc("robin", K=1.0, ell=0.5, M=1.0)
+    with pytest.raises(InadmissibleConditionError):
+        affiliation_check(bc, lap_model.triple("halfline"),
+                          lap_model.fiber_family(),
+                          bc_ref=from_ab(np.array([[0.0]]),
+                                         np.array([[0.0]])))

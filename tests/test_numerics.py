@@ -8,6 +8,7 @@ import heapq
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyfromroots
 
 from bec.errors import (
     ContractViolation,
@@ -18,21 +19,15 @@ from bec.numerics import (
     as_matrix,
     as_square,
     check_hermitian,
-    complex_eig,
     herm_eig,
     min_singular,
     norm_inf,
-    null_vectors,
     poly_eval,
-    poly_from_roots,
     poly_roots,
     quad_2d,
     trim_poly,
     unwind_phase,
 )
-
-# sqrt(1 - i), principal branch (positive real part)
-SQRT_1_MINUS_I = 1.09868411346781 - 0.455089860562227j
 
 
 # ---------------------------------------------------------------------------
@@ -99,45 +94,10 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_complex_eig_nilpotent_block():
-    pairs = complex_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert len(pairs) == 2
-    assert all(abs(lam) < 1e-12 for lam, _ in pairs)
-
-
-def test_complex_eig_companion_of_quadratic():
-    # companion matrix of z^2 + 1 -> eigenvalues +-i
-    C = np.array([[0.0, -1.0], [1.0, 0.0]])
-    lams = sorted((lam for lam, _ in complex_eig(C)), key=lambda z: z.imag)
-    assert abs(lams[0] + 1j) < 1e-12 and abs(lams[1] - 1j) < 1e-12
-
-
-def test_complex_eig_matches_exponent_closed_form():
-    # companion of mu^2 - (k^2 - z) at k=1, z=i: roots +-sqrt(1 - i)
-    C = np.array([[0.0, 1.0 - 1.0j], [1.0, 0.0]])
-    lams = sorted((lam for lam, _ in complex_eig(C)), key=lambda z: z.real)
-    assert abs(lams[1] - SQRT_1_MINUS_I) < 1e-12
-    assert abs(lams[0] + SQRT_1_MINUS_I) < 1e-12
-
-
-def test_complex_eig_eigenvector_residual():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * np.eye(2)
-    for lam, v in complex_eig(A):
-        assert np.linalg.norm(A @ v - lam * v) < 1e-10
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-
 def test_min_singular_values():
     assert abs(min_singular(np.eye(3)) - 1.0) < 1e-14
     assert min_singular(np.diag([5.0, 0.0])) < 1e-14
     assert min_singular(np.array([[1.0, 1.0], [1.0, 1.0]])) < 1e-14
-
-
-def test_null_vectors_of_rank_one_matrix():
-    ns = null_vectors(np.array([[1.0, 1.0], [1.0, 1.0]]), 1e-10)
-    assert ns.shape == (2, 1)
-    v = ns[:, 0]
-    assert abs(abs(v @ np.array([1.0, -1.0]) / np.sqrt(2.0)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +149,7 @@ def test_poly_from_roots_round_trip():
         roots = rng.normal(size=n) + 1j * rng.normal(size=n)
         # keep the roots well separated so the match is unambiguous
         roots = np.array([r + 0.5 * i for i, r in enumerate(roots)])
-        c = poly_from_roots(roots, leading=1.0)
+        c = polyfromroots(roots)
         back = poly_roots(c)
         assert np.allclose(sorted(back, key=lambda z: (z.real, z.imag)),
                            sorted(roots, key=lambda z: (z.real, z.imag)),

@@ -151,6 +151,46 @@ def test_char_matrix_of_fiber(dirac_model):
     assert np.max(np.abs(M - want)) < 1e-14
 
 
+@pytest.mark.parametrize("name, side", [("laplacian", "halfline"),
+                                        ("dirac", "halfline"),
+                                        ("regdirac", "halfline"),
+                                        ("dirac", "interface")])
+def test_fiber_stack_equals_stacked_fiberize(name, side, lap_model,
+                                             dirac_model, regdirac_model,
+                                             dirac_interface_model):
+    model = {("laplacian", "halfline"): lap_model,
+             ("dirac", "halfline"): dirac_model,
+             ("regdirac", "halfline"): regdirac_model,
+             ("dirac", "interface"): dirac_interface_model}[name, side]
+    fam = model.fiber_family(side)
+    ks = np.concatenate([[0.0, 1e4, -1e4], np.linspace(-30.0, 30.0, 601)])
+    stacks = fam.stacks(ks)
+    assert stacks[0] == ("int" if side == "interface" else "half")
+    for i, k in enumerate(ks):
+        F = fam(k)
+        parts = (F.plus, F.minus) if side == "interface" else (F,)
+        for Ds, P in zip(stacks[1:], parts):
+            assert Ds.shape == (len(ks), P.order + 1, P.N, P.N)
+            assert np.array_equal(Ds[i], np.array(P.Ds))
+
+
+def test_fiber_stack_keeps_order_where_top_coefficient_vanishes():
+    # D_2(k) = -(1 + k) vanishes at k = -1; the per-point fiber drops to
+    # order 0 there, the stack keeps order 2 at every momentum
+    S = Symbol(1, {(2, 0): [[1.0]], (0, 2): [[1.0]], (1, 2): [[1.0]]})
+    D = S.fiber_stack([-1.0, 0.5])
+    assert D.shape == (2, 3, 1, 1)
+    assert D[0, 2, 0, 0] == 0.0 and D[1, 2, 0, 0] == -1.5
+    assert np.array_equal(D[1], np.array(fiberize(S, 0.5).Ds))
+    assert fiberize(S, -1.0).order == 0
+
+
+def test_fiber_stack_of_constant_symbol_has_order_zero():
+    D = Symbol(2, {(0, 0): SZ}).fiber_stack(np.array([0.0, 2.0]))
+    assert D.shape == (2, 1, 2, 2)
+    assert np.array_equal(D[1, 0], SZ)
+
+
 # ---------------------------------------------------------------------------
 # bulk bands and gaps
 
