@@ -58,7 +58,6 @@ from .extension import (
     krein_Q,
     triple_defect,
     vn_unitary,
-    weyl_W,
 )
 from .models import (
     BUILTIN_MODELS,

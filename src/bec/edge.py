@@ -14,6 +14,10 @@ grid, and each dip of the scan is refined by golden section; the columns of
 a band track are handled a block at a time, so one detector batch serves a
 refinement step of every column in the block.  Windings are computed from
 the phase of det U along a compactified momentum line.
+
+The deficiency bases, their jets, the Krein matrices and the unitaries come
+from the batched kernel in `extension`; this module holds the detector, the
+bands, the spectral flow and the windings.
 """
 
 import numpy as np
@@ -25,6 +29,14 @@ from .errors import (
     NotComparableError,
     NumericalFailure,
     TripleDegeneracyError,
+)
+from .extension import (
+    _full_jets_batch,
+    _krein_family,
+    _poly_stack,
+    _side_bases,
+    _stacks_of,
+    _unitary,
 )
 from .numerics import unwind_phase
 from .symbol import find_gap
@@ -39,130 +51,6 @@ K_LIMIT = 1e4
 
 
 # ---------------------------------------------------------------------------
-# batched exponential bases
-
-
-def _basis_batch(Ds, ks, zs, side, expect):
-    """Decaying exponential solutions for a stack of fibers.
-
-    Ds: (n, order+1, N, N); ks, zs: (n,).  Returns (mus (n, expect),
-    phis (n, expect, N), valid (n,)).  Rows fail validity when the
-    characteristic roots sit on the imaginary axis, cluster, split
-    unevenly between the half planes, or give poor amplitude residuals.
-    """
-    n, o1, N, _ = Ds.shape
-    order = o1 - 1
-    d = order * N
-    ks = np.asarray(ks, dtype=float)
-    zs = np.asarray(zs, dtype=complex)
-    scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
-    t = np.arange(d + 1)
-    base = np.cos(np.pi * (2 * t + 1) / (2.0 * (d + 1)))
-    nodes = scale[:, None] * base[None, :]                       # (n, d+1)
-    eye = np.eye(N, dtype=complex)
-    C = np.zeros((n, d + 1, N, N), dtype=complex)
-    C -= zs[:, None, None, None] * eye[None, None]
-    for j in range(o1):
-        C += Ds[:, j][:, None] * ((-nodes) ** j)[:, :, None, None]
-    dets = np.linalg.det(C)                                       # (n, d+1)
-    # characteristic polynomial in the rescaled variable mu/scale, whose
-    # roots are O(1): keeps the companion matrix well balanced at large k
-    V = np.vander(base.astype(complex), d + 1, increasing=True)
-    coeffs = np.linalg.solve(V, dets.T).T                         # (n, d+1)
-    valid = np.abs(coeffs[:, -1]) > 1e-10 * (np.abs(coeffs).max(axis=1) + 1e-300)
-    lead = np.where(valid, coeffs[:, -1], 1.0)
-    comp = np.zeros((n, d, d), dtype=complex)
-    if d > 1:
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -coeffs[:, :-1] / lead[:, None]
-    roots = np.linalg.eigvals(comp) * scale[:, None]              # (n, d)
-    top = 1.0 + np.max(np.abs(roots), axis=1)
-    valid &= ~np.any(np.abs(roots.real) < 1e-8 * (1.0 + np.abs(roots)), axis=1)
-    if d > 1:
-        pair = np.abs(roots[:, :, None] - roots[:, None, :])
-        pair += 1e30 * np.eye(d)[None]
-        valid &= pair.min(axis=(1, 2)) >= 1e-9 * top
-    good = roots.real > 0 if side == "right" else roots.real < 0
-    valid &= good.sum(axis=1) == expect
-    key_real = np.where(good, roots.real, 1e30)
-    key_imag = np.where(good, roots.imag, 0.0)
-    idx = np.lexsort((key_imag, key_real), axis=-1)
-    mus = np.take_along_axis(roots, idx, axis=1)[:, :expect]      # (n, expect)
-    Cm = np.zeros((n, expect, N, N), dtype=complex)
-    Cm -= zs[:, None, None, None] * eye[None, None]
-    for j in range(o1):
-        Cm += Ds[:, j][:, None] * ((-mus) ** j)[:, :, None, None]
-    Vh = np.linalg.svd(Cm)[2]
-    phis = Vh[..., -1, :].conj()                                  # (n, expect, N)
-    resid = np.abs(np.einsum("npij,npj->npi", Cm, phis)).max(axis=(1, 2))
-    # yardstick: magnitude of the terms that cancel at the roots (Cm itself
-    # is ~0 there, so its norm is useless as a scale)
-    mumax = np.maximum(1.0, np.abs(mus)).max(axis=1)              # (n,)
-    tscale = np.abs(zs)
-    for j in range(o1):
-        tscale = tscale + np.abs(Ds[:, j]).max(axis=(1, 2)) * mumax ** j
-    valid &= resid <= 1e-9 * (1.0 + tscale)
-    return mus, phis, valid
-
-
-def _jets_batch(mus, phis, order):
-    """Normalized jet matrices (n, order*N, p) for a batch of bases."""
-    n, p = mus.shape
-    N = phis.shape[2]
-    J = np.empty((n, order * N, p), dtype=complex)
-    phT = phis.transpose(0, 2, 1)
-    for j in range(order):
-        J[:, j * N:(j + 1) * N, :] = ((-mus) ** j)[:, None, :] * phT
-    nrm = np.linalg.norm(J, axis=1, keepdims=True)
-    nrm = np.where(nrm == 0.0, 1.0, nrm)
-    return J / nrm
-
-
-def _side_bases(stacks, ks, zs):
-    """Decaying solutions for fiber stacks ('half', Ds), on y > 0, or
-    ('int', Ds_plus, Ds_minus), on y > 0 and on y < 0, as
-    `FiberFamily.stacks` returns them: one (mus, phis, valid, order) per
-    side."""
-    out = []
-    for Ds, side in zip(stacks[1:], ("right", "left")):
-        order = Ds.shape[1] - 1
-        expect = (order * Ds.shape[2]) // 2
-        out.append(_basis_batch(Ds, ks, zs, side, expect) + (order,))
-    return out
-
-
-def _full_jets_batch(T, stacks, ks, zs):
-    """Jet matrices in the triple's layout for a batch of spectral points.
-    Returns (jets (n, W, dimV), valid (n,))."""
-    jets, valid = [], True
-    for mus, phis, v, order in _side_bases(stacks, ks, zs):
-        jets.append(_jets_batch(mus, phis, order))
-        valid = valid & v
-    if len(jets) == 1:
-        return jets[0], valid
-    # interface: solutions on y > 0 have a vanishing jet at 0-, and vice versa
-    jp, jm = jets
-    w, ep = T.order * T.N, jp.shape[2]
-    J = np.zeros((len(ks), 2 * w, ep + jm.shape[2]), dtype=complex)
-    J[:, :w, :ep] = jp
-    J[:, w:, ep:] = jm
-    return J, valid
-
-
-def _rows(stacks, rows):
-    """The fiber stacks of the momenta indexed by rows."""
-    return (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
-
-
-def _stacks_of(F):
-    """Fiber stacks of the single fiber F (a FiberOperator or an
-    InterfaceFiber)."""
-    if hasattr(F, "plus"):
-        return ("int", np.array(F.plus.Ds)[None], np.array(F.minus.Ds)[None])
-    return ("half", np.array(F.Ds)[None])
-
-
-# ---------------------------------------------------------------------------
 # detector columns: energy scan, batched dip refinement, multiplicity
 
 
@@ -171,12 +59,18 @@ _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _rows(stacks, rows):
+    """The fiber stacks of the momenta indexed by rows."""
+    return (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
+
+
 def _detector(bc, T, stacks, ks):
     """Detector over momenta ks with fiber stacks `stacks`, one per column.
 
     Returns det(rows, lams) -> (sv, scale, valid): the singular values
     (n, dimV) of M(k, lam) at the momenta of the columns indexed by rows and
-    the energies lams, the scale 1 + max|M|, and the basis validity.
+    the energies lams, the scale 1 + max|M|, and whether the basis is good
+    (reason code 0); a failing basis never raises here.
     """
     A, B = bc.ab_batch(ks)
     G1 = _poly_stack(T.G1_coeffs, ks)
@@ -184,15 +78,15 @@ def _detector(bc, T, stacks, ks):
 
     def det(rows, lams):
         # per-row fiber stacks gathered from the per-column ones
-        J, valid = _full_jets_batch(T, _rows(stacks, rows), ks[rows],
-                                    np.asarray(lams, dtype=complex))
+        J, code = _full_jets_batch(T, _rows(stacks, rows), ks[rows],
+                                   np.asarray(lams, dtype=complex))
         if J.shape[2] != T.dimV:
             raise TripleDegeneracyError(
                 "detector is not square: %d deficiency columns for dimV=%d"
                 % (J.shape[2], T.dimV))
         M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
         sv = np.linalg.svd(M, compute_uv=False)
-        return sv, 1.0 + np.abs(M).max(axis=(1, 2)), valid
+        return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
     return det
 
 
@@ -389,8 +283,8 @@ class _Tracker:
         """All decay exponents mu of the fiber's exponential solutions at a
         real energy inside the gap."""
         bases = _side_bases(_stacks_of(self.fam(k)), [k], [complex(lam)])
-        return np.concatenate([np.zeros(0)]
-                              + [m[0] for m, _, v, _ in bases if v[0]])
+        return np.concatenate([np.zeros(0)] + [mus[0] for mus, _, _, code
+                                               in bases if code[0] == 0])
 
 
 def _predict(band, k):
@@ -738,58 +632,10 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
 # windings of von Neumann unitaries
 
 
-def _krein_family(T, fiber_family, ks):
-    """Krein matrices (Q(i), Q(-i)), each (n, dimV, dimV), at an array of
-    momenta: Q(z) = (G2 J)(G1 J)^{-1} on the deficiency jets J.
-
-    Q depends on the triple and the fibers only, so every boundary condition
-    over the same momenta shares it.
-    """
-    ks = np.asarray(ks, dtype=float)
-    stacks = fiber_family.stacks(ks)
-    G1 = _poly_stack(T.G1_coeffs, ks)
-    G2 = _poly_stack(T.G2_coeffs, ks)
-    Qs = []
-    for z in (1j, -1j):
-        J, valid = _full_jets_batch(T, stacks, ks, np.full(len(ks), z))
-        if not np.all(valid):
-            raise NumericalFailure(
-                "deficiency basis failed at k=%s"
-                % ks[~valid][:5], data=None)
-        if J.shape[2] != T.dimV:
-            raise TripleDegeneracyError(
-                "deficiency space has dimension %d, dimV=%d"
-                % (J.shape[2], T.dimV))
-        M1 = G1 @ J
-        M2 = G2 @ J
-        sv = np.linalg.svd(M1, compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-10 * (1.0 + sv[:, 0])):
-            raise TripleDegeneracyError(
-                "G1 restricted to the deficiency space is singular")
-        Qs.append(np.linalg.solve(M1.transpose(0, 2, 1),
-                                  M2.transpose(0, 2, 1)).transpose(0, 2, 1))
-    return Qs
-
-
-def _unitary(bc, Q, ks):
-    """Stacked U(k) = W(i)^{-1} W(-i), W(z) = A(k) - B(k) Q(z), from the
-    Krein family Q = (Q(i), Q(-i)) at momenta ks."""
-    A, B = bc.ab_batch(ks)
-    return np.linalg.solve(A - B @ Q[0], A - B @ Q[1])
-
-
-def _poly_stack(coeffs, ks):
-    ks = np.asarray(ks, dtype=float)
-    out = np.zeros((len(ks),) + coeffs[0].shape, dtype=complex)
-    for j, Cj in enumerate(coeffs):
-        out += Cj[None] * (ks ** j)[:, None, None]
-    return out
-
-
 def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
     """U(k), or with bc_ref the relative unitary U(k) U_ref(k)^{-1}, at
     momenta ks; both conditions share one Krein family."""
-    Q = _krein_family(T, fiber_family, ks)
+    Q = _krein_family(T, fiber_family.stacks(ks), ks)
     U = _unitary(bc, Q, ks)
     if bc_ref is not None:
         U = U @ np.linalg.inv(_unitary(bc_ref, Q, ks))

@@ -1,9 +1,8 @@
-"""Small dense complex linear algebra, polynomial roots, adaptive 2D
-quadrature over the full plane, and phase unwinding.
+"""Small dense complex linear algebra, adaptive 2D quadrature over the full
+plane, and phase unwinding.
 
 Matrices are plain complex numpy arrays validated by the helpers below
-(finite entries, side length at most 64).  Polynomials are 1D complex
-coefficient arrays indexed by degree.
+(finite entries, side length at most 64).
 """
 
 import heapq
@@ -13,12 +12,7 @@ from collections import namedtuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ContractViolation,
-    DomainError,
-    InsufficientResolutionError,
-    NumericalFailure,
-)
+from .errors import ContractViolation, InsufficientResolutionError
 
 MAX_SIZE = 64
 
@@ -62,23 +56,7 @@ def check_hermitian(M, rtol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# eigen / singular value kernels
-
-
-def herm_eig(M):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V with columns the
-    eigenvectors, V unitary).  The input must be Hermitian within the tagged
-    tolerance.
-    """
-    A = check_hermitian(M)
-    w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
-    resid = norm_inf(A @ V - V @ np.diag(w.astype(complex)))
-    scale = norm_inf(A)
-    if resid >= 1e-10 * max(scale, 1e-300) and resid >= 1e-14:
-        raise NumericalFailure("herm_eig residual %.3e too large" % resid, data=A)
-    return w, V
+# singular value kernel
 
 
 def min_singular(M):
@@ -87,53 +65,6 @@ def min_singular(M):
     if A.size == 0:
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-
-
-def trim_poly(coeffs, rtol=1e-12):
-    """Drop trailing coefficients smaller than rtol * max|coeff|."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0:
-        return c
-    top = np.max(np.abs(c))
-    if top == 0.0:
-        return np.zeros(0, dtype=complex)
-    keep = np.abs(c) > rtol * top
-    last = int(np.max(np.nonzero(keep)[0]))
-    return c[: last + 1].copy()
-
-
-def poly_eval(coeffs, x):
-    c = np.asarray(coeffs, dtype=complex)
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for a in c[::-1]:
-        out = out * x + a
-    return out
-
-
-def poly_roots(coeffs):
-    """Roots of a scalar polynomial (coefficients indexed by degree) via the
-    companion matrix of the trimmed polynomial."""
-    c = trim_poly(coeffs)
-    if c.size == 0:
-        raise DomainError("zero polynomial has no well-defined roots")
-    if c.size == 1:
-        raise DomainError("constant polynomial: degree must be >= 1 after trimming")
-    n = c.size - 1
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -c[:-1] / c[-1]
-    roots = np.linalg.eigvals(comp)
-    maxc = float(np.max(np.abs(c)))
-    for r in roots:
-        bound = 1e-8 * maxc * (1.0 + abs(r)) ** n
-        if abs(poly_eval(c, r)) > bound:
-            raise NumericalFailure(
-                "polynomial root residual exceeds bound at root %s" % r, data=c)
-    return [complex(r) for r in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,6 @@ class FiberOperator:
         self.Ds = [np.asarray(D, dtype=complex) for D in Ds[: order + 1]]
         self.order = order
 
-    def char_matrix(self, mu, z):
-        """sum_j D_j (-mu)^j - z, whose kernel gives exponential solutions
-        e^{-mu y} phi of the fiber eigenvalue problem."""
-        out = -z * np.eye(self.N, dtype=complex)
-        for j, D in enumerate(self.Ds):
-            out = out + D * (-mu) ** j
-        return out
-
 
 def fiberize(S, k):
     """Restrict the symbol to the fiber over boundary momentum k.

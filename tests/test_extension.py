@@ -20,15 +20,21 @@ import pytest
 from bec.errors import (
     BoundaryOfRegularityError,
     ContractViolation,
+    DegenerateExponentError,
     InadmissibleConditionError,
     NumericalFailure,
+    TripleDegeneracyError,
     UnsupportedConversionError,
 )
 from bec.extension import (
     BoundaryTriple,
+    _char_poly,
+    _jets_batch,
+    _rank_deficient,
+    _stacks_of,
+    _weyl,
     admissibility_residuals,
     affiliation_check,
-    char_poly,
     check_admissible,
     deficiency_basis,
     formal_symmetry_defect,
@@ -40,7 +46,6 @@ from bec.extension import (
     krein_Q,
     triple_defect,
     vn_unitary,
-    weyl_W,
 )
 from bec.symbol import FiberOperator
 
@@ -68,9 +73,11 @@ def halfline_two_band_Q(k, z, m):
 
 
 def test_char_poly_scalar_second_order(lap_model):
-    F = lap_model.fiber(1.0)
-    c = char_poly(F, 1j)  # k^2 - mu^2 - z
-    assert np.allclose(c, [1.0 - 1j, 0.0, -1.0], atol=1e-12)
+    Ds = _stacks_of(lap_model.fiber(1.0))[1]
+    c, scale = _char_poly(Ds, np.array([1.0]), np.array([1j]))
+    # k^2 - mu^2 - z, with the coefficients taken back from mu/scale to mu
+    assert np.allclose(c[0] / scale[0] ** np.arange(3), [1.0 - 1j, 0.0, -1.0],
+                       atol=1e-12)
 
 
 def test_deficiency_basis_scalar_exponents(lap_model):
@@ -117,6 +124,25 @@ def test_deficiency_basis_rejects_real_point(lap_model):
         deficiency_basis(lap_model.fiber(1.0), 0.5, "right")
 
 
+def test_deficiency_basis_of_first_order_scalar_fiber():
+    # i d/dy + 1 has one exponent at z = i, mu = -1 - i, on the left.  The
+    # kernel expects order * N // 2 = 0 solutions per side, so the right
+    # basis is empty and the left one has the wrong count: the deficiency
+    # indices differ, and no boundary triple exists
+    F = FiberOperator(0.0, 1, [np.array([[1.0]]), np.array([[1j]])])
+    assert deficiency_basis(F, 1j, "right").entries == []
+    with pytest.raises(TripleDegeneracyError):
+        deficiency_basis(F, 1j, "left")
+
+
+def test_kernel_rejects_order_zero_fiber(lap_model):
+    F = FiberOperator(0.0, 1, [np.array([[1.0]])])
+    with pytest.raises(ContractViolation):
+        deficiency_basis(F, 1j, "right")
+    with pytest.raises(ContractViolation):
+        vn_unitary(lap_model.make_bc("dirichlet"), lap_model.triple(), F)
+
+
 def test_deficiency_basis_rejects_imaginary_axis_exponent():
     # constant-coefficient fiber with char mu^2 + 1 at z=i: exponents +-i
     F = FiberOperator(0.0, 1, [np.array([[1.0 + 1j]]), np.array([[0.0]]),
@@ -127,11 +153,13 @@ def test_deficiency_basis_rejects_imaginary_axis_exponent():
 
 def test_jets_stack_derivatives(lap_model):
     basis = deficiency_basis(lap_model.fiber(1.0), 1j, "right")
-    J = basis.jets()
     mu, phi = basis.entries[0]
+    J = _jets_batch(np.array([[mu]]), phi[None, None], 2)[0]
     assert J.shape == (2, 1)
-    assert abs(J[0, 0] - phi[0]) < 1e-14
-    assert abs(J[1, 0] + mu * phi[0]) < 1e-14
+    # (phi, -mu phi), normalized to a unit column
+    norm = np.sqrt(1.0 + abs(mu) ** 2) * abs(phi[0])
+    assert abs(J[0, 0] - phi[0] / norm) < 1e-14
+    assert abs(J[1, 0] + mu * phi[0] / norm) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +357,9 @@ def test_krein_Q_independent_of_basis_scaling(regdirac_model):
 
 def test_weyl_W_dirichlet_is_identity(lap_model):
     bc = lap_model.make_bc("dirichlet")
-    W = weyl_W(bc, np.array([[0.3 + 0.4j]]), 0.3)
-    assert np.allclose(W, [[1.0]])
+    Q = np.array([[[0.3 + 0.4j]]])
+    for W in _weyl(bc, (Q, Q.conj()), [0.3]):
+        assert np.allclose(W, [[[1.0]]])
 
 
 def test_vn_unitary_dirichlet_reference_is_exactly_one(
@@ -458,22 +487,22 @@ def test_affiliation_shares_krein_matrices_between_conditions(
          dirac_interface_model.make_bc("decoupled", aplus=1.0, aminus=1.0),
          dirac_interface_model.make_bc("transparent")),
     )
-    pair = ext._krein_pair
+    krein = ext._krein_family
     calls = []
 
-    def counted(T, F):
-        calls.append(F.k)
-        return pair(T, F)
+    def counted(T, stacks, ks):
+        calls.append(list(ks))
+        return krein(T, stacks, ks)
 
     for model, side, bc, ref in cases:
         T, fam = model.triple(side), model.fiber_family(side)
         want = _evidence_per_condition(bc, T, fam, ref)
         calls.clear()
-        monkeypatch.setattr(ext, "_krein_pair", counted)
+        monkeypatch.setattr(ext, "_krein_family", counted)
         v = affiliation_check(bc, T, fam, bc_ref=ref)
-        monkeypatch.setattr(ext, "_krein_pair", pair)
+        monkeypatch.setattr(ext, "_krein_family", krein)
         assert v.evidence == want
-        assert len(calls) == 6
+        assert calls == [[1e2, 1e3, 1e4, -1e2, -1e3, -1e4]]
 
 
 def test_affiliation_checks_the_reference_condition(lap_model):
@@ -483,3 +512,74 @@ def test_affiliation_checks_the_reference_condition(lap_model):
                           lap_model.fiber_family(),
                           bc_ref=from_ab(np.array([[0.0]]),
                                          np.array([[0.0]])))
+
+
+# ---------------------------------------------------------------------------
+# reason codes of the deficiency kernel
+
+
+class _ConstantFamily:
+    """The fibers of a constant-coefficient operator, equal at every
+    momentum, in the two forms `FiberFamily` gives."""
+
+    def __init__(self, Ds):
+        self.Ds = [np.array(D, dtype=complex) for D in Ds]
+
+    def __call__(self, k):
+        return FiberOperator(k, self.Ds[0].shape[0], self.Ds)
+
+    def stacks(self, ks):
+        return ("half", np.repeat(np.array(self.Ds)[None], len(ks), axis=0))
+
+
+def _laplacian_like_triple(G1):
+    return BoundaryTriple(1, "halfline", np.array([G1], dtype=complex),
+                          np.array([[0.0, 1.0]], dtype=complex), 2, 1)
+
+
+_FAILING_BASES = [
+    # exponents +-i at z = i: char 1 + i + mu^2 - z
+    pytest.param([[[1.0 + 1j]], [[0.0]], [[1.0]]], [1.0, 0.0],
+                 BoundaryOfRegularityError, id="imaginary-axis exponent"),
+    # the double exponent mu = 2 at z = i: char (mu - 2)^2 + i - z
+    pytest.param([[[4.0 + 1j]], [[4.0]], [[1.0]]], [1.0, 0.0],
+                 DegenerateExponentError, id="coinciding exponents"),
+    # G1 vanishes on the deficiency space of the Laplacian fiber
+    pytest.param([[[1.0]], [[0.0]], [[-1.0]]], [0.0, 0.0],
+                 TripleDegeneracyError, id="G1-singular triple"),
+]
+
+
+@pytest.mark.parametrize("Ds, G1, error", _FAILING_BASES)
+def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
+                                                                 error):
+    from bec.edge import vn_unitary_family
+
+    fam = _ConstantFamily(Ds)
+    T = _laplacian_like_triple(G1)
+    bc = from_ab(np.eye(1), np.zeros((1, 1)))
+    with pytest.raises(error):
+        krein_Q(T, deficiency_basis(fam(0.5), 1j, "right"))
+    with pytest.raises(error):
+        vn_unitary(bc, T, fam(0.5))
+    with pytest.raises(error):
+        vn_unitary_family(bc, T, fam, [0.5, 2.0])
+
+
+def test_rank_check_two_column_form_matches_svd():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    b = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+    # second columns at distances 10^-14 ... 1 from a multiple of the first
+    eps = np.logspace(-14, 0, 40)[:, None]
+    J = np.stack([a, (0.3 - 0.8j) * a + eps * b], axis=2)
+    J /= np.linalg.norm(J, axis=1, keepdims=True)
+    smin = np.linalg.svd(J, compute_uv=False)[:, -1]
+    assert np.array_equal(_rank_deficient(J), smin <= 1e-10)
+    assert 0 < np.sum(_rank_deficient(J)) < len(J)
+    # three columns, the third a combination of the first two
+    J3 = np.concatenate([J[:, :, :1], b[:, :, None],
+                         (J[:, :, :1] + 2.0 * b[:, :, None])], axis=2)
+    J3 /= np.linalg.norm(J3, axis=1, keepdims=True)
+    assert np.all(_rank_deficient(J3))
+    assert not np.any(_rank_deficient(J[:, :, :1]))

@@ -12,22 +12,27 @@ from numpy.polynomial.polynomial import polyfromroots
 
 from bec.errors import (
     ContractViolation,
-    DomainError,
     InsufficientResolutionError,
 )
+from bec.extension import _companion_roots
 from bec.numerics import (
     as_matrix,
     as_square,
     check_hermitian,
-    herm_eig,
     min_singular,
     norm_inf,
-    poly_eval,
-    poly_roots,
     quad_2d,
-    trim_poly,
     unwind_phase,
 )
+
+
+def poly_roots(coeffs):
+    """Roots of one polynomial (coefficients by degree) through the
+    deficiency kernel's companion step, which must accept its leading
+    coefficient."""
+    roots, ok = _companion_roots(np.asarray([coeffs], dtype=complex))
+    assert ok[0]
+    return list(roots[0])
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +70,7 @@ def test_check_hermitian_accepts_and_rejects():
 
 
 # ---------------------------------------------------------------------------
-# eigen / singular kernels
-
-
-def test_herm_eig_diagonal_matrix():
-    lam, V = herm_eig(np.diag([2.0, -1.0]))
-    assert np.allclose(lam, [-1.0, 2.0])
-    # columns are eigenvectors
-    M = np.diag([2.0, -1.0])
-    assert norm_inf(M @ V - V @ np.diag(lam)) < 1e-12
-
-
-def test_herm_eig_pauli_x():
-    lam, V = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(lam, [-1.0, 1.0])
-    assert norm_inf(V.conj().T @ V - np.eye(2)) < 1e-12
-
-
-def test_herm_eig_two_band_fiber_sample():
-    # k.sigma + m sigma_z at k=(1,1), m=1: eigenvalues +-sqrt(3)
-    M = np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
-    lam, _ = herm_eig(M)
-    assert np.allclose(lam, [-np.sqrt(3.0), np.sqrt(3.0)], atol=1e-12)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ContractViolation):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+# singular kernel
 
 
 def test_min_singular_values():
@@ -102,17 +81,6 @@ def test_min_singular_values():
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-def test_trim_poly_drops_trailing_noise():
-    c = trim_poly([1.0, 2.0, 1e-16])
-    assert c.size == 2
-    assert trim_poly([0.0, 0.0]).size == 0
-
-
-def test_poly_eval_horner():
-    assert poly_eval([1.0, 0.0, 1.0], 2.0) == 5.0
-    assert poly_eval([1j, 1.0], 1j) == 2j
 
 
 def test_poly_roots_simple_quadratics():
@@ -137,10 +105,11 @@ def test_poly_roots_fourth_order_dispersion_quartic():
 
 
 def test_poly_roots_rejects_degenerate_input():
-    with pytest.raises(DomainError):
-        poly_roots([0.0])
-    with pytest.raises(DomainError):
-        poly_roots([3.0])
+    # a zero polynomial, and a leading coefficient at the noise level, have
+    # no meaningful roots: the companion step flags their rows
+    _, ok = _companion_roots(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 1e-16],
+                                       [1.0, 2.0, 1.0]], dtype=complex))
+    assert ok.tolist() == [False, False, True]
 
 
 def test_poly_from_roots_round_trip():

@@ -144,11 +144,14 @@ def test_fiberize_fourth_order_coefficients(regdirac_model):
 
 
 def test_char_matrix_of_fiber(dirac_model):
-    F = fiberize(dirac_model.symbol, 0.5)
-    # D0 - mu D1 - z at mu=2, z=i
-    M = F.char_matrix(2.0, 1j)
-    want = (0.5 * SX + SZ) - 2.0 * Y - 1j * np.eye(2)
-    assert np.max(np.abs(M - want)) < 1e-14
+    from bec.extension import _char_matrices
+
+    Ds = dirac_model.symbol.fiber_stack([0.5])
+    # D0 - mu D1 - z at mu=2 and mu=-1, z=i
+    M = _char_matrices(Ds, np.array([1j]), np.array([[2.0, -1.0]]))
+    for mu, Mmu in zip((2.0, -1.0), M[0]):
+        want = (0.5 * SX + SZ) - mu * Y - 1j * np.eye(2)
+        assert np.max(np.abs(Mmu - want)) < 1e-14
 
 
 @pytest.mark.parametrize("name, side", [("laplacian", "halfline"),

@@ -72,3 +72,30 @@ def test_regdirac_row_winding_relative_to_dirichlet(mi, m, label, a, sf_neg,
     assert affiliation_check(bc, T, fam,
                              bc_ref=dirichlet).verdict == "affiliated"
     assert relative_winding(bc, dirichlet, T, fam, k_window=12.0)[0] == want
+
+
+def _table_conditions():
+    """(id, model name, model parameters, family, family parameters) of
+    every boundary condition in the summary tables."""
+    out = [("laplacian " + label, "laplacian", {}, "robin",
+            {"K": K, "ell": xi, "M": 1.0})
+           for label, K, xi, *_ in LAPLACE_ROWS + LAPLACE_AFFILIATION_ROWS]
+    out += [("dirac m=%+g a=%+g" % (m, a), "dirac", {"m": m}, "a", {"a": a})
+            for m, a, *_ in DIRAC_ROWS]
+    out += [("regdirac m=%+g %s" % (m, label), "regdirac",
+             {"m": m, "eps": 0.1}, *(("dirichlet", {}) if a is None
+                                     else ("a", {"a": a})))
+            for m in (-1.0, 1.0) for label, a, *_ in REGDIRAC_ROWS]
+    return out
+
+
+@pytest.mark.parametrize("name, params, family, kw",
+                         [row[1:] for row in _table_conditions()],
+                         ids=[row[0] for row in _table_conditions()])
+def test_self_reference_is_affiliated(name, params, family, kw):
+    # U U^{-1} = 1 exactly; the evidence is roundoff and must not decide
+    model = build_model(name, **params)
+    bc = model.make_bc(family, **kw)
+    v = affiliation_check(bc, model.triple(), model.fiber_family(),
+                          bc_ref=bc)
+    assert v.verdict == "affiliated"
