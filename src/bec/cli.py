@@ -186,8 +186,11 @@ def _build_context(args, model_attr="model", param_attr="param",
     bc_ref = None
     ref_name = getattr(args, "bc_ref", None)
     if ref_name:
-        ref_kw = _split_params(_parse_params(
-            getattr(args, "ref_param", None), "--ref-param"))[1]
+        model_keys, ref_kw = _split_params(_parse_params(
+            getattr(args, "ref_param", None), "--ref-param"))
+        if model_keys:
+            raise ModelFileError("--ref-param takes boundary parameters only, "
+                                 "got model keys %s" % sorted(model_keys))
         bc_ref = model.make_bc(ref_name, **ref_kw)
 
     ctx = RunContext(model, bc, bc_ref, numerics, task, prov)

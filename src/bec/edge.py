@@ -15,9 +15,9 @@ a band track are handled a block at a time, so one detector batch serves a
 refinement step of every column in the block.  Windings are computed from
 the phase of det U along a compactified momentum line.
 
-The deficiency bases, their jets, the Krein matrices and the unitaries come
-from the batched kernel in `extension`; this module holds the detector, the
-bands, the spectral flow and the windings.
+The deficiency bases, their jets, the trace maps, the Krein matrices and the
+unitaries come from the batched kernel in `extension`; this module holds the
+detector, the bands, the spectral flow and the windings.
 """
 
 import numpy as np
@@ -28,16 +28,8 @@ from .errors import (
     LostBandError,
     NotComparableError,
     NumericalFailure,
-    TripleDegeneracyError,
 )
-from .extension import (
-    _full_jets_batch,
-    _krein_family,
-    _poly_stack,
-    _side_bases,
-    _stacks_of,
-    _unitary,
-)
+from .extension import _full_jets_batch, _side_bases, _stacks_of, _unitaries
 from .numerics import unwind_phase
 from .symbol import find_gap
 
@@ -73,17 +65,12 @@ def _detector(bc, T, stacks, ks):
     (reason code 0); a failing basis never raises here.
     """
     A, B = bc.ab_batch(ks)
-    G1 = _poly_stack(T.G1_coeffs, ks)
-    G2 = _poly_stack(T.G2_coeffs, ks)
+    G1, G2 = T.traces(ks)
 
     def det(rows, lams):
         # per-row fiber stacks gathered from the per-column ones
         J, code = _full_jets_batch(T, _rows(stacks, rows), ks[rows],
                                    np.asarray(lams, dtype=complex))
-        if J.shape[2] != T.dimV:
-            raise TripleDegeneracyError(
-                "detector is not square: %d deficiency columns for dimV=%d"
-                % (J.shape[2], T.dimV))
         M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
         sv = np.linalg.svd(M, compute_uv=False)
         return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
@@ -630,16 +617,6 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
 
 # ---------------------------------------------------------------------------
 # windings of von Neumann unitaries
-
-
-def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
-    """U(k), or with bc_ref the relative unitary U(k) U_ref(k)^{-1}, at
-    momenta ks; both conditions share one Krein family."""
-    Q = _krein_family(T, fiber_family.stacks(ks), ks)
-    U = _unitary(bc, Q, ks)
-    if bc_ref is not None:
-        U = U @ np.linalg.inv(_unitary(bc_ref, Q, ks))
-    return U
 
 
 def vn_unitary_family(bc, T, fiber_family, ks):

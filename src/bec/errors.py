@@ -54,7 +54,7 @@ class InadmissibleConditionError(DomainError):
 
 
 class UnsupportedConversionError(DomainError):
-    """klm_to_ab asked for a model tag that has no (K, L, M) parametrisation."""
+    """from_klm got a model tag that has no (K, L, M) parametrisation."""
 
 
 class InsufficientResolutionError(BecError):

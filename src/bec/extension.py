@@ -8,13 +8,20 @@ Krein matrix Q(z), the condition matrix W(z) = A - B Q(z) of a boundary
 condition A Gamma_1 = B Gamma_2, and the von Neumann unitary
 U = W(i)^{-1} W(-i) whose large-k behaviour decides affiliation.
 
+Trace maps and boundary conditions are polynomials in k, stored as
+coefficient stacks and evaluated over whole momentum arrays:
+`BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch` gives
+(A, B).  A local (K, L, M) form is converted to such a condition once, by
+`from_klm`.
+
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
 spectral points: `_basis_batch` (with `_side_bases` and `_full_jets_batch`
-for a triple's layout), `_krein_family` and `_unitary`.  Every basis row
+for a triple's layout), `_krein_family` and `_unitaries`.  Every basis row
 carries a reason code; the edge detector masks the failing rows, and
 everything else raises the code's typed error.  The per-point API
-(`deficiency_basis`, `krein_Q`, `vn_unitary`, `green_identity_residual`) is
-the kernel on one momentum, and `affiliation_check` runs it on its six.
+(`deficiency_basis`, `krein_Q`, `vn_unitary`, `green_identity_residual`,
+`check_admissible`) is the kernel on one momentum, and `affiliation_check`
+runs it on its six.
 """
 
 import numpy as np
@@ -28,7 +35,7 @@ from .errors import (
     TripleDegeneracyError,
     UnsupportedConversionError,
 )
-from .numerics import min_singular, norm_inf
+from .numerics import norm_inf
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -231,12 +238,17 @@ def _side_bases(stacks, ks, zs):
 def _triple_layout(T, jets):
     """The sides' jet matrices in the triple's layout: the right side's for
     a halfline triple; for an interface, solutions on y > 0 have a
-    vanishing jet at 0-, and vice versa."""
+    vanishing jet at 0-, and vice versa.  The deficiency space must have
+    the triple's dimension dimV."""
+    dim = sum(J.shape[2] for J in jets)
+    if dim != T.dimV:
+        raise TripleDegeneracyError(
+            "deficiency space has dimension %d, dimV=%d" % (dim, T.dimV))
     if len(jets) == 1:
         return jets[0]
     jp, jm = jets
     w, ep = T.order * T.N, jp.shape[2]
-    J = np.zeros((len(jp), 2 * w, ep + jm.shape[2]), dtype=complex)
+    J = np.zeros((len(jp), 2 * w, dim), dtype=complex)
     J[:, :w, :ep] = jp
     J[:, w:, ep:] = jm
     return J
@@ -295,7 +307,7 @@ class BoundaryTriple:
     side 'halfline': jets are the order*N derivatives at y=0 of a function on
     y>0.  side 'interface': jets are stacked (jet at 0+, jet at 0-) and have
     twice the length.  G1 and G2 may be polynomial in k (list of coefficient
-    matrices); most triples are constant.
+    matrices); most triples are constant.  `traces` evaluates them.
     """
 
     def __init__(self, dimV, side, G1, G2, order, N):
@@ -311,11 +323,11 @@ class BoundaryTriple:
         self.G2_coeffs = [as_square_or_rect(G, self.dimV, width) for G in
                           (G2 if isinstance(G2, (list, tuple)) else [G2])]
 
-    def G1_at(self, k):
-        return _poly_stack(self.G1_coeffs, [k])[0]
-
-    def G2_at(self, k):
-        return _poly_stack(self.G2_coeffs, [k])[0]
+    def traces(self, ks):
+        """Trace maps (G1(k), G2(k)) stacked over the momenta ks, shape
+        (len(ks), dimV, jet width) each."""
+        return (_poly_stack(self.G1_coeffs, ks),
+                _poly_stack(self.G2_coeffs, ks))
 
 
 def as_square_or_rect(M, rows, cols):
@@ -361,8 +373,7 @@ def formal_symmetry_defect(F):
 def triple_defect(T, F):
     """Residual of the algebraic Green identity
     G1^dag G2 - G2^dag G1 = -J  (halfline)  /  diag(-J_upper, J_lower)."""
-    k = F.k
-    G1, G2 = T.G1_at(k), T.G2_at(k)
+    G1, G2 = (G[0] for G in T.traces([F.k]))
     lhs = G1.conj().T @ G2 - G2.conj().T @ G1
     Fp, Fm = _split_fiber(F)
     if T.side == "halfline":
@@ -382,72 +393,32 @@ def triple_defect(T, F):
 class BoundaryCondition:
     """A boundary condition A(k) Gamma_1 = B(k) Gamma_2.
 
-    Either direct (A, B) data, polynomial in k, or a local (K, L, M) form
-    converted through klm_to_ab for the models that ship a converter.
+    A and B are polynomial in k: a coefficient matrix, or a list of them by
+    degree.  `from_ab` builds a condition from such data directly,
+    `from_klm` from a local (K, L, M) form.
     """
 
-    def __init__(self, label, ab_poly=None, klm=None):
+    def __init__(self, label, A, B):
         self.label = str(label)
-        if (ab_poly is None) == (klm is None):
-            raise ContractViolation("give exactly one of ab_poly / klm")
-        self._ab_poly = None
-        self._klm = None
-        if ab_poly is not None:
-            A, B = ab_poly
-            A = A if isinstance(A, (list, tuple)) else [A]
-            B = B if isinstance(B, (list, tuple)) else [B]
-            self._ab_poly = ([np.atleast_2d(np.asarray(c, dtype=complex)) for c in A],
-                             [np.atleast_2d(np.asarray(c, dtype=complex)) for c in B])
-        else:
-            self._klm = klm  # (tag, K, L, M, eps)
+        self._ab_poly = tuple(
+            [np.atleast_2d(np.asarray(c, dtype=complex)) for c in
+             (X if isinstance(X, (list, tuple)) else [X])] for X in (A, B))
 
     def ab_at(self, k):
-        if self._ab_poly is not None:
-            A, B = self.ab_batch([k])
-            return A[0], B[0]
-        tag, K, L, M, eps = self._klm
-        return klm_to_ab(tag, K, L, M, float(k), eps=eps)
+        A, B = self.ab_batch([k])
+        return A[0], B[0]
 
     def ab_batch(self, ks):
         """Stacked (A(k), B(k)) pairs, shape (len(ks), dimV, dimV) each."""
-        if self._ab_poly is not None:
-            A, B = self._ab_poly
-            return _poly_stack(A, ks), _poly_stack(B, ks)
-        pairs = [self.ab_at(k) for k in ks]
-        return (np.array([p[0] for p in pairs]),
-                np.array([p[1] for p in pairs]))
+        A, B = self._ab_poly
+        return _poly_stack(A, ks), _poly_stack(B, ks)
 
     def __repr__(self):
         return "BoundaryCondition(%r)" % self.label
 
 
 def from_ab(A, B, label=""):
-    return BoundaryCondition(label or "direct", ab_poly=(A, B))
-
-
-def from_klm(tag, K, L, M, label="", eps=None):
-    return BoundaryCondition(label or ("%s-klm" % tag),
-                             klm=(tag, K, L, M, eps))
-
-
-def admissibility_residuals(bc, k):
-    """(min singular of iA+B, Hermiticity defect of A B^dag) at momentum k."""
-    A, B = bc.ab_at(k)
-    iab = 1j * A + B
-    ab = A @ B.conj().T
-    return min_singular(iab), norm_inf(ab - ab.conj().T)
-
-
-def check_admissible(bc, k):
-    ms, herm = admissibility_residuals(bc, k)
-    if ms <= 1e-10:
-        raise InadmissibleConditionError(
-            "%s: iA+B numerically singular at k=%g (min sing %.2e)"
-            % (bc.label, k, ms))
-    if herm >= 1e-10 * (1.0 + norm_inf(bc.ab_at(k)[0])):
-        raise InadmissibleConditionError(
-            "%s: A B^dag not Hermitian at k=%g (defect %.2e)"
-            % (bc.label, k, herm))
+    return BoundaryCondition(label or "direct", A, B)
 
 
 def _promote_2x2(X):
@@ -463,9 +434,10 @@ def _promote_2x2(X):
                             % (A.shape,))
 
 
-def klm_to_ab(tag, K, L, M, k, eps=None):
-    """Convert a local boundary form K psi + L psi_x + M psi_y = 0 into
-    condition matrices (A, B) for the model's shipped triple.
+def from_klm(tag, K, L, M, label="", eps=None):
+    """The condition of a local boundary form K psi + L psi_x + M psi_y = 0
+    for the shipped triple of the model `tag`.  Both conversions are affine
+    in k:
 
     half-plane scalar second-order model ('laplacian'):
         A = K - i k L,  B = -M.
@@ -474,34 +446,71 @@ def klm_to_ab(tag, K, L, M, k, eps=None):
     The first-order interface model has no local (K, L, M) form.
     """
     if tag == "laplacian":
-        A = np.atleast_2d(np.asarray(K, dtype=complex)
-                          - 1j * float(k) * np.asarray(L, dtype=complex))
-        B = -np.atleast_2d(np.asarray(M, dtype=complex))
-        return A, B
-    if tag == "regdirac":
+        K, L, M = (np.atleast_2d(np.asarray(X, dtype=complex))
+                   for X in (K, L, M))
+        B = -M
+        A0 = K
+    elif tag == "regdirac":
         if eps is None:
             raise ContractViolation("regdirac conversion needs eps")
-        K = _promote_2x2(K)
-        L = _promote_2x2(L)
-        M = _promote_2x2(M)
+        K, L, M = (_promote_2x2(X) for X in (K, L, M))
         B = -(1.0 / float(eps)) * (M @ SIGMA_Z)
-        A = K - 1j * float(k) * L - 0.5 * (B @ Y_MAT)
-        return A, B
-    raise UnsupportedConversionError(
-        "no (K, L, M) converter for model tag %r" % tag)
+        A0 = K - 0.5 * (B @ Y_MAT)
+    else:
+        raise UnsupportedConversionError(
+            "no (K, L, M) converter for model tag %r" % tag)
+    return BoundaryCondition(label or ("%s-klm" % tag), [A0, -1j * L], [B])
+
+
+def klm_to_ab(tag, K, L, M, k, eps=None):
+    """Condition matrices (A, B) of the local form K psi + L psi_x +
+    M psi_y = 0 at momentum k: `from_klm` evaluated at one momentum."""
+    return from_klm(tag, K, L, M, eps=eps).ab_at(float(k))
+
+
+def _admissibility(A, B):
+    """For (A, B) stacked over momenta: the smallest singular values of
+    iA + B, the Hermiticity defects of A B^dag, and which rows fail the
+    admissibility test on either."""
+    ms = np.linalg.svd(1j * A + B, compute_uv=False)[:, -1]
+    AB = A @ B.conj().transpose(0, 2, 1)
+    herm = np.abs(AB - AB.conj().transpose(0, 2, 1)).sum(axis=2).max(axis=1)
+    size = np.abs(A).sum(axis=2).max(axis=1)
+    return ms, herm, (ms <= 1e-10) | (herm >= 1e-10 * (1.0 + size))
+
+
+def _check_admissible(bc, ks, A, B):
+    """Raise InadmissibleConditionError at the first of the momenta ks where
+    the condition's (A, B), stacked over ks, fails the admissibility test."""
+    ms, herm, bad = _admissibility(A, B)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if ms[i] <= 1e-10:
+            raise InadmissibleConditionError(
+                "%s: iA+B numerically singular at k=%g (min sing %.2e)"
+                % (bc.label, ks[i], ms[i]))
+        raise InadmissibleConditionError(
+            "%s: A B^dag not Hermitian at k=%g (defect %.2e)"
+            % (bc.label, ks[i], herm[i]))
+
+
+def admissibility_residuals(bc, k):
+    """(min singular of iA+B, Hermiticity defect of A B^dag) at momentum k."""
+    ms, herm, _ = _admissibility(*bc.ab_batch([k]))
+    return float(ms[0]), float(herm[0])
+
+
+def check_admissible(bc, k):
+    _check_admissible(bc, [k], *bc.ab_batch([k]))
 
 
 # ---------------------------------------------------------------------------
 # Krein matrix, condition matrix, von Neumann unitary
 
 
-def _krein_solve(T, J, G1, G2):
-    """Stacked Q = (G2 J)(G1 J)^{-1} on jet matrices J (n, W, p) in the
+def _krein_solve(J, G1, G2):
+    """Stacked Q = (G2 J)(G1 J)^{-1} on jet matrices J (n, W, dimV) in the
     triple's layout, with G1, G2 stacked over the same momenta."""
-    if J.shape[2] != T.dimV:
-        raise TripleDegeneracyError(
-            "deficiency space has dimension %d, dimV=%d"
-            % (J.shape[2], T.dimV))
     M1 = G1 @ J
     M2 = G2 @ J
     sv = np.linalg.svd(M1, compute_uv=False)
@@ -520,13 +529,12 @@ def _krein_family(T, stacks, ks):
     over the same momenta shares it.
     """
     ks = np.asarray(ks, dtype=float)
-    G1 = _poly_stack(T.G1_coeffs, ks)
-    G2 = _poly_stack(T.G2_coeffs, ks)
+    G1, G2 = T.traces(ks)
     Qs = []
     for z in (1j, -1j):
         J, code = _full_jets_batch(T, stacks, ks, np.full(len(ks), z))
         _check_codes(code, ks)
-        Qs.append(_krein_solve(T, J, G1, G2))
+        Qs.append(_krein_solve(J, G1, G2))
     return Qs
 
 
@@ -538,37 +546,43 @@ def krein_Q(T, bases):
     jets = [_jets_batch(np.array([[mu for mu, _ in b.entries]]),
                         np.array([[phi for _, phi in b.entries]]), b.order)
             for b in bases]
-    ks = [bases[0].k]
-    return _krein_solve(T, _triple_layout(T, jets),
-                        _poly_stack(T.G1_coeffs, ks),
-                        _poly_stack(T.G2_coeffs, ks))[0]
+    return _krein_solve(_triple_layout(T, jets),
+                        *T.traces([bases[0].k]))[0]
 
 
-def _weyl(bc, Q, ks):
-    """Condition matrices (W(i), W(-i)), W(z) = A(k) - B(k) Q(z), stacked
-    over momenta ks, from the Krein family Q = (Q(i), Q(-i))."""
-    A, B = bc.ab_batch(ks)
+def _weyl(A, B, Q):
+    """Condition matrices (W(i), W(-i)), W(z) = A(k) - B(k) Q(z), from
+    (A, B) and the Krein family Q = (Q(i), Q(-i)) stacked over the same
+    momenta."""
     return A - B @ Q[0], A - B @ Q[1]
 
 
-def _unitary(bc, Q, ks):
-    """Stacked U(k) = W(i)^{-1} W(-i) from the Krein family Q at ks."""
-    return np.linalg.solve(*_weyl(bc, Q, ks))
+def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
+    """U(k) = W(i)^{-1} W(-i), or with bc_ref the relative unitary
+    U(k) U_ref(k)^{-1}, at momenta ks; both conditions share one Krein
+    family."""
+    Q = _krein_family(T, fiber_family.stacks(ks), ks)
+    U = np.linalg.solve(*_weyl(*bc.ab_batch(ks), Q))
+    if bc_ref is not None:
+        U = U @ np.linalg.inv(np.linalg.solve(*_weyl(*bc_ref.ab_batch(ks),
+                                                     Q)))
+    return U
 
 
 def _checked_unitary(bc, Q, ks):
-    """`_unitary` after the checks of the per-point API: (A, B) admissible
-    at every momentum and W(i) nonsingular; then every eigenvalue of U must
-    lie on the unit circle."""
-    for k in ks:
-        check_admissible(bc, k)
-    Wp = _weyl(bc, Q, ks)[0]
+    """U = W(i)^{-1} W(-i) from the Krein family Q at momenta ks, after the
+    checks of the per-point API: (A, B) admissible at every momentum and
+    W(i) nonsingular; then every eigenvalue of U must lie on the unit
+    circle."""
+    A, B = bc.ab_batch(ks)
+    _check_admissible(bc, ks, A, B)
+    Wp, Wm = _weyl(A, B, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
     singular = np.linalg.svd(Wp, compute_uv=False)[:, -1] <= 1e-12 * size
     if np.any(singular):
         raise InadmissibleConditionError(
             "W(i) is singular at k=%g" % ks[np.argmax(singular)])
-    U = _unitary(bc, Q, ks)
+    U = np.linalg.solve(Wp, Wm)
     off = np.abs(np.abs(np.linalg.eigvals(U)) - 1.0).max(axis=1)
     if np.any(off >= 1e-8):
         row = int(np.argmax(off >= 1e-8))
@@ -658,7 +672,7 @@ def green_identity_residual(T, F):
     over deficiency solutions psi at z=i and phi at z = +-i, each scaled to
     a unit jet."""
     stacks, ks = _stacks_of(F), np.array([F.k])
-    G1, G2 = T.G1_at(F.k), T.G2_at(F.k)
+    G1, G2 = (G[0] for G in T.traces(ks))
     solutions = {}
     for z in (1j, -1j):
         sides = _side_bases(stacks, ks, np.array([z]))

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .errors import ModelFileError
+from .errors import ContractViolation, ModelFileError
 from .extension import from_ab
 from .models import BUILTIN_MODELS, ModelDescriptor, build_model
 from .symbol import GapWindow, Symbol
@@ -304,8 +304,7 @@ def build(data):
                             "model file")
         model = ModelDescriptor(
             "custom", {}, S, fiducial_E=data.task.get("level", 0.0),
-            gap_around=data.task.get("level", 0.0), declared_gap=gap,
-            edge_enabled=False)
+            gap_around=data.task.get("level", 0.0), declared_gap=gap)
     else:
         name = data.model.get("name")
         if name is None:
@@ -316,8 +315,8 @@ def build(data):
         params = {k: v for k, v in data.model.items() if k != "name"}
         try:
             model = build_model(name, **params)
-        except TypeError as exc:
-            raise ModelFileError("bad parameters for %r: %s" % (name, exc))
+        except ContractViolation as exc:
+            raise ModelFileError(str(exc))
 
     bc = None
     if data.boundary:
@@ -334,7 +333,9 @@ def build(data):
                     kw[key] = complex(kw[key]).real
             try:
                 bc = model.make_bc(family, **kw)
-            except TypeError as exc:
+            except ContractViolation as exc:
+                raise ModelFileError(str(exc))
+            except TypeError as exc:  # a value the family cannot take
                 raise ModelFileError("bad parameters for family %r: %s"
                                      % (family, exc))
         elif poly_keys:

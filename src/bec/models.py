@@ -8,6 +8,8 @@ condition families, an affiliation reference condition, and the per-k window
 in which edge eigenvalues are searched.
 """
 
+import inspect
+
 import numpy as np
 
 from .errors import ContractViolation, DomainError
@@ -60,12 +62,15 @@ class FiberFamily:
 
 
 class ModelDescriptor:
-    """Bundle of everything the edge/extension machinery needs for a model."""
+    """Bundle of everything the edge/extension machinery needs for a model.
+
+    edge_enabled says whether the model ships a boundary triple; a model
+    without one has bulk pairings only.
+    """
 
     def __init__(self, name, params, symbol, symbol_minus=None, triples=None,
                  bc_families=None, reference_bc=None, fiducial_E=0.0,
-                 gap_around=0.0, declared_gap=None, edge_enabled=True,
-                 scan_window=None):
+                 gap_around=0.0, declared_gap=None, scan_window=None):
         self.name = name
         self.params = dict(params)
         self.symbol = symbol
@@ -76,7 +81,7 @@ class ModelDescriptor:
         self.fiducial_E = float(fiducial_E)
         self.gap_around = float(gap_around)
         self.declared_gap = declared_gap
-        self.edge_enabled = bool(edge_enabled)
+        self.edge_enabled = bool(self.triples)
         self._scan_window = scan_window
 
     def interface_symbols(self):
@@ -105,7 +110,8 @@ class ModelDescriptor:
             raise ContractViolation("%s has no boundary family %r (have %s)"
                                     % (self.name, family,
                                        sorted(self.bc_families)))
-        return self.bc_families[family](**kw)
+        return _call_checked(self.bc_families[family],
+                             "%s boundary family %r" % (self.name, family), kw)
 
     def scan_window(self, k, gap):
         """Per-momentum open energy window in which edge eigenvalues may lie
@@ -113,6 +119,21 @@ class ModelDescriptor:
         if self._scan_window is not None:
             return self._scan_window(k, gap)
         return gap.lo, gap.hi
+
+
+def _call_checked(builder, what, kw):
+    """builder(**kw), where kw that do not fit the builder's signature (a
+    missing or unknown parameter) raise ContractViolation.  The signature is
+    consulted only when the call fails, so a good call costs nothing."""
+    try:
+        return builder(**kw)
+    except TypeError:
+        try:
+            inspect.signature(builder).bind(**kw)
+        except TypeError as exc:
+            raise ContractViolation("bad parameters for %s: %s"
+                                    % (what, exc)) from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +332,7 @@ def shallow_water(f, nu):
         "shallow", {"f": f, "nu": nu}, S,
         triples={}, bc_families={}, reference_bc={},
         fiducial_E=abs(f) / 2.0, gap_around=abs(f) / 2.0,
-        declared_gap=GapWindow(0.0, abs(f), "declared"),
-        edge_enabled=False)
+        declared_gap=GapWindow(0.0, abs(f), "declared"))
 
 
 BUILTIN_MODELS = {
@@ -327,4 +347,4 @@ def build_model(name, **params):
     if name not in BUILTIN_MODELS:
         raise DomainError("unknown model %r (built-ins: %s)"
                           % (name, sorted(BUILTIN_MODELS)))
-    return BUILTIN_MODELS[name](**params)
+    return _call_checked(BUILTIN_MODELS[name], "model %r" % name, params)

@@ -56,18 +56,6 @@ def check_hermitian(M, rtol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# singular value kernel
-
-
-def min_singular(M):
-    """Smallest singular value of a square matrix."""
-    A = as_square(M)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-# ---------------------------------------------------------------------------
 # adaptive 2D quadrature over the plane
 
 QuadResult = namedtuple("QuadResult", "value error converged cells")

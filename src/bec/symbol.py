@@ -142,12 +142,6 @@ class GapWindow:
     def width(self):
         return self.hi - self.lo
 
-    def clipped(self, depth):
-        """Finite version of a half-infinite window for plotting/scanning."""
-        lo = self.lo if np.isfinite(self.lo) else self.hi - abs(depth)
-        hi = self.hi if np.isfinite(self.hi) else self.lo + abs(depth)
-        return GapWindow(lo, hi, self.provenance)
-
 
 def find_gap(S, around, k_window, resolution=128):
     """Largest interval around `around` free of sampled band energies over

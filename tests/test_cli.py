@@ -246,6 +246,36 @@ def test_unknown_param_key_exits_2():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bulk", "--model", "dirac"],
+    ["bulk", "--model", "dirac", "--param", "f=1"],
+    ["relative-chern", "--model", "dirac", "--param", "m=1",
+     "--model2", "dirac", "--param2", "m=-1,f=1"],
+    ["edge", "flow", "--model", "regdirac", "--param", "m=1", "--bc", "a"],
+    ["edge", "spectrum", "--model", "dirac", "--param", "m=1,nu=1",
+     "--bc", "a"],
+    ["winding", "--model", "dirac", "--param", "m=1", "--bc", "a",
+     "--param", "K=1"],
+    ["verify", "--model", "laplacian", "--bc", "dirichlet",
+     "--param", "ell=1"],
+], ids=["bulk", "bulk-unknown", "relative-chern", "edge-flow",
+        "edge-spectrum", "winding", "verify"])
+def test_missing_or_unknown_builder_parameter_exits_2(argv):
+    # checked against the builder's signature: no TypeError traceback
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert "error: bad parameters for" in err
+
+
+def test_model_keys_in_ref_param_are_rejected():
+    code, out, err = run_cli(["winding", "--model", "laplacian",
+                              "--bc", "robin", "--param", "K=1,ell=2,M=1",
+                              "--bc-ref", "dirichlet", "--ref-param", "m=5",
+                              "--k-window", "8"])
+    assert code == 2
+    assert "--ref-param takes boundary parameters only" in err
+
+
 def test_boundary_param_without_bc_exits_2():
     code, out, err = run_cli(["winding", "--model", "laplacian",
                               "--param", "K=1"])

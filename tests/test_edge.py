@@ -14,7 +14,7 @@ Closed forms used as oracles
 import numpy as np
 import pytest
 
-from bec import edge
+from bec import edge, extension
 from bec.edge import (
     DispersionBand,
     dispersion_csv,
@@ -473,14 +473,14 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
     two = (vn_unitary_family(bc, T, fam, ks)
            @ np.linalg.inv(vn_unitary_family(bc_ref, T, fam, ks)))
     calls = []
-    krein = edge._krein_family
+    krein = extension._krein_family
 
     def counted(T, fam, ks):
         calls.append(len(ks))
         return krein(T, fam, ks)
 
-    monkeypatch.setattr(edge, "_krein_family", counted)
-    shared = edge._unitaries(bc, T, fam, ks, bc_ref=bc_ref)
+    monkeypatch.setattr(extension, "_krein_family", counted)
+    shared = extension._unitaries(bc, T, fam, ks, bc_ref=bc_ref)
     assert calls == [len(ks)]
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
 

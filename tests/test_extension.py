@@ -206,28 +206,20 @@ def test_green_identity_residual_small_for_builtin_triples(
 def test_green_identity_negative_control(lap_model):
     # doubling the second trace map must break the identity
     T = lap_model.triple("halfline")
-    bad = BoundaryTriple(T.dimV, T.side, np.asarray(T.G1_at(0.0)),
-                         2.0 * np.asarray(T.G2_at(0.0)), T.order, T.N)
+    G1, G2 = T.traces([0.0])
+    bad = BoundaryTriple(T.dimV, T.side, G1[0], 2.0 * G2[0], T.order, T.N)
     assert green_identity_residual(bad, lap_model.fiber(0.5)) > 1e-2
 
 
 def test_boundary_triple_rejects_bad_side(lap_model):
     T = lap_model.triple("halfline")
+    G1, G2 = T.traces([0.0])
     with pytest.raises(ContractViolation):
-        BoundaryTriple(T.dimV, "slab", np.asarray(T.G1_at(0.0)),
-                       np.asarray(T.G2_at(0.0)), T.order, T.N)
+        BoundaryTriple(T.dimV, "slab", G1[0], G2[0], T.order, T.N)
 
 
 # ---------------------------------------------------------------------------
 # boundary conditions
-
-
-def test_boundary_condition_needs_exactly_one_data():
-    with pytest.raises(ContractViolation):
-        from bec.extension import BoundaryCondition
-
-        BoundaryCondition("both", ab_poly=(np.eye(1), np.eye(1)),
-                          klm=("laplacian", 1.0, 0.0, 0.0, None))
 
 
 def test_from_ab_polynomial_evaluation():
@@ -248,6 +240,23 @@ def test_klm_to_ab_scalar_model():
 def test_klm_to_ab_rejects_unknown_tag():
     with pytest.raises(UnsupportedConversionError):
         klm_to_ab("dirac", 1.0, 0.0, 0.0, 0.0)
+
+
+def test_klm_conversion_is_exactly_the_robin_family(lap_model):
+    # K psi + L psi_x + M psi_y with L = i ell is A = K + ell k, B = -M
+    ks = np.linspace(-30.0, 30.0, 50)
+    for K, ell, M in ((1.0, 2.0, 1.0), (-1.0, 0.5, 3.0), (0.0, -1.0, 1.0)):
+        robin = lap_model.make_bc("robin", K=K, ell=ell, M=M)
+        klm = from_klm("laplacian", K, 1j * ell, M)
+        for X, Y in zip(klm.ab_batch(ks), robin.ab_batch(ks)):
+            assert np.array_equal(X, Y)
+
+
+def test_from_klm_rejects_unknown_tag_and_missing_eps():
+    with pytest.raises(UnsupportedConversionError):
+        from_klm("dirac", 1.0, 0.0, 0.0)
+    with pytest.raises(ContractViolation):
+        from_klm("regdirac", 1.0, 0.0, 0.0)
 
 
 def test_klm_route_agrees_with_direct_family(regdirac_model):
@@ -358,7 +367,7 @@ def test_krein_Q_independent_of_basis_scaling(regdirac_model):
 def test_weyl_W_dirichlet_is_identity(lap_model):
     bc = lap_model.make_bc("dirichlet")
     Q = np.array([[[0.3 + 0.4j]]])
-    for W in _weyl(bc, (Q, Q.conj()), [0.3]):
+    for W in _weyl(*bc.ab_batch([0.3]), (Q, Q.conj())):
         assert np.allclose(W, [[[1.0]]])
 
 
@@ -505,6 +514,15 @@ def test_affiliation_shares_krein_matrices_between_conditions(
         assert calls == [[1e2, 1e3, 1e4, -1e2, -1e3, -1e4]]
 
 
+def test_affiliation_names_the_first_inadmissible_momentum(lap_model):
+    # A B^dag = 1 + ik is not Hermitian at any of the six momenta
+    bc = from_ab([np.eye(1), 1j * np.eye(1)], np.eye(1))
+    with pytest.raises(InadmissibleConditionError,
+                       match=r"not Hermitian at k=100 "):
+        affiliation_check(bc, lap_model.triple("halfline"),
+                          lap_model.fiber_family())
+
+
 def test_affiliation_checks_the_reference_condition(lap_model):
     bc = lap_model.make_bc("robin", K=1.0, ell=0.5, M=1.0)
     with pytest.raises(InadmissibleConditionError):
@@ -564,6 +582,25 @@ def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
         vn_unitary(bc, T, fam(0.5))
     with pytest.raises(error):
         vn_unitary_family(bc, T, fam, [0.5, 2.0])
+
+
+def test_triple_of_wrong_dimension_raises_everywhere(lap_model):
+    # the Laplacian fiber has a one-dimensional deficiency space
+    from bec.edge import edge_eigenvalues, vn_unitary_family
+    from bec.symbol import GapWindow
+
+    T = BoundaryTriple(2, "halfline", np.eye(2), np.eye(2)[::-1], 2, 1)
+    bc = from_ab(np.eye(2), np.zeros((2, 2)))
+    F = lap_model.fiber(0.5)
+    match = "deficiency space has dimension 1, dimV=2"
+    with pytest.raises(TripleDegeneracyError, match=match):
+        vn_unitary(bc, T, F)
+    with pytest.raises(TripleDegeneracyError, match=match):
+        vn_unitary_family(bc, T, lap_model.fiber_family(), [0.5, 2.0])
+    with pytest.raises(TripleDegeneracyError, match=match):
+        edge_eigenvalues(bc, T, F, GapWindow(-5.0, 0.0))
+    with pytest.raises(TripleDegeneracyError, match=match):
+        green_identity_residual(T, F)
 
 
 def test_rank_check_two_column_form_matches_svd():

@@ -217,6 +217,14 @@ def test_build_rejects_bad_family_parameters():
         build(parse(text))
 
 
+def test_build_rejects_family_value_of_wrong_shape():
+    # the parameters fit the family's signature; its body rejects the value
+    text = ("[model]\nname = laplacian\n"
+            "[boundary]\nfamily = robin\nK = 1 2 ; 3 4\nM = 1\n")
+    with pytest.raises(ModelFileError, match="family 'robin'"):
+        build(parse(text))
+
+
 def test_build_explicit_condition_matrices(lap_model):
     text = ("[model]\nname = laplacian\n"
             "[boundary]\nA0 = 1\nA1 = 2\nB0 = -1\n")

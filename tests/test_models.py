@@ -139,7 +139,7 @@ def test_decoupled_family_encodes_two_half_lines(dirac_interface_model):
     # satisfy the decoupled condition; the same orientation as the half-line
     # family (A, B) = (a, 1) acting on (Gamma1, Gamma2) = (psi2, psi1).
     T = dirac_interface_model.triple("interface")
-    G1, G2 = T.G1_at(0.0), T.G2_at(0.0)
+    G1, G2 = (G[0] for G in T.traces([0.0]))
     for ap, am in ((2.0, 1.0), (3.0, 0.5), (-2.0, 1.0)):
         bc = dirac_interface_model.make_bc("decoupled", aplus=ap, aminus=am)
         A, B = bc.ab_at(0.0)

@@ -19,7 +19,6 @@ from bec.numerics import (
     as_matrix,
     as_square,
     check_hermitian,
-    min_singular,
     norm_inf,
     quad_2d,
     unwind_phase,
@@ -71,12 +70,6 @@ def test_check_hermitian_accepts_and_rejects():
 
 # ---------------------------------------------------------------------------
 # singular kernel
-
-
-def test_min_singular_values():
-    assert abs(min_singular(np.eye(3)) - 1.0) < 1e-14
-    assert min_singular(np.diag([5.0, 0.0])) < 1e-14
-    assert min_singular(np.array([[1.0, 1.0], [1.0, 1.0]])) < 1e-14
 
 
 # ---------------------------------------------------------------------------
