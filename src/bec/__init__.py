@@ -61,7 +61,6 @@ from .extension import (
 )
 from .models import (
     BUILTIN_MODELS,
-    InterfaceFiber,
     ModelDescriptor,
     build_model,
     dirac,
@@ -70,7 +69,7 @@ from .models import (
     shallow_water,
 )
 from .symbol import (
-    FiberOperator,
+    FiberStack,
     GapWindow,
     Symbol,
     bulk_bands,

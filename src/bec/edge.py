@@ -15,9 +15,12 @@ a band track are handled a block at a time, so one detector batch serves a
 refinement step of every column in the block.  Windings are computed from
 the phase of det U along a compactified momentum line.
 
-The deficiency bases, their jets, the trace maps, the Krein matrices and the
-unitaries come from the batched kernel in `extension`; this module holds the
-detector, the bands, the spectral flow and the windings.
+Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
+its own momenta: a band track's columns are the rows of
+`FiberFamily.stacks`, and the fiber of `edge_eigenvalues` is the one-row
+case.  The deficiency bases, their jets, the trace maps, the Krein matrices
+and the unitaries come from the batched kernel in `extension`; this module
+holds the detector, the bands, the spectral flow and the windings.
 """
 
 import numpy as np
@@ -29,7 +32,12 @@ from .errors import (
     NotComparableError,
     NumericalFailure,
 )
-from .extension import _full_jets_batch, _side_bases, _stacks_of, _unitaries
+from .extension import (
+    _check_admissible,
+    _full_jets_batch,
+    _side_bases,
+    _unitaries,
+)
 from .numerics import unwind_phase
 from .symbol import find_gap
 
@@ -51,25 +59,19 @@ _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _rows(stacks, rows):
-    """The fiber stacks of the momenta indexed by rows."""
-    return (stacks[0],) + tuple(Ds[rows] for Ds in stacks[1:])
-
-
-def _detector(bc, T, stacks, ks):
-    """Detector over momenta ks with fiber stacks `stacks`, one per column.
+def _detector(bc, T, F):
+    """Detector over the fibers F (a FiberStack), one per column.
 
     Returns det(rows, lams) -> (sv, scale, valid): the singular values
-    (n, dimV) of M(k, lam) at the momenta of the columns indexed by rows and
+    (n, dimV) of M(k, lam) at the fibers of the columns indexed by rows and
     the energies lams, the scale 1 + max|M|, and whether the basis is good
     (reason code 0); a failing basis never raises here.
     """
-    A, B = bc.ab_batch(ks)
-    G1, G2 = T.traces(ks)
+    A, B = bc.ab_batch(F.ks)
+    G1, G2 = T.traces(F.ks)
 
     def det(rows, lams):
-        # per-row fiber stacks gathered from the per-column ones
-        J, code = _full_jets_batch(T, _rows(stacks, rows), ks[rows],
+        J, code = _full_jets_batch(T, F[rows],
                                    np.asarray(lams, dtype=complex))
         M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
         sv = np.linalg.svd(M, compute_uv=False)
@@ -109,10 +111,10 @@ def _golden(rel, owner, a, b, tol, iters=80):
     return x, rel(owner, x)
 
 
-def _columns(bc, T, stacks, ks, windows, nl, xtol=None):
-    """Edge eigenvalues at momenta ks with fiber stacks `stacks`, each
-    within its own open window (lo, hi): one list of (lam, relative
-    residual), ascending, per momentum.
+def _columns(bc, T, F, windows, nl, xtol=None):
+    """Edge eigenvalues of the fibers F (a FiberStack), each within its own
+    open window (lo, hi): one list of (lam, relative residual), ascending,
+    per momentum.
 
     Every column is scanned on its own energy grid.  The detector dips of
     all columns are then refined together, so that each golden-section step
@@ -124,8 +126,7 @@ def _columns(bc, T, stacks, ks, windows, nl, xtol=None):
             if np.isfinite(lo) and np.isfinite(hi) and hi > lo]
     if not cols:
         return out
-    det = _detector(bc, T, _rows(stacks, cols),
-                    np.asarray(ks, dtype=float)[cols])
+    det = _detector(bc, T, F[cols])
 
     def rel(rows, lams):
         sv, scale, valid = det(rows, lams)
@@ -193,8 +194,7 @@ def edge_eigenvalues(bc, T, F, gap, lam_resolution=400):
     if not np.isfinite(lo):
         lo = hi - max(100.0, 20.0 * (1.0 + F.k ** 2))
     pad = 1e-12 * (1.0 + abs(lo) + abs(hi))
-    return _columns(bc, T, _stacks_of(F), [F.k], [(lo + pad, hi - pad)],
-                    lam_resolution)[0]
+    return _columns(bc, T, F, [(lo + pad, hi - pad)], lam_resolution)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ class _Tracker:
     def columns(self, ks):
         """Scan and cache the full-window columns at momenta ks together."""
         ks = [k for k in ks if k not in self.cols]
-        found = _columns(self.bc, self.T, self.fam.stacks(ks), ks,
+        found = _columns(self.bc, self.T, self.fam.stacks(ks),
                          [self.window(k) for k in ks], self.nl)
         self.cols.update(zip(ks, found))
 
@@ -263,13 +263,13 @@ class _Tracker:
         lo, hi = max(lo, wlo), min(hi, whi)
         if not hi > lo:
             return []
-        return _columns(self.bc, self.T, self.fam.stacks([k]), [k],
-                        [(lo, hi)], nl, xtol=xtol)[0]
+        return _columns(self.bc, self.T, self.fam.stacks([k]), [(lo, hi)],
+                        nl, xtol=xtol)[0]
 
     def decay_exponents(self, k, lam):
         """All decay exponents mu of the fiber's exponential solutions at a
         real energy inside the gap."""
-        bases = _side_bases(_stacks_of(self.fam(k)), [k], [complex(lam)])
+        bases = _side_bases(self.fam(k), [complex(lam)])
         return np.concatenate([np.zeros(0)] + [mus[0] for mus, _, _, code
                                                in bases if code[0] == 0])
 
@@ -671,13 +671,19 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     With bc_ref the relative unitary U U_ref^{-1} is used.  The loop closes
     through |k| = infinity, so both large-momentum limits must agree (within
     0.05); otherwise the winding is not defined and NotComparableError is
-    raised.  Returns (integer, rounding residual)."""
+    raised.  Both conditions must be admissible at the two ends, or
+    InadmissibleConditionError names the first failure.  Returns (integer,
+    rounding residual)."""
 
     def unitaries(ks):
         return _unitaries(bc, T, fiber_family, ks, bc_ref=bc_ref)
 
     p = T.dimV
-    ends = unitaries(np.array([-K_LIMIT, K_LIMIT]))
+    k_ends = np.array([-K_LIMIT, K_LIMIT])
+    for c in (bc, bc_ref):
+        if c is not None:
+            _check_admissible(c, k_ends, *c.ab_batch(k_ends))
+    ends = unitaries(k_ends)
     if bc_ref is not None:
         gap_dev = max(np.linalg.norm(ends[0] - np.eye(p), 2),
                       np.linalg.norm(ends[1] - np.eye(p), 2))

@@ -8,22 +8,23 @@ Krein matrix Q(z), the condition matrix W(z) = A - B Q(z) of a boundary
 condition A Gamma_1 = B Gamma_2, and the von Neumann unitary
 U = W(i)^{-1} W(-i) whose large-k behaviour decides affiliation.
 
-Trace maps and boundary conditions are polynomials in k, stored as
-coefficient stacks and evaluated over whole momentum arrays:
-`BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch` gives
-(A, B).  A local (K, L, M) form is converted to such a condition once, by
-`from_klm`.
+Fibers arrive as one type, `symbol.FiberStack`: the momenta ks and one
+(n, order+1, N, N) coefficient stack per side, one side on a half plane and
+(y > 0, y < 0) at an interface.  Trace maps and boundary conditions are
+polynomials in k, stored as coefficient stacks and evaluated over the same
+momenta: `BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch`
+gives (A, B).  A local (K, L, M) form is converted to such a condition once,
+by `from_klm`.
 
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
-spectral points: `_basis_batch` (with `_side_bases` and `_full_jets_batch`
-for a triple's layout), `_krein_family` and `_unitaries`.  Every basis row
-carries a reason code; the edge detector masks the failing rows, and
-everything else raises the code's typed error.  The per-point API
-(`deficiency_basis`, `krein_Q`, `vn_unitary`, `green_identity_residual`,
-`check_admissible`) is the kernel on one momentum, and `affiliation_check`
-runs it on its six.
+spectral points: `_basis_batch` on one side's coefficients, `_side_bases`
+and `_full_jets_batch` on a FiberStack in a triple's layout, `_krein_family`
+and `_unitaries`.  Every basis row carries a reason code; the edge detector
+masks the failing rows, and everything else raises the code's typed error.
+The per-point API (`deficiency_basis`, `krein_Q`, `vn_unitary`,
+`green_identity_residual`, `check_admissible`) is the kernel on a one-row
+FiberStack, and `affiliation_check` runs it on its six momenta.
 """
-
 import numpy as np
 
 from .errors import (
@@ -215,24 +216,13 @@ def _check_codes(code, ks):
                     % (what, np.asarray(ks, dtype=float)[bad][:5]))
 
 
-def _stacks_of(F):
-    """Fiber stacks of the single fiber F (a FiberOperator or an
-    InterfaceFiber)."""
-    if hasattr(F, "plus"):
-        return ("int", np.array(F.plus.Ds)[None], np.array(F.minus.Ds)[None])
-    return ("half", np.array(F.Ds)[None])
-
-
-def _side_bases(stacks, ks, zs):
-    """Decaying solutions for fiber stacks ('half', Ds), on y > 0, or
-    ('int', Ds_plus, Ds_minus), on y > 0 and on y < 0, as
-    `FiberFamily.stacks` returns them: one `_basis_batch` result per
-    side."""
-    out = []
-    for Ds, side in zip(stacks[1:], ("right", "left")):
-        expect = ((Ds.shape[1] - 1) * Ds.shape[2]) // 2
-        out.append(_basis_batch(Ds, ks, zs, side, expect))
-    return out
+def _side_bases(F, zs):
+    """Decaying solutions of the fibers F (a FiberStack), each at its own
+    spectral point zs: on y > 0 for the first side and on y < 0 for an
+    interface's second, one `_basis_batch` result per side."""
+    return [_basis_batch(Ds, F.ks, zs, side,
+                         ((Ds.shape[1] - 1) * Ds.shape[2]) // 2)
+            for Ds, side in zip(F.sides, ("right", "left"))]
 
 
 def _triple_layout(T, jets):
@@ -254,11 +244,11 @@ def _triple_layout(T, jets):
     return J
 
 
-def _full_jets_batch(T, stacks, ks, zs):
-    """Jet matrices in the triple's layout for a batch of spectral points.
-    Returns (jets (n, W, dimV), code (n,)), the code of the first side
-    whose basis fails."""
-    sides = _side_bases(stacks, ks, zs)
+def _full_jets_batch(T, F, zs):
+    """Jet matrices in the triple's layout for the fibers F, each at its own
+    spectral point zs.  Returns (jets (n, W, dimV), code (n,)), the code of
+    the first side whose basis fails."""
+    sides = _side_bases(F, zs)
     code = sides[0][3]
     if len(sides) == 2:
         code = np.where(code != 0, code, sides[1][3])
@@ -284,17 +274,21 @@ class DeficiencyBasis:
 
 
 def deficiency_basis(F, z, side):
-    """One-sided decaying exponential solutions of (H(k)-z)Psi = 0."""
+    """One-sided decaying exponential solutions of (H(k)-z)Psi = 0 for the
+    fiber F at one momentum, with one side (a one-row FiberStack)."""
     if complex(z).imag == 0.0:
         raise ContractViolation("need Im z != 0 for a deficiency basis")
+    if len(F.sides) != 1:
+        raise ContractViolation("a deficiency basis needs a one-sided fiber")
     ks = np.array([F.k])
-    mus, phis, _, code = _basis_batch(_stacks_of(F)[1], ks,
-                                      np.array([complex(z)]), side,
-                                      (F.order * F.N) // 2)
+    Ds = F.sides[0]
+    order, N = Ds.shape[1] - 1, Ds.shape[2]
+    mus, phis, _, code = _basis_batch(Ds, ks, np.array([complex(z)]), side,
+                                      (order * N) // 2)
     _check_codes(code, ks)
     return DeficiencyBasis(F.k, z, side,
                            [(complex(mu), phi) for mu, phi in
-                            zip(mus[0], phis[0])], F.order, F.N)
+                            zip(mus[0], phis[0])], order, N)
 
 
 # ---------------------------------------------------------------------------
@@ -340,49 +334,38 @@ def as_square_or_rect(M, rows, cols):
     return A
 
 
-def green_boundary_matrix(F):
+def green_boundary_matrix(Ds):
     """Skew form J on jets with  <psi,Hphi> - <Hpsi,phi> = -jet(psi)^dag J jet(phi)
-    for functions on y>0:  J[t,r] = (-1)^t D_{t+r+1}  (blocks of size N)."""
-    n, N = F.order, F.N
+    for functions on y>0:  J[t,r] = (-1)^t D_{t+r+1}  (blocks of size N),
+    from one side's fiber coefficients Ds (order+1, N, N)."""
+    n, N = Ds.shape[0] - 1, Ds.shape[1]
     J = np.zeros((n * N, n * N), dtype=complex)
     for t in range(n):
         for r in range(n):
             j = t + r + 1
             if j <= n:
-                J[t * N:(t + 1) * N, r * N:(r + 1) * N] = (-1.0) ** t * F.Ds[j]
+                J[t * N:(t + 1) * N, r * N:(r + 1) * N] = (-1.0) ** t * Ds[j]
     return J
 
 
-def _split_fiber(F):
-    """(upper fiber, lower fiber); a plain fiber serves as both sides."""
-    return getattr(F, "plus", F), getattr(F, "minus", F)
-
-
 def formal_symmetry_defect(F):
-    """How far the Green boundary matrix is from skew-Hermitian; zero exactly
-    when every coefficient satisfies D_j^dag = (-1)^j D_j."""
-    Fp, Fm = _split_fiber(F)
-    defect = norm_inf(green_boundary_matrix(Fp)
-                      + green_boundary_matrix(Fp).conj().T)
-    if Fm is not Fp:
-        defect = max(defect, norm_inf(green_boundary_matrix(Fm)
-                                      + green_boundary_matrix(Fm).conj().T))
-    return defect
+    """How far the Green boundary matrices of the fibers F are from
+    skew-Hermitian, over every side and momentum; zero exactly when every
+    coefficient satisfies D_j^dag = (-1)^j D_j."""
+    return max(norm_inf(J + J.conj().T) for Ds in F.sides
+               for J in map(green_boundary_matrix, Ds))
 
 
 def triple_defect(T, F):
-    """Residual of the algebraic Green identity
+    """Residual of the algebraic Green identity at the fiber's momentum:
     G1^dag G2 - G2^dag G1 = -J  (halfline)  /  diag(-J_upper, J_lower)."""
     G1, G2 = (G[0] for G in T.traces([F.k]))
     lhs = G1.conj().T @ G2 - G2.conj().T @ G1
-    Fp, Fm = _split_fiber(F)
-    if T.side == "halfline":
-        expected = -green_boundary_matrix(Fp)
-    else:
-        w = T.order * T.N
-        expected = np.zeros((2 * w, 2 * w), dtype=complex)
-        expected[:w, :w] = -green_boundary_matrix(Fp)
-        expected[w:, w:] = green_boundary_matrix(Fm)
+    expected = np.zeros_like(lhs)
+    w = T.order * T.N
+    for i, (Ds, sign) in enumerate(zip(F.sides, (-1.0, 1.0))):
+        expected[i * w:(i + 1) * w, i * w:(i + 1) * w] = \
+            sign * green_boundary_matrix(Ds[0])
     return norm_inf(lhs - expected)
 
 
@@ -521,19 +504,18 @@ def _krein_solve(J, G1, G2):
                            M2.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def _krein_family(T, stacks, ks):
-    """Krein matrices (Q(i), Q(-i)), each (n, dimV, dimV), at an array of
-    momenta ks with fiber stacks `stacks` (`FiberFamily.stacks`).
+def _krein_family(T, F):
+    """Krein matrices (Q(i), Q(-i)), each (n, dimV, dimV), of the fibers F
+    (a FiberStack, as `FiberFamily.stacks` returns it).
 
     Q depends on the triple and the fibers only, so every boundary condition
     over the same momenta shares it.
     """
-    ks = np.asarray(ks, dtype=float)
-    G1, G2 = T.traces(ks)
+    G1, G2 = T.traces(F.ks)
     Qs = []
     for z in (1j, -1j):
-        J, code = _full_jets_batch(T, stacks, ks, np.full(len(ks), z))
-        _check_codes(code, ks)
+        J, code = _full_jets_batch(T, F, np.full(len(F.ks), z))
+        _check_codes(code, F.ks)
         Qs.append(_krein_solve(J, G1, G2))
     return Qs
 
@@ -561,7 +543,7 @@ def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
     """U(k) = W(i)^{-1} W(-i), or with bc_ref the relative unitary
     U(k) U_ref(k)^{-1}, at momenta ks; both conditions share one Krein
     family."""
-    Q = _krein_family(T, fiber_family.stacks(ks), ks)
+    Q = _krein_family(T, fiber_family.stacks(ks))
     U = np.linalg.solve(*_weyl(*bc.ab_batch(ks), Q))
     if bc_ref is not None:
         U = U @ np.linalg.inv(np.linalg.solve(*_weyl(*bc_ref.ab_batch(ks),
@@ -594,10 +576,10 @@ def _checked_unitary(bc, Q, ks):
 
 def vn_unitary(bc, T, F):
     """Von Neumann unitary U = W(i)^{-1} W(-i) of the extension at the
-    fiber's momentum; similar to a unitary, so its eigenvalues lie on the
-    unit circle."""
+    momentum of the fiber F (a one-row FiberStack); similar to a unitary,
+    so its eigenvalues lie on the unit circle."""
     ks = np.array([F.k])
-    return _checked_unitary(bc, _krein_family(T, _stacks_of(F), ks), ks)[0]
+    return _checked_unitary(bc, _krein_family(T, F), ks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +622,7 @@ def affiliation_check(bc, T, fiber_family, bc_ref=None):
     """
     kappas = np.array([1e2, 1e3, 1e4])
     ks = np.concatenate([kappas, -kappas])
-    Q = _krein_family(T, fiber_family.stacks(ks), ks)
+    Q = _krein_family(T, fiber_family.stacks(ks))
     U = _checked_unitary(bc, Q, ks)
     if bc_ref is not None:
         U = U @ np.linalg.inv(_checked_unitary(bc_ref, Q, ks))
@@ -671,16 +653,17 @@ def green_identity_residual(T, F):
     <psi, H* phi> - <H* psi, phi> = <G1 psi, G2 phi> - <G2 psi, G1 phi>
     over deficiency solutions psi at z=i and phi at z = +-i, each scaled to
     a unit jet."""
-    stacks, ks = _stacks_of(F), np.array([F.k])
+    ks = np.array([F.k])
     G1, G2 = (G[0] for G in T.traces(ks))
+    N = F.sides[0].shape[2]
     solutions = {}
     for z in (1j, -1j):
-        sides = _side_bases(stacks, ks, np.array([z]))
+        sides = _side_bases(F, np.array([z]))
         for *_, code in sides:
             _check_codes(code, ks)
         # per side: L2 sign, exponents, and amplitudes scaled like the jets
         # (the first jet block)
-        parts = [(sign, mus[0], J[0, :F.N])
+        parts = [(sign, mus[0], J[0, :N])
                  for (mus, _, J, _), sign in zip(sides, (1.0, -1.0))]
         solutions[z] = parts, _triple_layout(T, [s[2] for s in sides])[0]
     parts1, J1 = solutions[1j]

@@ -22,29 +22,15 @@ from .extension import (
     from_ab,
     from_klm,
 )
-from .symbol import GapWindow, Symbol, fiberize
-
-
-class InterfaceFiber:
-    """Pair of fiber operators for a y>0 / y<0 interface problem."""
-
-    def __init__(self, plus, minus):
-        if plus.k != minus.k or plus.N != minus.N:
-            raise ContractViolation("interface fibers must share k and size")
-        self.plus = plus
-        self.minus = minus
-        self.k = plus.k
-        self.N = plus.N
-        self.order = max(plus.order, minus.order)
+from .symbol import FiberStack, GapWindow, Symbol, fiberize
 
 
 class FiberFamily:
     """The fibers of a model over the boundary momenta, on one side.
 
-    fam(k) is the fiber at one momentum (a FiberOperator, or an
-    InterfaceFiber on the interface side).  fam.stacks(ks) gives the fiber
-    coefficients of a whole array of momenta at once: ("half", Ds) or
-    ("int", Ds_plus, Ds_minus), each of shape (len(ks), order+1, N, N).
+    fam.stacks(ks) is the FiberStack of a whole array of momenta, with one
+    coefficient stack per side symbol (`ModelDescriptor.side_symbols`);
+    fam(k) is the one-row FiberStack at a single momentum.
     """
 
     def __init__(self, model, side):
@@ -55,10 +41,8 @@ class FiberFamily:
         return self.model.fiber(k, self.side)
 
     def stacks(self, ks):
-        if self.side == "interface":
-            return ("int",) + tuple(S.fiber_stack(ks) for S in
-                                    self.model.interface_symbols())
-        return ("half", self.model.symbol.fiber_stack(ks))
+        return FiberStack(ks, [S.fiber_stack(ks) for S in
+                               self.model.side_symbols(self.side)])
 
 
 class ModelDescriptor:
@@ -84,17 +68,19 @@ class ModelDescriptor:
         self.edge_enabled = bool(self.triples)
         self._scan_window = scan_window
 
-    def interface_symbols(self):
-        """(upper symbol, lower symbol) of the interface problem."""
+    def side_symbols(self, side="halfline"):
+        """The symbols of the fiber's sides: (symbol,) on a half plane,
+        (upper symbol, lower symbol) at an interface."""
+        if side != "interface":
+            return (self.symbol,)
         if self.symbol_minus is None:
             raise ContractViolation("%s has no interface form" % self.name)
         return self.symbol, self.symbol_minus
 
     def fiber(self, k, side="halfline"):
-        if side == "interface":
-            plus, minus = self.interface_symbols()
-            return InterfaceFiber(fiberize(plus, k), fiberize(minus, k))
-        return fiberize(self.symbol, k)
+        """The one-row FiberStack at momentum k, one `fiberize` per side."""
+        return FiberStack([k], [fiberize(S, k).sides[0] for S in
+                                self.side_symbols(side)])
 
     def fiber_family(self, side="halfline"):
         return FiberFamily(self, side)
@@ -167,12 +153,6 @@ def laplacian():
         return from_klm("laplacian", np.array([[0.0]]), np.array([[0.0]]),
                         np.array([[1.0]]), label="neumann")
 
-    def klm(K=1.0, L=0.0, M=0.0):
-        return from_klm("laplacian", np.array([[K]], dtype=complex),
-                        np.array([[L]], dtype=complex),
-                        np.array([[M]], dtype=complex),
-                        label="klm(%s,%s,%s)" % (K, L, M))
-
     def window(k, gap):
         # edge curves live under the parabola lam = k^2 (where the decay
         # exponent is real), including above the bulk threshold at 0
@@ -184,7 +164,7 @@ def laplacian():
         "laplacian", {}, S,
         triples={"halfline": T},
         bc_families={"robin": robin, "dirichlet": dirichlet,
-                     "neumann": neumann, "klm": klm},
+                     "neumann": neumann},
         reference_bc={"halfline": dirichlet()},
         fiducial_E=0.0, gap_around=-1.0,
         scan_window=window)

@@ -81,32 +81,45 @@ class Symbol:
         return out
 
 
-class FiberOperator:
-    """Half-plane fiber of a symbol at boundary momentum k:
-    an ordinary differential operator  sum_j D_j d^j/dy^j  acting on
-    C^N-valued functions of y."""
+class FiberStack:
+    """Fiber operators  sum_j D_j(k) d^j/dy^j  at an array of boundary
+    momenta ks.
 
-    def __init__(self, k, N, Ds):
-        self.k = float(k)
-        self.N = int(N)
-        Ds = [as_square(D) for D in Ds]
-        order = 0
-        for j, D in enumerate(Ds):
-            if norm_inf(D) > 0:
-                order = j
-        self.Ds = [np.asarray(D, dtype=complex) for D in Ds[: order + 1]]
-        self.order = order
+    sides holds one (n, order+1, N, N) stack of coefficients D_j(k) per side
+    of the boundary: one on a half plane (y > 0), (y > 0, y < 0) at an
+    interface.  The order is the symbol's largest y-degree at every momentum,
+    also where the top coefficient vanishes.  The fiber at one momentum is
+    the n = 1 case; F[rows] is the stack of the fibers at those rows.
+    """
+
+    def __init__(self, ks, sides):
+        self.ks = np.asarray(ks, dtype=float).ravel()
+        self.sides = tuple(sides)
+        if any(len(Ds) != len(self.ks) for Ds in self.sides):
+            raise ContractViolation("every side needs one fiber per momentum")
+
+    def __getitem__(self, rows):
+        return FiberStack(self.ks[rows], [Ds[rows] for Ds in self.sides])
+
+    @property
+    def k(self):
+        """The momentum of a single fiber."""
+        if len(self.ks) != 1:
+            raise ContractViolation("a stack of %d fibers has no single "
+                                    "momentum" % len(self.ks))
+        return float(self.ks[0])
 
 
 def fiberize(S, k):
-    """Restrict the symbol to the fiber over boundary momentum k.
+    """Restrict the symbol to the fiber over boundary momentum k, a one-row
+    FiberStack.
 
     The transverse momentum becomes a derivative, k2^j -> (i d/dy)^j, so the
     coefficient of d^j/dy^j is  D_j = i^j sum_a c_aj k^a.  With this choice
     the massive 2x2 model k1 sx + k2 sy + m sz maps onto
     sx k + [[0,1],[-1,0]] d/dy + m sz.
     """
-    return FiberOperator(k, S.N, S.fiber_stack([k])[0])
+    return FiberStack([k], [S.fiber_stack([k])])
 
 
 def bulk_bands(S, k, ky_grid):

@@ -111,6 +111,24 @@ def test_winding_relative_to_reference():
     assert "relative winding = -1 (resid" in out
 
 
+def test_winding_names_an_inadmissible_condition(tmp_path):
+    # A = 1 + 2ik, B = -1: A B^dag is Hermitian at k = 0 only
+    path = tmp_path / "inadmissible.model"
+    path.write_text("[model]\nname = laplacian\n\n"
+                    "[boundary]\nA0 = 1\nA1 = 2i\nB0 = -1\n")
+    code, out, err = run_cli(["winding", "--model", str(path)])
+    assert code == 2
+    assert "A B^dag not Hermitian at k=-10000" in err
+
+
+def test_laplacian_has_no_klm_family():
+    code, out, err = run_cli(["winding", "--model", "laplacian",
+                              "--bc", "klm", "--param", "K=1,L=0,M=1"])
+    assert code == 2
+    assert "no boundary family 'klm' (have ['dirichlet', 'neumann', " \
+        "'robin'])" in err
+
+
 # ---------------------------------------------------------------------------
 # edge commands
 

@@ -107,8 +107,8 @@ def test_edge_eigenvalue_multiplicity_two_for_coinciding_branches(
 def _columns_match_single_calls(bc, T, model, side, ks, gap, nl):
     fam = model.fiber_family(side)
     windows = [model.scan_window(k, gap) for k in ks]
-    together = edge._columns(bc, T, fam.stacks(ks), ks, windows, nl)
-    alone = [edge._columns(bc, T, fam.stacks([k]), [k], [w], nl)[0]
+    together = edge._columns(bc, T, fam.stacks(ks), windows, nl)
+    alone = [edge._columns(bc, T, fam.stacks([k]), [w], nl)[0]
              for k, w in zip(ks, windows)]
     assert together == alone
     return together
@@ -165,13 +165,12 @@ def test_columns_skip_empty_and_unbounded_windows(dirac_model):
     T = dirac_model.triple("halfline")
     bc = dirac_model.make_bc("a", a=2.0)
     ks = [0.25] * 4
-    stacks = dirac_model.fiber_family().stacks(ks)
+    F = dirac_model.fiber_family().stacks(ks)
     good = (-0.999, 0.999)
-    out = edge._columns(bc, T, stacks, ks,
+    out = edge._columns(bc, T, F,
                         [(0.3, 0.3), (-np.inf, 0.0), good, (0.5, -0.5)], 200)
     assert out[0] == [] and out[1] == [] and out[3] == []
-    assert out[2] == edge._columns(bc, T, edge._rows(stacks, [2]), [0.25],
-                                   [good], 200)[0]
+    assert out[2] == edge._columns(bc, T, F[[2]], [good], 200)[0]
     assert abs(out[2][0][0] - 0.8) < 1e-7
 
 
@@ -475,9 +474,9 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
     calls = []
     krein = extension._krein_family
 
-    def counted(T, fam, ks):
-        calls.append(len(ks))
-        return krein(T, fam, ks)
+    def counted(T, F):
+        calls.append(len(F.ks))
+        return krein(T, F)
 
     monkeypatch.setattr(extension, "_krein_family", counted)
     shared = extension._unitaries(bc, T, fam, ks, bc_ref=bc_ref)
@@ -485,16 +484,35 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
 
 
-def test_unitary_family_reports_vanishing_top_coefficient(lap_model):
+def _vanishing_top_model(lap_model):
     # the coefficient (1 + k) of d^2/dy^2 vanishes at k = -1: the stack
     # keeps order 2 there and the basis fails at exactly that momentum
-    from bec.errors import NumericalFailure
     from bec.models import ModelDescriptor
     from bec.symbol import Symbol
 
     S = Symbol(1, {(2, 0): [[1.0]], (0, 2): [[1.0]], (1, 2): [[1.0]]})
-    model = ModelDescriptor("vanishing-top", {}, S,
-                            triples={"halfline": lap_model.triple()})
+    return ModelDescriptor("vanishing-top", {}, S,
+                           triples={"halfline": lap_model.triple()})
+
+
+def test_winding_checks_both_conditions_at_the_ends(lap_model):
+    # A B^dag = 1 + ik is Hermitian at k = 0 only
+    from bec.errors import InadmissibleConditionError
+    from bec.extension import from_ab
+
+    T, fam = lap_model.triple(), lap_model.fiber_family()
+    good = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
+    bad = from_ab([np.eye(1), 1j * np.eye(1)], np.eye(1), label="bad")
+    for bc, ref in ((bad, None), (good, bad)):
+        with pytest.raises(InadmissibleConditionError,
+                           match=r"bad: A B\^dag not Hermitian at k=-10000"):
+            winding(bc, T, fam, k_window=8.0, bc_ref=ref)
+
+
+def test_unitary_family_reports_vanishing_top_coefficient(lap_model):
+    from bec.errors import NumericalFailure
+
+    model = _vanishing_top_model(lap_model)
     T, fam = model.triple(), model.fiber_family()
     bc = lap_model.make_bc("robin", K=1.0, ell=0.0, M=1.0)
     with pytest.raises(NumericalFailure, match=r"k=\[-1\.\]"):
@@ -503,3 +521,25 @@ def test_unitary_family_reports_vanishing_top_coefficient(lap_model):
         vn_unitary_family(bc, T, fam, [-1.0, 0.5])
     U = vn_unitary_family(bc, T, fam, [0.5, 2.0])
     assert np.max(np.abs(np.abs(np.linalg.det(U)) - 1.0)) < 1e-10
+
+
+def test_per_point_paths_report_vanishing_top_coefficient(lap_model):
+    # the fiber at one momentum keeps the stack's order, so every per-point
+    # path fails as the family does, naming the momentum
+    from bec.errors import NumericalFailure
+    from bec.extension import (deficiency_basis, green_identity_residual,
+                               vn_unitary)
+
+    model = _vanishing_top_model(lap_model)
+    T, F = model.triple(), model.fiber(-1.0)
+    bc = lap_model.make_bc("robin", K=1.0, ell=0.0, M=1.0)
+    match = r"vanishing leading coefficient.* at k=\[-1\.\]"
+    with pytest.raises(NumericalFailure, match=match):
+        vn_unitary_family(bc, T, model.fiber_family(), [-1.0])
+    with pytest.raises(NumericalFailure, match=match):
+        vn_unitary(bc, T, F)
+    with pytest.raises(NumericalFailure, match=match):
+        green_identity_residual(T, F)
+    with pytest.raises(NumericalFailure, match=match):
+        deficiency_basis(F, 1j, "right")
+    assert edge_eigenvalues(bc, T, F, GapWindow(-5.0, 0.0)) == []

@@ -31,7 +31,6 @@ from bec.extension import (
     _char_poly,
     _jets_batch,
     _rank_deficient,
-    _stacks_of,
     _weyl,
     admissibility_residuals,
     affiliation_check,
@@ -47,7 +46,7 @@ from bec.extension import (
     triple_defect,
     vn_unitary,
 )
-from bec.symbol import FiberOperator
+from bec.symbol import FiberStack, fiberize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SQRT_1_MINUS_I = 1.09868411346781 - 0.455089860562227j
@@ -73,7 +72,7 @@ def halfline_two_band_Q(k, z, m):
 
 
 def test_char_poly_scalar_second_order(lap_model):
-    Ds = _stacks_of(lap_model.fiber(1.0))[1]
+    Ds = lap_model.fiber(1.0).sides[0]
     c, scale = _char_poly(Ds, np.array([1.0]), np.array([1j]))
     # k^2 - mu^2 - z, with the coefficients taken back from mu/scale to mu
     assert np.allclose(c[0] / scale[0] ** np.arange(3), [1.0 - 1j, 0.0, -1.0],
@@ -129,14 +128,14 @@ def test_deficiency_basis_of_first_order_scalar_fiber():
     # kernel expects order * N // 2 = 0 solutions per side, so the right
     # basis is empty and the left one has the wrong count: the deficiency
     # indices differ, and no boundary triple exists
-    F = FiberOperator(0.0, 1, [np.array([[1.0]]), np.array([[1j]])])
+    F = _ConstantFamily([[[1.0]], [[1j]]])(0.0)
     assert deficiency_basis(F, 1j, "right").entries == []
     with pytest.raises(TripleDegeneracyError):
         deficiency_basis(F, 1j, "left")
 
 
 def test_kernel_rejects_order_zero_fiber(lap_model):
-    F = FiberOperator(0.0, 1, [np.array([[1.0]])])
+    F = _ConstantFamily([[[1.0]]])(0.0)
     with pytest.raises(ContractViolation):
         deficiency_basis(F, 1j, "right")
     with pytest.raises(ContractViolation):
@@ -145,8 +144,7 @@ def test_kernel_rejects_order_zero_fiber(lap_model):
 
 def test_deficiency_basis_rejects_imaginary_axis_exponent():
     # constant-coefficient fiber with char mu^2 + 1 at z=i: exponents +-i
-    F = FiberOperator(0.0, 1, [np.array([[1.0 + 1j]]), np.array([[0.0]]),
-                               np.array([[1.0]])])
+    F = _ConstantFamily([[[1.0 + 1j]], [[0.0]], [[1.0]]])(0.0)
     with pytest.raises(BoundaryOfRegularityError):
         deficiency_basis(F, 1j, "right")
 
@@ -167,7 +165,7 @@ def test_jets_stack_derivatives(lap_model):
 
 
 def test_green_boundary_matrix_scalar(lap_model):
-    J = green_boundary_matrix(lap_model.fiber(0.7))
+    J = green_boundary_matrix(lap_model.fiber(0.7).sides[0][0])
     assert np.allclose(J, [[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -319,9 +317,10 @@ def test_krein_Q_two_band_closed_form(dirac_model):
 
 def test_krein_Q_interface_closed_form(dirac_interface_model):
     T = dirac_interface_model.triple("interface")
-    F = dirac_interface_model.fiber(0.0, "interface")
-    bases = (deficiency_basis(F.plus, 1j, "right"),
-             deficiency_basis(F.minus, 1j, "left"))
+    plus, minus = (fiberize(S, 0.0) for S in
+                   dirac_interface_model.side_symbols("interface"))
+    bases = (deficiency_basis(plus, 1j, "right"),
+             deficiency_basis(minus, 1j, "left"))
     Q = krein_Q(T, bases)
     want = (1j / np.sqrt(2.0)) * np.eye(2) - 0.5j * SX
     assert np.max(np.abs(Q - want)) < 1e-10
@@ -337,11 +336,12 @@ def test_krein_Q_conjugation_symmetry(
         Qm = krein_Q(T, deficiency_basis(F, -1j, "right"))
         assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
     T = dirac_interface_model.triple("interface")
-    F = dirac_interface_model.fiber(0.5, "interface")
-    Qp = krein_Q(T, (deficiency_basis(F.plus, 1j, "right"),
-                     deficiency_basis(F.minus, 1j, "left")))
-    Qm = krein_Q(T, (deficiency_basis(F.plus, -1j, "right"),
-                     deficiency_basis(F.minus, -1j, "left")))
+    plus, minus = (fiberize(S, 0.5) for S in
+                   dirac_interface_model.side_symbols("interface"))
+    Qp = krein_Q(T, (deficiency_basis(plus, 1j, "right"),
+                     deficiency_basis(minus, 1j, "left")))
+    Qm = krein_Q(T, (deficiency_basis(plus, -1j, "right"),
+                     deficiency_basis(minus, -1j, "left")))
     assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
 
 
@@ -499,9 +499,9 @@ def test_affiliation_shares_krein_matrices_between_conditions(
     krein = ext._krein_family
     calls = []
 
-    def counted(T, stacks, ks):
-        calls.append(list(ks))
-        return krein(T, stacks, ks)
+    def counted(T, F):
+        calls.append(list(F.ks))
+        return krein(T, F)
 
     for model, side, bc, ref in cases:
         T, fam = model.triple(side), model.fiber_family(side)
@@ -538,16 +538,16 @@ def test_affiliation_checks_the_reference_condition(lap_model):
 
 class _ConstantFamily:
     """The fibers of a constant-coefficient operator, equal at every
-    momentum, in the two forms `FiberFamily` gives."""
+    momentum, as `FiberFamily` gives them."""
 
     def __init__(self, Ds):
-        self.Ds = [np.array(D, dtype=complex) for D in Ds]
+        self.Ds = np.array(Ds, dtype=complex)
 
     def __call__(self, k):
-        return FiberOperator(k, self.Ds[0].shape[0], self.Ds)
+        return self.stacks([k])
 
     def stacks(self, ks):
-        return ("half", np.repeat(np.array(self.Ds)[None], len(ks), axis=0))
+        return FiberStack(ks, [np.repeat(self.Ds[None], len(ks), axis=0)])
 
 
 def _laplacian_like_triple(G1):

@@ -8,13 +8,13 @@ from bec.errors import ContractViolation, DomainError
 from bec.extension import green_identity_residual, deficiency_basis
 from bec.models import (
     BUILTIN_MODELS,
-    InterfaceFiber,
     build_model,
     dirac,
     laplacian,
     regularized_dirac,
     shallow_water,
 )
+from bec.symbol import FiberStack, fiberize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -46,11 +46,13 @@ def test_parameter_validation():
 
 def test_scalar_model_shape(lap_model):
     assert lap_model.symbol.N == 1
-    F = lap_model.fiber(2.0)
-    assert F.order == 2
-    assert np.allclose(F.Ds[0], [[4.0]])
+    (Ds,) = lap_model.fiber(2.0).sides
+    assert Ds.shape == (1, 3, 1, 1)
+    assert np.allclose(Ds[0, 0], [[4.0]])
     with pytest.raises(ContractViolation):
         lap_model.triple("interface")
+    with pytest.raises(ContractViolation):
+        lap_model.fiber(2.0, "interface")
 
 
 def test_robin_alias_for_ell(lap_model):
@@ -82,38 +84,35 @@ def test_scalar_scan_window_stays_below_parabola(lap_model):
 def test_two_band_halfline_descriptor(dirac_model):
     assert dirac_model.declared_gap.lo == -1.0
     assert dirac_model.declared_gap.hi == 1.0
-    F = dirac_model.fiber(0.5)
-    assert F.order == 1 and F.N == 2
-    assert np.allclose(F.Ds[0], 0.5 * SX + SZ)
-    assert np.allclose(F.Ds[1], Y)
+    (Ds,) = dirac_model.fiber(0.5).sides
+    assert Ds.shape == (1, 2, 2, 2)
+    assert np.allclose(Ds[0, 0], 0.5 * SX + SZ)
+    assert np.allclose(Ds[0, 1], Y)
     assert dirac_model.reference_bc["halfline"].label == "a=1"
 
 
 def test_two_band_interface_descriptor(dirac_interface_model):
     model = dirac_interface_model
     F = model.fiber(0.5, "interface")
-    assert isinstance(F, InterfaceFiber)
-    assert F.k == 0.5 and F.N == 2
-    assert np.allclose(F.plus.Ds[0], 0.5 * SX + SZ)
-    assert np.allclose(F.minus.Ds[0], 0.5 * SX - SZ)
+    assert isinstance(F, FiberStack)
+    assert F.k == 0.5 and len(F.sides) == 2
+    assert np.allclose(F.sides[0][0, 0], 0.5 * SX + SZ)
+    assert np.allclose(F.sides[1][0, 0], 0.5 * SX - SZ)
+    with pytest.raises(ContractViolation):
+        deficiency_basis(F, 1j, "right")  # needs one side
     T = model.triple("interface")
     assert T.dimV == 2 and T.side == "interface"
     assert model.reference_bc["interface"].label == "transparent"
 
 
-def test_interface_fiber_rejects_mismatched_momenta(dirac_model):
-    with pytest.raises(ContractViolation):
-        InterfaceFiber(dirac_model.fiber(0.5), dirac_model.fiber(0.6))
-
-
 def test_fourth_order_descriptor(regdirac_model):
     assert regdirac_model.declared_gap.lo == -1.0
     assert regdirac_model.declared_gap.hi == 1.0
-    F = regdirac_model.fiber(1.0)
-    assert F.order == 2 and F.N == 2
-    assert np.allclose(F.Ds[0], SX + 1.1 * SZ)
-    assert np.allclose(F.Ds[1], Y)
-    assert np.allclose(F.Ds[2], -0.1 * SZ)
+    (Ds,) = regdirac_model.fiber(1.0).sides
+    assert Ds.shape == (1, 3, 2, 2)
+    assert np.allclose(Ds[0, 0], SX + 1.1 * SZ)
+    assert np.allclose(Ds[0, 1], Y)
+    assert np.allclose(Ds[0, 2], -0.1 * SZ)
     assert regdirac_model.reference_bc["halfline"].label == "dirichlet"
 
 
@@ -173,9 +172,10 @@ def test_deficiency_indices_of_builtin_models(
                                     "right").entries) == 1
         assert len(deficiency_basis(regdirac_model.fiber(k), 1j,
                                     "right").entries) == 2
-        Fi = dirac_interface_model.fiber(k, "interface")
-        assert len(deficiency_basis(Fi.plus, 1j, "right").entries) == 1
-        assert len(deficiency_basis(Fi.minus, 1j, "left").entries) == 1
+        plus, minus = (fiberize(S, k) for S in
+                       dirac_interface_model.side_symbols("interface"))
+        assert len(deficiency_basis(plus, 1j, "right").entries) == 1
+        assert len(deficiency_basis(minus, 1j, "left").entries) == 1
 
 
 def test_interface_scan_window_uses_smaller_mass():

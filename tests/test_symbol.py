@@ -118,29 +118,31 @@ def test_derivative_rejects_bad_axis(dirac_model):
 def test_fiberize_two_band_coefficients(dirac_model):
     for k in (0.0, 1.0, -2.0):
         F = fiberize(dirac_model.symbol, k)
-        assert F.order == 1
-        assert np.max(np.abs(F.Ds[0] - (k * SX + SZ))) < 1e-14
-        assert np.max(np.abs(F.Ds[1] - Y)) < 1e-14
+        assert F.k == k
+        (Ds,) = F.sides
+        assert Ds.shape == (1, 2, 2, 2)
+        assert np.max(np.abs(Ds[0, 0] - (k * SX + SZ))) < 1e-14
+        assert np.max(np.abs(Ds[0, 1] - Y)) < 1e-14
 
 
 def test_fiberize_scalar_coefficients(lap_model):
     for k in (0.0, 1.0, -2.0):
-        F = fiberize(lap_model.symbol, k)
-        assert F.order == 2
-        assert np.max(np.abs(F.Ds[0] - np.array([[k * k]]))) < 1e-14
-        assert np.max(np.abs(F.Ds[1])) < 1e-14
-        assert np.max(np.abs(F.Ds[2] - np.array([[-1.0]]))) < 1e-14
+        (Ds,) = fiberize(lap_model.symbol, k).sides
+        assert Ds.shape == (1, 3, 1, 1)
+        assert np.max(np.abs(Ds[0, 0] - np.array([[k * k]]))) < 1e-14
+        assert np.max(np.abs(Ds[0, 1])) < 1e-14
+        assert np.max(np.abs(Ds[0, 2] - np.array([[-1.0]]))) < 1e-14
 
 
 def test_fiberize_fourth_order_coefficients(regdirac_model):
     m, eps = 1.0, 0.1
     for k in (0.0, 1.0, -2.0):
-        F = fiberize(regdirac_model.symbol, k)
-        assert F.order == 2
+        (Ds,) = fiberize(regdirac_model.symbol, k).sides
+        assert Ds.shape == (1, 3, 2, 2)
         D0 = k * SX + (m + eps * k * k) * SZ
-        assert np.max(np.abs(F.Ds[0] - D0)) < 1e-14
-        assert np.max(np.abs(F.Ds[1] - Y)) < 1e-14
-        assert np.max(np.abs(F.Ds[2] - (-eps * SZ))) < 1e-14
+        assert np.max(np.abs(Ds[0, 0] - D0)) < 1e-14
+        assert np.max(np.abs(Ds[0, 1] - Y)) < 1e-14
+        assert np.max(np.abs(Ds[0, 2] - (-eps * SZ))) < 1e-14
 
 
 def test_char_matrix_of_fiber(dirac_model):
@@ -168,24 +170,38 @@ def test_fiber_stack_equals_stacked_fiberize(name, side, lap_model,
     fam = model.fiber_family(side)
     ks = np.concatenate([[0.0, 1e4, -1e4], np.linspace(-30.0, 30.0, 601)])
     stacks = fam.stacks(ks)
-    assert stacks[0] == ("int" if side == "interface" else "half")
+    assert np.array_equal(stacks.ks, ks)
+    assert len(stacks.sides) == (2 if side == "interface" else 1)
     for i, k in enumerate(ks):
         F = fam(k)
-        parts = (F.plus, F.minus) if side == "interface" else (F,)
-        for Ds, P in zip(stacks[1:], parts):
-            assert Ds.shape == (len(ks), P.order + 1, P.N, P.N)
-            assert np.array_equal(Ds[i], np.array(P.Ds))
+        assert F.k == k and len(F.sides) == len(stacks.sides)
+        for Ds, P in zip(stacks.sides, F.sides):
+            assert Ds.shape == (len(ks),) + P.shape[1:]
+            assert np.array_equal(Ds[i], P[0])
+
+
+def test_fiber_stack_rows_equal_the_stack_of_those_momenta(
+        dirac_interface_model):
+    fam = dirac_interface_model.fiber_family("interface")
+    ks = np.array([-2.0, 0.5, 3.0])
+    picked, direct = fam.stacks(ks)[[2, 0]], fam.stacks(ks[[2, 0]])
+    assert np.array_equal(picked.ks, direct.ks)
+    assert len(picked.sides) == len(direct.sides) == 2
+    for Ds, want in zip(picked.sides, direct.sides):
+        assert np.array_equal(Ds, want)
+    with pytest.raises(ContractViolation):
+        picked.k
 
 
 def test_fiber_stack_keeps_order_where_top_coefficient_vanishes():
-    # D_2(k) = -(1 + k) vanishes at k = -1; the per-point fiber drops to
-    # order 0 there, the stack keeps order 2 at every momentum
+    # D_2(k) = -(1 + k) vanishes at k = -1; the stack keeps order 2 at
+    # every momentum, and so does the fiber at a single momentum
     S = Symbol(1, {(2, 0): [[1.0]], (0, 2): [[1.0]], (1, 2): [[1.0]]})
     D = S.fiber_stack([-1.0, 0.5])
     assert D.shape == (2, 3, 1, 1)
     assert D[0, 2, 0, 0] == 0.0 and D[1, 2, 0, 0] == -1.5
-    assert np.array_equal(D[1], np.array(fiberize(S, 0.5).Ds))
-    assert fiberize(S, -1.0).order == 0
+    assert np.array_equal(D[1], fiberize(S, 0.5).sides[0][0])
+    assert np.array_equal(D[0], fiberize(S, -1.0).sides[0][0])
 
 
 def test_fiber_stack_of_constant_symbol_has_order_zero():
