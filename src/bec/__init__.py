@@ -47,14 +47,12 @@ from .extension import (
     BoundaryTriple,
     DeficiencyBasis,
     affiliation_check,
-    check_admissible,
     deficiency_basis,
     formal_symmetry_defect,
     from_ab,
     from_klm,
     green_boundary_matrix,
     green_identity_residual,
-    klm_to_ab,
     krein_Q,
     triple_defect,
     vn_unitary,
@@ -74,7 +72,6 @@ from .symbol import (
     Symbol,
     bulk_bands,
     chern,
-    fermi_projection,
     fiberize,
     find_gap,
     relative_chern,

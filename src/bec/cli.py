@@ -1,24 +1,41 @@
 """Command-line front end.
 
-Commands
+Commands and the flags each one reads (every command also takes --out):
 
     bec bulk            Chern pairing of a bulk symbol at a fiducial level
+                        --model --param --level --tol --k-window
     bec relative-chern  pairing of the difference of two comparable symbols
+                        --model --param --model2 --param2 --level --tol
     bec edge spectrum   track edge dispersion bands; CSV and optional SVG
+                        --model --param --bc --side --level --k-window
+                        --k-resolution --lam-resolution --plot
     bec edge flow       signed crossing count through the fiducial level
+                        --model --param --bc --side --level --k-window
+                        --k-resolution --lam-resolution
     bec winding         (relative) winding of the von Neumann unitary
+                        --model --param --bc --bc-ref --ref-param --side
+                        --k-window
     bec verify          corrected bulk-edge correspondence check
+                        --model --param --bc --bc-ref --ref-param --side
+                        --level --tol --k-window --k-resolution
+                        --lam-resolution
     bec tables          recompute the three summary tables and diff them
+                        laplacian|dirac|regdirac
 
-Exit codes: 0 success, 1 verification/table mismatch, 2 bad input or
-inadmissible/non-affiliated condition, 3 numerical failure.
+A flag a command does not read is rejected (exit 2).  Exit codes: 0 success,
+1 verification/table mismatch, 2 bad input or inadmissible/non-affiliated
+condition, 3 numerical failure.
 
-`--param key=val` is routed by key: model parameters (m, eps, m_minus, f,
-nu) configure the model; boundary parameters (a, aplus, aminus, K, L, M,
-ell) configure the `--bc` family; `--ref-param` configures `--bc-ref`.
-`--model` may also be a path to a model file, whose values serve as defaults
-under the same flags.
+`--model` is a model-file path or a builtin name; a name is run as the file
+whose [model] section names it, so both go through `modelfile.build`, and a
+file keeps every [numerics] and [task] key for every command.  `--param
+key=val` is routed by modelfile's section table: [model] parameters (m, eps,
+m_minus, f, nu) configure the model, [boundary] parameters (a, aplus,
+aminus, ell, K, L, M) the boundary family; `--ref-param` configures
+`--bc-ref`.  `--bc` replaces the file's family and its parameters but keeps
+its side.  Flags win over file values.
 """
+
 
 import argparse
 import os
@@ -37,10 +54,6 @@ from .models import build_model
 from .report import InvariantReport
 from .svgplot import spectrum_svg
 from .symbol import GapWindow, bulk_bands, chern, find_gap, relative_chern
-
-MODEL_PARAM_KEYS = ("m", "eps", "m_minus", "f", "nu")
-BC_PARAM_KEYS = ("a", "aplus", "aminus", "K", "L", "M", "ell")
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -67,18 +80,18 @@ def _parse_params(pairs, where):
 
 
 def _split_params(params):
-    model_kw, bc_kw = {}, {}
+    """Route --param keys, by modelfile's section table, to the model's and
+    the boundary family's parameters."""
+    keys = modelfile.PARAM_KEYS
+    split = {"model": {}, "boundary": {}}
     for key, val in params.items():
-        if key in MODEL_PARAM_KEYS:
-            model_kw[key] = val
-        elif key in BC_PARAM_KEYS:
-            bc_kw[key] = val
-        else:
+        section = next((s for s in split if key in keys[s]), None)
+        if section is None:
             raise ModelFileError(
                 "unknown --param key %r (model keys: %s; boundary keys: %s)"
-                % (key, ", ".join(MODEL_PARAM_KEYS),
-                   ", ".join(BC_PARAM_KEYS)))
-    return model_kw, bc_kw
+                % (key, ", ".join(keys["model"]), ", ".join(keys["boundary"])))
+        split[section][key] = val
+    return split["model"], split["boundary"]
 
 
 class RunContext:
@@ -90,7 +103,9 @@ class RunContext:
         self.bc_ref = bc_ref
         self.numerics = numerics
         self.task = task
-        self.provenance = provenance  # {key: where-it-came-from}
+        # {numerics key the command has a flag for: where its value
+        # came from}
+        self.provenance = provenance
 
     def gap_scale(self):
         g = self.model.declared_gap
@@ -127,59 +142,46 @@ class RunContext:
 
 def _build_context(args, model_attr="model", param_attr="param",
                    need_bc=False):
-    """Assemble the run context from a builtin name or model-file path plus
-    flag overrides (flags win over file values)."""
+    """Assemble the run context from a model file, or from a builtin name as
+    the file whose [model] section names it, with the flags applied over it
+    (flags win over file values).  `--bc` replaces the file's family and its
+    parameters but keeps its side."""
     name_or_path = getattr(args, model_attr)
     params = _parse_params(getattr(args, param_attr, None),
                            "--" + param_attr)
     model_kw, bc_kw = _split_params(params)
-    prov = {}
-
     if os.path.isfile(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             data = modelfile.parse(fh.read())
-        data.model.update(model_kw)
-        bc_name = getattr(args, "bc", None)
-        if bc_name:
-            data.boundary = {"family": bc_name}
-        if bc_kw:
-            data.boundary.update(bc_kw)
-            if "family" not in data.boundary:
-                raise ModelFileError("boundary parameters given without a "
-                                     "family (--bc or [boundary] family)")
-        file_num = set(data.numerics)
-        model, bc, numerics, task = modelfile.build(data)
-        prov["source"] = "model file %s" % name_or_path
     else:
-        file_num = set()
-        model = build_model(name_or_path, **model_kw)
-        bc = None
-        bc_name = getattr(args, "bc", None)
-        if bc_name:
-            bc = model.make_bc(bc_name, **bc_kw)
-        elif bc_kw:
-            raise ModelFileError("boundary parameters given without --bc")
-        numerics = {"tol": 1e-6, "k_window": None,
-                    "k_resolution": 801, "lam_resolution": 400}
-        task = {"level": model.fiducial_E, "gap_lo": None, "gap_hi": None,
-                "side": "halfline"}
-        prov["source"] = "builtin model %s" % name_or_path
+        data = modelfile.ModelFileData()
+        data.model = {"name": name_or_path}
+    data.model.update(model_kw)
+    bc_name = getattr(args, "bc", None)
+    if bc_name:
+        data.boundary = {k: v for k, v in data.boundary.items()
+                         if k == "side"}
+        data.boundary["family"] = bc_name
+    if bc_kw:
+        data.boundary.update(bc_kw)
+        if "family" not in data.boundary:
+            raise ModelFileError("boundary parameters given without a "
+                                 "family (--bc or [boundary] family)")
+    model, bc, numerics, task = modelfile.build(data)
 
-    for key, flag in (("tol", "tol"), ("k_window", "k_window"),
-                      ("k_resolution", "k_resolution"),
-                      ("lam_resolution", "lam_resolution")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            numerics[key] = val
-            prov[key] = "flag --%s" % flag.replace("_", "-")
-        elif numerics.get(key) is not None:
-            prov.setdefault(key, "model file [numerics]"
-                            if key in file_num else "default")
+    # provenance of the numerics the command takes flags for
+    prov = {}
+    for key in modelfile.SECTION_KEYS["numerics"]:
+        if not hasattr(args, key):
+            continue
+        if getattr(args, key) is not None:
+            numerics[key] = getattr(args, key)
+            prov[key] = "flag --%s" % key.replace("_", "-")
         else:
-            prov[key] = "default"
+            prov[key] = ("model file [numerics]" if key in data.numerics
+                         else "default")
     if getattr(args, "level", None) is not None:
         task["level"] = args.level
-        prov["level"] = "flag --level"
     if getattr(args, "side", None):
         task["side"] = args.side
 
@@ -214,8 +216,9 @@ def _base_report(ctx, task_name):
         ident += "(%s)" % ", ".join(
             "%s=%g" % (k, v) for k, v in sorted(ctx.model.params.items()))
     rep = InvariantReport(ident, task_name)
-    rep.add_tolerance("quad tol", ctx.numerics["tol"],
-                      ctx.provenance.get("tol", "default"))
+    if "tol" in ctx.provenance:
+        rep.add_tolerance("quad tol", ctx.numerics["tol"],
+                          ctx.provenance["tol"])
     return rep
 
 
@@ -315,7 +318,7 @@ def cmd_edge_spectrum(args):
     ctx = _build_context(args, need_bc=True)
     rep = _base_report(ctx, "edge spectrum")
     rep.add_tolerance("k_window", ctx.k_window(),
-                      ctx.provenance.get("k_window", "default"))
+                      ctx.provenance["k_window"])
     verdict = _affiliation_banner(ctx, rep, ctx.bc, str(ctx.bc))
     if verdict.verdict != "affiliated":
         rep.add_line("WARN: condition is not certified affiliated; spectrum "
@@ -593,27 +596,55 @@ def cmd_tables(args):
 # parser
 
 
-def _add_model_flags(p, with_bc=True):
-    p.add_argument("--model", required=True,
-                   help="builtin model name or model-file path")
-    p.add_argument("--param", action="append", metavar="KEY=VAL",
-                   help="model or boundary parameter (repeatable)")
-    if with_bc:
-        p.add_argument("--bc", help="boundary condition family name")
-        p.add_argument("--bc-ref", dest="bc_ref",
-                       help="reference condition family name")
-        p.add_argument("--ref-param", dest="ref_param", action="append",
-                       metavar="KEY=VAL",
-                       help="parameter of the reference family (repeatable)")
-        p.add_argument("--side", choices=("halfline", "interface"),
-                       help="boundary geometry (default halfline)")
-    p.add_argument("--level", type=float, help="fiducial energy")
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
-    p.add_argument("--k-window", dest="k_window", type=float,
-                   help="half width of the tracked momentum range")
-    p.add_argument("--k-resolution", dest="k_resolution", type=int)
-    p.add_argument("--lam-resolution", dest="lam_resolution", type=int)
-    p.add_argument("--out", help="write the main output to this file")
+# every option, with its argparse keywords; each command names the ones it
+# reads in _COMMANDS
+_OPTIONS = {
+    "--model": dict(required=True,
+                    help="builtin model name or model-file path"),
+    "--param": dict(action="append", metavar="KEY=VAL",
+                    help="model or boundary parameter (repeatable)"),
+    "--model2": dict(required=True,
+                     help="second builtin name or model-file path"),
+    "--param2": dict(action="append", metavar="KEY=VAL",
+                     help="parameter of the second model (repeatable)"),
+    "--bc": dict(help="boundary condition family name"),
+    "--bc-ref": dict(help="reference condition family name"),
+    "--ref-param": dict(action="append", metavar="KEY=VAL",
+                        help="parameter of the reference family "
+                             "(repeatable)"),
+    "--side": dict(choices=("halfline", "interface"),
+                   help="boundary geometry (default halfline)"),
+    "--level": dict(type=float, help="fiducial energy"),
+    "--tol": dict(type=float, help="quadrature tolerance"),
+    "--k-window": dict(type=float,
+                       help="half width of the tracked momentum range"),
+    "--k-resolution": dict(type=int),
+    "--lam-resolution": dict(type=int),
+    "--plot": dict(help="write an SVG rendering to this file"),
+    "--out": dict(help="write the main output to this file"),
+    "which": dict(choices=("laplacian", "dirac", "regdirac")),
+}
+
+# (command words, help, function, options)
+_COMMANDS = (
+    ("bulk", "bulk Chern pairing", cmd_bulk,
+     "--model --param --level --tol --k-window --out"),
+    ("relative-chern", "pairing of the difference of two symbols",
+     cmd_relative_chern,
+     "--model --param --model2 --param2 --level --tol --out"),
+    ("edge spectrum", "track dispersion bands (CSV/SVG)", cmd_edge_spectrum,
+     "--model --param --bc --side --level --k-window --k-resolution "
+     "--lam-resolution --out --plot"),
+    ("edge flow", "spectral flow through the level", cmd_edge_flow,
+     "--model --param --bc --side --level --k-window --k-resolution "
+     "--lam-resolution --out"),
+    ("winding", "winding of the von Neumann unitary", cmd_winding,
+     "--model --param --bc --bc-ref --ref-param --side --k-window --out"),
+    ("verify", "corrected correspondence check", cmd_verify,
+     "--model --param --bc --bc-ref --ref-param --side --level --tol "
+     "--k-window --k-resolution --lam-resolution --out"),
+    ("tables", "recompute the summary tables", cmd_tables, "which --out"),
+)
 
 
 def make_parser():
@@ -622,43 +653,18 @@ def make_parser():
         description="bulk/edge topological invariants of two-dimensional "
                     "continuum models")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("bulk", help="bulk Chern pairing")
-    _add_model_flags(p, with_bc=False)
-    p.set_defaults(func=cmd_bulk)
-
-    p = sub.add_parser("relative-chern",
-                       help="pairing of the difference of two symbols")
-    _add_model_flags(p, with_bc=False)
-    p.add_argument("--model2", required=True,
-                   help="second builtin name or model-file path")
-    p.add_argument("--param2", action="append", metavar="KEY=VAL",
-                   help="parameter of the second model (repeatable)")
-    p.set_defaults(func=cmd_relative_chern)
-
-    p = sub.add_parser("edge", help="edge-spectrum commands")
-    esub = p.add_subparsers(dest="edge_cmd", required=True)
-    ps = esub.add_parser("spectrum", help="track dispersion bands (CSV/SVG)")
-    _add_model_flags(ps)
-    ps.add_argument("--plot", help="write an SVG rendering to this file")
-    ps.set_defaults(func=cmd_edge_spectrum)
-    pf = esub.add_parser("flow", help="spectral flow through the level")
-    _add_model_flags(pf)
-    pf.set_defaults(func=cmd_edge_flow)
-
-    p = sub.add_parser("winding",
-                       help="winding of the von Neumann unitary")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_winding)
-
-    p = sub.add_parser("verify", help="corrected correspondence check")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tables", help="recompute the summary tables")
-    p.add_argument("which", choices=("laplacian", "dirac", "regdirac"))
-    p.add_argument("--out", help="write the diff to this file")
-    p.set_defaults(func=cmd_tables)
+    edge = None
+    for words, help_text, func, options in _COMMANDS:
+        if words.startswith("edge "):
+            if edge is None:
+                edge = sub.add_parser("edge", help="edge-spectrum commands") \
+                    .add_subparsers(dest="edge_cmd", required=True)
+            p = edge.add_parser(words.split()[1], help=help_text)
+        else:
+            p = sub.add_parser(words, help=help_text)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return ap
 
 

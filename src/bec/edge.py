@@ -33,6 +33,7 @@ from .errors import (
     NumericalFailure,
 )
 from .extension import (
+    _ab_on,
     _check_admissible,
     _full_jets_batch,
     _side_bases,
@@ -67,7 +68,7 @@ def _detector(bc, T, F):
     the energies lams, the scale 1 + max|M|, and whether the basis is good
     (reason code 0); a failing basis never raises here.
     """
-    A, B = bc.ab_batch(F.ks)
+    A, B = _ab_on(bc, T, F.ks)
     G1, G2 = T.traces(F.ks)
 
     def det(rows, lams):
@@ -682,7 +683,7 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     k_ends = np.array([-K_LIMIT, K_LIMIT])
     for c in (bc, bc_ref):
         if c is not None:
-            _check_admissible(c, k_ends, *c.ab_batch(k_ends))
+            _check_admissible(c, k_ends, *_ab_on(c, T, k_ends))
     ends = unitaries(k_ends)
     if bc_ref is not None:
         gap_dev = max(np.linalg.norm(ends[0] - np.eye(p), 2),

@@ -13,8 +13,10 @@ Fibers arrive as one type, `symbol.FiberStack`: the momenta ks and one
 (y > 0, y < 0) at an interface.  Trace maps and boundary conditions are
 polynomials in k, stored as coefficient stacks and evaluated over the same
 momenta: `BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch`
-gives (A, B).  A local (K, L, M) form is converted to such a condition once,
-by `from_klm`.
+gives (A, B).  Every A_j and B_j of a condition is one p x p matrix, and
+`_ab_on`, the one place where a condition meets a triple, checks that p is
+the triple's dimV.  A local (K, L, M) form is converted to such a condition
+once, by `from_klm`.
 
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
 spectral points: `_basis_batch` on one side's coefficients, `_side_bases`
@@ -22,8 +24,8 @@ and `_full_jets_batch` on a FiberStack in a triple's layout, `_krein_family`
 and `_unitaries`.  Every basis row carries a reason code; the edge detector
 masks the failing rows, and everything else raises the code's typed error.
 The per-point API (`deficiency_basis`, `krein_Q`, `vn_unitary`,
-`green_identity_residual`, `check_admissible`) is the kernel on a one-row
-FiberStack, and `affiliation_check` runs it on its six momenta.
+`green_identity_residual`) is the kernel on a one-row FiberStack, and
+`affiliation_check` runs it on its six momenta.
 """
 import numpy as np
 
@@ -386,13 +388,22 @@ class BoundaryCondition:
         self._ab_poly = tuple(
             [np.atleast_2d(np.asarray(c, dtype=complex)) for c in
              (X if isinstance(X, (list, tuple)) else [X])] for X in (A, B))
+        coeffs = [(name, j, C) for name, X in zip("AB", self._ab_poly)
+                  for j, C in enumerate(X)]
+        p = coeffs[0][2].shape[0]
+        if any(C.shape != (p, p) for _, _, C in coeffs):
+            raise ContractViolation(
+                "%s: every A_j and B_j must be one p x p matrix, got %s"
+                % (self.label, ", ".join("%s%d %dx%d" % ((name, j) + C.shape)
+                                         for name, j, C in coeffs)))
+        self.dim = p
 
     def ab_at(self, k):
         A, B = self.ab_batch([k])
         return A[0], B[0]
 
     def ab_batch(self, ks):
-        """Stacked (A(k), B(k)) pairs, shape (len(ks), dimV, dimV) each."""
+        """Stacked (A(k), B(k)) pairs, shape (len(ks), dim, dim) each."""
         A, B = self._ab_poly
         return _poly_stack(A, ks), _poly_stack(B, ks)
 
@@ -445,12 +456,6 @@ def from_klm(tag, K, L, M, label="", eps=None):
     return BoundaryCondition(label or ("%s-klm" % tag), [A0, -1j * L], [B])
 
 
-def klm_to_ab(tag, K, L, M, k, eps=None):
-    """Condition matrices (A, B) of the local form K psi + L psi_x +
-    M psi_y = 0 at momentum k: `from_klm` evaluated at one momentum."""
-    return from_klm(tag, K, L, M, eps=eps).ab_at(float(k))
-
-
 def _admissibility(A, B):
     """For (A, B) stacked over momenta: the smallest singular values of
     iA + B, the Hermiticity defects of A B^dag, and which rows fail the
@@ -477,14 +482,14 @@ def _check_admissible(bc, ks, A, B):
             % (bc.label, ks[i], herm[i]))
 
 
-def admissibility_residuals(bc, k):
-    """(min singular of iA+B, Hermiticity defect of A B^dag) at momentum k."""
-    ms, herm, _ = _admissibility(*bc.ab_batch([k]))
-    return float(ms[0]), float(herm[0])
-
-
-def check_admissible(bc, k):
-    _check_admissible(bc, [k], *bc.ab_batch([k]))
+def _ab_on(bc, T, ks):
+    """The condition's (A, B) stacked over ks, where it meets the triple T:
+    both must act on the same auxiliary space C^dimV."""
+    if bc.dim != T.dimV:
+        raise ContractViolation(
+            "%s: a %dx%d condition does not fit the %s triple (dimV=%d)"
+            % (bc.label, bc.dim, bc.dim, T.side, T.dimV))
+    return bc.ab_batch(ks)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +549,19 @@ def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
     U(k) U_ref(k)^{-1}, at momenta ks; both conditions share one Krein
     family."""
     Q = _krein_family(T, fiber_family.stacks(ks))
-    U = np.linalg.solve(*_weyl(*bc.ab_batch(ks), Q))
+    U = np.linalg.solve(*_weyl(*_ab_on(bc, T, ks), Q))
     if bc_ref is not None:
-        U = U @ np.linalg.inv(np.linalg.solve(*_weyl(*bc_ref.ab_batch(ks),
+        U = U @ np.linalg.inv(np.linalg.solve(*_weyl(*_ab_on(bc_ref, T, ks),
                                                      Q)))
     return U
 
 
-def _checked_unitary(bc, Q, ks):
-    """U = W(i)^{-1} W(-i) from the Krein family Q at momenta ks, after the
-    checks of the per-point API: (A, B) admissible at every momentum and
-    W(i) nonsingular; then every eigenvalue of U must lie on the unit
-    circle."""
-    A, B = bc.ab_batch(ks)
+def _checked_unitary(bc, T, Q, ks):
+    """U = W(i)^{-1} W(-i) from the Krein family Q of the triple T at
+    momenta ks, after the checks of the per-point API: (A, B) admissible at
+    every momentum and W(i) nonsingular; then every eigenvalue of U must lie
+    on the unit circle."""
+    A, B = _ab_on(bc, T, ks)
     _check_admissible(bc, ks, A, B)
     Wp, Wm = _weyl(A, B, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
@@ -579,7 +584,7 @@ def vn_unitary(bc, T, F):
     momentum of the fiber F (a one-row FiberStack); similar to a unitary,
     so its eigenvalues lie on the unit circle."""
     ks = np.array([F.k])
-    return _checked_unitary(bc, _krein_family(T, F), ks)[0]
+    return _checked_unitary(bc, T, _krein_family(T, F), ks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +628,9 @@ def affiliation_check(bc, T, fiber_family, bc_ref=None):
     kappas = np.array([1e2, 1e3, 1e4])
     ks = np.concatenate([kappas, -kappas])
     Q = _krein_family(T, fiber_family.stacks(ks))
-    U = _checked_unitary(bc, Q, ks)
+    U = _checked_unitary(bc, T, Q, ks)
     if bc_ref is not None:
-        U = U @ np.linalg.inv(_checked_unitary(bc_ref, Q, ks))
+        U = U @ np.linalg.inv(_checked_unitary(bc_ref, T, Q, ks))
     dev = np.linalg.norm(U - np.eye(T.dimV), 2, axis=(1, 2))
     evidence = {"+": [float(r) for r in dev[:3]],
                 "-": [float(r) for r in dev[3:]]}

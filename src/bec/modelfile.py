@@ -10,10 +10,18 @@ A model file is a plain-text document with up to five sections:
                  with ';'); only bulk pairings are available for inline
                  symbols since they carry no boundary triple
     [boundary]   named family of the builtin model (family = ..., plus its
-                 parameters), or an explicit condition through polynomial
-                 matrices A0, A1, ..., B0, B1, ...
+                 parameters a, aplus, aminus, ell, K, L, M) and the side
+                 (halfline or interface), or an explicit condition through
+                 polynomial matrices A0, A1, ..., B0, B1, ...
     [numerics]   tol, k_window, k_resolution, lam_resolution
     [task]       level, gap_lo, gap_hi
+
+`SECTION_KEYS` lists the keys of every key = value section with the kind of
+their values; `parse` checks keys against it, `emit` writes them in its
+order, and the command line routes `--param` keys by it (`PARAM_KEYS`).
+`build` is the one place a run is assembled: the command line also runs a
+builtin name through it, as the data of a file whose [model] section names
+it.
 
 Scalars use explicit complex literals "re+imi" (examples: 2, -0.5i, 1+2i);
 matrices separate rows with ';' and entries with spaces.  Unknown sections or
@@ -32,11 +40,23 @@ from .symbol import GapWindow, Symbol
 
 _SECTIONS = ("model", "symbol", "boundary", "numerics", "task")
 
-_MODEL_KEYS = ("name", "m", "eps", "m_minus", "f", "nu")
-_BOUNDARY_SCALARS = ("family", "side", "a", "aplus", "aminus", "ell")
-_BOUNDARY_MATS = ("K", "L", "M")
-_NUMERICS_KEYS = ("tol", "k_window", "k_resolution", "lam_resolution")
-_TASK_KEYS = ("level", "gap_lo", "gap_hi")
+# The keys of each key = value section, in emission order, with the kind of
+# their values: "text", a "real" number, or a complex "value" (scalar or
+# matrix).  [boundary] also takes the polynomial keys A0, A1, ..., B0, B1, ...
+SECTION_KEYS = {
+    "model": {"name": "text", "m": "real", "eps": "real", "m_minus": "real",
+              "f": "real", "nu": "real"},
+    "boundary": {"family": "text", "side": "text", "a": "real",
+                 "aplus": "real", "aminus": "real", "ell": "real",
+                 "K": "value", "L": "value", "M": "value"},
+    "numerics": {"tol": "real", "k_window": "real", "k_resolution": "real",
+                 "lam_resolution": "real"},
+    "task": {"level": "real", "gap_lo": "real", "gap_hi": "real"},
+}
+# the numeric parameters of [model] and [boundary], which --param may set
+PARAM_KEYS = {section: tuple(k for k, kind in SECTION_KEYS[section].items()
+                             if kind != "text")
+              for section in ("model", "boundary")}
 _POLY_KEY = re.compile(r"^[AB][0-9]$")
 
 
@@ -162,48 +182,21 @@ def parse(text):
         if "=" not in line:
             raise ModelFileError("line %d: expected key = value" % lineno)
         key, val = (s.strip() for s in line.split("=", 1))
-        if section == "model":
-            if key not in _MODEL_KEYS:
-                raise ModelFileError("line %d: unknown [model] key %r"
-                                     % (lineno, key))
-            if key in data.model:
-                raise ModelFileError("line %d: duplicate key %r"
-                                     % (lineno, key))
-            if key == "name":
-                data.model[key] = val
-            else:
-                data.model[key] = parse_real(val, key)
-        elif section == "boundary":
-            known = (key in _BOUNDARY_SCALARS or key in _BOUNDARY_MATS
-                     or _POLY_KEY.match(key))
-            if not known:
-                raise ModelFileError("line %d: unknown [boundary] key %r"
-                                     % (lineno, key))
-            if key in data.boundary:
-                raise ModelFileError("line %d: duplicate key %r"
-                                     % (lineno, key))
-            if key in ("family", "side"):
-                data.boundary[key] = val
-            elif key in ("a", "aplus", "aminus", "ell"):
-                data.boundary[key] = parse_real(val, key)
-            else:
-                data.boundary[key] = _parse_scalar_or_matrix(val)
-        elif section == "numerics":
-            if key not in _NUMERICS_KEYS:
-                raise ModelFileError("line %d: unknown [numerics] key %r"
-                                     % (lineno, key))
-            if key in data.numerics:
-                raise ModelFileError("line %d: duplicate key %r"
-                                     % (lineno, key))
-            data.numerics[key] = parse_real(val, key)
-        elif section == "task":
-            if key not in _TASK_KEYS:
-                raise ModelFileError("line %d: unknown [task] key %r"
-                                     % (lineno, key))
-            if key in data.task:
-                raise ModelFileError("line %d: duplicate key %r"
-                                     % (lineno, key))
-            data.task[key] = parse_real(val, key)
+        kind = SECTION_KEYS[section].get(key)
+        if kind is None and section == "boundary" and _POLY_KEY.match(key):
+            kind = "value"
+        if kind is None:
+            raise ModelFileError("line %d: unknown [%s] key %r"
+                                 % (lineno, section, key))
+        values = getattr(data, section)
+        if key in values:
+            raise ModelFileError("line %d: duplicate key %r" % (lineno, key))
+        if kind == "text":
+            values[key] = val
+        elif kind == "real":
+            values[key] = parse_real(val, key)
+        else:
+            values[key] = _parse_scalar_or_matrix(val)
     if not data.model and not data.symbol_terms:
         raise ModelFileError("model file needs a [model] or [symbol] section")
     return data
@@ -220,38 +213,17 @@ def _emit_value(v):
 def emit(data):
     """Normalized text for parsed model-file data."""
     lines = []
-    if data.model:
-        lines.append("[model]")
-        for key in _MODEL_KEYS:
-            if key in data.model:
-                lines.append("%s = %s" % (key, _emit_value(data.model[key])))
-        lines.append("")
-    if data.symbol_terms:
-        lines.append("[symbol]")
-        for a, b, M in sorted(data.symbol_terms, key=lambda t: (t[0], t[1])):
-            lines.append("%d %d : %s" % (a, b, format_matrix(M)))
-        lines.append("")
-    if data.boundary:
-        lines.append("[boundary]")
-        keys = [k for k in _BOUNDARY_SCALARS if k in data.boundary]
-        keys += [k for k in _BOUNDARY_MATS if k in data.boundary]
-        keys += sorted(k for k in data.boundary if _POLY_KEY.match(k))
-        for key in keys:
-            lines.append("%s = %s" % (key, _emit_value(data.boundary[key])))
-        lines.append("")
-    if data.numerics:
-        lines.append("[numerics]")
-        for key in _NUMERICS_KEYS:
-            if key in data.numerics:
-                lines.append("%s = %s"
-                             % (key, _emit_value(data.numerics[key])))
-        lines.append("")
-    if data.task:
-        lines.append("[task]")
-        for key in _TASK_KEYS:
-            if key in data.task:
-                lines.append("%s = %s" % (key, _emit_value(data.task[key])))
-        lines.append("")
+    for section in _SECTIONS:
+        if section == "symbol":
+            body = ["%d %d : %s" % (a, b, format_matrix(M)) for a, b, M in
+                    sorted(data.symbol_terms, key=lambda t: (t[0], t[1]))]
+        else:
+            values = getattr(data, section)
+            keys = [k for k in SECTION_KEYS[section] if k in values]
+            keys += sorted(k for k in values if _POLY_KEY.match(k))
+            body = ["%s = %s" % (k, _emit_value(values[k])) for k in keys]
+        if body:
+            lines += ["[%s]" % section] + body + [""]
     return "\n".join(lines)
 
 

@@ -136,11 +136,8 @@ def laplacian():
                        G2=np.array([[0.0, 1.0]], dtype=complex),
                        order=2, N=1)
 
-    def robin(K=1.0, ell=0.0, M=0.0, L=None):
-        # A(k) = K + ell*k (real dispersion-branch convention), B = -M;
-        # L is accepted as an alias for ell
-        if L is not None:
-            ell = L
+    def robin(K=1.0, ell=0.0, M=0.0):
+        # A(k) = K + ell*k (real dispersion-branch convention), B = -M
         return from_ab([np.array([[K]], dtype=complex),
                         np.array([[ell]], dtype=complex)],
                        [np.array([[-M]], dtype=complex)],

@@ -201,19 +201,6 @@ def _projection_stack(S, K1, K2, level):
     return Vm @ V.conj().swapaxes(1, 2)
 
 
-def fermi_projection(S, k1, k2, level):
-    """Projection onto the eigenspaces of H(k1,k2) with energy below level."""
-    P = _projection_stack(S, np.array([float(k1)]), np.array([float(k2)]),
-                          level)[0]
-    herm = norm_inf(P - P.conj().T)
-    idem = norm_inf(P @ P - P)
-    if herm >= 1e-10 or idem >= 1e-10:
-        raise GaplessPointError(
-            "projection residuals too large (herm %.2e, idem %.2e)"
-            % (herm, idem))
-    return P
-
-
 def _curvature_integrand(S, level):
     """Batched integrand Tr(P [d2 P, d1 P]) / (2 pi i) of the Chern pairing
     of the Fermi projection P below `level`, in Kubo (TKNN) form.

@@ -4,10 +4,12 @@ Each invocation asserts on the exit code and on stable fragments of the
 rendered report; heavy recomputations reuse small momentum windows and
 coarse resolutions to stay fast.
 """
+import argparse
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from bec.cli import make_parser
 from conftest import run_cli
 
 FOURTH_ORDER_INLINE = """
@@ -247,6 +249,98 @@ def test_tolerance_provenance_reported(tmp_path):
     assert "k_window = 2  (flag --k-window)" in out
 
 
+def test_bc_flag_keeps_the_file_side(tmp_path):
+    # --bc replaces the file's family and its parameters, not its side
+    path = tmp_path / "interface.model"
+    path.write_text("[model]\nname = dirac\nm = 1\nm_minus = -1\n\n"
+                    "[boundary]\nfamily = transparent\nside = interface\n")
+    argv = ["winding", "--model", str(path), "--bc", "decoupled",
+            "--param", "aplus=1,aminus=1", "--bc-ref", "transparent"]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert "relative winding = +1 (resid" in out
+    assert run_cli(argv + ["--side", "interface"]) == (code, out, err)
+
+
+def test_builtin_name_and_model_file_agree(tmp_path):
+    path = tmp_path / "dirac.model"
+    path.write_text("[model]\nname = dirac\nm = 1\n\n"
+                    "[boundary]\nfamily = a\na = 2\n\n"
+                    "[numerics]\nk_window = 3\n")
+    code, out, err = run_cli(["winding", "--model", "dirac", "--param", "m=1",
+                              "--bc", "a", "--param", "a=2", "--bc-ref", "a",
+                              "--k-window", "3"])
+    assert code == 0, err
+    assert "relative winding = +0 (resid" in out
+    assert run_cli(["winding", "--model", str(path), "--bc-ref", "a"]) == \
+        (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# flag sets
+
+COMMON = ["--model", "--param", "--out"]
+BC = ["--bc", "--side"]
+GRID = ["--k-resolution", "--lam-resolution"]
+
+
+def _subparser(words):
+    parser = make_parser()
+    for word in words:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("words, options", [
+    (["bulk"], COMMON + ["--level", "--tol", "--k-window"]),
+    (["relative-chern"], COMMON + ["--model2", "--param2", "--level",
+                                   "--tol"]),
+    (["edge", "spectrum"], COMMON + BC + GRID + ["--level", "--k-window",
+                                                 "--plot"]),
+    (["edge", "flow"], COMMON + BC + GRID + ["--level", "--k-window"]),
+    (["winding"], COMMON + BC + ["--bc-ref", "--ref-param", "--k-window"]),
+    (["verify"], COMMON + BC + GRID + ["--bc-ref", "--ref-param", "--level",
+                                       "--tol", "--k-window"]),
+    (["tables"], ["which", "--out"]),
+], ids=["bulk", "relative-chern", "edge-spectrum", "edge-flow", "winding",
+        "verify", "tables"])
+def test_each_command_takes_the_flags_it_reads(words, options):
+    parser = _subparser(words)
+    got = [a.option_strings[0] if a.option_strings else a.dest
+           for a in parser._actions if a.dest != "help"]
+    assert sorted(got) == sorted(options)
+
+
+@pytest.mark.parametrize("argv", [
+    ["winding", "--model", "laplacian", "--bc", "dirichlet", "--tol", "1e-4"],
+    ["winding", "--model", "laplacian", "--bc", "dirichlet", "--level", "1"],
+    ["edge", "flow", "--model", "laplacian", "--bc", "dirichlet",
+     "--bc-ref", "dirichlet"],
+    ["bulk", "--model", "laplacian", "--k-resolution", "11"],
+    ["relative-chern", "--model", "dirac", "--param", "m=1", "--model2",
+     "dirac", "--param2", "m=-1", "--k-window", "3"],
+], ids=["winding-tol", "winding-level", "edge-flow-bc-ref",
+        "bulk-k-resolution", "relative-chern-k-window"])
+def test_flags_a_command_does_not_read_exit_2(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert "unrecognized arguments: %s" % argv[-2] in err
+    assert out == ""
+
+
+def test_quad_tol_reported_only_where_tol_is_a_flag(tmp_path):
+    code, out, err = run_cli(["winding", "--model", "laplacian",
+                              "--bc", "dirichlet"])
+    assert code == 0, err
+    assert "quad tol" not in out
+    code, out, err = run_cli(["bulk", "--model", "laplacian",
+                              "--level", "-1", "--tol", "1e-4"])
+    assert code == 0, err
+    assert "quad tol = 0.0001  (flag --tol)" in out
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
@@ -312,6 +406,25 @@ def test_bulk_only_model_cannot_verify():
 def test_missing_required_flag_exits_2():
     code, out, err = run_cli(["bulk"])
     assert code == 2
+
+
+def test_condition_of_wrong_size_exits_2(tmp_path):
+    # a 2x2 interface condition against the half-plane triple
+    for cmd in (["winding"], ["verify"], ["edge", "flow"]):
+        code, out, err = run_cli(cmd + ["--model", "dirac", "--param", "m=1",
+                                        "--bc", "transparent"])
+        assert code == 2
+        assert "error: transparent: a 2x2 condition does not fit the " \
+            "halfline triple (dimV=1)" in err
+    # coefficients of different sizes in one file are not broadcast
+    path = tmp_path / "sizes.model"
+    path.write_text("[model]\nname = dirac\nm = 1\nm_minus = -1\n\n"
+                    "[boundary]\nside = interface\nA0 = 1 0 ; 0 1\n"
+                    "A1 = 2\nB0 = 0 0 ; 0 0\n")
+    code, out, err = run_cli(["winding", "--model", str(path)])
+    assert code == 2
+    assert "error: file(A,B): every A_j and B_j must be one p x p matrix, " \
+        "got A0 2x2, A1 1x1, B0 2x2" in err
 
 
 def test_bad_model_file_exits_2(tmp_path):

@@ -345,6 +345,17 @@ def test_track_bands_rejects_bulk_only_model(shallow_model):
                     shallow_model, 2.0)
 
 
+def test_track_bands_rejects_condition_of_wrong_size(dirac_model):
+    bc = dirac_model.bc_families["transparent"]()
+    with pytest.raises(ContractViolation,
+                       match=r"2x2 condition does not fit the halfline"):
+        track_bands(bc, dirac_model.triple(), dirac_model, 2.0,
+                    k_resolution=21, lam_resolution=40)
+    with pytest.raises(ContractViolation,
+                       match=r"2x2 condition does not fit the halfline"):
+        winding(bc, dirac_model.triple(), dirac_model.fiber_family())
+
+
 def test_dispersion_csv_format_and_determinism(dirac_model):
     def run():
         bands = track_bands(dirac_model.make_bc("a", a=1.0),

@@ -31,17 +31,15 @@ from bec.extension import (
     _char_poly,
     _jets_batch,
     _rank_deficient,
+    _admissibility,
     _weyl,
-    admissibility_residuals,
     affiliation_check,
-    check_admissible,
     deficiency_basis,
     formal_symmetry_defect,
     from_ab,
     from_klm,
     green_boundary_matrix,
     green_identity_residual,
-    klm_to_ab,
     krein_Q,
     triple_defect,
     vn_unitary,
@@ -228,16 +226,36 @@ def test_from_ab_polynomial_evaluation():
     assert np.allclose(Ak, [[2.0]]) and np.allclose(Bk, [[3.0]])
 
 
+def test_condition_coefficients_must_share_one_square_size():
+    # a 1x1 A1 beside a 2x2 A0 used to be broadcast over it
+    with pytest.raises(ContractViolation,
+                       match=r"file\(A,B\): .* got A0 2x2, A1 1x1, B0 2x2"):
+        from_ab([np.eye(2), np.array([[2.0]])], np.zeros((2, 2)),
+                label="file(A,B)")
+    with pytest.raises(ContractViolation, match=r"got A0 1x2, B0 1x2"):
+        from_ab(np.ones((1, 2)), np.ones((1, 2)))
+    assert from_ab([np.eye(2), np.eye(2)], np.eye(2)).dim == 2
+
+
+def test_condition_size_must_match_the_triple(dirac_model):
+    # a 2x2 interface condition on the half-plane triple (dimV = 1)
+    T, fam = dirac_model.triple(), dirac_model.fiber_family()
+    bc = dirac_model.bc_families["transparent"]()
+    ref = dirac_model.make_bc("a", a=1.0)
+    match = r"transparent: a 2x2 condition does not fit the halfline " \
+        r"triple \(dimV=1\)"
+    with pytest.raises(ContractViolation, match=match):
+        vn_unitary(bc, T, dirac_model.fiber(0.5))
+    for args in ((bc, T, fam), (ref, T, fam, bc)):
+        with pytest.raises(ContractViolation, match=match):
+            affiliation_check(*args)
+
+
 def test_klm_to_ab_scalar_model():
-    A, B = klm_to_ab("laplacian", 1.0, 0.0, 0.0, 0.7)
+    A, B = from_klm("laplacian", 1.0, 0.0, 0.0).ab_at(0.7)
     assert np.allclose(A, [[1.0]]) and np.allclose(B, [[0.0]])
-    A, B = klm_to_ab("laplacian", 0.0, 0.0, 1.0, 0.7)
+    A, B = from_klm("laplacian", 0.0, 0.0, 1.0).ab_at(0.7)
     assert np.allclose(A, [[0.0]]) and np.allclose(B, [[-1.0]])
-
-
-def test_klm_to_ab_rejects_unknown_tag():
-    with pytest.raises(UnsupportedConversionError):
-        klm_to_ab("dirac", 1.0, 0.0, 0.0, 0.0)
 
 
 def test_klm_conversion_is_exactly_the_robin_family(lap_model):
@@ -273,25 +291,27 @@ def test_klm_route_agrees_with_direct_family(regdirac_model):
 
 
 def test_check_admissible_accepts_robin(lap_model):
-    check_admissible(lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0), 0.3)
+    bc = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
+    U = vn_unitary(bc, lap_model.triple(), lap_model.fiber(0.3))
+    assert abs(abs(U[0, 0]) - 1.0) < 1e-12
 
 
-def test_check_admissible_rejects_non_hermitian_pairing():
+def test_check_admissible_rejects_non_hermitian_pairing(lap_model):
     bc = from_ab(np.array([[1.0]]), np.array([[1j]]))
-    with pytest.raises(InadmissibleConditionError):
-        check_admissible(bc, 0.0)
+    with pytest.raises(InadmissibleConditionError, match="not Hermitian"):
+        vn_unitary(bc, lap_model.triple(), lap_model.fiber(0.0))
 
 
-def test_check_admissible_rejects_singular_combination():
+def test_check_admissible_rejects_singular_combination(lap_model):
     bc = from_ab(np.array([[1j]]), np.array([[1.0]]))
-    with pytest.raises(InadmissibleConditionError):
-        check_admissible(bc, 0.0)
+    with pytest.raises(InadmissibleConditionError, match="singular"):
+        vn_unitary(bc, lap_model.triple(), lap_model.fiber(0.0))
 
 
 def test_admissibility_residuals_values():
-    ms, herm = admissibility_residuals(from_ab(np.eye(1), np.zeros((1, 1))),
-                                       0.0)
-    assert abs(ms - 1.0) < 1e-12 and herm == 0.0
+    ms, herm, bad = _admissibility(
+        *from_ab(np.eye(1), np.zeros((1, 1))).ab_batch([0.0]))
+    assert abs(ms[0] - 1.0) < 1e-12 and herm[0] == 0.0 and not bad[0]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,94 @@ def test_parse_emit_idempotent():
         assert once == twice
 
 
+EVERY_KEY_FILE = """
+# every section and key, out of order
+[task]
+gap_hi = 1
+level = 0.25
+gap_lo = -1
+
+[numerics]
+lam_resolution = 160
+k_resolution = 161
+k_window = 3
+tol = 1e-4
+
+[boundary]
+B1 = 0 ; 1
+M = 1 0 ; 0 2i
+A0 = 1
+L = -0.5i
+K = 2
+ell = 0.5
+aminus = -1
+aplus = 1
+a = 2
+side = interface
+family = decoupled
+B0 = 3-2i
+A1 = 1 2 ; 3 4
+
+[symbol]
+0 1 : 0 -1i ; 1i 0
+1 0 : 0 1 ; 1 0
+0 0 : 1 0 ; 0 -1
+
+[model]
+nu = 0.1
+f = 1
+m_minus = -1
+eps = 0.1
+m = 1
+name = dirac
+"""
+
+EVERY_KEY_EMITTED = """[model]
+name = dirac
+m = 1
+eps = 0.10000000000000001
+m_minus = -1
+f = 1
+nu = 0.10000000000000001
+
+[symbol]
+0 0 : 1 0 ; 0 -1
+0 1 : 0 -1i ; 1i 0
+1 0 : 0 1 ; 1 0
+
+[boundary]
+family = decoupled
+side = interface
+a = 2
+aplus = 1
+aminus = -1
+ell = 0.5
+K = 2
+L = -0.5i
+M = 1 0 ; 0 2i
+A0 = 1
+A1 = 1 2 ; 3 4
+B0 = 3-2i
+B1 = 0 ; 1
+
+[numerics]
+tol = 0.0001
+k_window = 3
+k_resolution = 161
+lam_resolution = 160
+
+[task]
+level = 0.25
+gap_lo = -1
+gap_hi = 1
+"""
+
+
+def test_emit_order_of_every_section_and_key():
+    assert emit(parse(EVERY_KEY_FILE)) == EVERY_KEY_EMITTED
+    assert emit(parse(EVERY_KEY_EMITTED)) == EVERY_KEY_EMITTED
+
+
 def test_parse_skips_comments_and_blank_lines():
     data = parse("# header\n[model]\nname = dirac  # builtin\nm = 1\n")
     assert data.model == {"name": "dirac", "m": 1.0}

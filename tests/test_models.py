@@ -55,15 +55,6 @@ def test_scalar_model_shape(lap_model):
         lap_model.fiber(2.0, "interface")
 
 
-def test_robin_alias_for_ell(lap_model):
-    bc1 = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
-    bc2 = lap_model.make_bc("robin", K=1.0, L=2.0, M=1.0)
-    for k in (0.0, 0.7):
-        A1, B1 = bc1.ab_at(k)
-        A2, B2 = bc2.ab_at(k)
-        assert np.allclose(A1, A2) and np.allclose(B1, B2)
-
-
 def test_neumann_is_pure_derivative_condition(lap_model):
     A, B = lap_model.make_bc("neumann").ab_at(0.4)
     assert np.allclose(A, [[0.0]]) and np.allclose(B, [[-1.0]])

@@ -20,7 +20,7 @@ from bec.extension import (
 )
 from bec.models import dirac, laplacian, regularized_dirac, shallow_water
 from bec.numerics import unwind_phase
-from bec.symbol import fermi_projection
+from bec.symbol import _projection_stack
 
 LAP = laplacian()
 DIRAC = dirac(1.0)
@@ -82,7 +82,7 @@ def test_symbols_hermitian_everywhere(k1, k2):
 @given(st.floats(-3.0, 3.0, **finite), st.floats(-3.0, 3.0, **finite))
 def test_fermi_projection_idempotent(k1, k2):
     for S in (DIRAC.symbol, REGD.symbol):
-        P = fermi_projection(S, k1, k2, 0.0)
+        P = _projection_stack(S, np.array([k1]), np.array([k2]), 0.0)[0]
         assert np.max(np.abs(P @ P - P)) < 1e-10
         assert np.max(np.abs(P - P.conj().T)) < 1e-10
 

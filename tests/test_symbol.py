@@ -22,7 +22,6 @@ from bec.symbol import (
     _projection_stack,
     bulk_bands,
     chern,
-    fermi_projection,
     fiberize,
     find_gap,
     relative_chern,
@@ -293,16 +292,17 @@ def test_find_gap_rejects_coarse_resolution(dirac_model):
 
 
 def test_fermi_projection_two_band_at_origin():
-    P = fermi_projection(dirac_symbol(1.0), 0.0, 0.0, 0.0)
+    origin = np.zeros(1)
+    P = _projection_stack(dirac_symbol(1.0), origin, origin, 0.0)[0]
     assert np.allclose(P, (np.eye(2) - SZ) / 2.0)
-    P = fermi_projection(dirac_symbol(-1.0), 0.0, 0.0, 0.0)
+    P = _projection_stack(dirac_symbol(-1.0), origin, origin, 0.0)[0]
     assert np.allclose(P, (np.eye(2) + SZ) / 2.0)
 
 
 def test_fermi_projection_is_projection(regdirac_model):
     rng = np.random.default_rng(11)
-    for k1, k2 in rng.normal(scale=2.0, size=(10, 2)):
-        P = fermi_projection(regdirac_model.symbol, k1, k2, 0.0)
+    k1, k2 = rng.normal(scale=2.0, size=(2, 10))
+    for P in _projection_stack(regdirac_model.symbol, k1, k2, 0.0):
         assert np.max(np.abs(P @ P - P)) < 1e-10
         assert np.max(np.abs(P - P.conj().T)) < 1e-10
         assert abs(np.trace(P).real - 1.0) < 1e-10
@@ -311,7 +311,8 @@ def test_fermi_projection_is_projection(regdirac_model):
 def test_fermi_projection_rejects_gapless_point(lap_model):
     # the scalar band passes through k^2 = 1 at |k| = 1
     with pytest.raises(GaplessPointError):
-        fermi_projection(lap_model.symbol, 1.0, 0.0, 1.0)
+        _projection_stack(lap_model.symbol, np.array([1.0]),
+                          np.array([0.0]), 1.0)
 
 
 # ---------------------------------------------------------------------------
