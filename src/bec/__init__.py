@@ -21,7 +21,6 @@ from .edge import (
     relative_winding,
     spectral_flow,
     track_bands,
-    vn_unitary_family,
     winding,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .errors import (
     NotComparableError,
     NumericalFailure,
     TripleDegeneracyError,
-    UnsupportedConversionError,
 )
 from .extension import (
     AffiliationVerdict,
@@ -50,12 +48,12 @@ from .extension import (
     deficiency_basis,
     formal_symmetry_defect,
     from_ab,
-    from_klm,
     green_boundary_matrix,
     green_identity_residual,
     krein_Q,
     triple_defect,
     vn_unitary,
+    vn_unitary_family,
 )
 from .models import (
     BUILTIN_MODELS,

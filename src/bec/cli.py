@@ -33,7 +33,14 @@ key=val` is routed by modelfile's section table: [model] parameters (m, eps,
 m_minus, f, nu) configure the model, [boundary] parameters (a, aplus,
 aminus, ell, K, L, M) the boundary family; `--ref-param` configures
 `--bc-ref`.  `--bc` replaces the file's family and its parameters but keeps
-its side.  Flags win over file values.
+its side.
+
+Flags win over file values: each flag is written into the model data as its
+key ([numerics], [task] level, [boundary] side) before `modelfile.build`,
+which alone sets the defaults and checks the values (tol, k_window finite
+and > 0; resolutions integers >= 2; level finite; gap_lo and gap_hi
+together) and exits 2 naming a rejected key.  `relative-chern` takes tol
+and level from --model; a --model2 file with [numerics] or [task] exits 2.
 """
 
 
@@ -53,7 +60,8 @@ from .extension import affiliation_check
 from .models import build_model
 from .report import InvariantReport
 from .svgplot import spectrum_svg
-from .symbol import GapWindow, bulk_bands, chern, find_gap, relative_chern
+from .symbol import bulk_bands, chern, find_gap, is_integer_pairing, \
+    relative_chern
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -107,49 +115,30 @@ class RunContext:
         # came from}
         self.provenance = provenance
 
-    def gap_scale(self):
-        g = self.model.declared_gap
-        if g is not None and np.isfinite(g.width()):
-            return max(1.0, 0.5 * g.width())
-        return 1.0
-
-    def k_window(self):
-        kw = self.numerics.get("k_window")
-        return float(kw) if kw else 20.0 * self.gap_scale()
-
-    def gap(self):
-        lo, hi = self.task.get("gap_lo"), self.task.get("gap_hi")
-        if lo is not None and hi is not None:
-            return GapWindow(lo, hi, "model file")
-        return None
-
-    def side(self):
-        return self.task.get("side", "halfline")
-
     def triple(self):
-        return self.model.triple(self.side())
+        return self.model.triple(self.task["side"])
 
     def fibers(self):
-        return self.model.fiber_family(self.side())
+        return self.model.fiber_family(self.task["side"])
 
     def reference_bc(self):
-        ref = self.model.reference_bc.get(self.side())
+        ref = self.model.reference_bc.get(self.task["side"])
         if ref is None:
             raise DomainError("%s has no reference condition for %s"
-                              % (self.model.name, self.side()))
+                              % (self.model.name, self.task["side"]))
         return ref
 
 
-def _build_context(args, model_attr="model", param_attr="param",
-                   need_bc=False):
-    """Assemble the run context from a model file, or from a builtin name as
-    the file whose [model] section names it, with the flags applied over it
-    (flags win over file values).  `--bc` replaces the file's family and its
-    parameters but keeps its side."""
-    name_or_path = getattr(args, model_attr)
-    params = _parse_params(getattr(args, param_attr, None),
-                           "--" + param_attr)
-    model_kw, bc_kw = _split_params(params)
+# the flags that set a model-file key, by the section of the key
+_FLAG_SECTIONS = dict({key: "numerics"
+                       for key in modelfile.SECTION_KEYS["numerics"]},
+                      level="task", side="boundary")
+
+
+def _model_data(name_or_path, param_groups, where, bc_name=None):
+    """The model file, or a builtin name as the file whose [model] names it,
+    with the --param groups (flag `where`) and --bc applied."""
+    model_kw, bc_kw = _split_params(_parse_params(param_groups, where))
     if os.path.isfile(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             data = modelfile.parse(fh.read())
@@ -157,7 +146,6 @@ def _build_context(args, model_attr="model", param_attr="param",
         data = modelfile.ModelFileData()
         data.model = {"name": name_or_path}
     data.model.update(model_kw)
-    bc_name = getattr(args, "bc", None)
     if bc_name:
         data.boundary = {k: v for k, v in data.boundary.items()
                          if k == "side"}
@@ -167,23 +155,29 @@ def _build_context(args, model_attr="model", param_attr="param",
         if "family" not in data.boundary:
             raise ModelFileError("boundary parameters given without a "
                                  "family (--bc or [boundary] family)")
-    model, bc, numerics, task = modelfile.build(data)
+    return data
 
-    # provenance of the numerics the command takes flags for
+
+def _build_context(args):
+    """The run context: every flag written into the model data, then
+    `modelfile.build` sets the defaults and checks the values.  A command
+    that takes --bc needs a condition."""
+    data = _model_data(args.model, getattr(args, "param", None), "--param",
+                       getattr(args, "bc", None))
+    if hasattr(args, "bc") and not data.boundary:
+        raise ModelFileError("this command needs a boundary condition "
+                             "(--bc or a [boundary] section)")
     prov = {}
-    for key in modelfile.SECTION_KEYS["numerics"]:
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is not None:
-            numerics[key] = getattr(args, key)
-            prov[key] = "flag --%s" % key.replace("_", "-")
-        else:
-            prov[key] = ("model file [numerics]" if key in data.numerics
+    for key, section in _FLAG_SECTIONS.items():
+        value = getattr(args, key, None)
+        if section == "numerics" and hasattr(args, key):
+            prov[key] = ("flag --%s" % key.replace("_", "-")
+                         if value is not None else
+                         "model file [numerics]" if key in data.numerics
                          else "default")
-    if getattr(args, "level", None) is not None:
-        task["level"] = args.level
-    if getattr(args, "side", None):
-        task["side"] = args.side
+        if value is not None:
+            getattr(data, section)[key] = value
+    model, bc, numerics, task = modelfile.build(data)
 
     bc_ref = None
     ref_name = getattr(args, "bc_ref", None)
@@ -194,12 +188,7 @@ def _build_context(args, model_attr="model", param_attr="param",
             raise ModelFileError("--ref-param takes boundary parameters only, "
                                  "got model keys %s" % sorted(model_keys))
         bc_ref = model.make_bc(ref_name, **ref_kw)
-
-    ctx = RunContext(model, bc, bc_ref, numerics, task, prov)
-    if need_bc and ctx.bc is None:
-        raise ModelFileError("this command needs a boundary condition "
-                             "(--bc or a [boundary] section)")
-    return ctx
+    return RunContext(model, bc, bc_ref, numerics, task, prov)
 
 
 def _write_or_print(text, path):
@@ -240,10 +229,11 @@ def _check_gap_for_level(ctx):
     g = ctx.model.declared_gap
     if g is not None and g.lo < level < g.hi:
         return
+    k_window = min(ctx.numerics["k_window"], 20.0)
     try:
-        find_gap(S, level, min(ctx.k_window(), 20.0))
+        find_gap(S, level, k_window)
     except NoGapError:
-        if not _level_is_below_spectrum(S, level, min(ctx.k_window(), 20.0)):
+        if not _level_is_below_spectrum(S, level, k_window):
             raise
 
 
@@ -257,7 +247,7 @@ def _recorded(fn, *args, **kwargs):
 
 
 def _chern_lines(rep, name, value, resid, tol):
-    if resid > max(10.0 * tol, 1e-3):
+    if not is_integer_pairing(value, tol):
         rep.add_line("%s = %.3f (NON-INTEGER - not strongly affiliated)"
                      % (name, value))
     else:
@@ -281,13 +271,19 @@ def cmd_bulk(args):
 
 def cmd_relative_chern(args):
     ctx1 = _build_context(args)
-    ctx2 = _build_context(args, model_attr="model2", param_attr="param2")
+    data2 = _model_data(args.model2, args.param2, "--param2")
+    if data2.numerics or data2.task:
+        raise ModelFileError("--model2 %s: [numerics] and [task] keys (%s) "
+                             "belong to --model; one pairing has one tol "
+                             "and one level" % (args.model2, ", ".join(
+                                 list(data2.numerics) + list(data2.task))))
+    model2 = modelfile.build(data2)[0]
     rep = _base_report(ctx1, "relative chern pairing")
     rep.add_line("second model: %s(%s)" % (
-        ctx2.model.name, ", ".join("%s=%g" % (k, v) for k, v in
-                                   sorted(ctx2.model.params.items()))))
+        model2.name, ", ".join("%s=%g" % (k, v) for k, v in
+                               sorted(model2.params.items()))))
     (value, resid), warns = _recorded(relative_chern, ctx1.model.symbol,
-                                      ctx2.model.symbol, ctx1.task["level"],
+                                      model2.symbol, ctx1.task["level"],
                                       tol=ctx1.numerics["tol"])
     _chern_lines(rep, "relative chern", value, resid, ctx1.numerics["tol"])
     for line in warns:
@@ -308,16 +304,16 @@ def _affiliation_banner(ctx, rep, bc, label):
 
 
 def _tracked(ctx, bc):
-    return track_bands(bc, ctx.triple(), ctx.model, ctx.k_window(),
-                       gap=ctx.gap(),
+    return track_bands(bc, ctx.triple(), ctx.model, ctx.numerics["k_window"],
+                       gap=ctx.task["gap"],
                        k_resolution=ctx.numerics["k_resolution"],
                        lam_resolution=ctx.numerics["lam_resolution"])
 
 
 def cmd_edge_spectrum(args):
-    ctx = _build_context(args, need_bc=True)
+    ctx = _build_context(args)
     rep = _base_report(ctx, "edge spectrum")
-    rep.add_tolerance("k_window", ctx.k_window(),
+    rep.add_tolerance("k_window", ctx.numerics["k_window"],
                       ctx.provenance["k_window"])
     verdict = _affiliation_banner(ctx, rep, ctx.bc, str(ctx.bc))
     if verdict.verdict != "affiliated":
@@ -337,9 +333,10 @@ def cmd_edge_spectrum(args):
     else:
         sys.stdout.write(csv_text)
     if getattr(args, "plot", None):
-        gap = ctx.gap() or ctx.model.declared_gap or \
-            find_gap(ctx.model.symbol, ctx.model.gap_around, ctx.k_window())
-        svg = spectrum_svg(bands, ctx.model, gap, ctx.k_window(),
+        k_window = ctx.numerics["k_window"]
+        gap = ctx.task["gap"] or ctx.model.declared_gap or \
+            find_gap(ctx.model.symbol, ctx.model.gap_around, k_window)
+        svg = spectrum_svg(bands, ctx.model, gap, k_window,
                            level=ctx.task["level"])
         _write_or_print(svg, args.plot)
         rep.add_line("svg: %s" % args.plot)
@@ -352,7 +349,7 @@ def _flow_of(ctx, bc):
 
 
 def cmd_edge_flow(args):
-    ctx = _build_context(args, need_bc=True)
+    ctx = _build_context(args)
     rep = _base_report(ctx, "edge spectral flow")
     _affiliation_banner(ctx, rep, ctx.bc, str(ctx.bc))
     flow = _flow_of(ctx, ctx.bc)
@@ -367,16 +364,16 @@ def cmd_edge_flow(args):
 
 
 def cmd_winding(args):
-    ctx = _build_context(args, need_bc=True)
+    ctx = _build_context(args)
     rep = _base_report(ctx, "winding of the von Neumann unitary")
     if ctx.bc_ref is not None:
         value, resid = relative_winding(ctx.bc, ctx.bc_ref, ctx.triple(),
                                         ctx.fibers(),
-                                        k_window=ctx.k_window())
+                                        k_window=ctx.numerics["k_window"])
         rep.add_value("relative winding", value, resid)
     else:
         value, resid = winding(ctx.bc, ctx.triple(), ctx.fibers(),
-                               k_window=ctx.k_window())
+                               k_window=ctx.numerics["k_window"])
         rep.add_value("winding", value, resid)
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0
@@ -392,7 +389,7 @@ def _bulk_term(ctx, rep):
     the report."""
     name = ctx.model.name
     level, tol = ctx.task["level"], ctx.numerics["tol"]
-    if ctx.side() == "interface":
+    if ctx.task["side"] == "interface":
         (value, resid), warns = _recorded(relative_chern, ctx.model.symbol,
                                           ctx.model.symbol_minus, level,
                                           tol=tol)
@@ -404,7 +401,7 @@ def _bulk_term(ctx, rep):
     else:
         (value, resid), warns = _recorded(chern, ctx.model.symbol, level,
                                           tol=tol)
-        integer = abs(value - round(value)) <= max(10.0 * tol, 1e-3)
+        integer = is_integer_pairing(value, tol)
         rep.add_value("bulk chern", value, resid, note="" if integer else
                       "non-integer; bulk identity skipped")
         sigma = int(round(value)) if integer else None
@@ -414,7 +411,7 @@ def _bulk_term(ctx, rep):
 
 
 def cmd_verify(args):
-    ctx = _build_context(args, need_bc=True)
+    ctx = _build_context(args)
     ref = ctx.bc_ref if ctx.bc_ref is not None else ctx.reference_bc()
     rep = _base_report(ctx, "corrected correspondence check")
     v1 = _affiliation_banner(ctx, rep, ctx.bc, str(ctx.bc))
@@ -429,7 +426,7 @@ def cmd_verify(args):
     flow1 = _flow_of(ctx, ctx.bc)
     flow2 = _flow_of(ctx, ref)
     wind, resid = relative_winding(ctx.bc, ref, ctx.triple(), ctx.fibers(),
-                                   k_window=ctx.k_window())
+                                   k_window=ctx.numerics["k_window"])
     rep.add_value("SF(bc)", flow1.value)
     rep.add_value("SF(ref)", flow2.value)
     rep.add_value("relative winding", wind, resid)
@@ -498,6 +495,19 @@ REGDIRAC_ROWS = (
 )
 REGDIRAC_BULK = (-1, 0)
 
+# (k_window, k_resolution, lam_resolution) of each table's tracking; the
+# windings use the same k_window
+LAPLACE_NUMERICS = (8.0, 481, 320)
+DIRAC_NUMERICS = (6.0, 481, 240)
+REGDIRAC_NUMERICS = (12.0, 481, 320)
+
+
+def _table_flow(bc, T, model, numerics):
+    k_window, k_resolution, lam_resolution = numerics
+    bands = track_bands(bc, T, model, k_window, k_resolution=k_resolution,
+                        lam_resolution=lam_resolution)
+    return spectral_flow(bands, level=0.0).value
+
 
 def _table_laplacian(rep):
     model = build_model("laplacian")
@@ -506,10 +516,8 @@ def _table_laplacian(rep):
     mism = 0
     for label, K, xi, sf_exp, wind_exp in LAPLACE_ROWS:
         bc = model.make_bc("robin", K=K, ell=xi, M=1.0)
-        bands = track_bands(bc, T, model, 8.0, k_resolution=481,
-                            lam_resolution=320)
-        sf = spectral_flow(bands, level=0.0).value
-        wind = winding(bc, T, fam, k_window=8.0)[0]
+        sf = _table_flow(bc, T, model, LAPLACE_NUMERICS)
+        wind = winding(bc, T, fam, k_window=LAPLACE_NUMERICS[0])[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
         mism += 0 if ok else 1
         rep.add_line("%-24s computed (SF %+d, wind %+d)  expected "
@@ -534,10 +542,9 @@ def _table_dirac(rep):
         fam = model.fiber_family()
         bc = model.make_bc("a", a=a)
         ref = model.make_bc("a", a=1.0)
-        bands = track_bands(bc, T, model, 6.0, k_resolution=481,
-                            lam_resolution=240)
-        sf = spectral_flow(bands, level=0.0).value
-        wind = relative_winding(bc, ref, T, fam, k_window=6.0)[0]
+        sf = _table_flow(bc, T, model, DIRAC_NUMERICS)
+        wind = relative_winding(bc, ref, T, fam,
+                                k_window=DIRAC_NUMERICS[0])[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
         mism += 0 if ok else 1
         rep.add_line("m=%+g a=%+g   computed (wind %+d, SF %+d)  expected "
@@ -556,9 +563,8 @@ def _table_regdirac(rep):
         for label, a, *_ in REGDIRAC_ROWS:
             bc = model.make_bc("dirichlet") if a is None else \
                 model.make_bc("a", a=a)
-            bands = track_bands(bc, T, model, 12.0, k_resolution=481,
-                                lam_resolution=320)
-            flows[(label, mi)] = spectral_flow(bands, level=0.0).value
+            flows[(label, mi)] = _table_flow(bc, T, model,
+                                             REGDIRAC_NUMERICS)
     for label, _a, sf_m_neg, sf_m_pos in REGDIRAC_ROWS:
         got = (flows[(label, 0)], flows[(label, 1)])
         ok = got == (sf_m_neg, sf_m_pos)

@@ -37,7 +37,7 @@ from .extension import (
     _check_admissible,
     _full_jets_batch,
     _side_bases,
-    _unitaries,
+    vn_unitary_family,
 )
 from .numerics import unwind_phase
 from .symbol import find_gap
@@ -392,9 +392,9 @@ def _bisect_vanishing(tracker, k_have, lam_have, slope, k_miss, width):
     return k_star, lam_star
 
 
-def _finalize(tracker, band, k_last, k_gone, width, going_right):
-    """Attach the endpoint reached between k_last (band exists) and k_gone
-    (band absent)."""
+def _finalize(tracker, band, k_last, k_gone, width):
+    """Attach the right endpoint, reached between k_last (band exists) and
+    k_gone (band absent)."""
     lam, slope = band.lams[-1], _predict(band, k_gone)[1]
     kind = _classify_boundary(tracker, k_gone, lam + slope * (k_gone - k_last),
                               width)
@@ -412,10 +412,7 @@ def _finalize(tracker, band, k_last, k_gone, width, going_right):
         if abs(slope) > 1e-30:
             k_star = k_last + (bound - lam) / slope
         ep = BandEndpoint(kind, k_star, bound)
-    if going_right:
-        band.right = ep
-    else:
-        band.left = ep
+    band.right = ep
 
 
 def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
@@ -514,7 +511,7 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
             _append(band, k1, lam, resid)
             taken[j] += 1
         for band in trouble:
-            _finalize(tracker, band, band.ks[-1], k1, width, True)
+            _finalize(tracker, band, band.ks[-1], k1, width)
             finished.append(band)
             active.remove(band)
         for j, (lam, resid, mult) in enumerate(uniq):
@@ -620,12 +617,6 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
 # windings of von Neumann unitaries
 
 
-def vn_unitary_family(bc, T, fiber_family, ks):
-    """Von Neumann unitaries U(k) stacked over an array of momenta, with
-    fiber_family a `FiberFamily` (`ModelDescriptor.fiber_family`)."""
-    return _unitaries(bc, T, fiber_family, ks)
-
-
 def _det_curve(detfun, k_window, n_seed=1025, max_points=60000):
     """Adaptively sampled det U over the compactified momentum line.
 
@@ -677,7 +668,7 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     rounding residual)."""
 
     def unitaries(ks):
-        return _unitaries(bc, T, fiber_family, ks, bc_ref=bc_ref)
+        return vn_unitary_family(bc, T, fiber_family, ks, bc_ref=bc_ref)
 
     p = T.dimV
     k_ends = np.array([-K_LIMIT, K_LIMIT])

@@ -53,10 +53,6 @@ class InadmissibleConditionError(DomainError):
     or AB* non-Hermitian)."""
 
 
-class UnsupportedConversionError(DomainError):
-    """from_klm got a model tag that has no (K, L, M) parametrisation."""
-
-
 class InsufficientResolutionError(BecError):
     """Sampling too coarse for a guaranteed answer (phase jump >= pi/2, ...)."""
 

@@ -15,14 +15,15 @@ polynomials in k, stored as coefficient stacks and evaluated over the same
 momenta: `BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch`
 gives (A, B).  Every A_j and B_j of a condition is one p x p matrix, and
 `_ab_on`, the one place where a condition meets a triple, checks that p is
-the triple's dimV.  A local (K, L, M) form is converted to such a condition
-once, by `from_klm`.
+the triple's dimV.  A model whose conditions have a local (K, L, M) form
+converts it to (A, B) in its own boundary family.
 
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
 spectral points: `_basis_batch` on one side's coefficients, `_side_bases`
 and `_full_jets_batch` on a FiberStack in a triple's layout, `_krein_family`
-and `_unitaries`.  Every basis row carries a reason code; the edge detector
-masks the failing rows, and everything else raises the code's typed error.
+and `vn_unitary_family`.  Every basis row carries a reason code; the edge
+detector masks the failing rows, and everything else raises the code's
+typed error.
 The per-point API (`deficiency_basis`, `krein_Q`, `vn_unitary`,
 `green_identity_residual`) is the kernel on a one-row FiberStack, and
 `affiliation_check` runs it on its six momenta.
@@ -36,7 +37,6 @@ from .errors import (
     InadmissibleConditionError,
     NumericalFailure,
     TripleDegeneracyError,
-    UnsupportedConversionError,
 )
 from .numerics import norm_inf
 
@@ -379,8 +379,7 @@ class BoundaryCondition:
     """A boundary condition A(k) Gamma_1 = B(k) Gamma_2.
 
     A and B are polynomial in k: a coefficient matrix, or a list of them by
-    degree.  `from_ab` builds a condition from such data directly,
-    `from_klm` from a local (K, L, M) form.
+    degree; `from_ab` builds a condition from such data.
     """
 
     def __init__(self, label, A, B):
@@ -413,47 +412,6 @@ class BoundaryCondition:
 
 def from_ab(A, B, label=""):
     return BoundaryCondition(label or "direct", A, B)
-
-
-def _promote_2x2(X):
-    """Scalars become multiples of the 2x2 identity; 2x2 matrices pass."""
-    A = np.asarray(X, dtype=complex)
-    if A.shape == ():
-        return complex(A) * np.eye(2, dtype=complex)
-    if A.shape == (1, 1):
-        return complex(A[0, 0]) * np.eye(2, dtype=complex)
-    if A.shape == (2, 2):
-        return A
-    raise ContractViolation("expected a scalar or 2x2 matrix, got %s"
-                            % (A.shape,))
-
-
-def from_klm(tag, K, L, M, label="", eps=None):
-    """The condition of a local boundary form K psi + L psi_x + M psi_y = 0
-    for the shipped triple of the model `tag`.  Both conversions are affine
-    in k:
-
-    half-plane scalar second-order model ('laplacian'):
-        A = K - i k L,  B = -M.
-    regularized two-band model ('regdirac', needs eps):
-        B = -eps^{-1} M sigma_z,  A = K - i k L - (1/2) B Y.
-    The first-order interface model has no local (K, L, M) form.
-    """
-    if tag == "laplacian":
-        K, L, M = (np.atleast_2d(np.asarray(X, dtype=complex))
-                   for X in (K, L, M))
-        B = -M
-        A0 = K
-    elif tag == "regdirac":
-        if eps is None:
-            raise ContractViolation("regdirac conversion needs eps")
-        K, L, M = (_promote_2x2(X) for X in (K, L, M))
-        B = -(1.0 / float(eps)) * (M @ SIGMA_Z)
-        A0 = K - 0.5 * (B @ Y_MAT)
-    else:
-        raise UnsupportedConversionError(
-            "no (K, L, M) converter for model tag %r" % tag)
-    return BoundaryCondition(label or ("%s-klm" % tag), [A0, -1j * L], [B])
 
 
 def _admissibility(A, B):
@@ -544,10 +502,11 @@ def _weyl(A, B, Q):
     return A - B @ Q[0], A - B @ Q[1]
 
 
-def _unitaries(bc, T, fiber_family, ks, bc_ref=None):
-    """U(k) = W(i)^{-1} W(-i), or with bc_ref the relative unitary
-    U(k) U_ref(k)^{-1}, at momenta ks; both conditions share one Krein
-    family."""
+def vn_unitary_family(bc, T, fiber_family, ks, bc_ref=None):
+    """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) stacked over the
+    momenta ks, with fiber_family a `FiberFamily`
+    (`ModelDescriptor.fiber_family`); with bc_ref the relative unitaries
+    U(k) U_ref(k)^{-1}, both conditions sharing one Krein family."""
     Q = _krein_family(T, fiber_family.stacks(ks))
     U = np.linalg.solve(*_weyl(*_ab_on(bc, T, ks), Q))
     if bc_ref is not None:

@@ -19,9 +19,18 @@ A model file is a plain-text document with up to five sections:
 `SECTION_KEYS` lists the keys of every key = value section with the kind of
 their values; `parse` checks keys against it, `emit` writes them in its
 order, and the command line routes `--param` keys by it (`PARAM_KEYS`).
-`build` is the one place a run is assembled: the command line also runs a
-builtin name through it, as the data of a file whose [model] section names
-it.
+
+`build` is the one place a run is assembled, its defaults set and its values
+checked; the command line runs a builtin name through it as the data of a
+file whose [model] section names it, with every flag written in as its key.
+Defaults: tol 1e-6, k_resolution 801, lam_resolution 400, level the model's
+fiducial energy, side halfline, k_window 20 max(1, w/2) for a declared gap
+of finite width w, else 20.  Accepted, else ModelFileError naming the key
+and the value: tol and k_window finite and > 0, k_resolution and
+lam_resolution integers >= 2, level finite, gap_lo < gap_hi given together
+(they bound the edge tracking, and are an inline symbol's declared gap).  A
+family parameter goes to the family as written, a complex scalar with zero
+imaginary part as a real number.
 
 Scalars use explicit complex literals "re+imi" (examples: 2, -0.5i, 1+2i);
 matrices separate rows with ';' and entries with spaces.  Unknown sections or
@@ -91,7 +100,7 @@ def parse_complex(text):
 def parse_real(text, key):
     z = parse_complex(text)
     if z.imag != 0.0:
-        raise ModelFileError("key %r must be real, got %r" % (key, text))
+        raise ModelFileError("key %r must be real" % key)
     return z.real
 
 
@@ -191,12 +200,12 @@ def parse(text):
         values = getattr(data, section)
         if key in values:
             raise ModelFileError("line %d: duplicate key %r" % (lineno, key))
-        if kind == "text":
-            values[key] = val
-        elif kind == "real":
-            values[key] = parse_real(val, key)
-        else:
-            values[key] = _parse_scalar_or_matrix(val)
+        try:
+            values[key] = (val if kind == "text" else parse_real(val, key)
+                           if kind == "real" else _parse_scalar_or_matrix(val))
+        except ModelFileError as exc:
+            raise ModelFileError("line %d: [%s] %s = %s: %s"
+                                 % (lineno, section, key, val, exc)) from None
     if not data.model and not data.symbol_terms:
         raise ModelFileError("model file needs a [model] or [symbol] section")
     return data
@@ -249,12 +258,39 @@ def _poly_from_keys(data, letter):
             for C in coeffs]
 
 
-def build(data):
-    """Construct (model, bc, numerics, task) from parsed data.
+# what a finite [numerics] or [task] value must also be: (test, description)
+_FINITE = (lambda x: True, "a finite number")
+_POSITIVE = (lambda x: x > 0, "a finite number > 0")
+_RESOLUTION = (lambda x: x == int(x) and x >= 2, "an integer >= 2")
+_ACCEPTED = {"tol": _POSITIVE, "k_window": _POSITIVE,
+             "k_resolution": _RESOLUTION, "lam_resolution": _RESOLUTION}
 
-    bc is None when there is no [boundary] section.  Inline symbols produce a
-    bulk-only custom model.
+
+def _checked_gap(data):
+    """Check the [numerics] and [task] values of data; return the gap window
+    of gap_lo and gap_hi, or None."""
+    for section in ("numerics", "task"):
+        for key, value in getattr(data, section).items():
+            test, need = _ACCEPTED.get(key, _FINITE)
+            if not (np.isfinite(value) and test(value)):
+                raise ModelFileError("[%s] %s = %r: must be %s"
+                                     % (section, key, value, need))
+    lo, hi = data.task.get("gap_lo"), data.task.get("gap_hi")
+    if lo is None and hi is None:
+        return None
+    if lo is None or hi is None or not lo < hi:
+        raise ModelFileError("[task] gap_lo = %r, gap_hi = %r: give both, "
+                             "with gap_lo < gap_hi" % (lo, hi))
+    return GapWindow(lo, hi, "model file")
+
+
+def build(data):
+    """Construct (model, bc, numerics, task) from parsed data, with every
+    default set and every value checked (see the module docstring).  bc is
+    None without a [boundary] section, inline symbols make a bulk-only
+    custom model, and task holds level, gap (a GapWindow or None) and side.
     """
+    gap = _checked_gap(data)
     if data.symbol_terms:
         if data.model and data.model.get("name", "custom") != "custom":
             raise ModelFileError(
@@ -270,10 +306,6 @@ def build(data):
                 raise ModelFileError("duplicate symbol term %d %d" % (a, b))
             terms[(a, b)] = M
         S = Symbol(N, terms)
-        gap = None
-        if "gap_lo" in data.task and "gap_hi" in data.task:
-            gap = GapWindow(data.task["gap_lo"], data.task["gap_hi"],
-                            "model file")
         model = ModelDescriptor(
             "custom", {}, S, fiducial_E=data.task.get("level", 0.0),
             gap_around=data.task.get("level", 0.0), declared_gap=gap)
@@ -292,24 +324,24 @@ def build(data):
 
     bc = None
     if data.boundary:
-        bkeys = set(data.boundary)
         family = data.boundary.get("family")
-        poly_keys = {k for k in bkeys if _POLY_KEY.match(k)}
+        poly_keys = {k for k in data.boundary if _POLY_KEY.match(k)}
         if family is not None and poly_keys:
             raise ModelFileError(
                 "give either a family or explicit A*/B* matrices, not both")
         if family is not None:
-            kw = {k: data.boundary[k] for k in bkeys - {"family", "side"}}
-            for key in ("K", "L", "M"):
-                if key in kw and np.ndim(kw[key]) == 0:
-                    kw[key] = complex(kw[key]).real
+            kw = {k: v.real if isinstance(v, complex) and v.imag == 0.0
+                  else v for k, v in data.boundary.items()
+                  if k not in ("family", "side")}
             try:
                 bc = model.make_bc(family, **kw)
             except ContractViolation as exc:
                 raise ModelFileError(str(exc))
             except TypeError as exc:  # a value the family cannot take
-                raise ModelFileError("bad parameters for family %r: %s"
-                                     % (family, exc))
+                raise ModelFileError("bad parameters for family %r (%s): %s"
+                                     % (family, ", ".join(
+                                         "%s = %s" % (k, _emit_value(v))
+                                         for k, v in kw.items()), exc))
         elif poly_keys:
             A = _poly_from_keys(data, "A")
             B = _poly_from_keys(data, "B")
@@ -321,17 +353,14 @@ def build(data):
             raise ModelFileError("[boundary] needs a family or A*/B* "
                                  "matrices")
 
-    numerics = {
-        "tol": data.numerics.get("tol", 1e-6),
-        "k_window": data.numerics.get("k_window"),
-        "k_resolution": int(data.numerics.get("k_resolution", 801)),
-        "lam_resolution": int(data.numerics.get("lam_resolution", 400)),
-    }
-    task = {
-        "level": data.task.get("level", model.fiducial_E),
-        "gap_lo": data.task.get("gap_lo"),
-        "gap_hi": data.task.get("gap_hi"),
-        "side": data.boundary.get("side", "halfline") if data.boundary
-                else "halfline",
-    }
+    width = np.inf if model.declared_gap is None else \
+        model.declared_gap.width()
+    scale = max(1.0, 0.5 * width) if np.isfinite(width) else 1.0
+    numerics = {"tol": 1e-6, "k_window": 20.0 * scale, "k_resolution": 801,
+                "lam_resolution": 400}
+    numerics.update(data.numerics)
+    for key in ("k_resolution", "lam_resolution"):
+        numerics[key] = int(numerics[key])
+    task = {"level": data.task.get("level", model.fiducial_E), "gap": gap,
+            "side": data.boundary.get("side", "halfline")}
     return model, bc, numerics, task

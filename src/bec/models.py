@@ -20,7 +20,6 @@ from .extension import (
     Y_MAT,
     BoundaryTriple,
     from_ab,
-    from_klm,
 )
 from .symbol import FiberStack, GapWindow, Symbol, fiberize
 
@@ -147,8 +146,7 @@ def laplacian():
         return from_ab(np.eye(1), np.zeros((1, 1)), label="dirichlet")
 
     def neumann():
-        return from_klm("laplacian", np.array([[0.0]]), np.array([[0.0]]),
-                        np.array([[1.0]]), label="neumann")
+        return from_ab(np.zeros((1, 1)), -np.eye(1), label="neumann")
 
     def window(k, gap):
         # edge curves live under the parabola lam = k^2 (where the decay
@@ -236,6 +234,18 @@ def dirac(m, m_minus=None):
 # regularized Dirac operator
 
 
+def _promote_2x2(X):
+    """Scalars and 1x1 matrices become multiples of the 2x2 identity; 2x2
+    matrices pass."""
+    A = np.asarray(X, dtype=complex)
+    if A.shape in ((), (1, 1)):
+        return A.reshape(()) * np.eye(2, dtype=complex)
+    if A.shape != (2, 2):
+        raise ContractViolation("expected a scalar or 2x2 matrix, got %s"
+                                % (A.shape,))
+    return A
+
+
 def regularized_dirac(m, eps):
     """k1 sx + k2 sy + (m + eps k^2) sz; the second-order regularization that
     makes the bulk Chern number integral converge to an integer."""
@@ -268,8 +278,12 @@ def regularized_dirac(m, eps):
         return from_ab([A0, A1], [B], label="a=%g" % a)
 
     def klm(K, L, M):
-        return from_klm("regdirac", K, L, M, eps=eps,
-                        label="klm(regdirac)")
+        # K psi + L psi_x + M psi_y = 0: B = -M sz / eps,
+        # A = K - i k L - B Y / 2; scalars are multiples of the identity
+        K, L, M = (_promote_2x2(X) for X in (K, L, M))
+        B = -(1.0 / eps) * (M @ SIGMA_Z)
+        return from_ab([K - 0.5 * (B @ Y_MAT), -1j * L], [B],
+                       label="klm(regdirac)")
 
     def window(k, _gap):
         edge = np.sqrt(k * k + (m + eps * k * k) ** 2)

@@ -231,6 +231,12 @@ def _curvature_integrand(S, level):
     return f
 
 
+def is_integer_pairing(value, tol):
+    """Whether a pairing computed to quadrature tolerance tol counts as an
+    integer: it lies within max(10 tol, 1e-3) of the nearest one."""
+    return abs(value - round(value)) <= max(10.0 * tol, 1e-3)
+
+
 def chern(S, level, tol=1e-4):
     """Chern pairing of the Fermi projection below `level`.
 
@@ -247,7 +253,7 @@ def chern(S, level, tol=1e-4):
                       % (tol, res.error))
     val = float(res.value.real)
     resid = abs(val - round(val))
-    if resid > max(10 * tol, 1e-3):
+    if not is_integer_pairing(val, tol):
         warnings.warn(
             "Chern pairing %.6f is not close to an integer (residual %.3f): "
             "the symbol is not strongly affiliated at this level" % (val, resid))

@@ -2,7 +2,9 @@
 
 perfbench/tracing.py and perfbench/jobs.py are loaded from their files as
 they are, and their entry points are called once on small inputs, so that a
-rename or signature change that would break the benchmark fails here.
+rename or signature change that would break the benchmark fails here.  The
+copies of the summary tables and their numerics in perfbench/jobs.py must
+equal those in bec.cli.
 """
 import importlib.util
 import os
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import bec
+from bec import cli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -65,3 +68,11 @@ def test_probe_entry_points(name):
     assert bec.vn_unitary_family(bc, T, fam, ks).shape == (2, T.dimV, T.dimV)
     assert bec.vn_unitary(bc, T, F).shape == (T.dimV, T.dimV)
     assert model.fiber(tracing.K_PROBE).k == tracing.K_PROBE
+
+
+@pytest.mark.parametrize("name", [
+    "LAPLACE_ROWS", "LAPLACE_AFFILIATION_ROWS", "DIRAC_ROWS", "REGDIRAC_ROWS",
+    "REGDIRAC_BULK", "LAPLACE_NUMERICS", "DIRAC_NUMERICS",
+    "REGDIRAC_NUMERICS"])
+def test_table_copies_match_the_cli(name):
+    assert getattr(jobs, name) == getattr(cli, name)

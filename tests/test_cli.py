@@ -44,6 +44,10 @@ lam_resolution = 160
 level = 0
 """
 
+DIRAC_A2_FILE = ("[model]\nname = dirac\nm = 1\n\n"
+                 "[boundary]\nfamily = a\na = 2\n\n")
+DIRAC_A2_FLAGS = ["--model", "dirac", "--param", "m=1,a=2", "--bc", "a"]
+
 
 # ---------------------------------------------------------------------------
 # bulk commands
@@ -236,17 +240,19 @@ def test_flags_override_model_file(tmp_path):
 
 
 def test_tolerance_provenance_reported(tmp_path):
+    # the k_window line of a model-file value, a flag and the default
     path = tmp_path / "two_band.model"
     path.write_text(TWO_BAND_FILE)
-    csv_path = tmp_path / "bands.csv"
-    code, out, err = run_cli(["edge", "spectrum", "--model", str(path),
-                              "--out", str(csv_path)])
-    assert code == 0, err
-    assert "k_window = 3  (model file [numerics])" in out
-    code, out, err = run_cli(["edge", "spectrum", "--model", str(path),
-                              "--k-window", "2", "--out", str(csv_path)])
-    assert code == 0, err
-    assert "k_window = 2  (flag --k-window)" in out
+    for argv, line in (
+            (["--model", str(path)], "k_window = 3  (model file [numerics])"),
+            (["--model", str(path), "--k-window", "5"],
+             "k_window = 5  (flag --k-window)"),
+            (DIRAC_A2_FLAGS + ["--k-resolution", "81", "--lam-resolution",
+                               "120"], "k_window = 20  (default)")):
+        code, out, err = run_cli(["edge", "spectrum"] + argv + [
+            "--out", str(tmp_path / "bands.csv")])
+        assert code == 0, err
+        assert out.endswith("tolerances:\n  %s\n" % line)
 
 
 def test_bc_flag_keeps_the_file_side(tmp_path):
@@ -425,6 +431,74 @@ def test_condition_of_wrong_size_exits_2(tmp_path):
     assert code == 2
     assert "error: file(A,B): every A_j and B_j must be one p x p matrix, " \
         "got A0 2x2, A1 1x1, B0 2x2" in err
+
+
+# every value modelfile.build rejects: (id, key, the flags on the builtin
+# name, or None, the model file, or None, and the flags on the file).  A
+# non-finite number is no model-file literal, so it is a flag on the file.
+REJECTED = [
+    ("tol-0", "tol", ["--tol", "0"], "[numerics]\ntol = 0\n", []),
+    ("tol-negative", "tol", ["--tol=-1"], "[numerics]\ntol = -1\n", []),
+    ("tol-nan", "tol", ["--tol", "nan"], "", ["--tol", "nan"]),
+    ("k_window-0", "k_window", ["--k-window", "0"],
+     "[numerics]\nk_window = 0\n", []),
+    ("k_window-negative", "k_window", ["--k-window=-3"],
+     "[numerics]\nk_window = -3\n", []),
+    ("k_window-nan", "k_window", ["--k-window", "nan"], "",
+     ["--k-window", "nan"]),
+    ("k_resolution-0", "k_resolution", ["--k-resolution", "0"],
+     "[numerics]\nk_resolution = 0\n", []),
+    ("k_resolution-1", "k_resolution", ["--k-resolution", "1"],
+     "[numerics]\nk_resolution = 1\n", []),
+    ("k_resolution-fraction", "k_resolution", None,
+     "[numerics]\nk_resolution = 160.9\n", []),
+    ("lam_resolution-1", "lam_resolution", ["--lam-resolution", "1"],
+     "[numerics]\nlam_resolution = 1\n", []),
+    ("level-nan", "level", ["--level", "nan"], "", ["--level", "nan"]),
+    ("level-inf", "level", ["--level", "inf"], "", ["--level", "inf"]),
+    ("level-minus-inf", "level", ["--level=-inf"], "", ["--level=-inf"]),
+    ("gap_lo-alone", "gap_lo", None, "[task]\ngap_lo = -0.5\n", []),
+    ("gap_hi-alone", "gap_hi", None, "[task]\ngap_hi = 0.5\n", []),
+]
+
+
+def _rejected_runs():
+    for name, key, flags, text, file_flags in REJECTED:
+        if flags is not None:
+            yield pytest.param(key, DIRAC_A2_FLAGS + flags, None,
+                               id=name + "-builtin")
+        yield pytest.param(key, file_flags, DIRAC_A2_FILE + text,
+                           id=name + "-file")
+    yield pytest.param("K", [], "[model]\nname = laplacian\n\n[boundary]\n"
+                       "family = robin\nK = 1+2i\nM = 1\n",
+                       id="robin-K-complex-file")
+
+
+@pytest.mark.parametrize("key, argv, text", _rejected_runs())
+def test_rejected_value_exits_2_naming_the_key(tmp_path, key, argv, text):
+    if text is not None:
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        argv = ["--model", str(path)] + argv
+    code, out, err = run_cli(["verify"] + argv)
+    assert code == 2
+    assert err.startswith("error: ") and "%s = " % key in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("section, key", [("numerics", "tol"),
+                                          ("task", "level")])
+def test_relative_chern_rejects_numerics_and_task_of_model2(tmp_path,
+                                                            section, key):
+    # one pairing has one tol and one level, both taken from --model
+    path = tmp_path / "second.model"
+    path.write_text("[model]\nname = dirac\nm = -1\n\n[%s]\n%s = 0.01\n"
+                    % (section, key))
+    code, out, err = run_cli(["relative-chern", "--model", "dirac",
+                              "--param", "m=1", "--model2", str(path)])
+    assert code == 2
+    assert "error: --model2 %s: [numerics] and [task] keys (%s)" \
+        % (path, key) in err
 
 
 def test_bad_model_file_exits_2(tmp_path):

@@ -490,7 +490,7 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
         return krein(T, F)
 
     monkeypatch.setattr(extension, "_krein_family", counted)
-    shared = extension._unitaries(bc, T, fam, ks, bc_ref=bc_ref)
+    shared = extension.vn_unitary_family(bc, T, fam, ks, bc_ref=bc_ref)
     assert calls == [len(ks)]
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
 

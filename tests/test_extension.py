@@ -24,7 +24,6 @@ from bec.errors import (
     InadmissibleConditionError,
     NumericalFailure,
     TripleDegeneracyError,
-    UnsupportedConversionError,
 )
 from bec.extension import (
     BoundaryTriple,
@@ -37,7 +36,6 @@ from bec.extension import (
     deficiency_basis,
     formal_symmetry_defect,
     from_ab,
-    from_klm,
     green_boundary_matrix,
     green_identity_residual,
     krein_Q,
@@ -251,36 +249,13 @@ def test_condition_size_must_match_the_triple(dirac_model):
             affiliation_check(*args)
 
 
-def test_klm_to_ab_scalar_model():
-    A, B = from_klm("laplacian", 1.0, 0.0, 0.0).ab_at(0.7)
-    assert np.allclose(A, [[1.0]]) and np.allclose(B, [[0.0]])
-    A, B = from_klm("laplacian", 0.0, 0.0, 1.0).ab_at(0.7)
-    assert np.allclose(A, [[0.0]]) and np.allclose(B, [[-1.0]])
-
-
-def test_klm_conversion_is_exactly_the_robin_family(lap_model):
-    # K psi + L psi_x + M psi_y with L = i ell is A = K + ell k, B = -M
-    ks = np.linspace(-30.0, 30.0, 50)
-    for K, ell, M in ((1.0, 2.0, 1.0), (-1.0, 0.5, 3.0), (0.0, -1.0, 1.0)):
-        robin = lap_model.make_bc("robin", K=K, ell=ell, M=M)
-        klm = from_klm("laplacian", K, 1j * ell, M)
-        for X, Y in zip(klm.ab_batch(ks), robin.ab_batch(ks)):
-            assert np.array_equal(X, Y)
-
-
-def test_from_klm_rejects_unknown_tag_and_missing_eps():
-    with pytest.raises(UnsupportedConversionError):
-        from_klm("dirac", 1.0, 0.0, 0.0)
-    with pytest.raises(ContractViolation):
-        from_klm("regdirac", 1.0, 0.0, 0.0)
-
-
 def test_klm_route_agrees_with_direct_family(regdirac_model):
     # K - ikL = diag(1, -ak) with a=2, M = diag(0,1) encodes the same
     # extension as the shipped family at a=2, so the unitaries must agree.
-    a, eps = 2.0, 0.1
-    bc_klm = from_klm("regdirac", np.diag([1.0, 0.0]),
-                      np.diag([0.0, -1j * a]), np.diag([0.0, 1.0]), eps=eps)
+    a = 2.0
+    bc_klm = regdirac_model.make_bc("klm", K=np.diag([1.0, 0.0]),
+                                    L=np.diag([0.0, -1j * a]),
+                                    M=np.diag([0.0, 1.0]))
     bc_fam = regdirac_model.make_bc("a", a=a)
     T = regdirac_model.triple("halfline")
     for k in (0.0, 0.9, -1.7):

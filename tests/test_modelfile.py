@@ -252,6 +252,44 @@ def test_build_numeric_defaults():
     assert task["level"] == model.fiducial_E
 
 
+@pytest.mark.parametrize("text, k_window", [
+    ("[model]\nname = laplacian\n", 20.0),     # no declared gap
+    ("[model]\nname = dirac\nm = 1\n", 20.0),  # gap width 2
+    ("[model]\nname = dirac\nm = 3\n", 60.0),  # gap width 6
+    (INLINE_SYMBOL_FILE.replace("gap_hi = 1", "gap_hi = 7"), 80.0),
+], ids=["laplacian", "dirac-m1", "dirac-m3", "inline-gap"])
+def test_build_k_window_default_scales_with_the_declared_gap(text,
+                                                             k_window):
+    numerics = build(parse(text))[2]
+    assert numerics["k_window"] == k_window
+
+
+def test_build_gap_window_of_every_model():
+    text = ("[model]\nname = dirac\nm = 1\n"
+            "[task]\ngap_lo = -0.5\ngap_hi = 0.5\n")
+    gap = build(parse(text))[3]["gap"]
+    assert (gap.lo, gap.hi, gap.provenance) == (-0.5, 0.5, "model file")
+    assert build(parse("[model]\nname = dirac\nm = 1\n"))[3]["gap"] is None
+
+
+def test_parse_names_the_key_of_a_non_finite_value():
+    with pytest.raises(ModelFileError, match=r"line 5: \[task\] level = nan"):
+        parse("[model]\nname = dirac\nm = 1\n[task]\nlevel = nan\n")
+
+
+def test_build_passes_complex_family_values_as_written():
+    # klm of the regularized Dirac model: A(k) = K - i k L - B Y / 2, so
+    # L = 2i gives A1 = 2 I; a real scalar goes to the family as a float
+    text = ("[model]\nname = regdirac\nm = 1\neps = 0.1\n"
+            "[boundary]\nfamily = klm\nK = 1\nL = 2i\nM = 0\n")
+    bc = build(parse(text))[1]
+    A1 = bc.ab_at(1.0)[0] - bc.ab_at(0.0)[0]
+    assert np.array_equal(A1, 2.0 * np.eye(2))
+    text = ("[model]\nname = laplacian\n"
+            "[boundary]\nfamily = robin\nK = 1+0i\nM = 1\n")
+    assert build(parse(text))[1].label == "robin(K=1,ell=0,M=1)"
+
+
 def test_build_interface_side():
     text = ("[model]\nname = dirac\nm = 1\nm_minus = -1\n"
             "[boundary]\nfamily = transparent\nside = interface\n")

@@ -8,9 +8,12 @@ from the table's flows through SF(bc) - SF(dirichlet).
 import pytest
 
 from bec.cli import (
+    DIRAC_NUMERICS,
     DIRAC_ROWS,
     LAPLACE_AFFILIATION_ROWS,
+    LAPLACE_NUMERICS,
     LAPLACE_ROWS,
+    REGDIRAC_NUMERICS,
     REGDIRAC_ROWS,
 )
 from bec.edge import relative_winding, winding
@@ -36,7 +39,7 @@ def test_laplace_row_winding(lap_model, label, K, xi, sf, wind):
     T, fam = lap_model.triple(), lap_model.fiber_family()
     bc = lap_model.make_bc("robin", K=K, ell=xi, M=1.0)
     assert affiliation_check(bc, T, fam).verdict == "affiliated"
-    assert winding(bc, T, fam, k_window=8.0)[0] == wind
+    assert winding(bc, T, fam, k_window=LAPLACE_NUMERICS[0])[0] == wind
 
 
 @pytest.mark.parametrize("label, K, xi, verdict", [
@@ -56,7 +59,8 @@ def test_dirac_row_relative_winding(m, a, wind, sf):
     T, fam = model.triple(), model.fiber_family()
     bc, ref = model.make_bc("a", a=a), model.make_bc("a", a=1.0)
     assert affiliation_check(bc, T, fam, bc_ref=ref).verdict == "affiliated"
-    assert relative_winding(bc, ref, T, fam, k_window=6.0)[0] == wind
+    assert relative_winding(bc, ref, T, fam,
+                            k_window=DIRAC_NUMERICS[0])[0] == wind
 
 
 @pytest.mark.parametrize("mi, m", [(0, -1.0), (1, 1.0)], ids=["m=-1", "m=+1"])
@@ -71,7 +75,8 @@ def test_regdirac_row_winding_relative_to_dirichlet(mi, m, label, a, sf_neg,
     bc = model.make_bc("a", a=a)
     assert affiliation_check(bc, T, fam,
                              bc_ref=dirichlet).verdict == "affiliated"
-    assert relative_winding(bc, dirichlet, T, fam, k_window=12.0)[0] == want
+    assert relative_winding(bc, dirichlet, T, fam,
+                            k_window=REGDIRAC_NUMERICS[0])[0] == want
 
 
 def _table_conditions():
