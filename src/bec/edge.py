@@ -20,7 +20,9 @@ its own momenta: a band track's columns are the rows of
 `FiberFamily.stacks`, and the fiber of `edge_eigenvalues` is the one-row
 case.  The deficiency bases, their jets, the trace maps, the Krein matrices
 and the unitaries come from the batched kernel in `extension`; this module
-holds the detector, the bands, the spectral flow and the windings.
+holds the detector, the bands, the spectral flow and the windings.  The
+detector's singular values come from `extension._singular_values`, in
+closed form for dimV <= 2.
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ from .extension import (
     _check_admissible,
     _full_jets_batch,
     _side_bases,
+    _singular_values,
     vn_unitary_family,
 )
 from .numerics import unwind_phase
@@ -75,7 +78,7 @@ def _detector(bc, T, F):
         J, code = _full_jets_batch(T, F[rows],
                                    np.asarray(lams, dtype=complex))
         M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
-        sv = np.linalg.svd(M, compute_uv=False)
+        sv = _singular_values(M)
         return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
     return det
 

@@ -24,6 +24,20 @@ and `_full_jets_batch` on a FiberStack in a triple's layout, `_krein_family`
 and `vn_unitary_family`.  Every basis row carries a reason code; the edge
 detector masks the failing rows, and everything else raises the code's
 typed error.
+
+The shipped fibers are small (N <= 2, order*N <= 4, dimV <= 2), and the
+kernel takes closed forms at those sizes, chosen from the shapes and
+coefficients alone: determinants of 1 x 1 and 2 x 2 characteristic
+matrices as a d - b c; the exponents of a row whose characteristic
+polynomial has degree 2 or 4 and is even in mu as +-sqrt(nu), from the
+nu-linear or the cancellation-free nu-quadratic formula (`_roots`); the
+amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
+(N = 2, `_kernel_vectors`); and the singular values of a 1 x 1 or 2 x 2
+matrix stack (`_singular_values`), which serve the edge detector, the G1 J
+and W(i) singularity tests and the admissibility test of iA + B.  Any other
+size, and a polynomial that is not even, takes LAPACK: companion-matrix
+eigenvalues and SVDs.
+
 The per-point API (`deficiency_basis`, `krein_Q`, `vn_unitary`,
 `green_identity_residual`) is the kernel on a one-row FiberStack, and
 `affiliation_check` runs it on its six momenta.
@@ -63,6 +77,19 @@ _REAL_MARGIN = 1e-8    # |Re mu| below this relative size: on the axis
 _CLUSTER_TOL = 1e-9    # exponents closer than this relative size coincide
 _RESID_TOL = 1e-9      # amplitude residual bar, relative to the root terms
 _JET_RANK_TOL = 1e-10  # smallest singular value of the normalized jets
+# Odd coefficients of a characteristic polynomial at or below this fraction
+# of its largest make it even in mu.  Over 601 (k, z) samples the shipped
+# models stay at or below 1e-14 of the largest: 0 for laplacian, 1.5e-16
+# for dirac, 5.6e-16 for regdirac and 9.6e-15 for shallow water.
+_EVEN_TOL = 1e-12
+# A quadratic a x^2 + b x + c whose relative discriminant
+# |b^2 - 4ac| / (|b|^2 + 4|ac|) is at or below this has a double root: a
+# double exponent, for x = mu at degree 2 and x = nu = mu^2 on an even
+# quartic.  Companion roots split a double root by about sqrt(eps), too far
+# for _CLUSTER_TOL to see.  Over the 2,089,779 regdirac basis rows of the
+# benchmark's tables-flow and tables-winding jobs the smallest value on a
+# good row is 7.0e-14, 316 eps; a true double root gives a few eps.
+_DOUBLE_TOL = 64 * np.finfo(float).eps
 
 # reason codes of a basis row (0: a good row) and the errors they map to
 _ON_AXIS, _DEGENERATE, _WRONG_COUNT, _FAILED = 1, 2, 3, 4
@@ -76,6 +103,42 @@ _CODE_ERRORS = {
     _FAILED: (NumericalFailure, "vanishing leading coefficient or "
               "amplitude residual too large"),
 }
+
+
+def _det(M):
+    """Determinants of the square matrices M (..., p, p): a d - b c for
+    p = 2, the entry for p = 1, LAPACK otherwise."""
+    p = M.shape[-1]
+    if p == 1:
+        return M[..., 0, 0]
+    if p == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.linalg.det(M)
+
+
+def _singular_values(M):
+    """Singular values (n, p) of the p x p matrices M (n, p, p), largest
+    first, as np.linalg.svd gives them.
+
+    For p <= 2 in closed form.  Each matrix is first divided by its largest
+    entry, so that entries near 1e+-150 neither overflow nor underflow when
+    squared.  sigma_max^2 is the larger eigenvalue of the Gram matrix
+    M^dag M = [[g, r], [r*, h]], (g + h)/2 + hypot((g - h)/2, |r|), a sum
+    of non-negative terms; then sigma_min = |det M| / sigma_max.  Neither
+    step cancels, and both values are within a few eps sigma_max of
+    LAPACK's."""
+    p = M.shape[-1]
+    if p > 2:
+        return np.linalg.svd(M, compute_uv=False)
+    size = np.abs(M).max(axis=(1, 2))
+    if p == 1:
+        return size[:, None]
+    M = M / np.where(size == 0.0, 1.0, size)[:, None, None]
+    G = M.conj().transpose(0, 2, 1) @ M
+    g, h = G[:, 0, 0].real, G[:, 1, 1].real
+    smax = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), np.abs(G[:, 0, 1])))
+    smin = np.abs(_det(M)) / np.where(smax == 0.0, 1.0, smax)
+    return np.stack([smax, smin], axis=1) * size[:, None]
 
 
 def _char_matrices(Ds, zs, mus):
@@ -100,26 +163,107 @@ def _char_poly(Ds, ks, zs):
     scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
     t = np.arange(d + 1)
     base = np.cos(np.pi * (2 * t + 1) / (2.0 * (d + 1)))
-    dets = np.linalg.det(_char_matrices(Ds, zs,
-                                        scale[:, None] * base[None, :]))
+    dets = _det(_char_matrices(Ds, zs, scale[:, None] * base[None, :]))
     V = np.vander(base.astype(complex), d + 1, increasing=True)
     return np.linalg.solve(V, dets.T).T, scale
 
 
+def _lead_ok(coeffs):
+    """Whether each leading coefficient is above _LEAD_TOL of the largest
+    (the roots of a row where it is not mean nothing)."""
+    return np.abs(coeffs[:, -1]) > _LEAD_TOL * (np.abs(coeffs).max(axis=1)
+                                                + 1e-300)
+
+
 def _companion_roots(coeffs):
     """Roots (n, d) of the polynomials with coefficient rows (n, d+1), by
-    degree, as companion-matrix eigenvalues, and whether each leading
-    coefficient is above _LEAD_TOL of the largest (the roots of a row
-    where it is not mean nothing)."""
+    degree, as companion-matrix eigenvalues, and `_lead_ok`."""
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    ok = np.abs(coeffs[:, -1]) > _LEAD_TOL * (np.abs(coeffs).max(axis=1)
-                                              + 1e-300)
+    ok = _lead_ok(coeffs)
     lead = np.where(ok, coeffs[:, -1], 1.0)
     comp = np.zeros((n, d, d), dtype=complex)
     if d > 1:
         comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     comp[:, :, -1] = -coeffs[:, :-1] / lead[:, None]
     return np.linalg.eigvals(comp), ok
+
+
+def _double_root(a, b, c):
+    """Whether a x^2 + b x + c has a double root: its relative discriminant
+    |b^2 - 4ac| / (|b|^2 + 4|ac|) is at most _DOUBLE_TOL."""
+    return (np.abs(b * b - 4.0 * a * c)
+            <= _DOUBLE_TOL * (np.abs(b) ** 2 + 4.0 * np.abs(a * c)))
+
+
+def _even_roots(c, a):
+    """Roots +-sqrt(nu) (n, d) of even polynomials with coefficient rows c
+    (n, d+1), d = 2 or 4, and leading coefficients a, from the roots nu of
+    the nu-linear or nu-quadratic a nu^2 + b nu + c_0.  The quadratic's
+    roots are q/a and c_0/q with q = -(b + s sqrt(b^2 - 4 a c_0))/2, the
+    sign s chosen so that b and s sqrt(...) do not cancel."""
+    if c.shape[1] == 3:
+        nu = -c[:, :1] / a[:, None]
+    else:
+        b, c0 = c[:, 2], c[:, 0]
+        root = np.sqrt(b * b - 4.0 * a * c0)
+        root = np.where((b.conj() * root).real >= 0.0, root, -root)
+        q = -0.5 * (b + root)
+        # q = 0 only when b = c_0 = 0, where both roots are 0
+        nu = np.stack([q / a, c0 / np.where(q == 0.0, 1.0, q)], axis=1)
+    s = np.sqrt(nu)
+    return np.concatenate([s, -s], axis=1)
+
+
+def _roots(coeffs):
+    """Roots (n, d) of the polynomials with coefficient rows (n, d+1), by
+    degree, `_lead_ok`, and which rows have a double root by a
+    discriminant (`_double_root`).
+
+    A row of degree 2 or 4 whose odd coefficients are at most _EVEN_TOL of
+    its largest takes `_even_roots`; every other row takes
+    `_companion_roots`.  A row of degree 2 is tested for a double mu, an
+    even row of degree 4 for a double nu = mu^2; other double roots are left
+    to the distance test of `_basis_batch`.  The choice is made row by row,
+    so a row's roots never depend on the other rows of its batch."""
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    size = np.abs(coeffs).max(axis=1)
+    c = coeffs / np.where(size == 0.0, 1.0, size)[:, None]
+    ok = _lead_ok(coeffs)
+    a = np.where(ok, c[:, -1], 1.0)
+    even = np.zeros(n, dtype=bool)
+    double = np.zeros(n, dtype=bool)
+    if d in (2, 4):
+        even = np.abs(c[:, 1::2]).max(axis=1) <= _EVEN_TOL
+    if d == 2:
+        double = _double_root(a, c[:, 1], c[:, 0])
+    elif d == 4:
+        double = even & _double_root(a, c[:, 2], c[:, 0])
+    roots = np.empty((n, d), dtype=complex)
+    if np.any(even):
+        roots[even] = _even_roots(c[even], a[even])
+    if not np.all(even):
+        roots[~even] = _companion_roots(coeffs[~even])[0]
+    return roots, ok, double
+
+
+def _kernel_vectors(C):
+    """Unit vectors phi (..., N) with C phi ~ 0 for the singular N x N
+    matrices C (..., N, N).  N = 1: phi = 1.  N = 2: the cofactor vector
+    (r_1, -r_0) of the row r of C with the larger norm, which that row
+    annihilates exactly; the zero matrix gets (1, 0).  Larger N: the last
+    right singular vector."""
+    N = C.shape[-1]
+    if N == 1:
+        return np.ones(C.shape[:-1], dtype=complex)
+    if N > 2:
+        return np.linalg.svd(C)[2][..., -1, :].conj()
+    r0, r1 = (np.hypot(np.abs(C[..., i, 0]), np.abs(C[..., i, 1]))
+              for i in (0, 1))
+    row = np.where((r0 >= r1)[..., None], C[..., 0, :], C[..., 1, :])
+    phi = np.stack([row[..., 1], -row[..., 0]], axis=-1)
+    size = np.maximum(r0, r1)[..., None]
+    return np.where(size == 0.0, np.array([1.0, 0.0]),
+                    phi / np.where(size == 0.0, 1.0, size))
 
 
 def _jets_batch(mus, phis, order):
@@ -161,9 +305,10 @@ def _basis_batch(Ds, ks, zs, side, expect):
     phis (n, expect, N), normalized jets (n, order*N, expect), code (n,)).
     A row's code is 0 when its basis is good; otherwise, by precedence,
     _FAILED for a vanishing leading coefficient, _ON_AXIS for a root on the
-    imaginary axis, _DEGENERATE for coinciding roots, _WRONG_COUNT when the
-    roots do not split into `expect` on the requested side, _FAILED for a
-    poor amplitude residual, and _DEGENERATE for rank-deficient jets.
+    imaginary axis, _DEGENERATE for coinciding roots (closer than
+    _CLUSTER_TOL, or double by a discriminant of `_roots`), _WRONG_COUNT
+    when the roots do not split into `expect` on the requested side, _FAILED
+    for a poor amplitude residual, and _DEGENERATE for rank-deficient jets.
     """
     order = Ds.shape[1] - 1
     if order < 1:
@@ -171,25 +316,23 @@ def _basis_batch(Ds, ks, zs, side, expect):
     ks = np.asarray(ks, dtype=float)
     zs = np.asarray(zs, dtype=complex)
     coeffs, scale = _char_poly(Ds, ks, zs)
-    roots, lead_ok = _companion_roots(coeffs)
+    roots, lead_ok, clustered = _roots(coeffs)
     roots = roots * scale[:, None]                                # (n, d)
     d = roots.shape[1]
     top = 1.0 + np.max(np.abs(roots), axis=1)
     on_axis = np.any(np.abs(roots.real) < _REAL_MARGIN * (1.0 + np.abs(roots)),
                      axis=1)
-    clustered = np.zeros(len(ks), dtype=bool)
     if d > 1:
         pair = np.abs(roots[:, :, None] - roots[:, None, :])
         pair += 1e30 * np.eye(d)[None]
-        clustered = ~(pair.min(axis=(1, 2)) >= _CLUSTER_TOL * top)
+        clustered |= ~(pair.min(axis=(1, 2)) >= _CLUSTER_TOL * top)
     good = roots.real > 0 if side == "right" else roots.real < 0
     key_real = np.where(good, roots.real, 1e30)
     key_imag = np.where(good, roots.imag, 0.0)
     idx = np.lexsort((key_imag, key_real), axis=-1)
     mus = np.take_along_axis(roots, idx, axis=1)[:, :expect]      # (n, expect)
     Cm = _char_matrices(Ds, zs, mus)
-    Vh = np.linalg.svd(Cm)[2]
-    phis = Vh[..., -1, :].conj()                                  # (n, expect, N)
+    phis = _kernel_vectors(Cm)                                    # (n, expect, N)
     resid = np.abs(np.einsum("npij,npj->npi", Cm, phis)).max(axis=(1, 2),
                                                              initial=0.0)
     # yardstick: magnitude of the terms that cancel at the roots (Cm itself
@@ -418,7 +561,7 @@ def _admissibility(A, B):
     """For (A, B) stacked over momenta: the smallest singular values of
     iA + B, the Hermiticity defects of A B^dag, and which rows fail the
     admissibility test on either."""
-    ms = np.linalg.svd(1j * A + B, compute_uv=False)[:, -1]
+    ms = _singular_values(1j * A + B)[:, -1]
     AB = A @ B.conj().transpose(0, 2, 1)
     herm = np.abs(AB - AB.conj().transpose(0, 2, 1)).sum(axis=2).max(axis=1)
     size = np.abs(A).sum(axis=2).max(axis=1)
@@ -459,7 +602,7 @@ def _krein_solve(J, G1, G2):
     triple's layout, with G1, G2 stacked over the same momenta."""
     M1 = G1 @ J
     M2 = G2 @ J
-    sv = np.linalg.svd(M1, compute_uv=False)
+    sv = _singular_values(M1)
     if np.any(sv[:, -1] <= 1e-10 * (1.0 + sv[:, 0])):
         raise TripleDegeneracyError(
             "G1 restricted to the deficiency space is singular")
@@ -524,7 +667,7 @@ def _checked_unitary(bc, T, Q, ks):
     _check_admissible(bc, ks, A, B)
     Wp, Wm = _weyl(A, B, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
-    singular = np.linalg.svd(Wp, compute_uv=False)[:, -1] <= 1e-12 * size
+    singular = _singular_values(Wp)[:, -1] <= 1e-12 * size
     if np.any(singular):
         raise InadmissibleConditionError(
             "W(i) is singular at k=%g" % ks[np.argmax(singular)])

@@ -14,6 +14,8 @@ Closed forms used as oracles
 * first-order interface at k=0, masses (+1, -1):
   Q(i) = (i/sqrt(2)) I - (i/2) sigma_x.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,20 @@ from bec.errors import (
     NumericalFailure,
     TripleDegeneracyError,
 )
+from bec import extension
 from bec.extension import (
     BoundaryTriple,
+    _basis_batch,
+    _char_matrices,
     _char_poly,
+    _companion_roots,
+    _full_jets_batch,
     _jets_batch,
+    _kernel_vectors,
     _rank_deficient,
+    _roots,
+    _singular_values,
+    _triple_layout,
     _admissibility,
     _weyl,
     affiliation_check,
@@ -615,3 +626,220 @@ def test_rank_check_two_column_form_matches_svd():
     J3 /= np.linalg.norm(J3, axis=1, keepdims=True)
     assert np.all(_rank_deficient(J3))
     assert not np.any(_rank_deficient(J[:, :, :1]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernels against LAPACK references
+
+
+def _set_distance(x, y):
+    """Largest distance between the roots x and y (d,), matched as sets."""
+    return min(np.max(np.abs(x - y[list(p)]))
+               for p in itertools.permutations(range(len(y))))
+
+
+def _even_polynomials(rng):
+    """Coefficient rows of random even polynomials of degree 2 and 4, with
+    their exact roots +-sqrt(nu): generic, |4ac| << |b|^2 (nu spread by
+    1e6), and a zero constant term."""
+    def unit():
+        return rng.normal() + 1j * rng.normal()
+
+    polys = []
+    for _ in range(30):
+        a, nu = unit(), unit()
+        polys.append(([-a * nu, 0.0, a], [nu]))
+        for n1, n2 in ((unit(), unit()), (1e-3 * unit(), 1e3 * unit()),
+                       (0.0, unit())):
+            polys.append(([a * n1 * n2, 0.0, -a * (n1 + n2), 0.0, a],
+                          [n1, n2]))
+    return [(np.array([c], dtype=complex),
+             np.concatenate([np.sqrt(nu), -np.sqrt(nu)]).astype(complex))
+            for c, nu in polys]
+
+
+def test_roots_of_even_polynomials_match_companion_roots():
+    for c, exact in _even_polynomials(np.random.default_rng(11)):
+        got, ok, double = _roots(c)
+        ref, ref_ok = _companion_roots(c)
+        size = np.abs(exact).max()
+        assert ok[0] and ref_ok[0]
+        assert _set_distance(got[0], ref[0]) <= 1e-12 * size
+        assert _set_distance(got[0], exact) <= 1e-12 * size
+        # a zero constant term gives nu = 0: a double root mu = 0, not a
+        # double nu
+        assert not double[0]
+
+
+def test_roots_of_odd_and_sextic_polynomials_take_the_companion_path():
+    rng = np.random.default_rng(12)
+    for d in (2, 4, 6):
+        c = rng.normal(size=(5, d + 1)) + 1j * rng.normal(size=(5, d + 1))
+        if d == 6:
+            c[:, 1::2] = 0.0
+        assert np.array_equal(_roots(c)[0], _companion_roots(c)[0])
+
+
+def test_roots_choose_the_path_row_by_row():
+    # a batch that mixes even and odd quartics gives every row the roots it
+    # gets alone: exact +-sqrt(nu) pairs for the even rows
+    c = np.array([row[0][0] for row in _even_polynomials(
+        np.random.default_rng(13)) if row[0].shape[1] == 5][:6])
+    odd = c.copy()
+    odd[:, 1] = 0.5 - 0.2j
+    mixed = np.stack([c, odd], axis=1).reshape(-1, 5)
+    got = _roots(mixed)[0]
+    assert np.array_equal(got[0::2], _roots(c)[0])
+    assert np.array_equal(got[0::2, :2], -got[0::2, 2:])
+    assert np.array_equal(got[1::2], _companion_roots(odd)[0])
+
+
+def test_double_nu_and_double_mu_have_the_coinciding_exponents_code():
+    # diag(mu^2 - 1 - i) at k = 0, z = i: (nu - 1 - i)^2, a double nu whose
+    # companion roots split by sqrt(eps), past _CLUSTER_TOL
+    eye = np.eye(2)
+    Ds = np.array([[-eye, 0.0 * eye, eye]], dtype=complex)
+    code = _basis_batch(Ds, np.array([0.0]), np.array([1j]), "right", 2)[3]
+    assert code[0] == extension._DEGENERATE
+    # the scalar (mu - 1)^2 + i - z at z = i: a double mu
+    Ds = np.array([[[[1.0 + 1j]], [[2.0]], [[1.0]]]], dtype=complex)
+    code = _basis_batch(Ds, np.array([0.5]), np.array([1j]), "right", 1)[3]
+    assert code[0] == extension._DEGENERATE
+    with pytest.raises(DegenerateExponentError):
+        deficiency_basis(_ConstantFamily(Ds[0])(0.5), 1j, "right")
+
+
+def test_kernel_vectors_of_singular_two_by_two_matrices():
+    rng = np.random.default_rng(14)
+    u = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    v = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    u[0] = [0.0, 1.0 - 2.0j]                  # a zero first row
+    u[1] = [1e-7, 1.0]                        # one row far smaller
+    C = u[:, :, None] * v[:, None, :]
+    phi = _kernel_vectors(C)
+    size = np.linalg.norm(C, 2, axis=(1, 2))
+    assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(np.linalg.norm(np.einsum("nij,nj->ni", C, phi), axis=1)
+                  <= 1e-14 * size)
+    # nearly singular: the row of larger norm leaves a residual of about
+    # sigma_min, as the last singular vector does
+    E = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+    C = C + 1e-9 * E
+    smin = np.linalg.svd(C, compute_uv=False)[:, -1]
+    resid = np.linalg.norm(np.einsum("nij,nj->ni", C, _kernel_vectors(C)),
+                           axis=1)
+    assert np.all(resid <= 2.0 * smin)
+    zero = _kernel_vectors(np.zeros((1, 2, 2), dtype=complex))
+    assert np.array_equal(zero, [[1.0, 0.0]])
+    assert np.array_equal(_kernel_vectors(np.zeros((3, 1, 1))),
+                          np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_singular_values_match_lapack(p):
+    rng = np.random.default_rng(15 + p)
+    M = rng.normal(size=(200, p, p)) + 1j * rng.normal(size=(200, p, p))
+    u = rng.normal(size=(40, p)) + 1j * rng.normal(size=(40, p))
+    unitary = np.linalg.qr(M[:40])[0]
+    stacks = [M, u[:, :, None] * u.conj()[:, None, :],
+              np.zeros((3, p, p), dtype=complex), unitary,
+              unitary * np.array([1.0, 1.0 + 1e-9])[:p]]
+    for s in (1e150, 1e-150, 1e200, 1e-200):
+        stacks += [s * M[:20], s * stacks[1][:20]]
+    for X in stacks:
+        ref = np.linalg.svd(X, compute_uv=False)
+        got = _singular_values(X)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref[:, :1])
+
+
+def _reference_basis(Ds, ks, zs, side, expect):
+    """The deficiency kernel with LAPACK at every step: the determinant of
+    each characteristic matrix, the companion roots of every polynomial and
+    an SVD per amplitude, under the checks of `_basis_batch` less the
+    discriminant test.  Returns (normalized jets, code)."""
+    order, N = Ds.shape[1] - 1, Ds.shape[2]
+    d = order * N
+    scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
+    base = np.cos(np.pi * (2 * np.arange(d + 1) + 1) / (2.0 * (d + 1)))
+    dets = np.linalg.det(_char_matrices(Ds, zs, scale[:, None] * base))
+    V = np.vander(base.astype(complex), d + 1, increasing=True)
+    roots, lead_ok = _companion_roots(np.linalg.solve(V, dets.T).T)
+    roots = roots * scale[:, None]
+    on_axis = np.any(np.abs(roots.real) < extension._REAL_MARGIN
+                     * (1.0 + np.abs(roots)), axis=1)
+    pair = np.abs(roots[:, :, None] - roots[:, None, :]) + 1e30 * np.eye(d)
+    clustered = ~(pair.min(axis=(1, 2)) >= extension._CLUSTER_TOL
+                  * (1.0 + np.abs(roots).max(axis=1)))
+    good = roots.real > 0 if side == "right" else roots.real < 0
+    idx = np.lexsort((np.where(good, roots.imag, 0.0),
+                      np.where(good, roots.real, 1e30)), axis=-1)
+    mus = np.take_along_axis(roots, idx, axis=1)[:, :expect]
+    Cm = _char_matrices(Ds, zs, mus)
+    phis = np.linalg.svd(Cm)[2][..., -1, :].conj()
+    resid = np.abs(np.einsum("npij,npj->npi", Cm, phis)).max(axis=(1, 2),
+                                                             initial=0.0)
+    mumax = np.maximum(1.0, np.abs(mus)).max(axis=1, initial=1.0)
+    tscale = np.abs(zs) + sum(np.abs(Ds[:, j]).max(axis=(1, 2)) * mumax ** j
+                              for j in range(order + 1))
+    J = _jets_batch(mus, phis, order)
+    code = np.select(
+        [~lead_ok, on_axis, clustered, good.sum(axis=1) != expect,
+         resid > extension._RESID_TOL * (1.0 + tscale), _rank_deficient(J)],
+        [4, 1, 2, 3, 4, 2], 0)
+    return J, code
+
+
+def _reference_full_jets(T, F, zs):
+    sides = [_reference_basis(Ds, F.ks, zs, side,
+                              ((Ds.shape[1] - 1) * Ds.shape[2]) // 2)
+             for Ds, side in zip(F.sides, ("right", "left"))]
+    code = sides[0][1]
+    if len(sides) == 2:
+        code = np.where(code != 0, code, sides[1][1])
+    return _triple_layout(T, [J for J, _ in sides]), code
+
+
+def _kernel_cases():
+    from bec.models import build_model
+
+    lap, dirac = build_model("laplacian"), build_model("dirac", m=1.0)
+    reg = build_model("regdirac", m=-1.0, eps=0.1)
+    iface = build_model("dirac", m=1.0, m_minus=-1.0)
+    odd = _ConstantFamily([[[1.0]], [[0.3]], [[-1.0]]])
+    return [("laplacian", lap.triple(), lap.fiber_family(), False),
+            ("dirac", dirac.triple(), dirac.fiber_family(), False),
+            ("regdirac", reg.triple(), reg.fiber_family(), False),
+            ("interface", iface.triple("interface"),
+             iface.fiber_family("interface"), False),
+            ("odd mu term", _laplacian_like_triple([1.0, 0.0]), odd, True)]
+
+
+@pytest.mark.parametrize("name, T, fam, odd", _kernel_cases(),
+                         ids=[case[0] for case in _kernel_cases()])
+def test_full_jets_match_the_companion_svd_reference(monkeypatch, name, T,
+                                                     fam, odd):
+    k, lam = np.meshgrid(np.linspace(-12.0, 12.0, 25),
+                         np.linspace(-3.0, 3.0, 61))
+    ks = np.concatenate([k.ravel(), [0.0, 1.5, -40.0, 0.0, 1.5, -40.0]])
+    zs = np.concatenate([lam.ravel(), [1j, 1j, 1j, -1j, -1j, -1j]])
+    F = fam.stacks(ks)
+    companion_rows = []
+
+    def counted(coeffs):
+        companion_rows.append(len(coeffs))
+        return _companion_roots(coeffs)
+
+    monkeypatch.setattr(extension, "_companion_roots", counted)
+    J, code = _full_jets_batch(T, F, zs)
+    # the shipped symbols are even in mu; a symbol with an odd mu term goes
+    # through the companion matrices, every row of it
+    assert sum(companion_rows) == (len(ks) * len(F.sides) if odd else 0)
+    J_ref, code_ref = _reference_full_jets(T, F, zs)
+    assert np.array_equal(code, code_ref)
+    assert np.any(code == 0) and np.any(code != 0)
+    for j in range(J.shape[2]):
+        a, b = J_ref[code == 0, :, j], J[code == 0, :, j]
+        g = np.einsum("ni,ni->n", a.conj(), b)
+        phase = (g / np.abs(g))[:, None]
+        assert np.max(np.abs(b - phase * a)) <= 1e-10

@@ -1,9 +1,11 @@
 """The windings and affiliation verdicts of the summary tables in bec.cli,
 computed with the same calls and momentum windows as `bec tables`.
 
-The spectral flows of the tables need band tracking and are checked by
-`bec tables`; here the regularized Dirac windings take their expected values
-from the table's flows through SF(bc) - SF(dirichlet).
+The spectral flows of the tables need band tracking, seconds per row; all
+of them are checked by `bec tables`, and here one member of each mirror pair
+that the benchmark's tables-flow workload runs: a flow that moves with the
+tracker's numerics fails tier-1.  The regularized Dirac windings take their
+expected values from the table's flows through SF(bc) - SF(dirichlet).
 """
 import pytest
 
@@ -16,7 +18,7 @@ from bec.cli import (
     REGDIRAC_NUMERICS,
     REGDIRAC_ROWS,
 )
-from bec.edge import relative_winding, winding
+from bec.edge import relative_winding, spectral_flow, track_bands, winding
 from bec.extension import affiliation_check
 from bec.models import build_model
 
@@ -77,6 +79,40 @@ def test_regdirac_row_winding_relative_to_dirichlet(mi, m, label, a, sf_neg,
                              bc_ref=dirichlet).verdict == "affiliated"
     assert relative_winding(bc, dirichlet, T, fam,
                             k_window=REGDIRAC_NUMERICS[0])[0] == want
+
+
+def _flow_rows():
+    """(id, model name, model parameters, family, family parameters,
+    numerics, expected SF) of one member of each benchmark mirror pair."""
+    (_, K, xi, lap_sf, _), = [row for row in LAPLACE_ROWS
+                              if row[0] == "K>0, |xi|=1, xi>0"]
+    (m, a, _, dirac_sf), = [row for row in DIRAC_ROWS if row[:2] == (1.0, 2.0)]
+    (_, reg_a, reg_sf, _), = [row for row in REGDIRAC_ROWS
+                              if row[0] == "a = 2"]
+    return [
+        ("laplacian xi=%+g" % xi, "laplacian", {}, "robin",
+         {"K": K, "ell": xi, "M": 1.0}, LAPLACE_NUMERICS, lap_sf),
+        ("dirac m=%+g a=%+g" % (m, a), "dirac", {"m": m}, "a", {"a": a},
+         DIRAC_NUMERICS, dirac_sf),
+        ("regdirac m=-1 a=%+g" % reg_a, "regdirac", {"m": -1.0, "eps": 0.1},
+         "a", {"a": reg_a}, REGDIRAC_NUMERICS, reg_sf),
+        # analytic: the branches lam = k of both decoupled sides
+        ("interface decoupled(1,1)", "dirac", {"m": 1.0, "m_minus": -1.0},
+         "decoupled", {"aplus": 1.0, "aminus": 1.0}, DIRAC_NUMERICS, 2),
+    ]
+
+
+@pytest.mark.parametrize("name, params, family, kw, numerics, sf",
+                         [row[1:] for row in _flow_rows()],
+                         ids=[row[0] for row in _flow_rows()])
+def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf):
+    model = build_model(name, **params)
+    T = model.triple("interface" if "m_minus" in params else "halfline")
+    k_window, k_resolution, lam_resolution = numerics
+    bands = track_bands(model.make_bc(family, **kw), T, model, k_window,
+                        k_resolution=k_resolution,
+                        lam_resolution=lam_resolution)
+    assert spectral_flow(bands, level=0.0).value == sf
 
 
 def _table_conditions():
