@@ -43,9 +43,7 @@ from .extension import (
     AffiliationVerdict,
     BoundaryCondition,
     BoundaryTriple,
-    DeficiencyBasis,
     affiliation_check,
-    deficiency_basis,
     formal_symmetry_defect,
     from_ab,
     green_boundary_matrix,

@@ -31,7 +31,7 @@ whose [model] section names it, so both go through `modelfile.build`, and a
 file keeps every [numerics] and [task] key for every command.  `--param
 key=val` is routed by modelfile's section table: [model] parameters (m, eps,
 m_minus, f, nu) configure the model, [boundary] parameters (a, aplus,
-aminus, ell, K, L, M) the boundary family; `--ref-param` configures
+aminus, ell, K, M) the boundary family; `--ref-param` configures
 `--bc-ref`.  `--bc` replaces the file's family and its parameters but keeps
 its side.
 

@@ -61,6 +61,7 @@ K_LIMIT = 1e4
 _DIP_FRACTION = 0.6      # local minima below this fraction of scale refine
 _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 80       # golden-section steps at most per refinement
 
 
 def _detector(bc, T, F):
@@ -91,13 +92,13 @@ def _dips(r):
     return np.nonzero((r < _DIP_FRACTION) & (r <= left) & (r <= right))[0]
 
 
-def _golden(rel, owner, a, b, tol, iters=80):
+def _golden(rel, owner, a, b, tol):
     """Golden-section minimization of rel over the brackets [a, b], one
     detector batch per step for all of them.  owner gives each bracket's
     column and tol each column's width tolerance: a column stops once all of
     its brackets are that narrow.  Returns (x, rel(owner, x))."""
     a, b = a.copy(), b.copy()
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         w = b - a
         wide = np.zeros(len(tol), dtype=bool)
         wide[owner[~(w <= tol[owner])]] = True
@@ -273,7 +274,7 @@ class _Tracker:
     def decay_exponents(self, k, lam):
         """All decay exponents mu of the fiber's exponential solutions at a
         real energy inside the gap."""
-        bases = _side_bases(self.fam(k), [complex(lam)])
+        bases = _side_bases(self.model.fiber(k, self.T.side), [complex(lam)])
         return np.concatenate([np.zeros(0)] + [mus[0] for mus, _, _, code
                                                in bases if code[0] == 0])
 
@@ -575,8 +576,16 @@ class FlowResult:
                                                     len(self.crossings), tag)
 
 
-def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
-    """Up-crossings minus down-crossings of the bands through the level."""
+# a crossing slope below this, relative to 1 + |level|, is a tangency
+_TANGENCY_TOL = 1e-7
+
+
+def spectral_flow(bands, level=0.0):
+    """Up-crossings minus down-crossings of the bands through the level.
+
+    A band that leaves the k window while still moving toward the level
+    raises InsufficientResolutionError, since the count may miss a crossing
+    outside the window."""
     crossings = []
     flagged = False
     for band in bands:
@@ -585,6 +594,15 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
         if band.flat and np.max(np.abs(lam)) < 1e-7 * scale:
             flagged = True
             continue
+        for end, i, inner in ((band.left, 0, 1), (band.right, -1, -2)):
+            # leaving the window still moving toward the level, the band
+            # may cross it outside: (level - lam_end)(lam_end - lam_inner) > 0
+            if (end is not None and end.kind == "exits-k-window"
+                    and len(lam) > 1 and lam[i] * (lam[inner] - lam[i]) > 0.0):
+                raise InsufficientResolutionError(
+                    "a band leaves the k window at k=%.6g, lam=%.6g still "
+                    "moving toward the level %g; widen the k window"
+                    % (band.ks[i], band.lams[i], level))
         for i in range(len(lam) - 1):
             a, b = lam[i], lam[i + 1]
             if a == 0.0:
@@ -595,7 +613,7 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
                 dk = band.ks[i + 1] - band.ks[i]
                 slope = (b - a) / dk if dk != 0.0 else 0.0
                 k_star = band.ks[i] - a / slope if slope != 0.0 else band.ks[i]
-                if abs(slope) < tangency_tol * scale:
+                if abs(slope) < _TANGENCY_TOL * scale:
                     flagged = True
                     continue
                 crossings.append((float(k_star), int(np.sign(slope))))
@@ -604,7 +622,7 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
                 if a * c < 0.0:
                     dk = band.ks[i + 2] - band.ks[i]
                     slope = (c - a) / dk if dk != 0.0 else 0.0
-                    if abs(slope) < tangency_tol * scale:
+                    if abs(slope) < _TANGENCY_TOL * scale:
                         flagged = True
                         continue
                     crossings.append((float(band.ks[i + 1]),
@@ -620,7 +638,12 @@ def spectral_flow(bands, level=0.0, tangency_tol=1e-7):
 # windings of von Neumann unitaries
 
 
-def _det_curve(detfun, k_window, n_seed=1025, max_points=60000):
+# seeds of the phase sampling of det U, and the most samples it may take
+_PHASE_SEEDS = 1025
+_PHASE_MAX_POINTS = 60000
+
+
+def _det_curve(detfun, k_window):
     """Adaptively sampled det U over the compactified momentum line.
 
     detfun maps an array of momenta to complex determinants; sampling in
@@ -628,7 +651,7 @@ def _det_curve(detfun, k_window, n_seed=1025, max_points=60000):
     """
     s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
     seeds = np.concatenate([
-        np.linspace(-s_lim, s_lim, n_seed),
+        np.linspace(-s_lim, s_lim, _PHASE_SEEDS),
         (2.0 / np.pi) * np.arctan(np.linspace(-k_window, k_window, 801)),
     ])
     s = np.unique(np.clip(seeds, -s_lim, s_lim))
@@ -639,9 +662,9 @@ def _det_curve(detfun, k_window, n_seed=1025, max_points=60000):
         if len(bad) == 0:
             break
         mids = 0.5 * (s[bad] + s[bad + 1])
-        if len(s) + len(mids) > max_points:
+        if len(s) + len(mids) > _PHASE_MAX_POINTS:
             raise InsufficientResolutionError(
-                "phase sampling exceeded %d points" % max_points)
+                "phase sampling exceeded %d points" % _PHASE_MAX_POINTS)
         mvals = detfun(np.tan(0.5 * np.pi * mids))
         s = np.concatenate([s, mids])
         vals = np.concatenate([vals, mvals])

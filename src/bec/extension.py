@@ -15,8 +15,8 @@ polynomials in k, stored as coefficient stacks and evaluated over the same
 momenta: `BoundaryTriple.traces` gives (G1, G2), `BoundaryCondition.ab_batch`
 gives (A, B).  Every A_j and B_j of a condition is one p x p matrix, and
 `_ab_on`, the one place where a condition meets a triple, checks that p is
-the triple's dimV.  A model whose conditions have a local (K, L, M) form
-converts it to (A, B) in its own boundary family.
+the triple's dimV.  A model builds the (A, B) of each named condition in
+its own boundary family.
 
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
 spectral points: `_basis_batch` on one side's coefficients, `_side_bases`
@@ -38,9 +38,9 @@ and W(i) singularity tests and the admissibility test of iA + B.  Any other
 size, and a polynomial that is not even, takes LAPACK: companion-matrix
 eigenvalues and SVDs.
 
-The per-point API (`deficiency_basis`, `krein_Q`, `vn_unitary`,
-`green_identity_residual`) is the kernel on a one-row FiberStack, and
-`affiliation_check` runs it on its six momenta.
+The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
+the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
+six momenta.
 """
 import numpy as np
 
@@ -400,42 +400,6 @@ def _full_jets_batch(T, F, zs):
     return _triple_layout(T, [J for _, _, J, _ in sides]), code
 
 
-class DeficiencyBasis:
-    """Exponential solutions phi exp(-mu y) with Re mu of a fixed sign.
-
-    entries: list of (mu, phi), phi normalized; side 'right' means Re mu > 0
-    (decay on y > 0), 'left' means Re mu < 0 (decay on y < 0).
-    """
-
-    def __init__(self, k, z, side, entries, order, N):
-        if side not in ("right", "left"):
-            raise ContractViolation("side must be 'right' or 'left'")
-        self.k = float(k)
-        self.z = complex(z)
-        self.side = side
-        self.entries = list(entries)
-        self.order = int(order)
-        self.N = int(N)
-
-
-def deficiency_basis(F, z, side):
-    """One-sided decaying exponential solutions of (H(k)-z)Psi = 0 for the
-    fiber F at one momentum, with one side (a one-row FiberStack)."""
-    if complex(z).imag == 0.0:
-        raise ContractViolation("need Im z != 0 for a deficiency basis")
-    if len(F.sides) != 1:
-        raise ContractViolation("a deficiency basis needs a one-sided fiber")
-    ks = np.array([F.k])
-    Ds = F.sides[0]
-    order, N = Ds.shape[1] - 1, Ds.shape[2]
-    mus, phis, _, code = _basis_batch(Ds, ks, np.array([complex(z)]), side,
-                                      (order * N) // 2)
-    _check_codes(code, ks)
-    return DeficiencyBasis(F.k, z, side,
-                           [(complex(mu), phi) for mu, phi in
-                            zip(mus[0], phis[0])], order, N)
-
-
 # ---------------------------------------------------------------------------
 # boundary triples
 
@@ -610,32 +574,28 @@ def _krein_solve(J, G1, G2):
                            M2.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def _krein_family(T, F):
-    """Krein matrices (Q(i), Q(-i)), each (n, dimV, dimV), of the fibers F
-    (a FiberStack, as `FiberFamily.stacks` returns it).
+def _krein_family(T, F, zs=(1j, -1j)):
+    """Krein matrices Q(z), each (n, dimV, dimV), of the fibers F (a
+    FiberStack, as `FiberFamily.stacks` returns it) at the spectral points
+    zs, by default (Q(i), Q(-i)).
 
     Q depends on the triple and the fibers only, so every boundary condition
     over the same momenta shares it.
     """
     G1, G2 = T.traces(F.ks)
     Qs = []
-    for z in (1j, -1j):
+    for z in zs:
         J, code = _full_jets_batch(T, F, np.full(len(F.ks), z))
         _check_codes(code, F.ks)
         Qs.append(_krein_solve(J, G1, G2))
     return Qs
 
 
-def krein_Q(T, bases):
-    """Q(z) = (G2 J)(G1 J)^{-1} on the jet matrix J of the deficiency basis
-    (right basis for halfline triples; (right, left) pair for interfaces).
-    Independent of the choice of basis."""
-    bases = (bases,) if isinstance(bases, DeficiencyBasis) else tuple(bases)
-    jets = [_jets_batch(np.array([[mu for mu, _ in b.entries]]),
-                        np.array([[phi for _, phi in b.entries]]), b.order)
-            for b in bases]
-    return _krein_solve(_triple_layout(T, jets),
-                        *T.traces([bases[0].k]))[0]
+def krein_Q(T, F, z):
+    """Q(z) = (G2 J)(G1 J)^{-1} at the momentum of the fiber F (a one-row
+    FiberStack), J the jet matrix of its deficiency basis at z.  Independent
+    of the choice of basis."""
+    return _krein_family(T, F, (z,))[0][0]
 
 
 def _weyl(A, B, Q):

@@ -10,7 +10,7 @@ A model file is a plain-text document with up to five sections:
                  with ';'); only bulk pairings are available for inline
                  symbols since they carry no boundary triple
     [boundary]   named family of the builtin model (family = ..., plus its
-                 parameters a, aplus, aminus, ell, K, L, M) and the side
+                 real parameters a, aplus, aminus, ell, K, M) and the side
                  (halfline or interface), or an explicit condition through
                  polynomial matrices A0, A1, ..., B0, B1, ...
     [numerics]   tol, k_window, k_resolution, lam_resolution
@@ -28,9 +28,9 @@ fiducial energy, side halfline, k_window 20 max(1, w/2) for a declared gap
 of finite width w, else 20.  Accepted, else ModelFileError naming the key
 and the value: tol and k_window finite and > 0, k_resolution and
 lam_resolution integers >= 2, level finite, gap_lo < gap_hi given together
-(they bound the edge tracking, and are an inline symbol's declared gap).  A
-family parameter goes to the family as written, a complex scalar with zero
-imaginary part as a real number.
+(they bound the edge tracking, and are an inline symbol's declared gap).
+Every family parameter is real; a complex or matrix value is rejected by
+`parse`.
 
 Scalars use explicit complex literals "re+imi" (examples: 2, -0.5i, 1+2i);
 matrices separate rows with ';' and entries with spaces.  Unknown sections or
@@ -50,14 +50,15 @@ from .symbol import GapWindow, Symbol
 _SECTIONS = ("model", "symbol", "boundary", "numerics", "task")
 
 # The keys of each key = value section, in emission order, with the kind of
-# their values: "text", a "real" number, or a complex "value" (scalar or
-# matrix).  [boundary] also takes the polynomial keys A0, A1, ..., B0, B1, ...
+# their values: "text" or a "real" number.  [boundary] also takes the
+# polynomial keys A0, A1, ..., B0, B1, ..., each a complex "value" (scalar or
+# matrix).
 SECTION_KEYS = {
     "model": {"name": "text", "m": "real", "eps": "real", "m_minus": "real",
               "f": "real", "nu": "real"},
     "boundary": {"family": "text", "side": "text", "a": "real",
                  "aplus": "real", "aminus": "real", "ell": "real",
-                 "K": "value", "L": "value", "M": "value"},
+                 "K": "real", "M": "real"},
     "numerics": {"tol": "real", "k_window": "real", "k_resolution": "real",
                  "lam_resolution": "real"},
     "task": {"level": "real", "gap_lo": "real", "gap_hi": "real"},
@@ -330,18 +331,12 @@ def build(data):
             raise ModelFileError(
                 "give either a family or explicit A*/B* matrices, not both")
         if family is not None:
-            kw = {k: v.real if isinstance(v, complex) and v.imag == 0.0
-                  else v for k, v in data.boundary.items()
+            kw = {k: v for k, v in data.boundary.items()
                   if k not in ("family", "side")}
             try:
                 bc = model.make_bc(family, **kw)
             except ContractViolation as exc:
                 raise ModelFileError(str(exc))
-            except TypeError as exc:  # a value the family cannot take
-                raise ModelFileError("bad parameters for family %r (%s): %s"
-                                     % (family, ", ".join(
-                                         "%s = %s" % (k, _emit_value(v))
-                                         for k, v in kw.items()), exc))
         elif poly_keys:
             A = _poly_from_keys(data, "A")
             B = _poly_from_keys(data, "B")

@@ -29,15 +29,13 @@ class FiberFamily:
 
     fam.stacks(ks) is the FiberStack of a whole array of momenta, with one
     coefficient stack per side symbol (`ModelDescriptor.side_symbols`);
-    fam(k) is the one-row FiberStack at a single momentum.
+    `ModelDescriptor.fiber` gives the one-row FiberStack at a single
+    momentum.
     """
 
     def __init__(self, model, side):
         self.model = model
         self.side = side
-
-    def __call__(self, k):
-        return self.model.fiber(k, self.side)
 
     def stacks(self, ks):
         return FiberStack(ks, [S.fiber_stack(ks) for S in
@@ -234,18 +232,6 @@ def dirac(m, m_minus=None):
 # regularized Dirac operator
 
 
-def _promote_2x2(X):
-    """Scalars and 1x1 matrices become multiples of the 2x2 identity; 2x2
-    matrices pass."""
-    A = np.asarray(X, dtype=complex)
-    if A.shape in ((), (1, 1)):
-        return A.reshape(()) * np.eye(2, dtype=complex)
-    if A.shape != (2, 2):
-        raise ContractViolation("expected a scalar or 2x2 matrix, got %s"
-                                % (A.shape,))
-    return A
-
-
 def regularized_dirac(m, eps):
     """k1 sx + k2 sy + (m + eps k^2) sz; the second-order regularization that
     makes the bulk Chern number integral converge to an integer."""
@@ -277,14 +263,6 @@ def regularized_dirac(m, eps):
         B = np.array([[0.0, 0.0], [0.0, -1.0 / eps]], dtype=complex)
         return from_ab([A0, A1], [B], label="a=%g" % a)
 
-    def klm(K, L, M):
-        # K psi + L psi_x + M psi_y = 0: B = -M sz / eps,
-        # A = K - i k L - B Y / 2; scalars are multiples of the identity
-        K, L, M = (_promote_2x2(X) for X in (K, L, M))
-        B = -(1.0 / eps) * (M @ SIGMA_Z)
-        return from_ab([K - 0.5 * (B @ Y_MAT), -1j * L], [B],
-                       label="klm(regdirac)")
-
     def window(k, _gap):
         edge = np.sqrt(k * k + (m + eps * k * k) ** 2)
         pad = 1e-9 * (1.0 + edge)
@@ -293,7 +271,7 @@ def regularized_dirac(m, eps):
     return ModelDescriptor(
         "regdirac", {"m": m, "eps": eps}, S,
         triples={"halfline": T},
-        bc_families={"dirichlet": dirichlet, "a": a_family, "klm": klm},
+        bc_families={"dirichlet": dirichlet, "a": a_family},
         reference_bc={"halfline": dirichlet()},
         fiducial_E=0.0, gap_around=0.0,
         declared_gap=GapWindow(-abs(m), abs(m), "declared"),

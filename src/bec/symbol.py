@@ -156,12 +156,14 @@ class GapWindow:
         return self.hi - self.lo
 
 
-def find_gap(S, around, k_window, resolution=128):
+# points per side of the momentum grid that `find_gap` samples
+_GAP_RESOLUTION = 128
+
+
+def find_gap(S, around, k_window):
     """Largest interval around `around` free of sampled band energies over
     the momentum square [-k_window, k_window]^2."""
-    if resolution < 64:
-        raise ContractViolation("resolution must be >= 64")
-    g = np.linspace(-k_window, k_window, int(resolution))
+    g = np.linspace(-k_window, k_window, _GAP_RESOLUTION)
     K1, K2 = np.meshgrid(g, g, indexing="ij")
     w = np.linalg.eigvalsh(S.eval_batch(K1.ravel(), K2.ravel())).ravel()
     below = w[w <= around]

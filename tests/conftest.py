@@ -1,4 +1,5 @@
-"""Shared fixtures: built-in model descriptors and an in-process CLI runner.
+"""Shared fixtures: built-in model descriptors, the decaying solutions of a
+fiber at one momentum, and an in-process CLI runner.
 
 Randomized checks use hypothesis with a derandomized profile so every run
 sees the same examples.
@@ -7,8 +8,10 @@ import io
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
+import numpy as np
 import pytest
 
+from bec.extension import _basis_batch, _check_codes
 from bec.models import build_model
 
 try:
@@ -49,6 +52,17 @@ def regdirac_model():
 @pytest.fixture(scope="session")
 def shallow_model():
     return build_model("shallow", f=1.0, nu=0.1)
+
+
+def decaying_basis(F, z, side):
+    """Exponents (m,) and amplitudes (m, N) of the solutions of the
+    one-sided, one-row fiber F at z that decay on y > 0 (side 'right') or on
+    y < 0 ('left'); a failing basis raises its typed error."""
+    Ds = F.sides[0]
+    mus, phis, _, code = _basis_batch(Ds, F.ks, np.array([z]), side,
+                                      (Ds.shape[1] - 1) * Ds.shape[2] // 2)
+    _check_codes(code, F.ks)
+    return mus[0], phis[0]
 
 
 def run_cli(argv):

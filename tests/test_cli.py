@@ -129,7 +129,7 @@ def test_winding_names_an_inadmissible_condition(tmp_path):
 
 def test_laplacian_has_no_klm_family():
     code, out, err = run_cli(["winding", "--model", "laplacian",
-                              "--bc", "klm", "--param", "K=1,L=0,M=1"])
+                              "--bc", "klm", "--param", "K=1,M=1"])
     assert code == 2
     assert "no boundary family 'klm' (have ['dirichlet', 'neumann', " \
         "'robin'])" in err
@@ -216,6 +216,25 @@ def test_verify_skips_unaffiliated_condition():
     assert code == 2
     assert "SKIPPED" in out
     assert "not affiliated" in out
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["verify"], ["--tol", "1e-3"]),
+    (["edge", "flow"], []),
+])
+def test_band_leaving_the_window_toward_the_level_exits_3(command, flags):
+    # regdirac m = -1, a = 2: at k_window 4 a band leaves the window at
+    # k = -4 with lam = -2.21, outside the bulk gap (-1, 1) but still rising
+    # toward the level; its crossing lies at k = -5.81.  Counting only the
+    # window used to report SF(bc) = -1 and a violated identity.
+    code, out, err = run_cli(command + [
+        "--model", "regdirac", "--param", "m=-1,eps=0.1", "--bc", "a",
+        "--param", "a=2", "--k-window", "4", "--k-resolution", "161",
+        "--lam-resolution", "200"] + flags)
+    assert code == 3
+    assert "VIOLATED" not in out
+    assert err.startswith("numerical failure: a band leaves the k window at "
+                          "k=-4, lam=-2.21")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from bec import edge, extension
 from bec.edge import (
+    BandEndpoint,
     DispersionBand,
     dispersion_csv,
     edge_eigenvalues,
@@ -25,7 +26,11 @@ from bec.edge import (
     vn_unitary_family,
     winding,
 )
-from bec.errors import ContractViolation, NotComparableError
+from bec.errors import (
+    ContractViolation,
+    InsufficientResolutionError,
+    NotComparableError,
+)
 from bec.models import build_model
 from bec.symbol import GapWindow
 
@@ -284,6 +289,30 @@ def test_spectral_flow_nonzero_level():
     assert abs(flow.crossings[0][0] - 0.5) < 1e-12
 
 
+def _windowed(band, left="exits-k-window", right="exits-k-window"):
+    band.left = BandEndpoint(left, band.ks[0], band.lams[0])
+    band.right = BandEndpoint(right, band.ks[-1], band.lams[-1])
+    return band
+
+
+def test_spectral_flow_rejects_a_band_leaving_the_window_toward_the_level():
+    # lam = 1 + k/2 leaves the window at k = -1 with lam = 0.5, still
+    # falling toward the level: a crossing may lie beyond the window
+    ks = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(InsufficientResolutionError,
+                       match=r"k=-1, lam=0\.5 still moving toward the level"):
+        spectral_flow([_windowed(_band(ks, 1.0 + 0.5 * ks))])
+    # the same band ending at the bulk, and bands whose window ends move
+    # away from the level, are counted
+    assert spectral_flow([_windowed(_band(ks, 1.0 + 0.5 * ks),
+                                    left="touches-bulk")]).value == 0
+    assert spectral_flow([_windowed(_band(ks, ks)),
+                          _windowed(_band(ks, 1.0 + ks * ks))]).value == 1
+    # the right end, at a nonzero level
+    with pytest.raises(InsufficientResolutionError, match=r"k=1, lam=0\.5"):
+        spectral_flow([_windowed(_band(ks, 1.0 - 0.5 * ks))], level=-2.0)
+
+
 # ---------------------------------------------------------------------------
 # band tracking
 
@@ -468,7 +497,8 @@ def test_unitary_family_matches_per_point_unitary(request, fixture, side,
         bc = model.make_bc(family, **kw)
         U = vn_unitary_family(bc, T, fam, ks)
         for k, Uk in zip(ks, U):
-            assert np.max(np.abs(Uk - vn_unitary(bc, T, fam(k)))) < 1e-10
+            Fk = model.fiber(k, side)
+            assert np.max(np.abs(Uk - vn_unitary(bc, T, Fk))) < 1e-10
 
 
 @pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
@@ -538,8 +568,8 @@ def test_per_point_paths_report_vanishing_top_coefficient(lap_model):
     # the fiber at one momentum keeps the stack's order, so every per-point
     # path fails as the family does, naming the momentum
     from bec.errors import NumericalFailure
-    from bec.extension import (deficiency_basis, green_identity_residual,
-                               vn_unitary)
+    from bec.extension import green_identity_residual, vn_unitary
+    from conftest import decaying_basis
 
     model = _vanishing_top_model(lap_model)
     T, F = model.triple(), model.fiber(-1.0)
@@ -552,5 +582,5 @@ def test_per_point_paths_report_vanishing_top_coefficient(lap_model):
     with pytest.raises(NumericalFailure, match=match):
         green_identity_residual(T, F)
     with pytest.raises(NumericalFailure, match=match):
-        deficiency_basis(F, 1j, "right")
+        decaying_basis(F, 1j, "right")
     assert edge_eigenvalues(bc, T, F, GapWindow(-5.0, 0.0)) == []

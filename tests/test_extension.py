@@ -43,8 +43,9 @@ from bec.extension import (
     _triple_layout,
     _admissibility,
     _weyl,
+    _krein_family,
+    _krein_solve,
     affiliation_check,
-    deficiency_basis,
     formal_symmetry_defect,
     from_ab,
     green_boundary_matrix,
@@ -52,8 +53,10 @@ from bec.extension import (
     krein_Q,
     triple_defect,
     vn_unitary,
+    vn_unitary_family,
 )
-from bec.symbol import FiberStack, fiberize
+from bec.symbol import FiberStack
+from conftest import decaying_basis
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SQRT_1_MINUS_I = 1.09868411346781 - 0.455089860562227j
@@ -88,20 +91,19 @@ def test_char_poly_scalar_second_order(lap_model):
 
 def test_deficiency_basis_scalar_exponents(lap_model):
     F = lap_model.fiber(1.0)
-    right = deficiency_basis(F, 1j, "right")
-    assert len(right.entries) == 1
-    mu, phi = right.entries[0]
-    assert abs(mu - SQRT_1_MINUS_I) < 1e-10
-    assert abs(abs(phi[0]) - 1.0) < 1e-12
-    left = deficiency_basis(F, 1j, "left")
-    assert abs(left.entries[0][0] + SQRT_1_MINUS_I) < 1e-10
+    mus, phis = decaying_basis(F, 1j, "right")
+    assert len(mus) == 1
+    assert abs(mus[0] - SQRT_1_MINUS_I) < 1e-10
+    assert abs(abs(phis[0, 0]) - 1.0) < 1e-12
+    mus, _ = decaying_basis(F, 1j, "left")
+    assert abs(mus[0] + SQRT_1_MINUS_I) < 1e-10
 
 
 def test_deficiency_basis_two_band_amplitude(dirac_model):
     F = dirac_model.fiber(0.0)
-    basis = deficiency_basis(F, 1j, "right")
-    assert len(basis.entries) == 1
-    mu, phi = basis.entries[0]
+    mus, phis = decaying_basis(F, 1j, "right")
+    assert len(mus) == 1
+    mu, phi = mus[0], phis[0]
     assert abs(mu - np.sqrt(2.0)) < 1e-12
     want = np.array([1.0 + 1j, np.sqrt(2.0)])
     overlap = abs(np.vdot(want, phi))
@@ -110,8 +112,7 @@ def test_deficiency_basis_two_band_amplitude(dirac_model):
 
 def test_deficiency_basis_fourth_order_exponents(regdirac_model):
     F = regdirac_model.fiber(0.0)
-    basis = deficiency_basis(F, 1j, "right")
-    mus = sorted(abs(mu) for mu, _ in basis.entries)
+    mus = sorted(np.abs(decaying_basis(F, 1j, "right")[0]))
     assert np.allclose(mus, [1.30018500666136, 10.8770179253531], atol=1e-9)
 
 
@@ -121,13 +122,8 @@ def test_deficiency_basis_counts_match_at_conjugate_points(
         for k in (0.5, -31.6, 1e3):
             F = model.fiber(k)
             for z in (1j, -1j):
-                assert len(deficiency_basis(F, z, "right").entries) == n
-                assert len(deficiency_basis(F, z, "left").entries) == n
-
-
-def test_deficiency_basis_rejects_real_point(lap_model):
-    with pytest.raises(ContractViolation):
-        deficiency_basis(lap_model.fiber(1.0), 0.5, "right")
+                assert len(decaying_basis(F, z, "right")[0]) == n
+                assert len(decaying_basis(F, z, "left")[0]) == n
 
 
 def test_deficiency_basis_of_first_order_scalar_fiber():
@@ -135,30 +131,30 @@ def test_deficiency_basis_of_first_order_scalar_fiber():
     # kernel expects order * N // 2 = 0 solutions per side, so the right
     # basis is empty and the left one has the wrong count: the deficiency
     # indices differ, and no boundary triple exists
-    F = _ConstantFamily([[[1.0]], [[1j]]])(0.0)
-    assert deficiency_basis(F, 1j, "right").entries == []
+    F = _ConstantFamily([[[1.0]], [[1j]]]).stacks([0.0])
+    assert len(decaying_basis(F, 1j, "right")[0]) == 0
     with pytest.raises(TripleDegeneracyError):
-        deficiency_basis(F, 1j, "left")
+        decaying_basis(F, 1j, "left")
 
 
 def test_kernel_rejects_order_zero_fiber(lap_model):
-    F = _ConstantFamily([[[1.0]]])(0.0)
+    F = _ConstantFamily([[[1.0]]]).stacks([0.0])
     with pytest.raises(ContractViolation):
-        deficiency_basis(F, 1j, "right")
+        decaying_basis(F, 1j, "right")
     with pytest.raises(ContractViolation):
         vn_unitary(lap_model.make_bc("dirichlet"), lap_model.triple(), F)
 
 
 def test_deficiency_basis_rejects_imaginary_axis_exponent():
     # constant-coefficient fiber with char mu^2 + 1 at z=i: exponents +-i
-    F = _ConstantFamily([[[1.0 + 1j]], [[0.0]], [[1.0]]])(0.0)
+    F = _ConstantFamily([[[1.0 + 1j]], [[0.0]], [[1.0]]]).stacks([0.0])
     with pytest.raises(BoundaryOfRegularityError):
-        deficiency_basis(F, 1j, "right")
+        decaying_basis(F, 1j, "right")
 
 
 def test_jets_stack_derivatives(lap_model):
-    basis = deficiency_basis(lap_model.fiber(1.0), 1j, "right")
-    mu, phi = basis.entries[0]
+    mus, phis = decaying_basis(lap_model.fiber(1.0), 1j, "right")
+    mu, phi = mus[0], phis[0]
     J = _jets_batch(np.array([[mu]]), phi[None, None], 2)[0]
     assert J.shape == (2, 1)
     # (phi, -mu phi), normalized to a unit column
@@ -260,22 +256,6 @@ def test_condition_size_must_match_the_triple(dirac_model):
             affiliation_check(*args)
 
 
-def test_klm_route_agrees_with_direct_family(regdirac_model):
-    # K - ikL = diag(1, -ak) with a=2, M = diag(0,1) encodes the same
-    # extension as the shipped family at a=2, so the unitaries must agree.
-    a = 2.0
-    bc_klm = regdirac_model.make_bc("klm", K=np.diag([1.0, 0.0]),
-                                    L=np.diag([0.0, -1j * a]),
-                                    M=np.diag([0.0, 1.0]))
-    bc_fam = regdirac_model.make_bc("a", a=a)
-    T = regdirac_model.triple("halfline")
-    for k in (0.0, 0.9, -1.7):
-        F = regdirac_model.fiber(k)
-        U1 = vn_unitary(bc_klm, T, F)
-        U2 = vn_unitary(bc_fam, T, F)
-        assert np.max(np.abs(U1 - U2)) < 1e-10
-
-
 def test_check_admissible_accepts_robin(lap_model):
     bc = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
     U = vn_unitary(bc, lap_model.triple(), lap_model.fiber(0.3))
@@ -306,8 +286,7 @@ def test_admissibility_residuals_values():
 
 def test_krein_Q_scalar_closed_form(lap_model):
     T = lap_model.triple("halfline")
-    basis = deficiency_basis(lap_model.fiber(1.0), 1j, "right")
-    Q = krein_Q(T, basis)
+    Q = krein_Q(T, lap_model.fiber(1.0), 1j)
     assert Q.shape == (1, 1)
     assert abs(Q[0, 0] + SQRT_1_MINUS_I) < 1e-10
 
@@ -316,18 +295,13 @@ def test_krein_Q_two_band_closed_form(dirac_model):
     T = dirac_model.triple("halfline")
     for k in (0.0, 0.9, -1.4):
         for z in (1j, -1j):
-            basis = deficiency_basis(dirac_model.fiber(k), z, "right")
-            Q = krein_Q(T, basis)
+            Q = krein_Q(T, dirac_model.fiber(k), z)
             assert abs(Q[0, 0] - halfline_two_band_Q(k, z, 1.0)) < 1e-10
 
 
 def test_krein_Q_interface_closed_form(dirac_interface_model):
     T = dirac_interface_model.triple("interface")
-    plus, minus = (fiberize(S, 0.0) for S in
-                   dirac_interface_model.side_symbols("interface"))
-    bases = (deficiency_basis(plus, 1j, "right"),
-             deficiency_basis(minus, 1j, "left"))
-    Q = krein_Q(T, bases)
+    Q = krein_Q(T, dirac_interface_model.fiber(0.0, "interface"), 1j)
     want = (1j / np.sqrt(2.0)) * np.eye(2) - 0.5j * SX
     assert np.max(np.abs(Q - want)) < 1e-10
 
@@ -338,32 +312,33 @@ def test_krein_Q_conjugation_symmetry(
                      (regdirac_model, 0.3)):
         T = model.triple("halfline")
         F = model.fiber(k)
-        Qp = krein_Q(T, deficiency_basis(F, 1j, "right"))
-        Qm = krein_Q(T, deficiency_basis(F, -1j, "right"))
+        Qp, Qm = (krein_Q(T, F, z) for z in (1j, -1j))
         assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
     T = dirac_interface_model.triple("interface")
-    plus, minus = (fiberize(S, 0.5) for S in
-                   dirac_interface_model.side_symbols("interface"))
-    Qp = krein_Q(T, (deficiency_basis(plus, 1j, "right"),
-                     deficiency_basis(minus, 1j, "left")))
-    Qm = krein_Q(T, (deficiency_basis(plus, -1j, "right"),
-                     deficiency_basis(minus, -1j, "left")))
+    F = dirac_interface_model.fiber(0.5, "interface")
+    Qp, Qm = (krein_Q(T, F, z) for z in (1j, -1j))
     assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
 
 
-def test_krein_Q_independent_of_basis_scaling(regdirac_model):
-    from bec.extension import DeficiencyBasis
-
-    T = regdirac_model.triple("halfline")
-    F = regdirac_model.fiber(0.6)
-    basis = deficiency_basis(F, 1j, "right")
-    Q1 = krein_Q(T, basis)
-    # rescale the amplitudes and swap the entry order
-    entries = [(mu, (0.3 - 1.7j) * phi) for mu, phi in basis.entries][::-1]
-    rescaled = DeficiencyBasis(basis.k, basis.z, basis.side, entries,
-                               basis.order, basis.N)
-    Q2 = krein_Q(T, rescaled)
-    assert np.max(np.abs(Q1 - Q2)) < 1e-9
+def test_krein_Q_independent_of_basis_scaling():
+    # Q = (G2 J)(G1 J)^{-1} is unchanged when the jets J of the deficiency
+    # space take another basis J R, R any invertible dimV x dimV matrix;
+    # krein_Q is the one-row case of the batched Krein family
+    rng = np.random.default_rng(3)
+    ks = np.concatenate([np.linspace(-20.0, 20.0, 41), [1e3, -1e4]])
+    for _, T, fam, _ in _kernel_cases()[:4]:
+        F = fam.stacks(ks)
+        G1, G2 = T.traces(ks)
+        shape = (len(ks), T.dimV, T.dimV)
+        R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for z, Q in zip((1j, -1j), _krein_family(T, F)):
+            J, code = _full_jets_batch(T, F, np.full(len(ks), z))
+            assert not np.any(code)
+            size = 1.0 + np.abs(Q).max(axis=(1, 2))
+            assert np.all(np.abs(_krein_solve(J @ R, G1, G2) - Q)
+                          .max(axis=(1, 2)) <= 1e-9 * size)
+            for i in (0, 20, 42):
+                assert np.array_equal(krein_Q(T, F[[i]], z), Q[i])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +407,50 @@ def test_vn_unitary_invariant_under_row_operations(lap_model):
         < 1e-10
 
 
+def _times(R, X):
+    """Coefficients of R(k) X(k) for matrix polynomials R and X given by
+    their coefficient lists."""
+    out = [0.0] * (len(R) + len(X) - 1)
+    for i, Ri in enumerate(R):
+        for j, Xj in enumerate(X):
+            out[i + j] = out[i + j] + Ri @ Xj
+    return out
+
+
+@pytest.mark.parametrize("fixture, side, family, kw", [
+    ("lap_model", "halfline", "robin", {"K": 1.0, "ell": 2.0, "M": 1.0}),
+    ("dirac_model", "halfline", "a", {"a": 2.0}),
+    ("regdirac_model", "halfline", "a", {"a": 2.0}),
+    ("regdirac_model", "halfline", "dirichlet", {}),
+    ("dirac_interface_model", "interface", "decoupled",
+     {"aplus": 1.0, "aminus": 1.0}),
+    ("dirac_interface_model", "interface", "transparent", {}),
+])
+def test_vn_unitary_family_invariant_under_row_mixing(request, fixture, side,
+                                                      family, kw):
+    # (A, B) -> (R(k) A, R(k) B) with R(k) invertible at every k is the same
+    # condition: a nonzero constant for dimV = 1, and for dimV = 2 the
+    # polynomial R0 (1 + k N) with N nilpotent, whose determinant is det R0
+    model = request.getfixturevalue(fixture)
+    T, fam = model.triple(side), model.fiber_family(side)
+    bc = model.make_bc(family, **kw)
+    rng = np.random.default_rng(5)
+    if T.dimV == 1:
+        R = [np.array([[0.7 - 1.3j]])]
+    else:
+        R0, v = (rng.normal(size=s) + 1j * rng.normal(size=s)
+                 for s in ((2, 2), 2))
+        R = [R0, R0 @ np.outer(v, [v[1], -v[0]])]
+    mixed = from_ab(*(_times(R, X) for X in bc._ab_poly))
+    ks = np.concatenate([np.linspace(-30.0, 30.0, 61), [1e3, -1e3]])
+    U = vn_unitary_family(bc, T, fam, ks)
+    err = np.abs(vn_unitary_family(mixed, T, fam, ks) - U).max(axis=(1, 2))
+    # the mixed solves lose up to the condition number of R(k)
+    cond = np.linalg.cond([sum(Rj * k ** j for j, Rj in enumerate(R))
+                           for k in ks])
+    assert np.all(err <= 1e-12 * cond)
+
+
 def test_vn_unitary_rejects_singular_W():
     # A = B = identity makes W(i) = 1 - Q singular when Q = 1
     bc = from_ab(np.array([[0.0]]), np.array([[0.0]]))
@@ -480,7 +499,7 @@ def _evidence_per_condition(bc, T, fam, bc_ref):
     for sign, key in ((1.0, "+"), (-1.0, "-")):
         rs = []
         for kap in (1e2, 1e3, 1e4):
-            F = fam(sign * kap)
+            F = fam.stacks([sign * kap])
             U = vn_unitary(bc, T, F)
             if bc_ref is not None:
                 U = U @ np.linalg.inv(vn_unitary(bc_ref, T, F))
@@ -549,9 +568,6 @@ class _ConstantFamily:
     def __init__(self, Ds):
         self.Ds = np.array(Ds, dtype=complex)
 
-    def __call__(self, k):
-        return self.stacks([k])
-
     def stacks(self, ks):
         return FiberStack(ks, [np.repeat(self.Ds[None], len(ks), axis=0)])
 
@@ -577,22 +593,21 @@ _FAILING_BASES = [
 @pytest.mark.parametrize("Ds, G1, error", _FAILING_BASES)
 def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
                                                                  error):
-    from bec.edge import vn_unitary_family
-
     fam = _ConstantFamily(Ds)
     T = _laplacian_like_triple(G1)
     bc = from_ab(np.eye(1), np.zeros((1, 1)))
+    F = fam.stacks([0.5])
     with pytest.raises(error):
-        krein_Q(T, deficiency_basis(fam(0.5), 1j, "right"))
+        krein_Q(T, F, 1j)
     with pytest.raises(error):
-        vn_unitary(bc, T, fam(0.5))
+        vn_unitary(bc, T, F)
     with pytest.raises(error):
         vn_unitary_family(bc, T, fam, [0.5, 2.0])
 
 
 def test_triple_of_wrong_dimension_raises_everywhere(lap_model):
     # the Laplacian fiber has a one-dimensional deficiency space
-    from bec.edge import edge_eigenvalues, vn_unitary_family
+    from bec.edge import edge_eigenvalues
     from bec.symbol import GapWindow
 
     T = BoundaryTriple(2, "halfline", np.eye(2), np.eye(2)[::-1], 2, 1)
@@ -706,7 +721,7 @@ def test_double_nu_and_double_mu_have_the_coinciding_exponents_code():
     code = _basis_batch(Ds, np.array([0.5]), np.array([1j]), "right", 1)[3]
     assert code[0] == extension._DEGENERATE
     with pytest.raises(DegenerateExponentError):
-        deficiency_basis(_ConstantFamily(Ds[0])(0.5), 1j, "right")
+        decaying_basis(_ConstantFamily(Ds[0]).stacks([0.5]), 1j, "right")
 
 
 def test_kernel_vectors_of_singular_two_by_two_matrices():

@@ -109,9 +109,8 @@ tol = 1e-4
 
 [boundary]
 B1 = 0 ; 1
-M = 1 0 ; 0 2i
+M = -3
 A0 = 1
-L = -0.5i
 K = 2
 ell = 0.5
 aminus = -1
@@ -157,8 +156,7 @@ aplus = 1
 aminus = -1
 ell = 0.5
 K = 2
-L = -0.5i
-M = 1 0 ; 0 2i
+M = -3
 A0 = 1
 A1 = 1 2 ; 3 4
 B0 = 3-2i
@@ -278,16 +276,15 @@ def test_parse_names_the_key_of_a_non_finite_value():
 
 
 def test_build_passes_complex_family_values_as_written():
-    # klm of the regularized Dirac model: A(k) = K - i k L - B Y / 2, so
-    # L = 2i gives A1 = 2 I; a real scalar goes to the family as a float
-    text = ("[model]\nname = regdirac\nm = 1\neps = 0.1\n"
-            "[boundary]\nfamily = klm\nK = 1\nL = 2i\nM = 0\n")
-    bc = build(parse(text))[1]
-    A1 = bc.ab_at(1.0)[0] - bc.ab_at(0.0)[0]
-    assert np.array_equal(A1, 2.0 * np.eye(2))
+    # every family parameter is real: a complex literal with zero imaginary
+    # part is a real number, any other is rejected when the file is parsed
     text = ("[model]\nname = laplacian\n"
             "[boundary]\nfamily = robin\nK = 1+0i\nM = 1\n")
     assert build(parse(text))[1].label == "robin(K=1,ell=0,M=1)"
+    with pytest.raises(ModelFileError,
+                       match=r"line 5: \[boundary\] K = 1\+1i: key 'K' must "
+                             r"be real"):
+        parse(text.replace("1+0i", "1+1i"))
 
 
 def test_build_interface_side():
@@ -344,11 +341,12 @@ def test_build_rejects_bad_family_parameters():
 
 
 def test_build_rejects_family_value_of_wrong_shape():
-    # the parameters fit the family's signature; its body rejects the value
+    # a family parameter is a real scalar, so a matrix fails to parse
     text = ("[model]\nname = laplacian\n"
             "[boundary]\nfamily = robin\nK = 1 2 ; 3 4\nM = 1\n")
-    with pytest.raises(ModelFileError, match="family 'robin'"):
-        build(parse(text))
+    with pytest.raises(ModelFileError, match=r"line 5: \[boundary\] "
+                                             r"K = 1 2 ; 3 4: bad number"):
+        parse(text)
 
 
 def test_build_explicit_condition_matrices(lap_model):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bec.errors import ContractViolation, DomainError
-from bec.extension import green_identity_residual, deficiency_basis
+from bec.extension import _side_bases, green_identity_residual
 from bec.models import (
     BUILTIN_MODELS,
     build_model,
@@ -14,7 +14,8 @@ from bec.models import (
     regularized_dirac,
     shallow_water,
 )
-from bec.symbol import FiberStack, fiberize
+from bec.symbol import FiberStack
+from conftest import decaying_basis
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -89,8 +90,6 @@ def test_two_band_interface_descriptor(dirac_interface_model):
     assert F.k == 0.5 and len(F.sides) == 2
     assert np.allclose(F.sides[0][0, 0], 0.5 * SX + SZ)
     assert np.allclose(F.sides[1][0, 0], 0.5 * SX - SZ)
-    with pytest.raises(ContractViolation):
-        deficiency_basis(F, 1j, "right")  # needs one side
     T = model.triple("interface")
     assert T.dimV == 2 and T.side == "interface"
     assert model.reference_bc["interface"].label == "transparent"
@@ -157,16 +156,13 @@ def test_deficiency_indices_of_builtin_models(
     # equal counts on both sides: (1,1) scalar, (1,1) first-order two-band,
     # (2,2) fourth-order, and 1 per half for the interface
     for k in (0.5, 31.6, 1000.0):
-        assert len(deficiency_basis(lap_model.fiber(k), 1j,
-                                    "right").entries) == 1
-        assert len(deficiency_basis(dirac_model.fiber(k), 1j,
-                                    "right").entries) == 1
-        assert len(deficiency_basis(regdirac_model.fiber(k), 1j,
-                                    "right").entries) == 2
-        plus, minus = (fiberize(S, k) for S in
-                       dirac_interface_model.side_symbols("interface"))
-        assert len(deficiency_basis(plus, 1j, "right").entries) == 1
-        assert len(deficiency_basis(minus, 1j, "left").entries) == 1
+        for model, n in ((lap_model, 1), (dirac_model, 1),
+                         (regdirac_model, 2)):
+            assert len(decaying_basis(model.fiber(k), 1j, "right")[0]) == n
+        sides = _side_bases(dirac_interface_model.fiber(k, "interface"),
+                            np.array([1j]))
+        assert [mus.shape for mus, _, _, _ in sides] == [(1, 1), (1, 1)]
+        assert [code[0] for *_, code in sides] == [0, 0]
 
 
 def test_interface_scan_window_uses_smaller_mass():

@@ -12,7 +12,8 @@ from numpy.polynomial.polynomial import polyfromroots
 from bec.edge import vn_unitary_family
 from bec.extension import (
     _companion_roots,
-    deficiency_basis,
+    _full_jets_batch,
+    _krein_solve,
     from_ab,
     green_identity_residual,
     krein_Q,
@@ -99,8 +100,8 @@ def test_Q_conjugation_symmetry_random_momenta(k, im, upper):
     for model in (LAP, DIRAC, REGD):
         T = model.triple("halfline")
         F = model.fiber(k)
-        Qp = krein_Q(T, deficiency_basis(F, z, "right"))
-        Qm = krein_Q(T, deficiency_basis(F, np.conj(z), "right"))
+        Qp = krein_Q(T, F, z)
+        Qm = krein_Q(T, F, np.conj(z))
         assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
 
 
@@ -108,14 +109,12 @@ def test_Q_conjugation_symmetry_random_momenta(k, im, upper):
        st.complex_numbers(max_magnitude=3.0).filter(
            lambda c: abs(c) > 0.05))
 def test_Q_independent_of_basis_rescaling(k, scale):
-    from bec.extension import DeficiencyBasis
-
-    T = REGD.triple("halfline")
-    basis = deficiency_basis(REGD.fiber(k), 1j, "right")
-    entries = [(mu, scale * phi) for mu, phi in basis.entries][::-1]
-    alt = DeficiencyBasis(basis.k, basis.z, basis.side, entries,
-                          basis.order, basis.N)
-    assert np.max(np.abs(krein_Q(T, basis) - krein_Q(T, alt))) < 1e-9
+    # rescale one decaying solution and swap the two: J -> J R
+    T, F = REGD.triple("halfline"), REGD.fiber(k)
+    J = _full_jets_batch(T, F, np.array([1j]))[0]
+    R = np.array([[0.0, scale], [1.0, 0.0]])
+    Q = _krein_solve(J @ R, *T.traces(F.ks))[0]
+    assert np.max(np.abs(krein_Q(T, F, 1j) - Q)) < 1e-9
 
 
 @given(st.floats(-10.0, 10.0, **finite))

@@ -1,0 +1,60 @@
+"""The package exports only names that something calls.
+
+Every name in `bec.__all__` must be used in `src/bec` outside its own
+definition, or in `perfbench/`, or be listed in ALLOWED with the ROADMAP
+open item that will give it a caller.
+"""
+import ast
+from pathlib import Path
+
+import bec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# exported names without a caller yet, each with the item that adds one
+ALLOWED = {
+    "krein_Q": "ROADMAP item 4: Krein's resolvent formula",
+    "green_identity_residual": "ROADMAP item 4: the L2 Gram matrix of the "
+                               "decaying exponentials",
+    "formal_symmetry_defect": "ROADMAP item 6: checks of a [triple] section",
+    "triple_defect": "ROADMAP item 6: checks of a [triple] section",
+}
+
+
+def _uses(path):
+    """Names a module uses: loaded names, attributes and the modules it
+    imports from, less the uses inside a definition of the same name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            name = node.module.split(".")[-1]
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def _used_names():
+    paths = [p for p in (ROOT / "src" / "bec").glob("*.py")
+             if p.name != "__init__.py"]
+    paths += list((ROOT / "perfbench").glob("*.py"))
+    return set().union(*map(_uses, paths))
+
+
+def test_every_exported_name_has_a_caller():
+    used = _used_names()
+    assert sorted(set(bec.__all__) - used - set(ALLOWED)) == []
+    # an allowed name leaves the list once it has a caller
+    assert sorted(set(ALLOWED) & used) == []
+    assert set(ALLOWED) <= set(bec.__all__)

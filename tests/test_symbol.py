@@ -172,7 +172,7 @@ def test_fiber_stack_equals_stacked_fiberize(name, side, lap_model,
     assert np.array_equal(stacks.ks, ks)
     assert len(stacks.sides) == (2 if side == "interface" else 1)
     for i, k in enumerate(ks):
-        F = fam(k)
+        F = model.fiber(k, side)
         assert F.k == k and len(F.sides) == len(stacks.sides)
         for Ds, P in zip(stacks.sides, F.sides):
             assert Ds.shape == (len(ks),) + P.shape[1:]
@@ -280,11 +280,6 @@ def test_find_gap_rejects_filled_level(shallow_model):
     # the flat band sits at zero, so there is no gap around zero
     with pytest.raises(NoGapError):
         find_gap(shallow_model.symbol, 0.0, 6.0)
-
-
-def test_find_gap_rejects_coarse_resolution(dirac_model):
-    with pytest.raises(ContractViolation):
-        find_gap(dirac_model.symbol, 0.0, 6.0, resolution=32)
 
 
 # ---------------------------------------------------------------------------
