@@ -9,11 +9,14 @@ built on the normalized jet matrix J of the decaying exponential solutions at
 energy lam; a kernel vector assembles a genuine decaying eigenfunction, so
 dips of the smallest singular value signal true edge dispersion points (this
 also sees eigenvalues where the raw condition matrix is identically trivial,
-e.g. for a reference condition).  A momentum column is scanned on an energy
-grid, and each dip of the scan is refined by golden section; the columns of
-a band track are handled a block at a time, so one detector batch serves a
-refinement step of every column in the block.  Windings are computed from
-the phase of det U along a compactified momentum line.
+e.g. for a reference condition).  The factor A G1 - B G2 is formed once
+per momentum, so a detector batch multiplies it into the jets only.  A
+momentum column is scanned on an energy grid, and each dip of the scan is
+refined by golden section; the columns of a band track are handled a block
+at a time: the grids of all columns of the block are scanned in one pass
+of fixed-size detector batches, and one detector batch serves a refinement
+step of every column in the block.  Windings are computed from the phase of
+det U along a compactified momentum line.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
@@ -62,6 +65,9 @@ _DIP_FRACTION = 0.6      # local minima below this fraction of scale refine
 _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 80       # golden-section steps at most per refinement
+# (column, energy) rows per detector batch of a scan: bounds the batch's
+# memory, which grows linearly with its rows
+_SCAN_ROWS = 512
 
 
 def _detector(bc, T, F):
@@ -70,15 +76,18 @@ def _detector(bc, T, F):
     Returns det(rows, lams) -> (sv, scale, valid): the singular values
     (n, dimV) of M(k, lam) at the fibers of the columns indexed by rows and
     the energies lams, the scale 1 + max|M|, and whether the basis is good
-    (reason code 0); a failing basis never raises here.
+    (reason code 0); a failing basis never raises here.  Since
+    M = (A G1 - B G2) J, the jet-free factor P = A G1 - B G2 is formed once
+    per column, and a batch costs one gather and one product P[rows] J.
     """
     A, B = _ab_on(bc, T, F.ks)
     G1, G2 = T.traces(F.ks)
+    P = A @ G1 - B @ G2
 
     def det(rows, lams):
         J, code = _full_jets_batch(T, F[rows],
                                    np.asarray(lams, dtype=complex))
-        M = A[rows] @ (G1[rows] @ J) - B[rows] @ (G2[rows] @ J)
+        M = P[rows] @ J
         sv = _singular_values(M)
         return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
     return det
@@ -121,10 +130,13 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     open window (lo, hi): one list of (lam, relative residual), ascending,
     per momentum.
 
-    Every column is scanned on its own energy grid.  The detector dips of
-    all columns are then refined together, so that each golden-section step
-    is one detector batch, while each column keeps its own width tolerance
-    (xtol, by default 1e-9 of the window's magnitude) and so its own result.
+    Every column has its own energy grid, and the grids of all columns are
+    scanned in one pass, _SCAN_ROWS (column, energy) rows per detector
+    batch; a row's value does not depend on its batch, so a batch may split
+    a column.  The detector dips of all columns are then refined together,
+    so that each golden-section step is one detector batch, while each
+    column keeps its own width tolerance (xtol, by default 1e-9 of the
+    window's magnitude) and so its own result.
     """
     out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
@@ -138,26 +150,34 @@ def _columns(bc, T, F, windows, nl, xtol=None):
         return np.where(valid, sv[:, -1] / scale, np.inf)
 
     nl = int(nl)
-    tol, fine, los, his, owner = [], [], [], [], []
-    for c, i in enumerate(cols):
-        lo, hi = windows[i]
-        size = 1.0 + max(abs(lo), abs(hi))
-        tol.append(1e-9 * size if xtol is None else xtol)
-        fine.append(1e-13 * size)
-        # uniform sweep plus geometric ladders toward both window ends:
-        # states about to delocalize sit arbitrarily close to the window
-        # edge and their detector dip narrows with the binding energy
-        lad = np.geomspace(1e-9, 1.0 / max(nl, 2), 24) * (hi - lo)
-        lams = np.unique(np.concatenate([np.linspace(lo, hi, nl),
-                                         lo + lad, hi - lad]))
-        dips = _dips(rel(np.full(len(lams), c), lams))
-        los.append(lams[np.maximum(dips - 1, 0)])
-        his.append(lams[np.minimum(dips + 1, len(lams) - 1)])
+    lo, hi = np.array([windows[i] for i in cols], dtype=float).T
+    size = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
+    tol = 1e-9 * size if xtol is None else np.full(len(cols), float(xtol))
+    fine = 1e-13 * size
+    # uniform sweep plus geometric ladders toward both window ends: states
+    # about to delocalize sit arbitrarily close to the window edge and their
+    # detector dip narrows with the binding energy
+    ladder = np.geomspace(1e-9, 1.0 / max(nl, 2), 24)
+    grids = []
+    for a, b in zip(lo, hi):
+        lad = ladder * (b - a)
+        grids.append(np.unique(np.concatenate([np.linspace(a, b, nl),
+                                               a + lad, b - lad])))
+    lengths = [len(grid) for grid in grids]
+    rows = np.repeat(np.arange(len(cols)), lengths)
+    lams = np.concatenate(grids)
+    vals = np.concatenate([rel(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
+                           for s in range(0, len(lams), _SCAN_ROWS)])
+    los, his, owner = [], [], []
+    per_column = np.split(vals, np.cumsum(lengths)[:-1])
+    for c, (grid, r) in enumerate(zip(grids, per_column)):
+        dips = _dips(r)
+        los.append(grid[np.maximum(dips - 1, 0)])
+        his.append(grid[np.minimum(dips + 1, len(grid) - 1)])
         owner.append(np.full(len(dips), c))
     owner = np.concatenate(owner)
     if len(owner) == 0:
         return out
-    tol, fine = np.array(tol), np.array(fine)
     xs, vmin = _golden(rel, owner, np.concatenate(los), np.concatenate(his),
                        tol)
     # near-window states give very steep dips; candidates that stopped just
@@ -424,10 +444,11 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     """Follow all edge dispersion branches over |k| <= k_window.
 
     The columns of the k grid do not depend on the tracking decisions, so
-    they are computed ahead, a block of consecutive columns at a time: every
-    column of the block is scanned over its energy window, and the dips of
-    all of them are refined in one batched golden-section pass (each column
-    to its own tolerance, so the result equals a column computed alone).
+    they are computed ahead, a block of consecutive columns at a time: the
+    energy grids of all columns of the block are scanned in one pass of
+    _SCAN_ROWS-row detector batches, and the dips of all of them are refined
+    in one batched golden-section pass (each column to its own tolerance,
+    so the result equals a column computed alone).
 
     Returns a list of DispersionBand.  Steps halve (up to 8 times) whenever a
     branch jumps by more than a fiftieth of the gap width or two branches get
@@ -456,7 +477,7 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     # the grid's columns are computed a block at a time, not all at once, to
     # bound the size of a refinement batch: with one to three dips per column
     # and two energies per dip and golden step, a block of nl/4 columns gives
-    # batches of about one scan's size (nl energies)
+    # refinement batches of nl/2 to 3 nl/2 rows, about one scan batch
     block = max(1, int(lam_resolution) // 4)
     tracker.columns(ks[:block])
 

@@ -25,10 +25,15 @@ and `vn_unitary_family`.  Every basis row carries a reason code; the edge
 detector masks the failing rows, and everything else raises the code's
 typed error.
 
+The characteristic polynomial det(sum_j D_j (-mu)^j - z) of a row is
+expanded from its entries (`_char_poly`): each entry is a polynomial in mu,
+and the determinant is the Leibniz sum over the N! permutations of their
+products, multiplied out by coefficient convolution; for N = 1 it is the
+entry and for N = 2 the polynomial a d - b c, with no interpolation.
+
 The shipped fibers are small (N <= 2, order*N <= 4, dimV <= 2), and the
 kernel takes closed forms at those sizes, chosen from the shapes and
-coefficients alone: determinants of 1 x 1 and 2 x 2 characteristic
-matrices as a d - b c; the exponents of a row whose characteristic
+coefficients alone: the exponents of a row whose characteristic
 polynomial has degree 2 or 4 and is even in mu as +-sqrt(nu), from the
 nu-linear or the cancellation-free nu-quadratic formula (`_roots`); the
 amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
@@ -42,6 +47,9 @@ The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
 six momenta.
 """
+import functools
+import itertools
+
 import numpy as np
 
 from .errors import (
@@ -78,9 +86,10 @@ _CLUSTER_TOL = 1e-9    # exponents closer than this relative size coincide
 _RESID_TOL = 1e-9      # amplitude residual bar, relative to the root terms
 _JET_RANK_TOL = 1e-10  # smallest singular value of the normalized jets
 # Odd coefficients of a characteristic polynomial at or below this fraction
-# of its largest make it even in mu.  Over 601 (k, z) samples the shipped
-# models stay at or below 1e-14 of the largest: 0 for laplacian, 1.5e-16
-# for dirac, 5.6e-16 for regdirac and 9.6e-15 for shallow water.
+# of its largest make it even in mu.  Expanded from the entries, the odd
+# coefficients of the shipped models cancel exactly: over 601 (k, z)
+# samples (k in [-30, 30], z cycling through i, -i, -0.5, 0.5) they are 0
+# for laplacian, dirac, regdirac, the interface and shallow water.
 _EVEN_TOL = 1e-12
 # A quadratic a x^2 + b x + c whose relative discriminant
 # |b^2 - 4ac| / (|b|^2 + 4|ac|) is at or below this has a double root: a
@@ -88,7 +97,7 @@ _EVEN_TOL = 1e-12
 # quartic.  Companion roots split a double root by about sqrt(eps), too far
 # for _CLUSTER_TOL to see.  Over the 2,089,779 regdirac basis rows of the
 # benchmark's tables-flow and tables-winding jobs the smallest value on a
-# good row is 7.0e-14, 316 eps; a true double root gives a few eps.
+# good row is 7.0e-14, 315 eps; a true double root gives a few eps.
 _DOUBLE_TOL = 64 * np.finfo(float).eps
 
 # reason codes of a basis row (0: a good row) and the errors they map to
@@ -103,17 +112,6 @@ _CODE_ERRORS = {
     _FAILED: (NumericalFailure, "vanishing leading coefficient or "
               "amplitude residual too large"),
 }
-
-
-def _det(M):
-    """Determinants of the square matrices M (..., p, p): a d - b c for
-    p = 2, the entry for p = 1, LAPACK otherwise."""
-    p = M.shape[-1]
-    if p == 1:
-        return M[..., 0, 0]
-    if p == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return np.linalg.det(M)
 
 
 def _singular_values(M):
@@ -137,7 +135,8 @@ def _singular_values(M):
     G = M.conj().transpose(0, 2, 1) @ M
     g, h = G[:, 0, 0].real, G[:, 1, 1].real
     smax = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), np.abs(G[:, 0, 1])))
-    smin = np.abs(_det(M)) / np.where(smax == 0.0, 1.0, smax)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    smin = np.abs(det) / np.where(smax == 0.0, 1.0, smax)
     return np.stack([smax, smin], axis=1) * size[:, None]
 
 
@@ -153,19 +152,53 @@ def _char_matrices(Ds, zs, mus):
     return C
 
 
+def _poly_mul(a, b):
+    """Coefficients (la + lb - 1, n) of the products of the polynomials
+    with coefficients a (la, n) and b (lb, n), by degree along axis 0."""
+    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=complex)
+    for i in range(len(a)):
+        out[i:i + len(b)] += a[i] * b
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(N):
+    """The N! permutations of range(N), each with its sign."""
+    return tuple((s, (-1) ** sum(s[i] > s[j] for i in range(N)
+                                 for j in range(i + 1, N)))
+                 for s in itertools.permutations(range(N)))
+
+
 def _char_poly(Ds, ks, zs):
     """Characteristic polynomials det(sum_j D_j (-mu)^j - z) of a fiber
-    stack, interpolated at Chebyshev nodes, in the rescaled variable
-    mu/scale whose roots are O(1): keeps the companion matrix well balanced
-    at large k.  Returns (coefficients (n, order*N + 1) by degree, scale)."""
+    stack, in the rescaled variable x = mu/scale whose roots are O(1):
+    keeps the companion matrix well balanced at large k.
+
+    Expanded from the entries by the Leibniz formula: entry (r, c) is the
+    polynomial sum_j D_j[r, c] y^j - z delta_rc in y = -mu, and the
+    determinant is the signed sum, over the N! permutations s, of the
+    products of the entries (r, s(r)), multiplied out by coefficient
+    convolution; the coefficient of y^m then takes the factor (-scale)^m.
+    For N = 1 that is the entry itself, for N = 2 the polynomial
+    a d - b c.  The rows run along the last axis of the work arrays, so
+    that each numpy call loops over them.  Returns (coefficients
+    (n, order*N + 1) by degree, scale)."""
     order, N = Ds.shape[1] - 1, Ds.shape[2]
-    d = order * N
     scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
-    t = np.arange(d + 1)
-    base = np.cos(np.pi * (2 * t + 1) / (2.0 * (d + 1)))
-    dets = _det(_char_matrices(Ds, zs, scale[:, None] * base[None, :]))
-    V = np.vander(base.astype(complex), d + 1, increasing=True)
-    return np.linalg.solve(V, dets.T).T, scale
+    E = np.moveaxis(Ds, 0, -1).copy()                        # (j, N, N, n)
+    for r in range(N):
+        E[0, r, r] -= zs
+    coeffs = 0.0
+    for s, sign in _permutations(N):
+        prod = E[:, 0, s[0]]
+        for r in range(1, N):
+            prod = _poly_mul(prod, E[:, r, s[r]])
+        coeffs = coeffs + prod if sign > 0 else coeffs - prod
+    power = np.ones(len(ks))
+    for m in range(1, len(coeffs)):
+        power = power * -scale
+        coeffs[m] *= power
+    return coeffs.T, scale
 
 
 def _lead_ok(coeffs):

@@ -86,9 +86,12 @@ def format_complex(z):
 
 
 def parse_complex(text):
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s:
         raise ModelFileError("empty number literal")
+    if len(s.split()) > 1:
+        raise ModelFileError("bad number literal %r: whitespace inside"
+                             % text)
     try:
         z = complex(s.replace("i", "j"))
     except ValueError:

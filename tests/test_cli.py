@@ -404,6 +404,14 @@ def test_missing_or_unknown_builder_parameter_exits_2(argv):
     assert "error: bad parameters for" in err
 
 
+def test_whitespace_inside_a_number_exits_2(tmp_path):
+    path = tmp_path / "spaced.model"
+    path.write_text(DIRAC_A2_FILE.replace("a = 2", "a = 1 2"))
+    code, out, err = run_cli(["winding", "--model", str(path)])
+    assert code == 2
+    assert "[boundary] a = 1 2: bad number literal '1 2': whitespace" in err
+
+
 def test_model_keys_in_ref_param_are_rejected():
     code, out, err = run_cli(["winding", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=1,ell=2,M=1",

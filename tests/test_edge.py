@@ -14,7 +14,7 @@ Closed forms used as oracles
 import numpy as np
 import pytest
 
-from bec import edge, extension
+from bec import cli, edge, extension
 from bec.edge import (
     BandEndpoint,
     DispersionBand,
@@ -32,7 +32,7 @@ from bec.errors import (
     NotComparableError,
 )
 from bec.models import build_model
-from bec.symbol import GapWindow
+from bec.symbol import GapWindow, find_gap
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,83 @@ def test_columns_skip_empty_and_unbounded_windows(dirac_model):
     assert out[0] == [] and out[1] == [] and out[3] == []
     assert out[2] == edge._columns(bc, T, F[[2]], [good], 200)[0]
     assert abs(out[2][0][0] - 0.8) < 1e-7
+
+
+# the reference conditions of the benchmark's layer probes: (model name and
+# parameters, side, boundary family and parameters)
+PROBE_CONDITIONS = {
+    "laplacian robin K=1 xi=2": (("laplacian", {}), "halfline",
+                                 ("robin", {"K": 1.0, "ell": 2.0, "M": 1.0})),
+    "dirac m=1 a=2": (("dirac", {"m": 1.0}), "halfline", ("a", {"a": 2.0})),
+    "regdirac m=-1 a=2 eps=0.1": (("regdirac", {"m": -1.0, "eps": 0.1}),
+                                  "halfline", ("a", {"a": 2.0})),
+    "interface decoupled(1,1)": (("dirac", {"m": 1.0, "m_minus": -1.0}),
+                                 "interface",
+                                 ("decoupled", {"aplus": 1.0, "aminus": 1.0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CONDITIONS))
+def test_detector_rows_do_not_depend_on_their_batch(name):
+    # a scan batch may split a column and mix columns, which is only sound
+    # if every row's (sv, scale, valid) is the one it has alone, bit for bit
+    (model_name, params), side, (family, kw) = PROBE_CONDITIONS[name]
+    model = build_model(model_name, **params)
+    gap = model.declared_gap or find_gap(model.symbol, model.gap_around, 8.0)
+    ks = np.linspace(-3.0, 3.0, 7)
+    det = edge._detector(model.make_bc(family, **kw), model.triple(side),
+                         model.fiber_family(side).stacks(ks))
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, len(ks), edge._SCAN_ROWS)
+    lo, hi = np.array([model.scan_window(k, gap) for k in ks]).T[:, rows]
+    # mostly inside each column's window, an eighth in the continuum above
+    # it and a few at its edge, where the basis fails
+    t = rng.random(len(rows))
+    t[::8] = 1.0 + rng.random(len(t[::8]))
+    t[::61] = 1.0
+    lams = lo + t * (hi - lo)
+    together = det(rows, lams)
+    alone = [det(rows[i:i + 1], lams[i:i + 1]) for i in range(len(rows))]
+    for got, want in zip(together, zip(*alone)):
+        np.testing.assert_array_equal(got, np.concatenate(want))
+    valid = together[2]
+    assert 0 < np.sum(~valid) < len(rows) // 2
+
+
+def test_block_scan_shares_detector_batches(monkeypatch):
+    # one block of a Dirac table row at the numerics of `bec tables`: the
+    # scan sends its (column, energy) rows in full _SCAN_ROWS batches, not
+    # one batch per column
+    k_window, k_resolution, nl = cli.DIRAC_NUMERICS
+    model = build_model("dirac", m=1.0)
+    tracker = edge._Tracker(model.make_bc("a", a=2.0), model.triple(),
+                            model, model.declared_gap, nl)
+    ks = np.linspace(-k_window, k_window, k_resolution)[:nl // 4]
+    batches, refining = [], []
+    detector, golden = edge._detector, edge._golden
+
+    def counted_detector(*args):
+        det = detector(*args)
+
+        def counted(rows, lams):
+            batches.append((len(rows), bool(refining)))
+            return det(rows, lams)
+        return counted
+
+    def marked_golden(*args):
+        refining.append(True)
+        return golden(*args)
+
+    monkeypatch.setattr(edge, "_detector", counted_detector)
+    monkeypatch.setattr(edge, "_golden", marked_golden)
+    tracker.columns(ks)
+    scans = [n for n, refine in batches if not refine]
+    rows = sum(scans)
+    # every column's grid: nl uniform energies and two 24-step ladders
+    assert len(ks) * nl <= rows <= len(ks) * (nl + 48)
+    assert len(scans) == -(-rows // edge._SCAN_ROWS) < len(ks)
+    assert all(n == edge._SCAN_ROWS for n in scans[:-1])
+    assert refining and len(tracker.cols) == len(ks)
 
 
 def _dips_by_loop(r):

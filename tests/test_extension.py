@@ -768,18 +768,74 @@ def test_singular_values_match_lapack(p):
         assert np.all(np.abs(got - ref) <= 1e-14 * ref[:, :1])
 
 
-def _reference_basis(Ds, ks, zs, side, expect):
-    """The deficiency kernel with LAPACK at every step: the determinant of
-    each characteristic matrix, the companion roots of every polynomial and
-    an SVD per amplitude, under the checks of `_basis_batch` less the
-    discriminant test.  Returns (normalized jets, code)."""
+def _interpolated_char_poly(Ds, ks, zs):
+    """Characteristic polynomials in x = mu/scale, as `_char_poly`, by
+    interpolation: LAPACK determinants of the characteristic matrices at
+    the order*N + 1 Chebyshev nodes mu = scale x_t, then a Vandermonde
+    solve.  Returns (coefficients by degree, scale)."""
     order, N = Ds.shape[1] - 1, Ds.shape[2]
     d = order * N
     scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
     base = np.cos(np.pi * (2 * np.arange(d + 1) + 1) / (2.0 * (d + 1)))
     dets = np.linalg.det(_char_matrices(Ds, zs, scale[:, None] * base))
     V = np.vander(base.astype(complex), d + 1, increasing=True)
-    roots, lead_ok = _companion_roots(np.linalg.solve(V, dets.T).T)
+    return np.linalg.solve(V, dets.T).T, scale
+
+
+def _char_poly_cases():
+    """(Ds, ks, zs) params: random Hermitian coefficient stacks of sizes
+    N = 1, 2, 3 and orders 1, 2, and every shipped fiber, the shallow-water
+    symbol (N = 3) included, at 61 momenta and spectral points +-i and
+    real energies."""
+    from bec.models import build_model
+
+    rng = np.random.default_rng(8)
+    cases = []
+    for N, order in itertools.product((1, 2, 3), (1, 2)):
+        X = (rng.normal(size=(40, order + 1, N, N))
+             + 1j * rng.normal(size=(40, order + 1, N, N)))
+        Ds = X + X.conj().transpose(0, 1, 3, 2)
+        ks = 10.0 * rng.normal(size=40)
+        zs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        cases.append(pytest.param(Ds, ks, zs,
+                                  id="random N=%d order=%d" % (N, order)))
+    ks = np.linspace(-30.0, 30.0, 61)
+    zs = np.resize([1j, -1j, -0.5, 0.25, 3.0], len(ks))
+    models = {"laplacian": build_model("laplacian"),
+              "dirac": build_model("dirac", m=1.0),
+              "regdirac": build_model("regdirac", m=-1.0, eps=0.1),
+              "interface": build_model("dirac", m=1.0, m_minus=-1.0),
+              "shallow": build_model("shallow", f=1.0, nu=0.1)}
+    for name, model in models.items():
+        side = "interface" if name == "interface" else "halfline"
+        for i, S in enumerate(model.side_symbols(side)):
+            cases.append(pytest.param(S.fiber_stack(ks), ks, zs,
+                                      id="%s side %d" % (name, i)))
+    return cases
+
+
+@pytest.mark.parametrize("Ds, ks, zs", _char_poly_cases())
+def test_char_poly_matches_interpolation(Ds, ks, zs):
+    # the expansion from the entries agrees with the interpolated
+    # polynomial to 1e-12 of each row's largest coefficient
+    got, scale = _char_poly(Ds, ks, zs)
+    want, want_scale = _interpolated_char_poly(Ds, ks, zs)
+    assert got.shape == want.shape == (len(ks), Ds.shape[2]
+                                       * (Ds.shape[1] - 1) + 1)
+    assert np.array_equal(scale, want_scale)
+    size = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
+def _reference_basis(Ds, ks, zs, side, expect):
+    """The deficiency kernel with LAPACK at every step: the interpolated
+    characteristic polynomial, the companion roots of every polynomial and
+    an SVD per amplitude, under the checks of `_basis_batch` less the
+    discriminant test.  Returns (normalized jets, code)."""
+    order = Ds.shape[1] - 1
+    d = order * Ds.shape[2]
+    coeffs, scale = _interpolated_char_poly(Ds, ks, zs)
+    roots, lead_ok = _companion_roots(coeffs)
     roots = roots * scale[:, None]
     on_axis = np.any(np.abs(roots.real) < extension._REAL_MARGIN
                      * (1.0 + np.abs(roots)), axis=1)

@@ -66,6 +66,23 @@ def test_parse_complex_rejects_junk():
         parse_complex("abc")
 
 
+def test_whitespace_inside_a_scalar_literal_is_rejected():
+    # read as one number, "1 2" used to become 12
+    with pytest.raises(ModelFileError, match="'1 2': whitespace inside"):
+        parse_complex("1 2")
+    with pytest.raises(ModelFileError, match=r"line 6: \[boundary\] a = 1 2: "
+                       r"bad number literal '1 2': whitespace inside"):
+        parse("[model]\nname = dirac\nm = 1\n\n[boundary]\na = 1 2\n")
+    with pytest.raises(ModelFileError,
+                       match=r"\[model\] m = 1 \+ 2i: bad number literal"):
+        parse("[model]\nname = dirac\nm = 1 + 2i\n")
+    # matrix entries are split first; a padded scalar is still a scalar
+    data = parse("[model]\nname = dirac\nm =  1.5  \n\n[boundary]\n"
+                 "A0 = 1 2 ; 3 4\n")
+    assert data.model["m"] == 1.5
+    assert np.array_equal(data.boundary["A0"], [[1, 2], [3, 4]])
+
+
 def test_parse_real_rejects_imaginary_part():
     assert parse_real("2.5", "m") == 2.5
     with pytest.raises(ModelFileError):
