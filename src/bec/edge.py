@@ -12,11 +12,12 @@ also sees eigenvalues where the raw condition matrix is identically trivial,
 e.g. for a reference condition).  The factor A G1 - B G2 is formed once
 per momentum, so a detector batch multiplies it into the jets only.  A
 momentum column is scanned on an energy grid, and each dip of the scan is
-refined by golden section; the columns of a band track are handled a block
-at a time: the grids of all columns of the block are scanned in one pass
-of fixed-size detector batches, and one detector batch serves a refinement
-step of every column in the block.  Windings are computed from the phase of
-det U along a compactified momentum line.
+refined by Brent minimization of the squared detector, starting from the
+dip's grid point; the columns of a band track are handled a block at a
+time: the grids of all columns of the block are scanned in one pass of
+fixed-size detector batches, and one detector batch of one row per dip
+serves a refinement step of every column in the block.  Windings are
+computed from the phase of det U along a compactified momentum line.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
@@ -63,8 +64,8 @@ K_LIMIT = 1e4
 
 _DIP_FRACTION = 0.6      # local minima below this fraction of scale refine
 _ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 80       # golden-section steps at most per refinement
+_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0  # golden-section step fraction
+_BRENT_ITERS = 100       # minimization steps at most per refinement
 # (column, energy) rows per detector batch of a scan: bounds the batch's
 # memory, which grows linearly with its rows
 _SCAN_ROWS = 512
@@ -101,28 +102,71 @@ def _dips(r):
     return np.nonzero((r < _DIP_FRACTION) & (r <= left) & (r <= right))[0]
 
 
-def _golden(rel, owner, a, b, tol):
-    """Golden-section minimization of rel over the brackets [a, b], one
-    detector batch per step for all of them.  owner gives each bracket's
-    column and tol each column's width tolerance: a column stops once all of
-    its brackets are that narrow.  Returns (x, rel(owner, x))."""
-    a, b = a.copy(), b.copy()
-    for _ in range(_GOLDEN_ITERS):
-        w = b - a
-        wide = np.zeros(len(tol), dtype=bool)
-        wide[owner[~(w <= tol[owner])]] = True
-        run = wide[owner]
-        if not np.any(run):
-            break
-        x1 = b[run] - _GOLDEN * w[run]
-        x2 = a[run] + _GOLDEN * w[run]
-        v = rel(np.concatenate([owner[run], owner[run]]),
-                np.concatenate([x1, x2]))
-        take = v[: len(x1)] < v[len(x1):]
-        b[run] = np.where(take, x2, b[run])
-        a[run] = np.where(take, a[run], x1)
-    x = 0.5 * (a + b)
-    return x, rel(owner, x)
+def _brent(rel, owner, a, x, fx, b, tol):
+    """Brent minimization of rel**2 over the brackets [a, b], one detector
+    batch of one row per running bracket per step.
+
+    Each bracket starts from a point x inside it and the value fx = rel(x)
+    already known there, and mixes parabolic steps on rel**2 (rel has a
+    V-shaped minimum that a parabola fits badly; its square does not) with
+    golden-section fallbacks (Brent 1973, as fminbound in Forsythe, Malcolm
+    and Moler 1977, with the absolute tolerance only).  owner gives each
+    bracket's column and tol each column's width tolerance: a bracket stops
+    once its best point is within 2 tol / 3 of both of its ends, so its
+    result does not depend on the other brackets of the batch.  Returns the
+    best point of every bracket and the value of rel there.
+    """
+    a, x, fx, b = (np.array(v, dtype=float) for v in (a, x, fx, b))
+    w, fw, v, fv = x.copy(), fx.copy(), x.copy(), fx.copy()
+    d, e = np.zeros_like(x), np.zeros_like(x)
+    tol1 = tol[owner] / 3.0
+    tol2 = 2.0 * tol1
+    # rows where the basis fails are inf: a parabola through them is nan and
+    # fails its acceptance test, which falls back to a golden step
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_BRENT_ITERS):
+            xm = 0.5 * (a + b)
+            i = np.nonzero(np.abs(x - xm) > tol2 - 0.5 * (b - a))[0]
+            if len(i) == 0:
+                break
+            ai, bi, xi, xmi, t1, t2 = a[i], b[i], x[i], xm[i], tol1[i], tol2[i]
+            wi, vi, ei = w[i], v[i], e[i]
+            Fx, Fw, Fv = fx[i] ** 2, fw[i] ** 2, fv[i] ** 2
+            r = (xi - wi) * (Fx - Fv)
+            q = (xi - vi) * (Fx - Fw)
+            p = (xi - vi) * q - (xi - wi) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(ei) > t1) & (np.abs(p) < np.abs(0.5 * q * ei))
+                         & (p > q * (ai - xi)) & (p < q * (bi - xi)))
+            golden = np.where(xi >= xmi, ai - xi, bi - xi)
+            step = np.where(parabolic, p / q, _CGOLD * golden)
+            # a parabolic point next to an end moves by tol1 toward the middle
+            toward = np.where(xmi >= xi, t1, -t1)
+            near = parabolic & ((xi + step - ai < t2) | (bi - xi - step < t2))
+            step = np.where(near, toward, step)
+            e[i] = np.where(parabolic, d[i], golden)
+            d[i] = step
+            u = xi + np.where(step >= 0.0, 1.0, -1.0) * np.maximum(
+                np.abs(step), t1)
+            fu = rel(owner[i], u)
+            fxi, fwi, fvi = fx[i], fw[i], fv[i]
+            better = fu <= fxi
+            left = u < xi
+            a[i] = np.where(better, np.where(left, ai, xi),
+                            np.where(left, u, ai))
+            b[i] = np.where(better, np.where(left, xi, bi),
+                            np.where(left, bi, u))
+            to_w = better | (fu <= fwi) | (wi == xi)
+            to_v = ~to_w & ((fu <= fvi) | (vi == xi) | (vi == wi))
+            v[i] = np.where(to_w, wi, np.where(to_v, u, vi))
+            fv[i] = np.where(to_w, fwi, np.where(to_v, fu, fvi))
+            w[i] = np.where(better, xi, np.where(to_w, u, wi))
+            fw[i] = np.where(better, fxi, np.where(to_w, fu, fwi))
+            x[i] = np.where(better, u, xi)
+            fx[i] = np.where(better, fu, fxi)
+    return x, fx
 
 
 def _columns(bc, T, F, windows, nl, xtol=None):
@@ -133,10 +177,11 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     Every column has its own energy grid, and the grids of all columns are
     scanned in one pass, _SCAN_ROWS (column, energy) rows per detector
     batch; a row's value does not depend on its batch, so a batch may split
-    a column.  The detector dips of all columns are then refined together,
-    so that each golden-section step is one detector batch, while each
-    column keeps its own width tolerance (xtol, by default 1e-9 of the
-    window's magnitude) and so its own result.
+    a column.  The detector dips of all columns are then refined together by
+    `_brent`, from their grid points and scanned values, so that each step
+    is one detector batch, while each column keeps its own width tolerance
+    (xtol, by default 1e-9 of the window's magnitude) and so its own
+    result.
     """
     out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
@@ -168,26 +213,28 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     lams = np.concatenate(grids)
     vals = np.concatenate([rel(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
                            for s in range(0, len(lams), _SCAN_ROWS)])
-    los, his, owner = [], [], []
+    los, xs, vmin, his, owner = [], [], [], [], []
     per_column = np.split(vals, np.cumsum(lengths)[:-1])
     for c, (grid, r) in enumerate(zip(grids, per_column)):
         dips = _dips(r)
         los.append(grid[np.maximum(dips - 1, 0)])
+        xs.append(grid[dips])
+        vmin.append(r[dips])
         his.append(grid[np.minimum(dips + 1, len(grid) - 1)])
         owner.append(np.full(len(dips), c))
     owner = np.concatenate(owner)
     if len(owner) == 0:
         return out
-    xs, vmin = _golden(rel, owner, np.concatenate(los), np.concatenate(his),
-                       tol)
+    xs, vmin = _brent(rel, owner, np.concatenate(los), np.concatenate(xs),
+                      np.concatenate(vmin), np.concatenate(his), tol)
     # near-window states give very steep dips; candidates that stopped just
     # above the acceptance bar get a second, machine-level refinement
     retry = (vmin >= _ACCEPT_REL) & (vmin < 1e-3)
     if np.any(retry):
         step = 2.0 * tol[owner[retry]]
-        xs[retry], vmin[retry] = _golden(rel, owner[retry],
-                                         xs[retry] - step, xs[retry] + step,
-                                         fine)
+        xs[retry], vmin[retry] = _brent(rel, owner[retry], xs[retry] - step,
+                                        xs[retry], vmin[retry],
+                                        xs[retry] + step, fine)
     seen = [[] for _ in cols]
     keep = []
     for j in np.nonzero(vmin < _ACCEPT_REL)[0]:
@@ -447,8 +494,8 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     they are computed ahead, a block of consecutive columns at a time: the
     energy grids of all columns of the block are scanned in one pass of
     _SCAN_ROWS-row detector batches, and the dips of all of them are refined
-    in one batched golden-section pass (each column to its own tolerance,
-    so the result equals a column computed alone).
+    in one batched Brent pass (each column to its own tolerance, so the
+    result equals a column computed alone).
 
     Returns a list of DispersionBand.  Steps halve (up to 8 times) whenever a
     branch jumps by more than a fiftieth of the gap width or two branches get
@@ -476,8 +523,8 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
 
     # the grid's columns are computed a block at a time, not all at once, to
     # bound the size of a refinement batch: with one to three dips per column
-    # and two energies per dip and golden step, a block of nl/4 columns gives
-    # refinement batches of nl/2 to 3 nl/2 rows, about one scan batch
+    # and one energy per dip and step, a block of nl/4 columns gives
+    # refinement batches of nl/4 to 3 nl/4 rows, below one scan batch
     block = max(1, int(lam_resolution) // 4)
     tracker.columns(ks[:block])
 

@@ -17,8 +17,8 @@ A model file is a plain-text document with up to five sections:
     [task]       level, gap_lo, gap_hi
 
 `SECTION_KEYS` lists the keys of every key = value section with the kind of
-their values; `parse` checks keys against it, `emit` writes them in its
-order, and the command line routes `--param` keys by it (`PARAM_KEYS`).
+their values; `parse` checks keys against it, and the command line routes
+`--param` keys by it (`PARAM_KEYS`).
 
 `build` is the one place a run is assembled, its defaults set and its values
 checked; the command line runs a builtin name through it as the data of a
@@ -34,8 +34,7 @@ Every family parameter is real; a complex or matrix value is rejected by
 
 Scalars use explicit complex literals "re+imi" (examples: 2, -0.5i, 1+2i);
 matrices separate rows with ';' and entries with spaces.  Unknown sections or
-keys are rejected.  `emit` produces the normalized form, and
-emit(parse(emit(parse(text)))) == emit(parse(text)) for every valid text.
+keys are rejected.
 """
 
 import re
@@ -49,10 +48,9 @@ from .symbol import GapWindow, Symbol
 
 _SECTIONS = ("model", "symbol", "boundary", "numerics", "task")
 
-# The keys of each key = value section, in emission order, with the kind of
-# their values: "text" or a "real" number.  [boundary] also takes the
-# polynomial keys A0, A1, ..., B0, B1, ..., each a complex "value" (scalar or
-# matrix).
+# The keys of each key = value section, with the kind of their values:
+# "text" or a "real" number.  [boundary] also takes the polynomial keys A0,
+# A1, ..., B0, B1, ..., each a complex "value" (scalar or matrix).
 SECTION_KEYS = {
     "model": {"name": "text", "m": "real", "eps": "real", "m_minus": "real",
               "f": "real", "nu": "real"},
@@ -68,21 +66,6 @@ PARAM_KEYS = {section: tuple(k for k, kind in SECTION_KEYS[section].items()
                              if kind != "text")
               for section in ("model", "boundary")}
 _POLY_KEY = re.compile(r"^[AB][0-9]$")
-
-
-def _fmt_float(x):
-    return "%.17g" % float(x)
-
-
-def format_complex(z):
-    """Normalized complex literal: 2, -0.5, 2i, 1+2i, 1-2i."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return _fmt_float(z.real)
-    if z.real == 0.0:
-        return _fmt_float(z.imag) + "i"
-    sign = "+" if z.imag > 0 else "-"
-    return _fmt_float(z.real) + sign + _fmt_float(abs(z.imag)) + "i"
 
 
 def parse_complex(text):
@@ -106,11 +89,6 @@ def parse_real(text, key):
     if z.imag != 0.0:
         raise ModelFileError("key %r must be real" % key)
     return z.real
-
-
-def format_matrix(M):
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return " ; ".join(" ".join(format_complex(x) for x in row) for row in M)
 
 
 def parse_matrix(text):
@@ -213,31 +191,6 @@ def parse(text):
     if not data.model and not data.symbol_terms:
         raise ModelFileError("model file needs a [model] or [symbol] section")
     return data
-
-
-def _emit_value(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, np.ndarray):
-        return format_matrix(v)
-    return format_complex(v)
-
-
-def emit(data):
-    """Normalized text for parsed model-file data."""
-    lines = []
-    for section in _SECTIONS:
-        if section == "symbol":
-            body = ["%d %d : %s" % (a, b, format_matrix(M)) for a, b, M in
-                    sorted(data.symbol_terms, key=lambda t: (t[0], t[1]))]
-        else:
-            values = getattr(data, section)
-            keys = [k for k in SECTION_KEYS[section] if k in values]
-            keys += sorted(k for k in values if _POLY_KEY.match(k))
-            body = ["%s = %s" % (k, _emit_value(values[k])) for k in keys]
-        if body:
-            lines += ["[%s]" % section] + body + [""]
-    return "\n".join(lines)
 
 
 def _poly_from_keys(data, letter):

@@ -62,6 +62,7 @@ QuadResult = namedtuple("QuadResult", "value error converged cells")
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 _GL4_NODES, _GL4_WEIGHTS = leggauss(4)
+_EPS = np.finfo(float).eps
 
 
 def _cell_rule(a1, b1, a2, b2, nodes, weights):
@@ -129,21 +130,28 @@ def quad_2d(f, tol=1e-6, max_cells=6000):
         m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
         boxes = [(x1, y1, x2, y2) for (x1, y1) in ((a1, m1), (m1, b1))
                  for (x2, y2) in ((a2, m2), (m2, b2))]
-        for c in _make_cells(f, boxes):
+        cells = _make_cells(f, boxes)
+        for c in cells:
             heapq.heappush(heap, (-c[5], next(order), c))
+        return sum(c[5] for c in cells)
 
     # start from a 2x2 split so symmetric integrands do not fool the estimate
-    push_split(-1.0, 1.0, -1.0, 1.0)
+    running = peak = push_split(-1.0, 1.0, -1.0, 1.0)
     while True:
-        total_err = sum(-e for e, _, _ in heap)
-        if total_err <= tol:
+        # the running error total differs from the heap sum by rounding
+        # only, by less than 4 eps L T for L cells and a largest total T;
+        # within twice that of tol the heap sum, in heap order, decides the
+        # stop, so the cells are those of summing the heap on every step
+        if (running <= tol + 8.0 * _EPS * len(heap) * peak
+                and sum(-e for e, _, _ in heap) <= tol):
             converged = True
             break
         if len(heap) + 3 > max_cells:
             converged = False
             break
         _, _, worst = heapq.heappop(heap)
-        push_split(*worst[:4])
+        running += push_split(*worst[:4]) - worst[5]
+        peak = max(peak, running)
 
     leaves = sorted((c for _, _, c in heap), key=lambda c: (c[0], c[2]))
     value = complex(sum(c[4] for c in leaves))

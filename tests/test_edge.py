@@ -11,6 +11,8 @@ Closed forms used as oracles
   with the bulk bands at k* where |lam| = sqrt(k*^2 + m^2).
 * transparent interface with masses (1, -1): single branch lam = k.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,13 +143,13 @@ def test_columns_match_single_calls_two_band_family(dirac_model):
 def test_columns_match_single_calls_with_retry_pass(monkeypatch):
     model = build_model("regdirac", m=-1.0, eps=0.1)
     tols = []
-    golden = edge._golden
+    brent = edge._brent
 
-    def counted(rel, owner, a, b, tol):
+    def counted(rel, owner, a, x, fx, b, tol):
         tols.append(tol)
-        return golden(rel, owner, a, b, tol)
+        return brent(rel, owner, a, x, fx, b, tol)
 
-    monkeypatch.setattr(edge, "_golden", counted)
+    monkeypatch.setattr(edge, "_brent", counted)
     _columns_match_single_calls(model.make_bc("a", a=2.0),
                                 model.triple("halfline"), model, "halfline",
                                 np.linspace(-12.0, 12.0, 9),
@@ -223,14 +225,15 @@ def test_detector_rows_do_not_depend_on_their_batch(name):
 def test_block_scan_shares_detector_batches(monkeypatch):
     # one block of a Dirac table row at the numerics of `bec tables`: the
     # scan sends its (column, energy) rows in full _SCAN_ROWS batches, not
-    # one batch per column
+    # one batch per column, and the refinement of all its dips takes a few
+    # batches
     k_window, k_resolution, nl = cli.DIRAC_NUMERICS
     model = build_model("dirac", m=1.0)
     tracker = edge._Tracker(model.make_bc("a", a=2.0), model.triple(),
                             model, model.declared_gap, nl)
     ks = np.linspace(-k_window, k_window, k_resolution)[:nl // 4]
     batches, refining = [], []
-    detector, golden = edge._detector, edge._golden
+    detector, brent = edge._detector, edge._brent
 
     def counted_detector(*args):
         det = detector(*args)
@@ -240,12 +243,12 @@ def test_block_scan_shares_detector_batches(monkeypatch):
             return det(rows, lams)
         return counted
 
-    def marked_golden(*args):
+    def marked_brent(*args):
         refining.append(True)
-        return golden(*args)
+        return brent(*args)
 
     monkeypatch.setattr(edge, "_detector", counted_detector)
-    monkeypatch.setattr(edge, "_golden", marked_golden)
+    monkeypatch.setattr(edge, "_brent", marked_brent)
     tracker.columns(ks)
     scans = [n for n, refine in batches if not refine]
     rows = sum(scans)
@@ -254,6 +257,9 @@ def test_block_scan_shares_detector_batches(monkeypatch):
     assert len(scans) == -(-rows // edge._SCAN_ROWS) < len(ks)
     assert all(n == edge._SCAN_ROWS for n in scans[:-1])
     assert refining and len(tracker.cols) == len(ks)
+    # refinement: 8 minimization steps and the multiplicity batch were
+    # measured (golden section took 35 steps, a midpoint and that batch)
+    assert len(batches) - len(scans) <= 12
 
 
 def _dips_by_loop(r):
@@ -278,32 +284,64 @@ def test_dips_match_scan_loop():
     assert edge._dips(r).tolist() == _dips_by_loop(r)
 
 
-def _parabolas(centres, steps):
+def _minima(centres, steps, shape="parabola"):
+    """rel of columns with minima at centres: a parabola, a kink |x - c|, or
+    the kink with inf beyond c + 0.05, as where the basis fails."""
     def rel(rows, xs):
         steps.append(np.bincount(rows, minlength=len(centres)))
-        return (xs - centres[rows]) ** 2
+        d = np.abs(xs - centres[rows])
+        if shape == "parabola":
+            return d ** 2
+        if shape == "wall":
+            return np.where(xs > centres[rows] + 0.05, np.inf, d)
+        return d
     return rel
 
 
-def test_golden_columns_stop_on_their_own_tolerance():
-    # two columns of one batch with different tolerances converge after
-    # different numbers of steps; each ends where refining it alone ends
-    centres = np.array([0.3, -0.2])
-    owner = np.array([0, 1, 1])
-    a = np.array([-1.0, -0.5, -0.4])
-    b = np.array([1.0, 0.5, 0.0])
-    tol = np.array([1e-3, 1e-10])
+# two columns of one batch, three brackets: column 1 has two, each holding
+# its centre, and a tolerance far below column 0's
+_CENTRES = np.array([0.3, -0.2])
+_OWNER = np.array([0, 1, 1])
+_A = np.array([-1.0, -0.5, -0.4])
+_X = np.array([-0.4, -0.3, -0.25])
+_B = np.array([1.0, 0.5, 0.0])
+_TOL = np.array([1e-3, 1e-10])
+
+
+def _brent_on(shape, rows, centres=_CENTRES, tol=_TOL, steps=None):
+    rel = _minima(centres, [] if steps is None else steps, shape)
+    owner = _OWNER[rows] if len(centres) > 1 else np.zeros(len(rows), int)
+    fx = rel(owner, _X[rows])
+    return edge._brent(rel, owner, _A[rows], _X[rows], fx, _B[rows], tol)
+
+
+def test_brent_columns_stop_on_their_own_tolerance():
+    # the columns converge after different numbers of steps; each ends where
+    # refining it alone ends
     steps = []
-    x, v = edge._golden(_parabolas(centres, steps), owner, a, b, tol)
-    running = (np.array(steps[:-1]) > 0).sum(axis=0)
-    assert 0 < running[0] < running[1]
+    x, v = _brent_on("parabola", [0, 1, 2], steps=steps)
+    running = (np.array(steps[1:]) > 0).sum(axis=0)
+    assert 0 < running[0] < running[1] < edge._BRENT_ITERS
     for c in (0, 1):
-        mine = owner == c
-        xc, vc = edge._golden(_parabolas(centres[c:c + 1], []),
-                              np.zeros(mine.sum(), dtype=int),
-                              a[mine], b[mine], tol[c:c + 1])
+        mine = np.nonzero(_OWNER == c)[0]
+        xc, vc = _brent_on("parabola", mine, _CENTRES[c:c + 1],
+                           _TOL[c:c + 1])
         assert np.array_equal(x[mine], xc) and np.array_equal(v[mine], vc)
-    assert np.all(np.abs(x - centres[owner]) < 1e-3)
+
+
+@pytest.mark.parametrize("shape", ["parabola", "kink", "wall"])
+def test_brent_brackets_match_alone_and_reach_their_tolerance(shape):
+    # the block refinement relies on each bracket's (x, value) not depending
+    # on the other brackets of its batch; inf rows must not warn (pytest
+    # turns warnings into errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, v = _brent_on(shape, [0, 1, 2])
+        for j in range(3):
+            xj, vj = _brent_on(shape, [j])
+            assert xj[0] == x[j] and vj[0] == v[j]
+    assert np.all(np.abs(x - _CENTRES[_OWNER]) <= _TOL[_OWNER])
+    assert np.all(np.isfinite(v))
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,12 @@ def test_quad_2d_one_call_per_refinement(i):
 
 @pytest.mark.parametrize("i", range(len(QUAD_INTEGRANDS)))
 def test_quad_2d_equals_per_cell_reference(i):
-    res = quad_2d(QUAD_INTEGRANDS[i], tol=1e-8)
-    assert (res.value, res.error, res.cells) == \
-        _quad_2d_per_cell(QUAD_INTEGRANDS[i], 1e-8)
+    # the reference sums the heap before every refinement; quad_2d keeps a
+    # running total and must stop after the same cells at every tol
+    for tol in (1e-4, 1e-6, 1e-8):
+        res = quad_2d(QUAD_INTEGRANDS[i], tol=tol)
+        assert (res.value, res.error, res.cells) == \
+            _quad_2d_per_cell(QUAD_INTEGRANDS[i], tol)
 
 
 def test_quad_2d_stops_at_max_cells():
