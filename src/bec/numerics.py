@@ -2,7 +2,11 @@
 plane, and phase unwinding.
 
 Matrices are plain complex numpy arrays validated by the helpers below
-(finite entries, side length at most 64).
+(finite entries, side length at most 64).  Stacks of small matrices have
+their own kernels: `_stack_product`, a matrix product as broadcast products
+over the inner index, and `_eigh_stack`, a Hermitian eigensolver in closed
+form for 2 x 2 and by LAPACK otherwise, which serves the Fermi projections
+and the curvature integrand of the Chern pairings.
 """
 
 import heapq
@@ -56,54 +60,101 @@ def check_hermitian(M, rtol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# stacks of small matrices
+
+
+def _stack_product(A, B):
+    """A @ B for stacks A (n, p, q), B (n, q, r) of small matrices, as q
+    broadcast products summed over the inner index.  Stacked `@` loops over
+    the stack one matrix at a time, several times slower at these sizes."""
+    out = A[:, :, 0, None] * B[:, None, 0, :]
+    for j in range(1, A.shape[2]):
+        out += A[:, :, j, None] * B[:, None, j, :]
+    return out
+
+
+def _eigh_stack(H):
+    """Eigenvalues (n, N), ascending, and eigenvectors (n, N, N), one per
+    column, of the Hermitian stack H (n, N, N), as np.linalg.eigh gives
+    them up to the phase of each eigenvector.
+
+    For N = 2 in closed form, from the lower triangle as LAPACK reads it.
+    With H = [[a, b], [b*, c]], d = (a - c)/2 and r = hypot(d, |b|) the
+    eigenvalues are (a + c)/2 -+ r.  The lower eigenvector solves the row
+    of H - ((a + c)/2 - r) whose diagonal entry is |d| + r, the one that
+    does not cancel; the upper one is its orthogonal complement.  No entry
+    is squared, so entries near 1e+-150 neither overflow nor underflow, and
+    r = 0 (a multiple of the identity) gives the identity.  Any other N
+    takes LAPACK."""
+    if H.shape[-1] != 2:
+        return np.linalg.eigh(H)
+    a, c = H[:, 0, 0].real, H[:, 1, 1].real
+    b = H[:, 1, 0].conj()
+    d = 0.5 * (a - c)
+    r = np.hypot(d, np.abs(b))
+    mean = 0.5 * (a + c)
+    w = np.stack([mean - r, mean + r], axis=1)
+    s = np.abs(d) + r
+    norm = np.hypot(np.abs(b), s)
+    flat = norm == 0.0
+    norm[flat] = 1.0
+    # row (s, b) when a >= c, row (b*, s) otherwise
+    top = d >= 0.0
+    x = np.where(top, -b, s) / norm
+    y = np.where(top, s, -b.conj()) / norm
+    x[flat] = 1.0
+    V = np.empty(H.shape, dtype=complex)
+    V[:, 0, 0], V[:, 1, 0] = x, y
+    V[:, 0, 1], V[:, 1, 1] = -y.conj(), x.conj()
+    return w, V
+
+
+# ---------------------------------------------------------------------------
 # adaptive 2D quadrature over the plane
 
 QuadResult = namedtuple("QuadResult", "value error converged cells")
 
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
-_GL4_NODES, _GL4_WEIGHTS = leggauss(4)
 _EPS = np.finfo(float).eps
 
 
-def _cell_rule(a1, b1, a2, b2, nodes, weights):
-    """Product Gauss-Legendre rule on the s-space cell [a1,b1]x[a2,b2]:
-    the momenta of its nodes and the function that sums integrand values
-    at those nodes into the cell's value of the compactified integral."""
-    m1, h1 = (a1 + b1) / 2.0, (b1 - a1) / 2.0
-    m2, h2 = (a2 + b2) / 2.0, (b2 - a2) / 2.0
-    s1 = m1 + h1 * nodes
-    s2 = m2 + h2 * nodes
-    n = nodes.size
-    # tangent compactification of the plane onto the open unit square;
-    # node (i, j) of the product rule sits at (s1[i], s2[j])
-    K1 = np.repeat(np.tan(np.pi * s1 / 2.0), n)
-    K2 = np.tile(np.tan(np.pi * s2 / 2.0), n)
-    jac = (np.pi / 2.0) ** 2 / (np.cos(np.pi * s1 / 2.0)[:, None] ** 2
-                                * np.cos(np.pi * s2 / 2.0)[None, :] ** 2)
-    W = np.outer(weights, weights)
-
-    def cell_sum(vals):
-        return complex(np.sum(vals.reshape(n, n) * jac * W) * h1 * h2)
-
-    return K1, K2, cell_sum
-
-
-_RULES = ((_GL_NODES, _GL_WEIGHTS), (_GL4_NODES, _GL4_WEIGHTS))
+# product Gauss-Legendre rules of orders 8 and 4: nodes and weight matrices
+_RULES = tuple((x, np.outer(w, w)) for x, w in (leggauss(8), leggauss(4)))
 
 
 def _make_cells(f, boxes):
     """Cells (a1, b1, a2, b2, v8, |v8 - v4|) of the s-space boxes, with both
-    rules on every box taken from one call of the integrand."""
-    rules = [_cell_rule(*box, nodes, weights)
-             for box in boxes for nodes, weights in _RULES]
-    vals = f(np.concatenate([K1 for K1, _, _ in rules]),
-             np.concatenate([K2 for _, K2, _ in rules]))
+    rules on every box taken from one call of the integrand.
+
+    Each rule is built for all B boxes at once as arrays with one row per
+    box: the nodes, their momenta under the tangent compactification of the
+    plane onto the open unit square, and the Jacobian of that map.  Node
+    (i, j) of a product rule sits at (s1[i], s2[j]), and the integrand sees
+    the nodes box by box, the 8-point rule before the 4-point one.  A box's
+    value is one sum over its n x n nodes times h1 h2, in the order of a
+    rule built for that box alone, so every value is that rule's bit for
+    bit.
+    """
+    a1, b1, a2, b2 = (np.array(col)[:, None] for col in zip(*boxes))
+    m1, h1 = (a1 + b1) / 2.0, (b1 - a1) / 2.0
+    m2, h2 = (a2 + b2) / 2.0, (b2 - a2) / 2.0
+    K1s, K2s, jacs = [], [], []
+    for nodes, _ in _RULES:
+        # pi s / 2 at the nodes s = m + h x of each box
+        t1 = np.pi * (m1 + h1 * nodes) / 2.0
+        t2 = np.pi * (m2 + h2 * nodes) / 2.0
+        K1s.append(np.repeat(np.tan(t1), nodes.size, axis=1))
+        K2s.append(np.tile(np.tan(t2), nodes.size))
+        jacs.append((np.pi / 2.0) ** 2 / (np.cos(t1)[:, :, None] ** 2
+                                          * np.cos(t2)[:, None, :] ** 2))
+    vals = f(np.concatenate(K1s, axis=1).ravel(),
+             np.concatenate(K2s, axis=1).ravel()).reshape(len(boxes), -1)
     sums, at = [], 0
-    for K1, _, cell_sum in rules:
-        sums.append(cell_sum(vals[at:at + K1.size]))
-        at += K1.size
-    return [box + (v8, abs(v8 - v4))
-            for box, v8, v4 in zip(boxes, sums[0::2], sums[1::2])]
+    for (_, W), jac in zip(_RULES, jacs):
+        v = vals[:, at:at + W.size].reshape(jac.shape)
+        sums.append((np.sum(v * jac * W, axis=(1, 2)) * h1[:, 0] * h2[:, 0])
+                    .tolist())
+        at += W.size
+    return [box + (v8, abs(v8 - v4)) for box, v8, v4 in zip(boxes, *sums)]
 
 
 def quad_2d(f, tol=1e-6, max_cells=6000):

@@ -17,7 +17,14 @@ from .errors import (
     GaplessPointError,
     NoGapError,
 )
-from .numerics import as_square, check_hermitian, norm_inf, quad_2d
+from .numerics import (
+    _eigh_stack,
+    _stack_product,
+    as_square,
+    check_hermitian,
+    norm_inf,
+    quad_2d,
+)
 
 
 class Symbol:
@@ -184,8 +191,10 @@ def find_gap(S, around, k_window):
 
 def _eigh_gapped(S, K1, K2, level):
     """Eigenvalues and eigenvectors of H at a batch of momenta, refusing any
-    momentum where an eigenvalue lies within 1e-8 of `level`."""
-    w, V = np.linalg.eigh(S.eval_batch(K1, K2))
+    momentum where an eigenvalue lies within 1e-8 of `level`.  Two-band
+    symbols take the closed-form 2 x 2 eigenbasis of `_eigh_stack`, any
+    other size LAPACK."""
+    w, V = _eigh_stack(S.eval_batch(K1, K2))
     gap_dist = np.min(np.abs(w - level))
     if gap_dist <= 1e-8:
         i = int(np.argmin(np.min(np.abs(w - level), axis=1)))
@@ -211,8 +220,11 @@ def _curvature_integrand(S, level):
     eigenbasis P = diag(f) with occupations f = [E < level], and the exact
     derivatives of the polynomial symbol give
     (d_j P)_ab = (V^dag d_j H V)_ab (f_b - f_a) / (E_b - E_a),
-    so there is no step size.  The returned function maps 1D float arrays
-    k1, k2 to an array of integrand values of the same length.
+    so there is no step size.  With X_j = V^dag d_j H V, formed by broadcast
+    products (`_stack_product`), and D_ab = (f_b - f_a) / (E_b - E_a), which
+    is symmetric, the trace is one weighted sum over the matrix entries,
+    sum_ab f_a D_ab^2 (X2_ab X1_ba - c.c.).  The returned function maps 1D
+    float arrays k1, k2 to an array of integrand values of the same length.
     """
     dS = (S.derivative(0), S.derivative(1))
 
@@ -225,9 +237,10 @@ def _curvature_integrand(S, level):
         # and across the level |dE| > 2e-8
         D = np.divide(df, dE, out=np.zeros_like(df), where=df != 0)
         Vh = V.conj().swapaxes(1, 2)
-        d1, d2 = (Vh @ d.eval_batch(k1, k2) @ V * D for d in dS)
-        tr = (np.einsum("na,nab,nba->n", occ, d2, d1)
-              - np.einsum("na,nab,nba->n", occ, d1, d2))
+        X1, X2 = (_stack_product(_stack_product(Vh, d.eval_batch(k1, k2)), V)
+                  for d in dS)
+        T = X2 * X1.swapaxes(1, 2)
+        tr = np.sum(occ[:, :, None] * D * D * (T - T.conj()), axis=(1, 2))
         return tr / (2j * np.pi)
 
     return f

@@ -16,6 +16,8 @@ from bec.errors import (
 )
 from bec.extension import _companion_roots
 from bec.numerics import (
+    _eigh_stack,
+    _stack_product,
     as_matrix,
     as_square,
     check_hermitian,
@@ -116,6 +118,74 @@ def test_poly_from_roots_round_trip():
         assert np.allclose(sorted(back, key=lambda z: (z.real, z.imag)),
                            sorted(roots, key=lambda z: (z.real, z.imag)),
                            atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# stacks of small matrices
+
+
+def _hermitian(rng, n, N):
+    X = rng.normal(size=(n, N, N)) + 1j * rng.normal(size=(n, N, N))
+    return X + X.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stack_product_matches_matmul(N):
+    rng = np.random.default_rng(30 + N)
+    pairs = [(rng.normal(size=(50, N, q)) + 1j * rng.normal(size=(50, N, q)),
+              rng.normal(size=(50, q, N)) + 1j * rng.normal(size=(50, q, N)))
+             for q in (N, N + 2)]
+    for A, B in pairs:
+        got = _stack_product(A, B)
+        # both sum q products in some order: within 1e-15 of |A| |B|
+        assert np.all(np.abs(got - A @ B) <= 1e-15 * (np.abs(A) @ np.abs(B)))
+
+
+def _eigh_2x2_cases():
+    """2 x 2 Hermitian stacks: random ones, diagonal ones (b = 0) with
+    a > c and a < c, multiples of the identity, the zero matrix, nearly
+    degenerate ones, and all of these scaled by 1e+-150."""
+    rng = np.random.default_rng(40)
+    diag = np.zeros((4, 2, 2), dtype=complex)
+    diag[:, 0, 0] = [3.0, -1.0, 0.5, -2.0]
+    diag[:, 1, 1] = [1.0, 2.0, -0.5, -7.0]
+    identity = np.array([0.0, 1.0, -2.5, 1e-3])[:, None, None] * np.eye(2)
+    near = np.eye(2) + 1e-12 * _hermitian(rng, 20, 2)
+    stacks = {"random": _hermitian(rng, 200, 2), "diagonal": diag,
+              "identity": identity, "near-identity": near}
+    for name in ("random", "diagonal", "identity"):
+        for s in (1e150, 1e-150):
+            stacks["%s*%g" % (name, s)] = s * stacks[name]
+    return stacks
+
+
+@pytest.mark.parametrize("case", list(_eigh_2x2_cases()))
+def test_eigh_stack_2x2_matches_lapack(case):
+    H = _eigh_2x2_cases()[case]
+    w, V = _eigh_stack(H)
+    ref = np.linalg.eigvalsh(H)
+    eps = np.finfo(float).eps
+    scale = np.maximum(np.abs(H).max(axis=(1, 2)), np.finfo(float).tiny)
+    assert w.shape == ref.shape and V.shape == H.shape
+    assert np.all(np.diff(w, axis=1) >= 0.0)
+    assert np.all(np.abs(w - ref) <= 4.0 * eps * scale[:, None])
+    assert np.max(np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(2))) <= 1e-14
+    res = H @ V - V * w[:, None, :]
+    assert np.all(np.abs(res).max(axis=(1, 2)) <= 4.0 * eps * scale)
+
+
+def test_eigh_stack_2x2_multiple_of_identity_gives_identity():
+    w, V = _eigh_stack(np.array([2.0, 0.0])[:, None, None] * np.eye(2) + 0j)
+    assert np.array_equal(w, [[2.0, 2.0], [0.0, 0.0]])
+    assert np.array_equal(V, [np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_eigh_stack_other_sizes_are_lapack(N):
+    H = _hermitian(np.random.default_rng(50 + N), 30, N)
+    w, V = _eigh_stack(H)
+    w_ref, V_ref = np.linalg.eigh(H)
+    assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ Closed-form expectations: the 2x2 massive two-band model has bands
 +-sqrt(k^2 + m^2), the scalar second-order model has band k^2, and the 3x3
 rotating shallow-water model has bands {0, +-sqrt(k^2 + (f - nu k^2)^2)}.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,15 @@ def test_curvature_integrand_rejects_gapless_node(lap_model):
         f(np.array([0.3, 1.0]), np.array([0.2, 0.0]))
 
 
+def test_curvature_integrand_rejects_gapless_two_band_node():
+    # the massless two-band symbol is gapless at the origin only; its 2 x 2
+    # eigenbasis comes from the closed form, where H = 0 gives r = 0
+    f = _curvature_integrand(dirac_symbol(0.0), 0.0)
+    f(np.array([0.3, 2.0]), np.array([0.2, 0.0]))
+    with pytest.raises(GaplessPointError, match=r"k=\(0, 0\)"):
+        f(np.array([0.3, 0.0]), np.array([0.2, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # Chern pairings
 
@@ -376,9 +387,9 @@ def test_chern_of_scalar_symbol_is_zero(lap_model):
     assert resid < 1e-8
 
 
-def test_chern_fourth_order_negative_mass(monkeypatch):
-    from bec.models import regularized_dirac
-
+@pytest.fixture
+def quad_cells(monkeypatch):
+    """The cell count of every quadrature the symbol layer runs."""
     cells = []
     quad_2d = symbol.quad_2d
 
@@ -388,12 +399,59 @@ def test_chern_fourth_order_negative_mass(monkeypatch):
         return res
 
     monkeypatch.setattr(symbol, "quad_2d", counted)
+    return cells
+
+
+def test_chern_fourth_order_negative_mass(quad_cells):
+    from bec.models import regularized_dirac
+
     S = regularized_dirac(-1.0, 0.1).symbol
     value, resid = chern(S, 0.0, tol=1e-4)
     assert abs(value + 1.0) < 1e-3
     assert resid < 1e-3
     # the cell schedule of the finite-difference integrand it replaced
-    assert cells == [199]
+    assert quad_cells == [199]
+
+
+# The seven pairings of the bulk-pairing benchmark at its tol 1e-6: cell
+# counts and values as the Kubo integrand with LAPACK eigenbases and stacked
+# matrix products gave them, recorded as such.  A change of the integrand's
+# rounding must keep every cell schedule and move no value by more than
+# 1e-12.
+BULK_PAIRINGS = [
+    ("regdirac m=-1", ("regdirac", {"m": -1.0, "eps": 0.1}), None, 0.0,
+     -1.0000000034578407, 568),
+    ("regdirac m=+1", ("regdirac", {"m": 1.0, "eps": 0.1}), None, 0.0,
+     -3.4557779530070786e-09, 595),
+    ("dirac +1 vs -1", ("dirac", {"m": 1.0}), ("dirac", {"m": -1.0}), 0.0,
+     1.000000040936854, 235),
+    ("dirac -1 vs +1", ("dirac", {"m": -1.0}), ("dirac", {"m": 1.0}), 0.0,
+     -1.000000040936854, 235),
+    ("dirac m=+1", ("dirac", {"m": 1.0}), None, 0.0, 0.500000163757705, 184),
+    ("laplacian", ("laplacian", {}), None, -1.0, 0.0, 4),
+    ("shallow", ("shallow", {"f": 1.0, "nu": 0.1}), None, 0.5,
+     -2.0000000017296635, 715),
+]
+
+
+@pytest.mark.parametrize("first, second, level, value, cells",
+                         [p[1:] for p in BULK_PAIRINGS],
+                         ids=[p[0] for p in BULK_PAIRINGS])
+def test_bulk_pairing_cell_schedules(quad_cells, first, second, level,
+                                     value, cells):
+    from bec.models import build_model
+
+    S = build_model(first[0], **first[1]).symbol
+    with warnings.catch_warnings():
+        # the massive Dirac symbol alone pairs to a half integer
+        warnings.simplefilter("ignore", UserWarning)
+        if second is None:
+            got, _ = chern(S, level, tol=1e-6)
+        else:
+            S2 = build_model(second[0], **second[1]).symbol
+            got, _ = relative_chern(S, S2, level, tol=1e-6)
+    assert quad_cells == [cells]
+    assert abs(got - value) <= 1e-12
 
 
 def test_chern_two_band_half_integer_warns(dirac_model):
