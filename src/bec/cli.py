@@ -32,8 +32,9 @@ file keeps every [numerics] and [task] key for every command.  `--param
 key=val` is routed by modelfile's section table: [model] parameters (m, eps,
 m_minus, f, nu) configure the model, [boundary] parameters (a, aplus,
 aminus, ell, K, M) the boundary family; `--ref-param` configures
-`--bc-ref`.  `--bc` replaces the file's family and its parameters but keeps
-its side.
+`--bc-ref`.  A non-finite value of `--param`, `--param2` or `--ref-param`
+exits 2 naming its key.  `--bc` replaces the file's family and its
+parameters but keeps its side.
 
 Flags win over file values: each flag is written into the model data as its
 key ([numerics], [task] level, [boundary] side) before `modelfile.build`,
@@ -83,6 +84,9 @@ def _parse_params(pairs, where):
                 out[key] = float(val)
             except ValueError:
                 raise ModelFileError("%s: bad numeric value %r for key %r"
+                                     % (where, val, key))
+            if not np.isfinite(out[key]):
+                raise ModelFileError("%s: non-finite value %r for key %r"
                                      % (where, val, key))
     return out
 

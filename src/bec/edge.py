@@ -13,11 +13,12 @@ e.g. for a reference condition).  The factor A G1 - B G2 is formed once
 per momentum, so a detector batch multiplies it into the jets only.  A
 momentum column is scanned on an energy grid, and each dip of the scan is
 refined by Brent minimization of the squared detector, starting from the
-dip's grid point; the columns of a band track are handled a block at a
-time: the grids of all columns of the block are scanned in one pass of
-fixed-size detector batches, and one detector batch of one row per dip
-serves a refinement step of every column in the block.  Windings are
-computed from the phase of det U along a compactified momentum line.
+dip's grid point.  A band track scans its grid columns a block at a time
+into a list that it steps through, passing each column on as a value: the
+grids of all columns of the block are scanned in one pass of fixed-size
+detector batches, and one detector batch of one row per dip serves a
+refinement step of every column in the block.  Windings are computed from
+the phase of det U along a compactified momentum line.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
@@ -274,8 +275,14 @@ def edge_eigenvalues(bc, T, F, gap, lam_resolution=400):
 
 
 class BandEndpoint:
-    """How a dispersion band terminates: kind is one of 'exits-k-window',
-    'exits-gap-low', 'exits-gap-high', 'touches-bulk'."""
+    """How a dispersion band terminates: kind, at momentum k and energy lam.
+
+    'exits-k-window', 'exits-gap-low' and 'exits-gap-high' (the band leaves
+    the momentum grid, or the floor or ceiling of the scanned window away
+    from a continuum edge) end at the band's own last sample on that side;
+    'touches-bulk' ends at the located merge into a fiber continuum edge,
+    with lam the band's value there.  Births and deaths share this rule.
+    """
 
     def __init__(self, kind, k, lam):
         self.kind = kind
@@ -313,30 +320,26 @@ class _Tracker:
         self.gap = gap
         self.nl = lam_resolution
         self.fam = model.fiber_family(T.side)
-        self.cols = {}
 
     def window(self, k):
         return self.model.scan_window(k, self.gap)
 
-    def columns(self, ks):
-        """Scan and cache the full-window columns at momenta ks together."""
-        ks = [k for k in ks if k not in self.cols]
-        found = _columns(self.bc, self.T, self.fam.stacks(ks),
-                         [self.window(k) for k in ks], self.nl)
-        self.cols.update(zip(ks, found))
+    def scan(self, ks):
+        """The full-window columns at momenta ks, scanned together."""
+        return _columns(self.bc, self.T, self.fam.stacks(ks),
+                        [self.window(k) for k in ks], self.nl)
 
-    def column(self, k):
-        if k not in self.cols:
-            self.columns([k])
-        return self.cols[k]
-
-    def narrow_column(self, k, lo, hi, nl=160, xtol=None):
-        wlo, whi = self.window(k)
-        lo, hi = max(lo, wlo), min(hi, whi)
+    def nearest(self, k, pred, w, xtol=None):
+        """The eigenvalue at momentum k nearest to pred within
+        (pred - w, pred + w), clipped to the window; None if there is none."""
+        lo, hi = self.window(k)
+        lo, hi = max(lo, pred - w), min(hi, pred + w)
         if not hi > lo:
-            return []
-        return _columns(self.bc, self.T, self.fam.stacks([k]), [(lo, hi)],
-                        nl, xtol=xtol)[0]
+            return None
+        found = _columns(self.bc, self.T, self.fam.stacks([k]), [(lo, hi)],
+                         160, xtol=xtol)[0]
+        return min((lam for lam, _ in found), key=lambda lam: abs(lam - pred),
+                   default=None)
 
     def decay_exponents(self, k, lam):
         """All decay exponents mu of the fiber's exponential solutions at a
@@ -376,21 +379,11 @@ def _classify_boundary(tracker, k_edge, lam, width):
         # finite requested floor, or the heuristic depth used when the gap
         # is unbounded below, both mean the band left the scanned range;
         # a fiber continuum edge below means a bulk merge
-        if not np.isfinite(gap.lo):
-            return "exits-gap-low"
-        if abs(lo - gap.lo) <= 1e-9 * (1.0 + abs(lo)):
+        if (not np.isfinite(gap.lo)
+                or abs(lo - gap.lo) <= 1e-9 * (1.0 + abs(lo))):
             return "exits-gap-low"
         return "touches-bulk"
     return None
-
-
-def _nearest_eig(tracker, k, pred, w, xtol=None):
-    found = tracker.narrow_column(k, pred - w, pred + w, xtol=xtol)
-    pick = None
-    for lam, _ in found:
-        if pick is None or abs(lam - pred) < abs(pick - pred):
-            pick = lam
-    return pick
 
 
 def _bisect_vanishing(tracker, k_have, lam_have, slope, k_miss, width):
@@ -408,7 +401,7 @@ def _bisect_vanishing(tracker, k_have, lam_have, slope, k_miss, width):
         mid = 0.5 * (k_in + k_out)
         pred = lam_in + slope * (mid - k_in)
         w = max(0.15 * width, 4.0 * abs(slope * (k_out - k_in)))
-        pick = _nearest_eig(tracker, mid, pred, w)
+        pick = tracker.nearest(mid, pred, w)
         if pick is not None and abs(pick - pred) <= max(w, 1e-6):
             if mid != k_in:
                 slope = (pick - lam_in) / (mid - k_in)
@@ -427,8 +420,8 @@ def _bisect_vanishing(tracker, k_have, lam_have, slope, k_miss, width):
     for step in (1.0, 2.0, 3.0):
         kq = k_star + direction * h * step
         pred = lam_ref + slope * (kq - k_ref)
-        lam_q = _nearest_eig(tracker, kq, pred, max(0.15 * width, 4 * h),
-                             xtol=1e-13 * (1.0 + abs(pred)))
+        lam_q = tracker.nearest(kq, pred, max(0.15 * width, 4 * h),
+                                xtol=1e-13 * (1.0 + abs(pred)))
         if lam_q is None:
             continue
         mus = tracker.decay_exponents(kq, lam_q)
@@ -463,27 +456,24 @@ def _bisect_vanishing(tracker, k_have, lam_have, slope, k_miss, width):
     return k_star, lam_star
 
 
-def _finalize(tracker, band, k_last, k_gone, width):
-    """Attach the right endpoint, reached between k_last (band exists) and
-    k_gone (band absent)."""
-    lam, slope = band.lams[-1], _predict(band, k_gone)[1]
-    kind = _classify_boundary(tracker, k_gone, lam + slope * (k_gone - k_last),
+def _end(tracker, k_have, lam, slope, k_miss, width):
+    """Endpoint of a band sampled at (k_have, lam) and absent at k_miss,
+    moving with the given slope: births and deaths alike.
+
+    The value predicted at k_miss classifies the end.  A bulk merge is
+    located by `_bisect_vanishing`; a band leaving the window through the
+    gap ends at its own sample (k_have, lam).  A band that ends mid-gap
+    raises LostBandError."""
+    kind = _classify_boundary(tracker, k_miss, lam + slope * (k_miss - k_have),
                               width)
     if kind is None:
         raise LostBandError(
             "band lost mid-gap near k in [%.6g, %.6g] at lam=%.6g"
-            % (min(k_last, k_gone), max(k_last, k_gone), lam))
+            % (min(k_have, k_miss), max(k_have, k_miss), lam))
     if kind == "touches-bulk":
-        k_star, lam_star = _bisect_vanishing(tracker, k_last, lam, slope,
-                                             k_gone, width)
-        ep = BandEndpoint(kind, k_star, lam_star)
-    else:
-        bound = tracker.gap.lo if kind == "exits-gap-low" else tracker.gap.hi
-        k_star = k_last
-        if abs(slope) > 1e-30:
-            k_star = k_last + (bound - lam) / slope
-        ep = BandEndpoint(kind, k_star, bound)
-    band.right = ep
+        return BandEndpoint(kind, *_bisect_vanishing(tracker, k_have, lam,
+                                                     slope, k_miss, width))
+    return BandEndpoint(kind, k_have, lam)
 
 
 def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
@@ -499,10 +489,10 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
 
     Returns a list of DispersionBand.  Steps halve (up to 8 times) whenever a
     branch jumps by more than a fiftieth of the gap width or two branches get
-    within 2e-3 gap widths; the halving momenta and the bulk-merge searches
-    compute their columns one at a time.  A branch that still cannot be
-    continued and does not terminate at a window or bulk edge raises
-    LostBandError.
+    within 2e-3 gap widths; a halving momentum's column is scanned when the
+    step halves.  A band that disappears (a death) and one that appears (a
+    birth) end by one rule, `_end` (see BandEndpoint); a band that ends
+    mid-gap raises LostBandError.
     """
     if not model.edge_enabled:
         raise ContractViolation("%s ships no boundary data" % model.name)
@@ -526,17 +516,16 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     # and one energy per dip and step, a block of nl/4 columns gives
     # refinement batches of nl/4 to 3 nl/4 rows, below one scan batch
     block = max(1, int(lam_resolution) // 4)
-    tracker.columns(ks[:block])
+    cols = tracker.scan(ks[:block])
 
     finished = []
     active = []
-    for lam, resid in tracker.column(ks[0]):
+    for lam, resid in cols[0]:
         b = DispersionBand([ks[0]], [lam], [resid], gap)
         b.left = BandEndpoint("exits-k-window", ks[0], lam)
         active.append(b)
 
-    def advance(k0, k1, depth):
-        col = tracker.column(k1)
+    def advance(k0, k1, col, depth):
         # collapse coinciding eigenvalues (degenerate branches) into
         # (lam, resid, mult) groups so each copy can host its own branch
         uniq = []
@@ -570,8 +559,8 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
         if (trouble or not clean) and depth < 8:
             mid = 0.5 * (k0 + k1)
             if mid != k0 and mid != k1:
-                advance(k0, mid, depth + 1)
-                advance(mid, k1, depth + 1)
+                advance(k0, mid, tracker.scan([mid])[0], depth + 1)
+                advance(mid, k1, col, depth + 1)
                 return
         if not clean:
             # deepest level: the branches are genuinely close (a crossing);
@@ -583,28 +572,20 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
             _append(band, k1, lam, resid)
             taken[j] += 1
         for band in trouble:
-            _finalize(tracker, band, band.ks[-1], k1, width)
+            band.right = _end(tracker, band.ks[-1], band.lams[-1],
+                              _predict(band, k1)[1], k1, width)
             finished.append(band)
             active.remove(band)
         for j, (lam, resid, mult) in enumerate(uniq):
             for _ in range(max(0, mult - taken[j])):
                 b = DispersionBand([k1], [lam], [resid], gap)
-                kind = _classify_boundary(tracker, k0, lam, width)
-                if kind == "touches-bulk":
-                    k_star, lam_star = _bisect_vanishing(tracker, k1, lam,
-                                                         0.0, k0, width)
-                    b.left = BandEndpoint(kind, k_star, lam_star)
-                elif kind is not None:
-                    b.left = BandEndpoint(kind, k0, lam)
-                else:
-                    b.left = BandEndpoint("touches-bulk",
-                                          0.5 * (k0 + k1), lam)
+                b.left = _end(tracker, k1, lam, 0.0, k0, width)
                 active.append(b)
 
     for i in range(1, len(ks)):
         if i % block == 0:
-            tracker.columns(ks[i:i + block])
-        advance(ks[i - 1], ks[i], 0)
+            cols = tracker.scan(ks[i:i + block])
+        advance(ks[i - 1], ks[i], cols[i % block], 0)
 
     for band in active:
         band.right = BandEndpoint("exits-k-window", ks[-1], band.lams[-1])

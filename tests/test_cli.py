@@ -5,6 +5,7 @@ rendered report; heavy recomputations reuse small momentum windows and
 coarse resolutions to stay fast.
 """
 import argparse
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -419,6 +420,27 @@ def test_model_keys_in_ref_param_are_rejected():
                               "--k-window", "8"])
     assert code == 2
     assert "--ref-param takes boundary parameters only" in err
+
+
+@pytest.mark.parametrize("flag, key, argv", [
+    ("--param", "a", ["winding", "--model", "dirac", "--param", "m=1",
+                      "--bc", "a", "--param", "a=nan", "--k-window", "6"]),
+    ("--param", "m", ["verify", "--model", "dirac", "--param", "m=inf",
+                      "--bc", "a", "--param", "a=2"]),
+    ("--ref-param", "a", ["winding", "--model", "dirac", "--param", "m=1",
+                          "--bc", "a", "--param", "a=2", "--bc-ref", "a",
+                          "--ref-param", "a=nan", "--k-window", "6"]),
+    ("--param2", "m", ["relative-chern", "--model", "dirac", "--param", "m=1",
+                       "--model2", "dirac", "--param2", "m=-inf"]),
+], ids=["boundary-key", "model-key", "ref-param", "param2"])
+def test_non_finite_param_exits_2_naming_the_key(flag, key, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error: %s: non-finite value" % flag)
+    assert "for key %r" % key in err
+    assert "Traceback" not in err and not caught
 
 
 def test_boundary_param_without_bc_exits_2():

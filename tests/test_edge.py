@@ -31,6 +31,7 @@ from bec.edge import (
 from bec.errors import (
     ContractViolation,
     InsufficientResolutionError,
+    LostBandError,
     NotComparableError,
 )
 from bec.models import build_model
@@ -249,14 +250,14 @@ def test_block_scan_shares_detector_batches(monkeypatch):
 
     monkeypatch.setattr(edge, "_detector", counted_detector)
     monkeypatch.setattr(edge, "_brent", marked_brent)
-    tracker.columns(ks)
+    cols = tracker.scan(ks)
     scans = [n for n, refine in batches if not refine]
     rows = sum(scans)
     # every column's grid: nl uniform energies and two 24-step ladders
     assert len(ks) * nl <= rows <= len(ks) * (nl + 48)
     assert len(scans) == -(-rows // edge._SCAN_ROWS) < len(ks)
     assert all(n == edge._SCAN_ROWS for n in scans[:-1])
-    assert refining and len(tracker.cols) == len(ks)
+    assert refining and len(cols) == len(ks)
     # refinement: 8 minimization steps and the multiplicity batch were
     # measured (golden section took 35 steps, a midpoint and that batch)
     assert len(batches) - len(scans) <= 12
@@ -479,6 +480,41 @@ def test_track_bands_reference_family_flat_branch(dirac_model):
     assert spectral_flow(bands).value == 1
     sel = slice(5, -5)
     assert np.max(np.abs(bands[0].lams[sel] - bands[0].ks[sel])) < 1e-7
+
+
+@pytest.mark.parametrize("ell, sf", [(4.0, -1), (-4.0, 1)])
+def test_track_bands_exits_gap_low_at_its_own_sample(lap_model, ell, sf):
+    # the branch lam = k^2 - (1 + ell k)^2 falls through the heuristic floor
+    # -(10 + 10 k^2) of the default gap (-inf, 0) where
+    # 5 k^2 + sign(ell) 8 k - 9 = 0, at k = sign(ell) 0.76205
+    bands = track_bands(lap_model.make_bc("robin", K=1.0, ell=ell, M=1.0),
+                        lap_model.triple(), lap_model, 4.0,
+                        k_resolution=161, lam_resolution=160)
+    assert spectral_flow(bands).value == sf
+    band, = bands
+    end, i = (band.right, -1) if ell > 0 else (band.left, 0)
+    assert end.kind == "exits-gap-low"
+    assert abs(end.k - np.sign(ell) * 0.76205) <= 0.05
+    assert end.k == band.ks[i] and end.lam == band.lams[i]
+
+
+def test_track_bands_band_born_mid_gap_raises(monkeypatch, dirac_model):
+    # the first grid column comes back empty, so the band appears at the
+    # second one in the middle of the gap: no rule can end it there
+    k_window = 3.0
+    columns = edge._columns
+
+    def first_column_empty(bc, T, F, windows, nl, xtol=None):
+        out = columns(bc, T, F, windows, nl, xtol=xtol)
+        if F.ks[0] == -k_window:
+            out[0] = []
+        return out
+
+    monkeypatch.setattr(edge, "_columns", first_column_empty)
+    with pytest.raises(LostBandError, match="band lost mid-gap"):
+        track_bands(dirac_model.make_bc("a", a=2.0), dirac_model.triple(),
+                    dirac_model, k_window, k_resolution=161,
+                    lam_resolution=160)
 
 
 def test_track_bands_rejects_bulk_only_model(shallow_model):

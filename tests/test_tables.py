@@ -7,6 +7,7 @@ that the benchmark's tables-flow workload runs: a flow that moves with the
 tracker's numerics fails tier-1.  The regularized Dirac windings take their
 expected values from the table's flows through SF(bc) - SF(dirichlet).
 """
+import numpy as np
 import pytest
 
 from bec.cli import (
@@ -83,7 +84,14 @@ def test_regdirac_row_winding_relative_to_dirichlet(mi, m, label, a, sf_neg,
 
 def _flow_rows():
     """(id, model name, model parameters, family, family parameters,
-    numerics, expected SF) of one member of each benchmark mirror pair."""
+    numerics, expected SF, band ends) of one member of each benchmark mirror
+    pair.
+
+    The band ends are the (left, right) endpoint kinds of every band, in
+    the tracker's order, as recorded from its output while births and
+    deaths still had separate end rules; a change of the end rule that
+    moves them on real traffic fails here."""
+    bulk, k_end = "touches-bulk", "exits-k-window"
     (_, K, xi, lap_sf, _), = [row for row in LAPLACE_ROWS
                               if row[0] == "K>0, |xi|=1, xi>0"]
     (m, a, _, dirac_sf), = [row for row in DIRAC_ROWS if row[:2] == (1.0, 2.0)]
@@ -91,21 +99,25 @@ def _flow_rows():
                               if row[0] == "a = 2"]
     return [
         ("laplacian xi=%+g" % xi, "laplacian", {}, "robin",
-         {"K": K, "ell": xi, "M": 1.0}, LAPLACE_NUMERICS, lap_sf),
+         {"K": K, "ell": xi, "M": 1.0}, LAPLACE_NUMERICS, lap_sf,
+         [(bulk, k_end)]),
         ("dirac m=%+g a=%+g" % (m, a), "dirac", {"m": m}, "a", {"a": a},
-         DIRAC_NUMERICS, dirac_sf),
+         DIRAC_NUMERICS, dirac_sf, [(k_end, bulk)]),
         ("regdirac m=-1 a=%+g" % reg_a, "regdirac", {"m": -1.0, "eps": 0.1},
-         "a", {"a": reg_a}, REGDIRAC_NUMERICS, reg_sf),
+         "a", {"a": reg_a}, REGDIRAC_NUMERICS, reg_sf,
+         [(k_end, bulk), (bulk, bulk)]),
         # analytic: the branches lam = k of both decoupled sides
         ("interface decoupled(1,1)", "dirac", {"m": 1.0, "m_minus": -1.0},
-         "decoupled", {"aplus": 1.0, "aminus": 1.0}, DIRAC_NUMERICS, 2),
+         "decoupled", {"aplus": 1.0, "aminus": 1.0}, DIRAC_NUMERICS, 2,
+         [(k_end, k_end)] * 2),
     ]
 
 
-@pytest.mark.parametrize("name, params, family, kw, numerics, sf",
+@pytest.mark.parametrize("name, params, family, kw, numerics, sf, ends",
                          [row[1:] for row in _flow_rows()],
                          ids=[row[0] for row in _flow_rows()])
-def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf):
+def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf,
+                                   ends):
     model = build_model(name, **params)
     T = model.triple("interface" if "m_minus" in params else "halfline")
     k_window, k_resolution, lam_resolution = numerics
@@ -113,6 +125,9 @@ def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf):
                         k_resolution=k_resolution,
                         lam_resolution=lam_resolution)
     assert spectral_flow(bands, level=0.0).value == sf
+    assert [(b.left.kind, b.right.kind) for b in bands] == ends
+    assert all(np.isfinite([e.k, e.lam]).all()
+               for b in bands for e in (b.left, b.right))
 
 
 def _table_conditions():
