@@ -9,16 +9,19 @@ built on the normalized jet matrix J of the decaying exponential solutions at
 energy lam; a kernel vector assembles a genuine decaying eigenfunction, so
 dips of the smallest singular value signal true edge dispersion points (this
 also sees eigenvalues where the raw condition matrix is identically trivial,
-e.g. for a reference condition).  The factor A G1 - B G2 is formed once
-per momentum, so a detector batch multiplies it into the jets only.  A
-momentum column is scanned on an energy grid, and each dip of the scan is
-refined by Brent minimization of the squared detector, starting from the
-dip's grid point.  A band track scans its grid columns a block at a time
-into a list that it steps through, passing each column on as a value: the
-grids of all columns of the block are scanned in one pass of fixed-size
-detector batches, and one detector batch of one row per dip serves a
-refinement step of every column in the block.  Windings are computed from
-the phase of det U along a compactified momentum line.
+e.g. for a reference condition).  The detector keeps the kernel's rows-last
+layout: the jet-free factor P = A G1 - B G2 and the fiber coefficients are
+laid out once per momentum, one (n,) array per entry, a detector batch
+gathers its rows of them, and M = P J is summed entry by entry, one product
+over the batch's rows per term.  A momentum column is scanned on an energy
+grid, and each dip of the scan is refined by Brent minimization of the
+squared detector, starting from the dip's grid point.  A band track scans
+its grid columns a block at a time into a list that it steps through,
+passing each column on as a value: the grids of all columns of the block
+are scanned in one pass of fixed-size detector batches, and one detector
+batch of one row per dip serves a refinement step of every column in the
+block.  Windings are computed from the phase of det U along a compactified
+momentum line.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
@@ -42,7 +45,7 @@ from .errors import (
 from .extension import (
     _ab_on,
     _check_admissible,
-    _full_jets_batch,
+    _full_jets,
     _side_bases,
     _singular_values,
     vn_unitary_family,
@@ -76,22 +79,32 @@ def _detector(bc, T, F):
     """Detector over the fibers F (a FiberStack), one per column.
 
     Returns det(rows, lams) -> (sv, scale, valid): the singular values
-    (n, dimV) of M(k, lam) at the fibers of the columns indexed by rows and
-    the energies lams, the scale 1 + max|M|, and whether the basis is good
-    (reason code 0); a failing basis never raises here.  Since
-    M = (A G1 - B G2) J, the jet-free factor P = A G1 - B G2 is formed once
-    per column, and a batch costs one gather and one product P[rows] J.
+    (dimV, n), largest first, of M(k, lam) at the fibers of the columns
+    indexed by rows and the energies lams, the scale 1 + max|M| (n,), and
+    whether the basis is good (reason code 0); a failing basis never raises
+    here.
+
+    Every per-row quantity is held rows last, one (n,) array per matrix
+    entry.  The fiber coefficients (order+1, N, N, columns) and the
+    jet-free factor P = A G1 - B G2 (dimV, W, columns) are laid out so once;
+    a batch gathers its rows of both, takes the jets J (W, dimV, n) from
+    `_full_jets` and sums M_ij = sum_k P_ik J_kj term by term, one product
+    over the batch's rows per k.  For dimV <= 2 no LAPACK routine runs.
     """
     A, B = _ab_on(bc, T, F.ks)
     G1, G2 = T.traces(F.ks)
-    P = A @ G1 - B @ G2
+    P = np.moveaxis(A @ G1 - B @ G2, 0, -1).copy()
+    D = [np.moveaxis(Ds, 0, -1).copy() for Ds in F.sides]
 
     def det(rows, lams):
-        J, code = _full_jets_batch(T, F[rows],
-                                   np.asarray(lams, dtype=complex))
-        M = P[rows] @ J
-        sv = _singular_values(M)
-        return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
+        J, code = _full_jets(T, [Ds[..., rows] for Ds in D], F.ks[rows],
+                             np.asarray(lams, dtype=complex))
+        Pr = P[..., rows]
+        M = Pr[:, 0, None] * J[0]
+        for k in range(1, len(J)):
+            M = M + Pr[:, k, None] * J[k]
+        size = np.abs(M).reshape(len(M) ** 2, len(code)).max(axis=0)
+        return _singular_values(M), 1.0 + size, code == 0
     return det
 
 
@@ -193,7 +206,7 @@ def _columns(bc, T, F, windows, nl, xtol=None):
 
     def rel(rows, lams):
         sv, scale, valid = det(rows, lams)
-        return np.where(valid, sv[:, -1] / scale, np.inf)
+        return np.where(valid, sv[-1] / scale, np.inf)
 
     nl = int(nl)
     lo, hi = np.array([windows[i] for i in cols], dtype=float).T
@@ -248,7 +261,7 @@ def _columns(bc, T, F, windows, nl, xtol=None):
         # from both sides, seen as several small singular values
         keep = np.array(keep)
         sv, scale, valid = det(owner[keep], xs[keep])
-        small = np.sum(sv < 1e2 * _ACCEPT_REL * scale[:, None], axis=1)
+        small = np.sum(sv < 1e2 * _ACCEPT_REL * scale, axis=0)
         mult = np.where(valid, np.maximum(1, small), 1)
         for j, m in zip(keep, mult):
             out[cols[owner[j]]].extend([(float(xs[j]), float(vmin[j]))]

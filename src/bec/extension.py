@@ -19,29 +19,46 @@ the triple's dimV.  A model builds the (A, B) of each named condition in
 its own boundary family.
 
 The steps bases -> Krein Q -> U are one kernel, batched over fibers and
-spectral points: `_basis_batch` on one side's coefficients, `_side_bases`
-and `_full_jets_batch` on a FiberStack in a triple's layout, `_krein_family`
-and `vn_unitary_family`.  Every basis row carries a reason code; the edge
+spectral points: `_basis_entries` on one side's coefficients, `_full_jets`
+on all sides of a fiber stack in a triple's layout, `_krein_family` and
+`vn_unitary_family`.  Every basis row carries a reason code; the edge
 detector masks the failing rows, and everything else raises the code's
 typed error.
+
+The kernel holds every per-row quantity rows last: one (n,) array per
+matrix entry, polynomial coefficient, root or exponent, so that every
+numpy call loops over the rows, and a reduction over the few entries runs
+over the outer axis of a (entries, n) array.  The fiber coefficients come
+in as (order+1, N, N, n), the bases go out as exponents (expect, n),
+amplitudes (N, expect, n) and jets (order*N, expect, n), and the two sides
+of an interface share one batch.  `_basis_batch`, `_side_bases` and
+`_full_jets_batch` give the same results stacked, (n, ...), for the Krein
+matrices and the per-point API.
 
 The characteristic polynomial det(sum_j D_j (-mu)^j - z) of a row is
 expanded from its entries (`_char_poly`): each entry is a polynomial in mu,
 and the determinant is the Leibniz sum over the N! permutations of their
-products, multiplied out by coefficient convolution; for N = 1 it is the
-entry and for N = 2 the polynomial a d - b c, with no interpolation.
+products, multiplied out by coefficient convolution, all permutations at
+once; for N = 1 it is the entry and for N = 2 the polynomial a d - b c,
+with no interpolation.
 
 The shipped fibers are small (N <= 2, order*N <= 4, dimV <= 2), and the
 kernel takes closed forms at those sizes, chosen from the shapes and
-coefficients alone: the exponents of a row whose characteristic
-polynomial has degree 2 or 4 and is even in mu as +-sqrt(nu), from the
-nu-linear or the cancellation-free nu-quadratic formula (`_roots`); the
+coefficients alone, never from the batch size: the exponents of a row
+whose characteristic polynomial has degree 2 or 4 and is even in mu as
++-sqrt(nu), from the nu-linear or the cancellation-free nu-quadratic
+formula (`_roots`); the on-axis, coinciding-exponent and side tests and
+the exponent order from elementwise comparisons of the roots; the
 amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
-(N = 2, `_kernel_vectors`); and the singular values of a 1 x 1 or 2 x 2
-matrix stack (`_singular_values`), which serve the edge detector, the G1 J
-and W(i) singularity tests and the admissibility test of iA + B.  Any other
-size, and a polynomial that is not even, takes LAPACK: companion-matrix
-eigenvalues and SVDs.
+(N = 2, `_kernel_vectors`); the jets and their rank test on two columns
+(`_rank_deficient`); and the singular values of 1 x 1 or 2 x 2 matrices
+(`_singular_values`), which serve the edge detector, the G1 J and W(i)
+singularity tests and the admissibility test of iA + B.  LAPACK takes the
+rest, each at the boundary of the rows-last layout: companion-matrix
+eigenvalues for a polynomial that is not even or of another degree, the
+last right singular vector for N > 2, and SVDs of jets with more than two
+columns and of matrices larger than 2 x 2.  The Krein solve and the
+unitaries stay stacked LAPACK solves.
 
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
@@ -115,104 +132,75 @@ _CODE_ERRORS = {
 
 
 def _singular_values(M):
-    """Singular values (n, p) of the p x p matrices M (n, p, p), largest
-    first, as np.linalg.svd gives them.
+    """Singular values (p, n), largest first, of the p x p matrices whose
+    entries M (p, p, n) hold the rows last.
 
     For p <= 2 in closed form.  Each matrix is first divided by its largest
     entry, so that entries near 1e+-150 neither overflow nor underflow when
     squared.  sigma_max^2 is the larger eigenvalue of the Gram matrix
     M^dag M = [[g, r], [r*, h]], (g + h)/2 + hypot((g - h)/2, |r|), a sum
-    of non-negative terms; then sigma_min = |det M| / sigma_max.  Neither
-    step cancels, and both values are within a few eps sigma_max of
-    LAPACK's."""
-    p = M.shape[-1]
+    of non-negative terms, with g and h the squared column norms; then
+    sigma_min = |det M| / sigma_max.  Neither step cancels, and both values
+    are within a few eps sigma_max of LAPACK's, which serves p > 2."""
+    p, n = M.shape[0], M.shape[2]
     if p > 2:
-        return np.linalg.svd(M, compute_uv=False)
-    size = np.abs(M).max(axis=(1, 2))
+        return np.linalg.svd(M.transpose(2, 0, 1), compute_uv=False).T
+    mag = np.abs(M)
+    size = mag.reshape(p * p, n).max(axis=0)
     if p == 1:
-        return size[:, None]
-    M = M / np.where(size == 0.0, 1.0, size)[:, None, None]
-    G = M.conj().transpose(0, 2, 1) @ M
-    g, h = G[:, 0, 0].real, G[:, 1, 1].real
-    smax = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), np.abs(G[:, 0, 1])))
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    smin = np.abs(det) / np.where(smax == 0.0, 1.0, smax)
-    return np.stack([smax, smin], axis=1) * size[:, None]
+        return size[None]
+    unit = np.where(size == 0.0, 1.0, size)
+    M = M / unit
+    mag = mag / unit
+    g, h = (mag * mag).sum(axis=0)
+    cross = M[:, 0].conj() * M[:, 1]
+    r = np.abs(cross[0] + cross[1])
+    out = np.empty((2, n))
+    out[0] = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), r))
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    np.divide(np.abs(det), np.where(out[0] == 0.0, 1.0, out[0]), out=out[1])
+    return out * size
 
 
-def _char_matrices(Ds, zs, mus):
-    """sum_j D_j (-mu)^j - z for the fibers Ds (n, order+1, N, N), each at
-    its own z (n,) and exponents mus (n, m): shape (n, m, N, N).  Its kernel
-    gives the exponential solutions e^{-mu y} phi."""
-    N = Ds.shape[2]
-    C = np.zeros((len(Ds), mus.shape[1], N, N), dtype=complex)
-    C -= zs[:, None, None, None] * np.eye(N, dtype=complex)[None, None]
-    for j in range(Ds.shape[1]):
-        C += Ds[:, j][:, None] * ((-mus) ** j)[:, :, None, None]
-    return C
-
-
-def _poly_mul(a, b):
-    """Coefficients (la + lb - 1, n) of the products of the polynomials
-    with coefficients a (la, n) and b (lb, n), by degree along axis 0."""
-    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=complex)
-    for i in range(len(a)):
-        out[i:i + len(b)] += a[i] * b
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _permutations(N):
-    """The N! permutations of range(N), each with its sign."""
-    return tuple((s, (-1) ** sum(s[i] > s[j] for i in range(N)
-                                 for j in range(i + 1, N)))
-                 for s in itertools.permutations(range(N)))
-
-
-def _char_poly(Ds, ks, zs):
-    """Characteristic polynomials det(sum_j D_j (-mu)^j - z) of a fiber
-    stack, in the rescaled variable x = mu/scale whose roots are O(1):
-    keeps the companion matrix well balanced at large k.
+def _char_poly(E, scale):
+    """Characteristic polynomials det(sum_j E_j y^j) in y = -mu, from the
+    entries E (order+1, N, N, n) of the coefficient matrices with z already
+    subtracted from the diagonal of E_0, in the rescaled variable
+    x = mu/scale whose roots are O(1): keeps the companion matrix well
+    balanced at large k.
 
     Expanded from the entries by the Leibniz formula: entry (r, c) is the
-    polynomial sum_j D_j[r, c] y^j - z delta_rc in y = -mu, and the
-    determinant is the signed sum, over the N! permutations s, of the
-    products of the entries (r, s(r)), multiplied out by coefficient
-    convolution; the coefficient of y^m then takes the factor (-scale)^m.
-    For N = 1 that is the entry itself, for N = 2 the polynomial
-    a d - b c.  The rows run along the last axis of the work arrays, so
-    that each numpy call loops over them.  Returns (coefficients
-    (n, order*N + 1) by degree, scale)."""
-    order, N = Ds.shape[1] - 1, Ds.shape[2]
-    scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
-    E = np.moveaxis(Ds, 0, -1).copy()                        # (j, N, N, n)
-    for r in range(N):
-        E[0, r, r] -= zs
+    polynomial sum_j E_j[r, c] y^j, and the determinant is the signed sum,
+    over the N! permutations s, of the products of the entries (r, s(r)),
+    multiplied out by coefficient convolution, all permutations at once;
+    the coefficient of y^m then takes the factor (-scale)^m.  For N = 1
+    that is the entry itself, for N = 2 the polynomial a d - b c.  Returns
+    the coefficients (order*N + 1, n) by degree."""
+    order, N, n = E.shape[0] - 1, E.shape[1], E.shape[3]
+    perms = list(itertools.permutations(range(N)))
+    cols = np.array(perms)
+    prod = E[:, 0, cols[:, 0]]                            # (1 + order, N!, n)
+    for r in range(1, N):
+        terms = prod[:, None] * E[None, :, r, cols[:, r]]
+        prod = np.zeros((len(prod) + order,) + prod.shape[1:], dtype=complex)
+        for i in range(len(terms)):
+            prod[i:i + order + 1] += terms[i]
     coeffs = 0.0
-    for s, sign in _permutations(N):
-        prod = E[:, 0, s[0]]
-        for r in range(1, N):
-            prod = _poly_mul(prod, E[:, r, s[r]])
-        coeffs = coeffs + prod if sign > 0 else coeffs - prod
-    power = np.ones(len(ks))
-    for m in range(1, len(coeffs)):
-        power = power * -scale
-        coeffs[m] *= power
-    return coeffs.T, scale
-
-
-def _lead_ok(coeffs):
-    """Whether each leading coefficient is above _LEAD_TOL of the largest
-    (the roots of a row where it is not mean nothing)."""
-    return np.abs(coeffs[:, -1]) > _LEAD_TOL * (np.abs(coeffs).max(axis=1)
-                                                + 1e-300)
+    for p, s in enumerate(perms):
+        odd = sum(s[i] > s[j] for i in range(N) for j in range(i + 1, N)) % 2
+        coeffs = coeffs - prod[:, p] if odd else coeffs + prod[:, p]
+    coeffs[1:] *= (-scale)[None].repeat(order * N, axis=0).cumprod(axis=0)
+    return coeffs
 
 
 def _companion_roots(coeffs):
     """Roots (n, d) of the polynomials with coefficient rows (n, d+1), by
-    degree, as companion-matrix eigenvalues, and `_lead_ok`."""
+    degree, as companion-matrix eigenvalues, and whether each leading
+    coefficient is above _LEAD_TOL of the largest (the roots of a row where
+    it is not mean nothing)."""
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    ok = _lead_ok(coeffs)
+    ok = np.abs(coeffs[:, -1]) > _LEAD_TOL * (np.abs(coeffs).max(axis=1)
+                                              + 1e-300)
     lead = np.where(ok, coeffs[:, -1], 1.0)
     comp = np.zeros((n, d, d), dtype=complex)
     if d > 1:
@@ -221,167 +209,215 @@ def _companion_roots(coeffs):
     return np.linalg.eigvals(comp), ok
 
 
-def _double_root(a, b, c):
-    """Whether a x^2 + b x + c has a double root: its relative discriminant
-    |b^2 - 4ac| / (|b|^2 + 4|ac|) is at most _DOUBLE_TOL."""
-    return (np.abs(b * b - 4.0 * a * c)
+def _double_root(disc, a, b, c):
+    """Whether a x^2 + b x + c, of discriminant disc = b^2 - 4ac, has a
+    double root: its relative discriminant |b^2 - 4ac| / (|b|^2 + 4|ac|)
+    is at most _DOUBLE_TOL."""
+    return (np.abs(disc)
             <= _DOUBLE_TOL * (np.abs(b) ** 2 + 4.0 * np.abs(a * c)))
 
 
-def _even_roots(c, a):
-    """Roots +-sqrt(nu) (n, d) of even polynomials with coefficient rows c
-    (n, d+1), d = 2 or 4, and leading coefficients a, from the roots nu of
-    the nu-linear or nu-quadratic a nu^2 + b nu + c_0.  The quadratic's
-    roots are q/a and c_0/q with q = -(b + s sqrt(b^2 - 4 a c_0))/2, the
-    sign s chosen so that b and s sqrt(...) do not cancel."""
-    if c.shape[1] == 3:
-        nu = -c[:, :1] / a[:, None]
+def _even_roots(c, a, disc):
+    """Roots +-sqrt(nu) (d, n) of even polynomials with coefficients c
+    (d+1, n), d = 2 or 4, and leading coefficients a, from the roots nu of
+    the nu-linear or nu-quadratic a nu^2 + b nu + c_0 of discriminant disc.
+    The quadratic's roots are q/a and c_0/q with
+    q = -(b + s sqrt(b^2 - 4 a c_0))/2, the sign s chosen so that b and
+    s sqrt(...) do not cancel."""
+    if len(c) == 3:
+        nu = -c[:1] / a
     else:
-        b, c0 = c[:, 2], c[:, 0]
-        root = np.sqrt(b * b - 4.0 * a * c0)
+        b, c0 = c[2], c[0]
+        root = np.sqrt(disc)
         root = np.where((b.conj() * root).real >= 0.0, root, -root)
         q = -0.5 * (b + root)
+        nu = np.empty((2, len(a)), dtype=complex)
+        np.divide(q, a, out=nu[0])
         # q = 0 only when b = c_0 = 0, where both roots are 0
-        nu = np.stack([q / a, c0 / np.where(q == 0.0, 1.0, q)], axis=1)
+        np.divide(c0, np.where(q == 0.0, 1.0, q), out=nu[1])
     s = np.sqrt(nu)
-    return np.concatenate([s, -s], axis=1)
+    return np.concatenate([s, -s])
 
 
 def _roots(coeffs):
-    """Roots (n, d) of the polynomials with coefficient rows (n, d+1), by
-    degree, `_lead_ok`, and which rows have a double root by a
-    discriminant (`_double_root`).
+    """Roots (d, n) of the polynomials with coefficients (d+1, n), by
+    degree; whether each leading coefficient is above _LEAD_TOL of the
+    largest (the roots of a row where it is not mean nothing); and which
+    rows have a double root by a discriminant (`_double_root`).
 
     A row of degree 2 or 4 whose odd coefficients are at most _EVEN_TOL of
     its largest takes `_even_roots`; every other row takes
     `_companion_roots`.  A row of degree 2 is tested for a double mu, an
     even row of degree 4 for a double nu = mu^2; other double roots are left
-    to the distance test of `_basis_batch`.  The choice is made row by row,
-    so a row's roots never depend on the other rows of its batch."""
-    n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    size = np.abs(coeffs).max(axis=1)
-    c = coeffs / np.where(size == 0.0, 1.0, size)[:, None]
-    ok = _lead_ok(coeffs)
-    a = np.where(ok, c[:, -1], 1.0)
+    to the distance test of `_basis_entries`.  The choice is made row by
+    row, so a row's roots never depend on the other rows of its batch."""
+    d, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    mag = np.abs(coeffs)
+    size = mag.max(axis=0)
+    ok = mag[-1] > _LEAD_TOL * (size + 1e-300)
+    c = coeffs / np.where(size == 0.0, 1.0, size)
+    a = np.where(ok, c[-1], 1.0)
     even = np.zeros(n, dtype=bool)
-    double = np.zeros(n, dtype=bool)
+    double = even
     if d in (2, 4):
-        even = np.abs(c[:, 1::2]).max(axis=1) <= _EVEN_TOL
-    if d == 2:
-        double = _double_root(a, c[:, 1], c[:, 0])
-    elif d == 4:
-        double = even & _double_root(a, c[:, 2], c[:, 0])
-    roots = np.empty((n, d), dtype=complex)
-    if np.any(even):
-        roots[even] = _even_roots(c[even], a[even])
-    if not np.all(even):
-        roots[~even] = _companion_roots(coeffs[~even])[0]
+        even = np.abs(c[1::2]).max(axis=0) <= _EVEN_TOL
+        b = c[d // 2]
+        disc = b * b - 4.0 * a * c[0]
+        double = _double_root(disc, a, b, c[0])
+        if d == 4:
+            double &= even
+    # the even formula is row by row, so it runs on every row when any is
+    # even, and the companion roots replace it on the others
+    roots = _even_roots(c, a, disc) if even.any() else np.empty((d, n),
+                                                               complex)
+    if not even.all():
+        roots[:, ~even] = _companion_roots(coeffs[:, ~even].T)[0].T
     return roots, ok, double
 
 
 def _kernel_vectors(C):
-    """Unit vectors phi (..., N) with C phi ~ 0 for the singular N x N
-    matrices C (..., N, N).  N = 1: phi = 1.  N = 2: the cofactor vector
-    (r_1, -r_0) of the row r of C with the larger norm, which that row
-    annihilates exactly; the zero matrix gets (1, 0).  Larger N: the last
-    right singular vector."""
-    N = C.shape[-1]
+    """Unit vectors phi (N, ...) with C phi ~ 0 for the singular N x N
+    matrices whose entries C (N, N, ...) hold the rows last.  N = 1:
+    phi = 1.  N = 2: the cofactor vector (r_1, -r_0) of the row r of C with
+    the larger norm, which that row annihilates exactly; the zero matrix
+    gets (1, 0).  Larger N: the last right singular vector, from LAPACK."""
+    N = C.shape[0]
     if N == 1:
-        return np.ones(C.shape[:-1], dtype=complex)
+        return np.ones(C.shape[1:], dtype=complex)
     if N > 2:
-        return np.linalg.svd(C)[2][..., -1, :].conj()
-    r0, r1 = (np.hypot(np.abs(C[..., i, 0]), np.abs(C[..., i, 1]))
-              for i in (0, 1))
-    row = np.where((r0 >= r1)[..., None], C[..., 0, :], C[..., 1, :])
-    phi = np.stack([row[..., 1], -row[..., 0]], axis=-1)
-    size = np.maximum(r0, r1)[..., None]
-    return np.where(size == 0.0, np.array([1.0, 0.0]),
-                    phi / np.where(size == 0.0, 1.0, size))
-
-
-def _jets_batch(mus, phis, order):
-    """Normalized jet matrices (n, order*N, p): column per solution, rows
-    the stacked derivatives (phi, -mu phi, mu^2 phi, ..., (-mu)^{order-1}
-    phi) at y = 0."""
-    n, p = mus.shape
-    N = phis.shape[2]
-    J = np.empty((n, order * N, p), dtype=complex)
-    phT = phis.transpose(0, 2, 1)
-    for j in range(order):
-        J[:, j * N:(j + 1) * N, :] = ((-mus) ** j)[:, None, :] * phT
-    nrm = np.linalg.norm(J, axis=1, keepdims=True)
-    nrm = np.where(nrm == 0.0, 1.0, nrm)
-    return J / nrm
+        vh = np.linalg.svd(np.moveaxis(C, (0, 1), (-2, -1)))[2]
+        return np.moveaxis(vh[..., -1, :].conj(), -1, 0)
+    mag = np.abs(C)
+    r = np.hypot(mag[:, 0], mag[:, 1])
+    size = np.maximum(r[0], r[1])
+    zero = size == 0.0
+    # (r_1, -r_0) of the row r of larger norm
+    phi = np.where(r[0] >= r[1], C[0], C[1])[::-1]
+    np.negative(phi[1], out=phi[1])
+    first = np.array([1.0, 0.0]).reshape((2,) + (1,) * (C.ndim - 2))
+    return np.where(zero, first, phi / np.where(zero, 1.0, size))
 
 
 def _rank_deficient(J):
-    """Rows whose normalized jet columns have a smallest singular value at
-    most _JET_RANK_TOL.  For two unit columns a, b that value is
-    |a - b e^{-i arg <a, b>}| / sqrt(2), which avoids both an SVD and the
-    cancellation in sqrt(1 - |<a, b>|)."""
-    p = J.shape[2]
+    """Rows whose normalized jet columns J (W, p, n) have a smallest
+    singular value at most _JET_RANK_TOL.  For two unit columns a, b that
+    value is |a - b e^{-i arg <a, b>}| / sqrt(2), which avoids both an SVD
+    and the cancellation in sqrt(1 - |<a, b>|); more columns take LAPACK."""
+    p = J.shape[1]
     if p < 2:
-        return np.zeros(len(J), dtype=bool)
+        return np.zeros(J.shape[2], dtype=bool)
     if p > 2:
-        return np.linalg.svd(J, compute_uv=False)[:, -1] <= _JET_RANK_TOL
-    a, b = J[:, :, 0], J[:, :, 1]
-    g = np.einsum("ni,ni->n", a.conj(), b)
-    phase = np.exp(-1j * np.angle(g))
-    smin = np.linalg.norm(a - b * phase[:, None], axis=1) / np.sqrt(2.0)
+        return (np.linalg.svd(J.transpose(2, 0, 1), compute_uv=False)[:, -1]
+                <= _JET_RANK_TOL)
+    a, b = J[:, 0], J[:, 1]
+    diff = a - b * np.exp(-1j * np.angle((a.conj() * b).sum(axis=0)))
+    smin = np.sqrt((diff.conj() * diff).real.sum(axis=0)) / np.sqrt(2.0)
     return smin <= _JET_RANK_TOL
 
 
-def _basis_batch(Ds, ks, zs, side, expect):
-    """Decaying exponential solutions for a stack of fibers.
+@functools.lru_cache(maxsize=None)
+def _root_tables(d):
+    """Constant tables of d roots: 1e30 on the diagonal of the d x d root
+    distances, and which pairs (a, b) of roots have a >= b."""
+    return 1e30 * np.eye(d)[:, :, None], np.tri(d, dtype=bool)[:, :, None]
 
-    Ds: (n, order+1, N, N); ks, zs: (n,).  Returns (mus (n, expect),
-    phis (n, expect, N), normalized jets (n, order*N, expect), code (n,)).
-    A row's code is 0 when its basis is good; otherwise, by precedence,
-    _FAILED for a vanishing leading coefficient, _ON_AXIS for a root on the
-    imaginary axis, _DEGENERATE for coinciding roots (closer than
-    _CLUSTER_TOL, or double by a discriminant of `_roots`), _WRONG_COUNT
-    when the roots do not split into `expect` on the requested side, _FAILED
-    for a poor amplitude residual, and _DEGENERATE for rank-deficient jets.
+
+def _basis_entries(D, ks, zs, sign, expect):
+    """Decaying exponential solutions for a stack of fibers, rows last.
+
+    D: the coefficients D_j of the fibers, (order+1, N, N, n); ks, zs:
+    (n,); sign: +1 for solutions that decay on y > 0, -1 on y < 0, for all
+    rows or per row.  Returns (mus (expect, n), phis (N, expect, n),
+    normalized jets (order*N, expect, n), code (n,)).  A row's code is 0
+    when its basis is good; otherwise, by precedence, _FAILED for a
+    vanishing leading coefficient, _ON_AXIS for a root on the imaginary
+    axis, _DEGENERATE for coinciding roots (closer than _CLUSTER_TOL, or
+    double by a discriminant of `_roots`), _WRONG_COUNT when the roots do
+    not split into `expect` on the requested side, _FAILED for a poor
+    amplitude residual, and _DEGENERATE for rank-deficient jets.
+
+    The exponents are the first `expect` roots in the order of a stable
+    sort by (real part, imaginary part) of the roots on the requested side,
+    the other roots after them by index: each root's place is the number
+    of roots that sort before it.
     """
-    order = Ds.shape[1] - 1
+    order, N, n = D.shape[0] - 1, D.shape[1], D.shape[3]
     if order < 1:
         raise ContractViolation("fiber operator must have order >= 1")
     ks = np.asarray(ks, dtype=float)
     zs = np.asarray(zs, dtype=complex)
-    coeffs, scale = _char_poly(Ds, ks, zs)
-    roots, lead_ok, clustered = _roots(coeffs)
-    roots = roots * scale[:, None]                                # (n, d)
-    d = roots.shape[1]
-    top = 1.0 + np.max(np.abs(roots), axis=1)
-    on_axis = np.any(np.abs(roots.real) < _REAL_MARGIN * (1.0 + np.abs(roots)),
-                     axis=1)
+    zmag = np.abs(zs)
+    dmax = np.abs(D).reshape(order + 1, N * N, n).max(axis=1)
+    E = D.copy()
+    for r in range(N):
+        E[0, r, r] -= zs
+    scale = 1.0 + np.abs(ks) + zmag ** (1.0 / order)
+    roots, lead_ok, clustered = _roots(_char_poly(E, scale))
+    roots = roots * scale                                         # (d, n)
+    d = len(roots)
+    diag, lower = _root_tables(d)
+    mag = np.abs(roots)
+    on_axis = (np.abs(roots.real) < _REAL_MARGIN * (1.0 + mag)).any(axis=0)
     if d > 1:
-        pair = np.abs(roots[:, :, None] - roots[:, None, :])
-        pair += 1e30 * np.eye(d)[None]
-        clustered |= ~(pair.min(axis=(1, 2)) >= _CLUSTER_TOL * top)
-    good = roots.real > 0 if side == "right" else roots.real < 0
+        pair = np.abs(roots[:, None] - roots) + diag
+        clustered |= ~(pair.min(axis=(0, 1))
+                       >= _CLUSTER_TOL * (1.0 + mag.max(axis=0)))
+    good = roots.real * sign > 0.0
     key_real = np.where(good, roots.real, 1e30)
     key_imag = np.where(good, roots.imag, 0.0)
-    idx = np.lexsort((key_imag, key_real), axis=-1)
-    mus = np.take_along_axis(roots, idx, axis=1)[:, :expect]      # (n, expect)
-    Cm = _char_matrices(Ds, zs, mus)
-    phis = _kernel_vectors(Cm)                                    # (n, expect, N)
-    resid = np.abs(np.einsum("npij,npj->npi", Cm, phis)).max(axis=(1, 2),
-                                                             initial=0.0)
-    # yardstick: magnitude of the terms that cancel at the roots (Cm itself
+    # before[a, b]: root a sorts before root b, ties going to the lower index
+    imag_lt = key_imag[:, None] < key_imag
+    before = (key_real[:, None] < key_real) | (
+        (key_real[:, None] == key_real)
+        & np.where(lower, imag_lt, ~imag_lt.transpose(1, 0, 2)))
+    ordered = np.zeros((d, n), dtype=complex)
+    ordered[before.sum(axis=0), np.arange(n)] = roots
+    mus = ordered[:expect]                                        # (e, n)
+    neg = -mus
+    pw = [None] + [neg ** j for j in range(1, order + 1)]
+    C = E[0][:, :, None]
+    for j in range(1, order + 1):
+        C = C + E[j][:, :, None] * pw[j]                       # (N, N, e, n)
+    phis = _kernel_vectors(C)                                     # (N, e, n)
+    res = C[:, 0] * phis[0]
+    for c in range(1, N):
+        res = res + C[:, c] * phis[c]
+    resid = np.abs(res).reshape(N * expect, n).max(axis=0, initial=0.0)
+    # yardstick: magnitude of the terms that cancel at the roots (C itself
     # is ~0 there, so its norm is useless as a scale)
-    mumax = np.maximum(1.0, np.abs(mus)).max(axis=1, initial=1.0)  # (n,)
-    tscale = np.abs(zs)
-    for j in range(order + 1):
-        tscale = tscale + np.abs(Ds[:, j]).max(axis=(1, 2)) * mumax ** j
-    J = _jets_batch(mus, phis, order)
+    mumax = np.maximum(1.0, np.abs(mus)).max(axis=0, initial=1.0)
+    terms = dmax * mumax ** np.arange(order + 1)[:, None]
+    tscale = zmag
+    for t in terms:
+        tscale = tscale + t
+    # jets (phi, -mu phi, mu^2 phi, ..., (-mu)^{order-1} phi) at y = 0,
+    # each solution's column scaled to unit norm
+    J = np.empty((order, N, expect, n), dtype=complex)
+    J[0] = phis
+    for j in range(1, order):
+        np.multiply(pw[j], phis, out=J[j])
+    J = J.reshape(order * N, expect, n)
+    nrm = np.sqrt((J.conj() * J).real.sum(axis=0))
+    J /= np.where(nrm == 0.0, 1.0, nrm)
     # later tests take precedence
     code = np.where(_rank_deficient(J), _DEGENERATE, 0)
     code = np.where(resid <= _RESID_TOL * (1.0 + tscale), code, _FAILED)
-    code = np.where(good.sum(axis=1) != expect, _WRONG_COUNT, code)
+    code = np.where(good.sum(axis=0) != expect, _WRONG_COUNT, code)
     code = np.where(clustered, _DEGENERATE, code)
     code = np.where(on_axis, _ON_AXIS, code)
     return mus, phis, J, np.where(lead_ok, code, _FAILED)
+
+
+def _basis_batch(Ds, ks, zs, side, expect):
+    """Decaying exponential solutions for a stack of fibers Ds
+    (n, order+1, N, N), ks, zs (n,), on y > 0 (side 'right') or y < 0
+    ('left'), stacked: `_basis_entries`, with its results as (mus
+    (n, expect), phis (n, expect, N), normalized jets (n, order*N, expect),
+    code (n,))."""
+    mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1), ks, zs,
+                                        1.0 if side == "right" else -1.0,
+                                        expect)
+    return mus.T, phis.transpose(2, 1, 0), J.transpose(2, 0, 1), code
 
 
 def _check_codes(code, ks):
@@ -404,33 +440,51 @@ def _side_bases(F, zs):
 
 
 def _triple_layout(T, jets):
-    """The sides' jet matrices in the triple's layout: the right side's for
-    a halfline triple; for an interface, solutions on y > 0 have a
-    vanishing jet at 0-, and vice versa.  The deficiency space must have
-    the triple's dimension dimV."""
-    dim = sum(J.shape[2] for J in jets)
+    """The sides' jet matrices (order*N, expect, n), rows last, in the
+    triple's layout (W, dimV, n): the right side's for a halfline triple;
+    for an interface, solutions on y > 0 have a vanishing jet at 0-, and
+    vice versa.  The deficiency space must have the triple's dimension
+    dimV."""
+    dim = sum(J.shape[1] for J in jets)
     if dim != T.dimV:
         raise TripleDegeneracyError(
             "deficiency space has dimension %d, dimV=%d" % (dim, T.dimV))
     if len(jets) == 1:
         return jets[0]
     jp, jm = jets
-    w, ep = T.order * T.N, jp.shape[2]
-    J = np.zeros((len(jp), 2 * w, dim), dtype=complex)
-    J[:, :w, :ep] = jp
-    J[:, w:, ep:] = jm
+    w, ep = T.order * T.N, jp.shape[1]
+    J = np.zeros((2 * w, dim, jp.shape[2]), dtype=complex)
+    J[:w, :ep] = jp
+    J[w:, ep:] = jm
     return J
+
+
+def _full_jets(T, sides, ks, zs):
+    """Jet matrices (W, dimV, n), rows last, in the triple's layout for the
+    fibers whose coefficients, rows last, are sides (one (order+1, N, N, n)
+    stack per side, all of one shape), each at its own spectral point zs;
+    and the code (n,) of the first side whose basis fails.  An interface's
+    two sides share one `_basis_entries` batch, the rows of y > 0 first."""
+    n = len(ks)
+    D = sides[0]
+    expect = ((D.shape[0] - 1) * D.shape[1]) // 2
+    if len(sides) == 1:
+        _, _, J, code = _basis_entries(D, ks, zs, 1.0, expect)
+        return _triple_layout(T, [J]), code
+    _, _, J, code = _basis_entries(
+        np.concatenate(sides, axis=-1), np.concatenate([ks, ks]),
+        np.concatenate([zs, zs]), np.array([1.0, -1.0]).repeat(n), expect)
+    first = np.where(code[:n] != 0, code[:n], code[n:])
+    return _triple_layout(T, [J[..., :n], J[..., n:]]), first
 
 
 def _full_jets_batch(T, F, zs):
     """Jet matrices in the triple's layout for the fibers F, each at its own
     spectral point zs.  Returns (jets (n, W, dimV), code (n,)), the code of
     the first side whose basis fails."""
-    sides = _side_bases(F, zs)
-    code = sides[0][3]
-    if len(sides) == 2:
-        code = np.where(code != 0, code, sides[1][3])
-    return _triple_layout(T, [J for _, _, J, _ in sides]), code
+    J, code = _full_jets(T, [np.moveaxis(Ds, 0, -1) for Ds in F.sides],
+                         F.ks, zs)
+    return J.transpose(2, 0, 1), code
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +612,7 @@ def _admissibility(A, B):
     """For (A, B) stacked over momenta: the smallest singular values of
     iA + B, the Hermiticity defects of A B^dag, and which rows fail the
     admissibility test on either."""
-    ms = _singular_values(1j * A + B)[:, -1]
+    ms = _singular_values((1j * A + B).transpose(1, 2, 0))[-1]
     AB = A @ B.conj().transpose(0, 2, 1)
     herm = np.abs(AB - AB.conj().transpose(0, 2, 1)).sum(axis=2).max(axis=1)
     size = np.abs(A).sum(axis=2).max(axis=1)
@@ -599,8 +653,8 @@ def _krein_solve(J, G1, G2):
     triple's layout, with G1, G2 stacked over the same momenta."""
     M1 = G1 @ J
     M2 = G2 @ J
-    sv = _singular_values(M1)
-    if np.any(sv[:, -1] <= 1e-10 * (1.0 + sv[:, 0])):
+    sv = _singular_values(M1.transpose(1, 2, 0))
+    if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
         raise TripleDegeneracyError(
             "G1 restricted to the deficiency space is singular")
     return np.linalg.solve(M1.transpose(0, 2, 1),
@@ -660,7 +714,7 @@ def _checked_unitary(bc, T, Q, ks):
     _check_admissible(bc, ks, A, B)
     Wp, Wm = _weyl(A, B, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
-    singular = _singular_values(Wp)[:, -1] <= 1e-12 * size
+    singular = _singular_values(Wp.transpose(1, 2, 0))[-1] <= 1e-12 * size
     if np.any(singular):
         raise InadmissibleConditionError(
             "W(i) is singular at k=%g" % ks[np.argmax(singular)])
@@ -765,7 +819,8 @@ def green_identity_residual(T, F):
         # (the first jet block)
         parts = [(sign, mus[0], J[0, :N])
                  for (mus, _, J, _), sign in zip(sides, (1.0, -1.0))]
-        solutions[z] = parts, _triple_layout(T, [s[2] for s in sides])[0]
+        solutions[z] = parts, _triple_layout(
+            T, [J.transpose(1, 2, 0) for _, _, J, _ in sides])[..., 0]
     parts1, J1 = solutions[1j]
     worst = 0.0
     for z2 in (1j, -1j):

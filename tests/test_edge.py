@@ -218,7 +218,7 @@ def test_detector_rows_do_not_depend_on_their_batch(name):
     together = det(rows, lams)
     alone = [det(rows[i:i + 1], lams[i:i + 1]) for i in range(len(rows))]
     for got, want in zip(together, zip(*alone)):
-        np.testing.assert_array_equal(got, np.concatenate(want))
+        np.testing.assert_array_equal(got, np.concatenate(want, axis=-1))
     valid = together[2]
     assert 0 < np.sum(~valid) < len(rows) // 2
 
@@ -515,6 +515,34 @@ def test_track_bands_band_born_mid_gap_raises(monkeypatch, dirac_model):
         track_bands(dirac_model.make_bc("a", a=2.0), dirac_model.triple(),
                     dirac_model, k_window, k_resolution=161,
                     lam_resolution=160)
+
+
+def _regdirac_lost_band():
+    model = build_model("regdirac", m=1.0, eps=0.1)
+    return model, model.make_bc("a", a=0.0), model.triple()
+
+
+def test_tracker_finds_the_regdirac_state_near_minus_one():
+    # the state the band tracker loses (next test) is there at k = 0.14
+    model, bc, T = _regdirac_lost_band()
+    gap = model.declared_gap or find_gap(model.symbol, model.gap_around,
+                                         12.0)
+    lam = edge._Tracker(bc, T, model, gap, 320).nearest(0.14, -1.0036, 0.01)
+    assert lam is not None and abs(lam + 1.0035587) < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a bound band of "
+                   "regdirac m=+1, a=0 is lost and reported as a bulk merge")
+def test_track_bands_keeps_the_regdirac_band_near_minus_one():
+    # at table numerics the band through lam(0.125) = -1.00284 ends
+    # touches-bulk at k = 0.136 and a second band is born touches-bulk at
+    # k = 0.200, although the state is inside the gap in between
+    model, bc, T = _regdirac_lost_band()
+    bands = track_bands(bc, T, model, 12.0, k_resolution=481,
+                        lam_resolution=320)
+    ends = [end for band in bands for end in (band.left, band.right)]
+    assert not [end for end in ends
+                if 0.13 < end.k < 0.21 and end.kind == "touches-bulk"]
 
 
 def test_track_bands_rejects_bulk_only_model(shallow_model):

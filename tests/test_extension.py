@@ -31,16 +31,13 @@ from bec import extension
 from bec.extension import (
     BoundaryTriple,
     _basis_batch,
-    _char_matrices,
     _char_poly,
     _companion_roots,
     _full_jets_batch,
-    _jets_batch,
     _kernel_vectors,
     _rank_deficient,
     _roots,
     _singular_values,
-    _triple_layout,
     _admissibility,
     _weyl,
     _krein_family,
@@ -57,6 +54,7 @@ from bec.extension import (
 )
 from bec.symbol import FiberStack
 from conftest import decaying_basis
+import stacked_reference as stacked
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SQRT_1_MINUS_I = 1.09868411346781 - 0.455089860562227j
@@ -81,9 +79,26 @@ def halfline_two_band_Q(k, z, m):
 # characteristic polynomial and deficiency bases
 
 
+def _char_poly_by_row(Ds, ks, zs):
+    """`_char_poly` of the stacked fibers Ds at momenta ks and spectral
+    points zs, set up as `_basis_entries` sets it up: (coefficients
+    (n, order*N + 1) by degree, scale)."""
+    order, N = Ds.shape[1] - 1, Ds.shape[2]
+    E = np.moveaxis(Ds, 0, -1).copy()
+    E[0, range(N), range(N)] -= zs
+    scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
+    return _char_poly(E, scale).T, scale
+
+
+def _roots_by_row(c):
+    """`_roots` of coefficient rows c (n, d+1): (roots (n, d), ok, double)."""
+    roots, ok, double = _roots(c.T)
+    return roots.T, ok, double
+
+
 def test_char_poly_scalar_second_order(lap_model):
     Ds = lap_model.fiber(1.0).sides[0]
-    c, scale = _char_poly(Ds, np.array([1.0]), np.array([1j]))
+    c, scale = _char_poly_by_row(Ds, np.array([1.0]), np.array([1j]))
     # k^2 - mu^2 - z, with the coefficients taken back from mu/scale to mu
     assert np.allclose(c[0] / scale[0] ** np.arange(3), [1.0 - 1j, 0.0, -1.0],
                        atol=1e-12)
@@ -153,9 +168,11 @@ def test_deficiency_basis_rejects_imaginary_axis_exponent():
 
 
 def test_jets_stack_derivatives(lap_model):
-    mus, phis = decaying_basis(lap_model.fiber(1.0), 1j, "right")
-    mu, phi = mus[0], phis[0]
-    J = _jets_batch(np.array([[mu]]), phi[None, None], 2)[0]
+    Ds = lap_model.fiber(1.0).sides[0]
+    mus, phis, J, code = _basis_batch(Ds, np.array([1.0]), np.array([1j]),
+                                      "right", 1)
+    assert code[0] == 0
+    mu, phi, J = mus[0, 0], phis[0, 0], J[0]
     assert J.shape == (2, 1)
     # (phi, -mu phi), normalized to a unit column
     norm = np.sqrt(1.0 + abs(mu) ** 2) * abs(phi[0])
@@ -633,14 +650,15 @@ def test_rank_check_two_column_form_matches_svd():
     J = np.stack([a, (0.3 - 0.8j) * a + eps * b], axis=2)
     J /= np.linalg.norm(J, axis=1, keepdims=True)
     smin = np.linalg.svd(J, compute_uv=False)[:, -1]
-    assert np.array_equal(_rank_deficient(J), smin <= 1e-10)
-    assert 0 < np.sum(_rank_deficient(J)) < len(J)
+    deficient = _rank_deficient(J.transpose(1, 2, 0))
+    assert np.array_equal(deficient, smin <= 1e-10)
+    assert 0 < np.sum(deficient) < len(J)
     # three columns, the third a combination of the first two
     J3 = np.concatenate([J[:, :, :1], b[:, :, None],
                          (J[:, :, :1] + 2.0 * b[:, :, None])], axis=2)
     J3 /= np.linalg.norm(J3, axis=1, keepdims=True)
-    assert np.all(_rank_deficient(J3))
-    assert not np.any(_rank_deficient(J[:, :, :1]))
+    assert np.all(_rank_deficient(J3.transpose(1, 2, 0)))
+    assert not np.any(_rank_deficient(J[:, :, :1].transpose(1, 2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +693,7 @@ def _even_polynomials(rng):
 
 def test_roots_of_even_polynomials_match_companion_roots():
     for c, exact in _even_polynomials(np.random.default_rng(11)):
-        got, ok, double = _roots(c)
+        got, ok, double = _roots_by_row(c)
         ref, ref_ok = _companion_roots(c)
         size = np.abs(exact).max()
         assert ok[0] and ref_ok[0]
@@ -692,7 +710,7 @@ def test_roots_of_odd_and_sextic_polynomials_take_the_companion_path():
         c = rng.normal(size=(5, d + 1)) + 1j * rng.normal(size=(5, d + 1))
         if d == 6:
             c[:, 1::2] = 0.0
-        assert np.array_equal(_roots(c)[0], _companion_roots(c)[0])
+        assert np.array_equal(_roots_by_row(c)[0], _companion_roots(c)[0])
 
 
 def test_roots_choose_the_path_row_by_row():
@@ -703,8 +721,8 @@ def test_roots_choose_the_path_row_by_row():
     odd = c.copy()
     odd[:, 1] = 0.5 - 0.2j
     mixed = np.stack([c, odd], axis=1).reshape(-1, 5)
-    got = _roots(mixed)[0]
-    assert np.array_equal(got[0::2], _roots(c)[0])
+    got = _roots_by_row(mixed)[0]
+    assert np.array_equal(got[0::2], _roots_by_row(c)[0])
     assert np.array_equal(got[0::2, :2], -got[0::2, 2:])
     assert np.array_equal(got[1::2], _companion_roots(odd)[0])
 
@@ -731,7 +749,11 @@ def test_kernel_vectors_of_singular_two_by_two_matrices():
     u[0] = [0.0, 1.0 - 2.0j]                  # a zero first row
     u[1] = [1e-7, 1.0]                        # one row far smaller
     C = u[:, :, None] * v[:, None, :]
-    phi = _kernel_vectors(C)
+
+    def kernel_vectors(C):
+        return _kernel_vectors(C.transpose(1, 2, 0)).T
+
+    phi = kernel_vectors(C)
     size = np.linalg.norm(C, 2, axis=(1, 2))
     assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, rtol=0, atol=1e-15)
     assert np.all(np.linalg.norm(np.einsum("nij,nj->ni", C, phi), axis=1)
@@ -741,12 +763,12 @@ def test_kernel_vectors_of_singular_two_by_two_matrices():
     E = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
     C = C + 1e-9 * E
     smin = np.linalg.svd(C, compute_uv=False)[:, -1]
-    resid = np.linalg.norm(np.einsum("nij,nj->ni", C, _kernel_vectors(C)),
+    resid = np.linalg.norm(np.einsum("nij,nj->ni", C, kernel_vectors(C)),
                            axis=1)
     assert np.all(resid <= 2.0 * smin)
-    zero = _kernel_vectors(np.zeros((1, 2, 2), dtype=complex))
+    zero = kernel_vectors(np.zeros((1, 2, 2), dtype=complex))
     assert np.array_equal(zero, [[1.0, 0.0]])
-    assert np.array_equal(_kernel_vectors(np.zeros((3, 1, 1))),
+    assert np.array_equal(kernel_vectors(np.zeros((3, 1, 1))),
                           np.ones((3, 1)))
 
 
@@ -763,7 +785,7 @@ def test_singular_values_match_lapack(p):
         stacks += [s * M[:20], s * stacks[1][:20]]
     for X in stacks:
         ref = np.linalg.svd(X, compute_uv=False)
-        got = _singular_values(X)
+        got = _singular_values(X.transpose(1, 2, 0)).T
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-14 * ref[:, :1])
 
@@ -777,7 +799,8 @@ def _interpolated_char_poly(Ds, ks, zs):
     d = order * N
     scale = 1.0 + np.abs(ks) + np.abs(zs) ** (1.0 / order)
     base = np.cos(np.pi * (2 * np.arange(d + 1) + 1) / (2.0 * (d + 1)))
-    dets = np.linalg.det(_char_matrices(Ds, zs, scale[:, None] * base))
+    dets = np.linalg.det(stacked._char_matrices(Ds, zs,
+                                                scale[:, None] * base))
     V = np.vander(base.astype(complex), d + 1, increasing=True)
     return np.linalg.solve(V, dets.T).T, scale
 
@@ -818,7 +841,7 @@ def _char_poly_cases():
 def test_char_poly_matches_interpolation(Ds, ks, zs):
     # the expansion from the entries agrees with the interpolated
     # polynomial to 1e-12 of each row's largest coefficient
-    got, scale = _char_poly(Ds, ks, zs)
+    got, scale = _char_poly_by_row(Ds, ks, zs)
     want, want_scale = _interpolated_char_poly(Ds, ks, zs)
     assert got.shape == want.shape == (len(ks), Ds.shape[2]
                                        * (Ds.shape[1] - 1) + 1)
@@ -846,17 +869,18 @@ def _reference_basis(Ds, ks, zs, side, expect):
     idx = np.lexsort((np.where(good, roots.imag, 0.0),
                       np.where(good, roots.real, 1e30)), axis=-1)
     mus = np.take_along_axis(roots, idx, axis=1)[:, :expect]
-    Cm = _char_matrices(Ds, zs, mus)
+    Cm = stacked._char_matrices(Ds, zs, mus)
     phis = np.linalg.svd(Cm)[2][..., -1, :].conj()
     resid = np.abs(np.einsum("npij,npj->npi", Cm, phis)).max(axis=(1, 2),
                                                              initial=0.0)
     mumax = np.maximum(1.0, np.abs(mus)).max(axis=1, initial=1.0)
     tscale = np.abs(zs) + sum(np.abs(Ds[:, j]).max(axis=(1, 2)) * mumax ** j
                               for j in range(order + 1))
-    J = _jets_batch(mus, phis, order)
+    J = stacked._jets_batch(mus, phis, order)
     code = np.select(
         [~lead_ok, on_axis, clustered, good.sum(axis=1) != expect,
-         resid > extension._RESID_TOL * (1.0 + tscale), _rank_deficient(J)],
+         resid > extension._RESID_TOL * (1.0 + tscale),
+         stacked._rank_deficient(J)],
         [4, 1, 2, 3, 4, 2], 0)
     return J, code
 
@@ -868,7 +892,7 @@ def _reference_full_jets(T, F, zs):
     code = sides[0][1]
     if len(sides) == 2:
         code = np.where(code != 0, code, sides[1][1])
-    return _triple_layout(T, [J for J, _ in sides]), code
+    return stacked._triple_layout(T, [J for J, _ in sides]), code
 
 
 def _kernel_cases():

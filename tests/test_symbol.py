@@ -147,7 +147,7 @@ def test_fiberize_fourth_order_coefficients(regdirac_model):
 
 
 def test_char_matrix_of_fiber(dirac_model):
-    from bec.extension import _char_matrices
+    from stacked_reference import _char_matrices
 
     Ds = dirac_model.symbol.fiber_stack([0.5])
     # D0 - mu D1 - z at mu=2 and mu=-1, z=i
