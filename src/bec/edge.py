@@ -3,34 +3,37 @@ von Neumann unitaries.
 
 Edge eigenvalues are located as kernel directions of the detector matrix
 
-    M(k, lam) = A(k) (G1 J) - B(k) (G2 J)
+    M(k, lam) = (A(k) G1 - B(k) G2) J = W(lam) G1 J
 
-built on the normalized jet matrix J of the decaying exponential solutions at
-energy lam; a kernel vector assembles a genuine decaying eigenfunction, so
-dips of the smallest singular value signal true edge dispersion points (this
-also sees eigenvalues where the raw condition matrix is identically trivial,
-e.g. for a reference condition).  The detector keeps the kernel's rows-last
-layout: the jet-free factor P = A G1 - B G2 and the fiber coefficients are
-laid out once per momentum, one (n,) array per entry, a detector batch
-gathers its rows of them, and M = P J is summed entry by entry, one product
-over the batch's rows per term.  A momentum column is scanned on an energy
-grid, and each dip of the scan is refined by Brent minimization of the
-squared detector, starting from the dip's grid point.  A band track scans
-its grid columns a block at a time into a list that it steps through,
-passing each column on as a value: the grids of all columns of the block
-are scanned in one pass of fixed-size detector batches, and one detector
-batch of one row per dip serves a refinement step of every column in the
-block.  Windings are computed from the phase of det U along a compactified
-momentum line.
+built on the normalized jet matrix J of the decaying exponential solutions
+at energy lam; a kernel vector assembles a genuine decaying eigenfunction,
+so dips of the smallest singular value signal true edge dispersion points
+(this also sees eigenvalues where the raw condition matrix is identically
+trivial, e.g. for a reference condition, and needs no inverse of G1 J).  M
+comes from `extension._jet_products`, the kernel that also gives the Krein
+matrices their products G1 J and G2 J: the factor P = A G1 - B G2 and the
+fiber coefficients are laid out once per momentum, one (n,) array per entry,
+a detector batch gathers its rows of them, and M = P J is summed entry by
+entry, one product over the batch's rows per term.  A momentum column is
+scanned on an energy grid, and each dip of the scan is refined by Brent
+minimization of the squared detector, starting from the dip's grid point.  A
+band track scans its grid columns a block at a time into a list that it
+steps through, passing each column on as a value: the grids of all columns
+of the block are scanned in one pass of fixed-size detector batches, and one
+detector batch of one row per dip serves a refinement step of every column
+in the block.  Windings are computed from the phase of det U along a
+compactified momentum line, sampled as a ratio of determinants of the
+condition matrices W(z) = A - B Q(z) (`extension._unitary_dets`) without
+forming U.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
 `FiberFamily.stacks`, and the fiber of `edge_eigenvalues` is the one-row
-case.  The deficiency bases, their jets, the trace maps, the Krein matrices
-and the unitaries come from the batched kernel in `extension`; this module
-holds the detector, the bands, the spectral flow and the windings.  The
-detector's singular values come from `extension._singular_values`, in
-closed form for dimV <= 2.
+case.  The deficiency bases, their jets and products, the trace maps, the
+Krein matrices and the unitaries come from the batched kernel in
+`extension`; this module holds the detector, the bands, the spectral flow
+and the windings.  The detector's singular values come from
+`extension._singular_values`, in closed form for dimV <= 2.
 """
 
 import numpy as np
@@ -45,9 +48,10 @@ from .errors import (
 from .extension import (
     _ab_on,
     _check_admissible,
-    _full_jets,
+    _jet_products,
     _side_bases,
     _singular_values,
+    _unitary_dets,
     vn_unitary_family,
 )
 from .numerics import unwind_phase
@@ -82,27 +86,15 @@ def _detector(bc, T, F):
     (dimV, n), largest first, of M(k, lam) at the fibers of the columns
     indexed by rows and the energies lams, the scale 1 + max|M| (n,), and
     whether the basis is good (reason code 0); a failing basis never raises
-    here.
-
-    Every per-row quantity is held rows last, one (n,) array per matrix
-    entry.  The fiber coefficients (order+1, N, N, columns) and the
-    jet-free factor P = A G1 - B G2 (dimV, W, columns) are laid out so once;
-    a batch gathers its rows of both, takes the jets J (W, dimV, n) from
-    `_full_jets` and sums M_ij = sum_k P_ik J_kj term by term, one product
-    over the batch's rows per k.  For dimV <= 2 no LAPACK routine runs.
+    here.  M comes from `extension._jet_products` on the one factor
+    P = A G1 - B G2, rows last; for dimV <= 2 no LAPACK routine runs.
     """
     A, B = _ab_on(bc, T, F.ks)
     G1, G2 = T.traces(F.ks)
-    P = np.moveaxis(A @ G1 - B @ G2, 0, -1).copy()
-    D = [np.moveaxis(Ds, 0, -1).copy() for Ds in F.sides]
+    products = _jet_products(T, F, [A @ G1 - B @ G2])
 
     def det(rows, lams):
-        J, code = _full_jets(T, [Ds[..., rows] for Ds in D], F.ks[rows],
-                             np.asarray(lams, dtype=complex))
-        Pr = P[..., rows]
-        M = Pr[:, 0, None] * J[0]
-        for k in range(1, len(J)):
-            M = M + Pr[:, k, None] * J[k]
+        (M,), code = products(rows, lams)
         size = np.abs(M).reshape(len(M) ** 2, len(code)).max(axis=0)
         return _singular_values(M), 1.0 + size, code == 0
     return det
@@ -739,6 +731,8 @@ def _det_curve(detfun, k_window):
 
 
 def _check_unimodular(dets):
+    if not np.all(np.isfinite(dets)):
+        raise ContractViolation("det U has non-finite samples")
     dev = np.max(np.abs(np.abs(dets) - 1.0))
     if dev >= 1e-6:
         raise ContractViolation(
@@ -754,16 +748,12 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     raised.  Both conditions must be admissible at the two ends, or
     InadmissibleConditionError names the first failure.  Returns (integer,
     rounding residual)."""
-
-    def unitaries(ks):
-        return vn_unitary_family(bc, T, fiber_family, ks, bc_ref=bc_ref)
-
     p = T.dimV
     k_ends = np.array([-K_LIMIT, K_LIMIT])
     for c in (bc, bc_ref):
         if c is not None:
             _check_admissible(c, k_ends, *_ab_on(c, T, k_ends))
-    ends = unitaries(k_ends)
+    ends = vn_unitary_family(bc, T, fiber_family, k_ends, bc_ref=bc_ref)
     if bc_ref is not None:
         gap_dev = max(np.linalg.norm(ends[0] - np.eye(p), 2),
                       np.linalg.norm(ends[1] - np.eye(p), 2))
@@ -773,7 +763,9 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
         raise NotComparableError(
             "unitary does not settle to a common large-momentum limit "
             "(deviation %.3f)" % gap_dev)
-    _, vals = _det_curve(lambda ks: np.linalg.det(unitaries(ks)), k_window)
+    _, vals = _det_curve(
+        lambda ks: _unitary_dets(bc, T, fiber_family, ks, bc_ref=bc_ref),
+        k_window)
     _check_unimodular(vals)
     loop = np.append(vals, vals[0])
     raw = unwind_phase(loop)

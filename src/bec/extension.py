@@ -18,22 +18,25 @@ gives (A, B).  Every A_j and B_j of a condition is one p x p matrix, and
 the triple's dimV.  A model builds the (A, B) of each named condition in
 its own boundary family.
 
-The steps bases -> Krein Q -> U are one kernel, batched over fibers and
+The steps bases -> jets -> products are one kernel, batched over fibers and
 spectral points: `_basis_entries` on one side's coefficients, `_full_jets`
-on all sides of a fiber stack in a triple's layout, `_krein_family` and
-`vn_unitary_family`.  Every basis row carries a reason code; the edge
-detector masks the failing rows, and everything else raises the code's
-typed error.
+on all sides of a fiber stack in a triple's layout, and `_jet_products`,
+the one place where jets J meet per-momentum factors.  The edge detector
+takes M = (A G1 - B G2) J from it; `_krein_family` takes G1 J and G2 J at
+z = +-i for Q = (G2 J)(G1 J)^{-1}, which the unitaries and the det U of
+the windings (`_unitary_dets`) share through W = A - B Q.  Every basis row
+carries a reason code; the edge detector masks the failing rows, and
+everything else raises the code's typed error.
 
 The kernel holds every per-row quantity rows last: one (n,) array per
 matrix entry, polynomial coefficient, root or exponent, so that every
 numpy call loops over the rows, and a reduction over the few entries runs
 over the outer axis of a (entries, n) array.  The fiber coefficients come
 in as (order+1, N, N, n), the bases go out as exponents (expect, n),
-amplitudes (N, expect, n) and jets (order*N, expect, n), and the two sides
-of an interface share one batch.  `_basis_batch`, `_side_bases` and
-`_full_jets_batch` give the same results stacked, (n, ...), for the Krein
-matrices and the per-point API.
+amplitudes (N, expect, n) and jets (order*N, expect, n), the products as
+(p, dimV, n), and the two sides of an interface share one batch.
+`_basis_batch` and `_side_bases` give the bases stacked, (n, ...), for the
+per-point API and band tracking.
 
 The characteristic polynomial det(sum_j D_j (-mu)^j - z) of a row is
 expanded from its entries (`_char_poly`): each entry is a polynomial in mu,
@@ -51,14 +54,15 @@ formula (`_roots`); the on-axis, coinciding-exponent and side tests and
 the exponent order from elementwise comparisons of the roots; the
 amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
 (N = 2, `_kernel_vectors`); the jets and their rank test on two columns
-(`_rank_deficient`); and the singular values of 1 x 1 or 2 x 2 matrices
+(`_rank_deficient`); the singular values of 1 x 1 or 2 x 2 matrices
 (`_singular_values`), which serve the edge detector, the G1 J and W(i)
-singularity tests and the admissibility test of iA + B.  LAPACK takes the
-rest, each at the boundary of the rows-last layout: companion-matrix
-eigenvalues for a polynomial that is not even or of another degree, the
-last right singular vector for N > 2, and SVDs of jets with more than two
-columns and of matrices larger than 2 x 2.  The Krein solve and the
-unitaries stay stacked LAPACK solves.
+singularity tests and the admissibility test of iA + B; and the
+determinants of 1 x 1 or 2 x 2 matrices (`_det`).  LAPACK takes the rest,
+each at the boundary of the rows-last layout: companion-matrix eigenvalues
+for a polynomial that is not even or of another degree, the last right
+singular vector for N > 2, SVDs of jets with more than two columns and of
+matrices larger than 2 x 2, and the stacked solves of the Krein matrices
+and the unitaries.
 
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
@@ -77,7 +81,7 @@ from .errors import (
     NumericalFailure,
     TripleDegeneracyError,
 )
-from .numerics import norm_inf
+from .numerics import _stack_product, norm_inf
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -131,6 +135,17 @@ _CODE_ERRORS = {
 }
 
 
+def _det(M):
+    """Determinants (n,) of the p x p matrices whose entries M (p, p, n)
+    hold the rows last: the entry for p = 1, a d - b c for p = 2, and
+    LAPACK above."""
+    if len(M) == 1:
+        return M[0, 0]
+    if len(M) == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return np.linalg.det(np.moveaxis(M, -1, 0))
+
+
 def _singular_values(M):
     """Singular values (p, n), largest first, of the p x p matrices whose
     entries M (p, p, n) hold the rows last.
@@ -157,8 +172,8 @@ def _singular_values(M):
     r = np.abs(cross[0] + cross[1])
     out = np.empty((2, n))
     out[0] = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), r))
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    np.divide(np.abs(det), np.where(out[0] == 0.0, 1.0, out[0]), out=out[1])
+    np.divide(np.abs(_det(M)), np.where(out[0] == 0.0, 1.0, out[0]),
+              out=out[1])
     return out * size
 
 
@@ -478,15 +493,6 @@ def _full_jets(T, sides, ks, zs):
     return _triple_layout(T, [J[..., :n], J[..., n:]]), first
 
 
-def _full_jets_batch(T, F, zs):
-    """Jet matrices in the triple's layout for the fibers F, each at its own
-    spectral point zs.  Returns (jets (n, W, dimV), code (n,)), the code of
-    the first side whose basis fails."""
-    J, code = _full_jets(T, [np.moveaxis(Ds, 0, -1) for Ds in F.sides],
-                         F.ks, zs)
-    return J.transpose(2, 0, 1), code
-
-
 # ---------------------------------------------------------------------------
 # boundary triples
 
@@ -645,36 +651,71 @@ def _ab_on(bc, T, ks):
 
 
 # ---------------------------------------------------------------------------
+# jet products: one kernel for the detector and the Krein matrices
+
+
+def _jet_products(T, F, factors):
+    """Products X J(k, z) of per-momentum factors X, stacks (n, p, W) over
+    the momenta of F (such as G1, G2, or P = A G1 - B G2), with the jets of
+    the fibers F (a FiberStack), rows last.  The factors and the fiber
+    coefficients are laid out once.  Returns products(rows, zs) -> (list of
+    X J (p, dimV, n), one per factor, code (n,)): the fibers of the momenta
+    indexed by rows, each at its own spectral point zs, share one jet batch
+    (`_full_jets`), and each X J is summed term by term, one product over
+    the rows per jet component, so a row's products do not depend on its
+    batch.
+    """
+    D = [np.moveaxis(Ds, 0, -1).copy() for Ds in F.sides]
+    X = [np.moveaxis(x, 0, -1).copy() for x in factors]
+
+    def products(rows, zs):
+        J, code = _full_jets(T, [Ds[..., rows] for Ds in D], F.ks[rows],
+                             np.asarray(zs, dtype=complex))
+        out = []
+        for x in X:
+            xr = x[..., rows]
+            XJ = xr[:, 0, None] * J[0]
+            for k in range(1, len(J)):
+                XJ = XJ + xr[:, k, None] * J[k]
+            out.append(XJ)
+        return out, code
+    return products
+
+
+# ---------------------------------------------------------------------------
 # Krein matrix, condition matrix, von Neumann unitary
-
-
-def _krein_solve(J, G1, G2):
-    """Stacked Q = (G2 J)(G1 J)^{-1} on jet matrices J (n, W, dimV) in the
-    triple's layout, with G1, G2 stacked over the same momenta."""
-    M1 = G1 @ J
-    M2 = G2 @ J
-    sv = _singular_values(M1.transpose(1, 2, 0))
-    if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
-        raise TripleDegeneracyError(
-            "G1 restricted to the deficiency space is singular")
-    return np.linalg.solve(M1.transpose(0, 2, 1),
-                           M2.transpose(0, 2, 1)).transpose(0, 2, 1)
+#
+# U and det U come from W = A - B Q, not from M = W (G1 J): the condition
+# numbers of W and G1 J multiply in M, and rounding from a row mixing
+# (R A, R B) is amplified by both.  For regdirac a = 2 at k = 1e4 they are
+# 3e4 (W), 5e3 (G1 J) and 1.6e8 (M); det U from M moved by 3e-9 cond R under
+# R(k) = R0 (k + i diag(1, 3)), and by 2e-14 cond R from W.
 
 
 def _krein_family(T, F, zs=(1j, -1j)):
-    """Krein matrices Q(z), each (n, dimV, dimV), of the fibers F (a
-    FiberStack, as `FiberFamily.stacks` returns it) at the spectral points
-    zs, by default (Q(i), Q(-i)).
+    """Krein matrices Q(z) = (G2 J)(G1 J)^{-1}, each (n, dimV, dimV), of the
+    fibers F (a FiberStack, as `FiberFamily.stacks` returns it) at the
+    spectral points zs, by default (Q(i), Q(-i)): G1 J and G2 J are the
+    `_jet_products` of one jet batch per spectral point.  Raises the typed
+    error of the first failing basis row, and TripleDegeneracyError where
+    G1 J is singular.
 
     Q depends on the triple and the fibers only, so every boundary condition
     over the same momenta shares it.
     """
-    G1, G2 = T.traces(F.ks)
+    products = _jet_products(T, F, T.traces(F.ks))
+    rows = np.arange(len(F.ks))
     Qs = []
     for z in zs:
-        J, code = _full_jets_batch(T, F, np.full(len(F.ks), z))
+        (X, Y), code = products(rows, np.full(len(rows), complex(z)))
         _check_codes(code, F.ks)
-        Qs.append(_krein_solve(J, G1, G2))
+        sv = _singular_values(X)
+        if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
+            raise TripleDegeneracyError(
+                "G1 restricted to the deficiency space is singular")
+        # Q = Y X^{-1}: Q^T solves X^T Q^T = Y^T
+        Qs.append(np.linalg.solve(X.transpose(2, 1, 0), Y.transpose(2, 1, 0))
+                  .transpose(0, 2, 1))
     return Qs
 
 
@@ -685,11 +726,25 @@ def krein_Q(T, F, z):
     return _krein_family(T, F, (z,))[0][0]
 
 
-def _weyl(A, B, Q):
-    """Condition matrices (W(i), W(-i)), W(z) = A(k) - B(k) Q(z), from
-    (A, B) and the Krein family Q = (Q(i), Q(-i)) stacked over the same
-    momenta."""
-    return A - B @ Q[0], A - B @ Q[1]
+def _weyl(bc, T, ks, Q):
+    """Condition matrices [W(z) = A(k) - B(k) Q(z) for each Q(z) of the
+    Krein family Q] of the condition bc, stacked over the momenta ks."""
+    A, B = _ab_on(bc, T, ks)
+    return [A - _stack_product(B, q) for q in Q]
+
+
+def _unitary(bc, T, ks, Q):
+    """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) of the condition bc over
+    the momenta ks, from the Krein family Q = (Q(i), Q(-i)) over the same
+    momenta.  Raises InadmissibleConditionError where W(i) is singular: its
+    smallest singular value at most 1e-12 max(1, ||W(i)||_inf)."""
+    Wp, Wm = _weyl(bc, T, ks, Q)
+    size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
+    singular = _singular_values(Wp.transpose(1, 2, 0))[-1] <= 1e-12 * size
+    if np.any(singular):
+        raise InadmissibleConditionError(
+            "W(i) is singular at k=%g" % ks[np.argmax(singular)])
+    return np.linalg.solve(Wp, Wm)
 
 
 def vn_unitary_family(bc, T, fiber_family, ks, bc_ref=None):
@@ -697,28 +752,39 @@ def vn_unitary_family(bc, T, fiber_family, ks, bc_ref=None):
     momenta ks, with fiber_family a `FiberFamily`
     (`ModelDescriptor.fiber_family`); with bc_ref the relative unitaries
     U(k) U_ref(k)^{-1}, both conditions sharing one Krein family."""
+    ks = np.asarray(ks, dtype=float)
     Q = _krein_family(T, fiber_family.stacks(ks))
-    U = np.linalg.solve(*_weyl(*_ab_on(bc, T, ks), Q))
+    U = _unitary(bc, T, ks, Q)
     if bc_ref is not None:
-        U = U @ np.linalg.inv(np.linalg.solve(*_weyl(*_ab_on(bc_ref, T, ks),
-                                                     Q)))
+        U = U @ np.linalg.inv(_unitary(bc_ref, T, ks, Q))
     return U
 
 
+def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None):
+    """det U(k) = det W(-i) / det W(i) over the momenta ks, without forming
+    U; with bc_ref, det U U_ref^{-1}
+    = det W(-i) det W_ref(i) / (det W(i) det W_ref(-i)).  The determinants
+    are taken entry by entry (`_det`), and both conditions share one Krein
+    family."""
+    Q = _krein_family(T, fiber_family.stacks(ks))
+
+    def dets(c):
+        return [_det(W.transpose(1, 2, 0)) for W in _weyl(c, T, ks, Q)]
+
+    plus, minus = dets(bc)
+    if bc_ref is None:
+        return minus / plus
+    ref_plus, ref_minus = dets(bc_ref)
+    return minus * ref_plus / (plus * ref_minus)
+
+
 def _checked_unitary(bc, T, Q, ks):
-    """U = W(i)^{-1} W(-i) from the Krein family Q of the triple T at
-    momenta ks, after the checks of the per-point API: (A, B) admissible at
-    every momentum and W(i) nonsingular; then every eigenvalue of U must lie
-    on the unit circle."""
-    A, B = _ab_on(bc, T, ks)
-    _check_admissible(bc, ks, A, B)
-    Wp, Wm = _weyl(A, B, Q)
-    size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
-    singular = _singular_values(Wp.transpose(1, 2, 0))[-1] <= 1e-12 * size
-    if np.any(singular):
-        raise InadmissibleConditionError(
-            "W(i) is singular at k=%g" % ks[np.argmax(singular)])
-    U = np.linalg.solve(Wp, Wm)
+    """`_unitary` from the Krein family Q of the triple T at momenta ks,
+    after the checks of the per-point API: (A, B) admissible at every
+    momentum and W(i) nonsingular; then every eigenvalue of U must lie on
+    the unit circle."""
+    _check_admissible(bc, ks, *_ab_on(bc, T, ks))
+    U = _unitary(bc, T, ks, Q)
     off = np.abs(np.abs(np.linalg.eigvals(U)) - 1.0).max(axis=1)
     if np.any(off >= 1e-8):
         row = int(np.argmax(off >= 1e-8))

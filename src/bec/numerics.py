@@ -225,6 +225,8 @@ def unwind_phase(samples):
     s = np.asarray(samples, dtype=complex).ravel()
     if s.size < 1:
         raise ContractViolation("need at least one sample")
+    if not np.all(np.isfinite(s)):
+        raise ContractViolation("samples must be finite")
     mags = np.abs(s)
     if np.any(mags <= 0.5) or np.any(mags >= 2.0):
         raise ContractViolation("samples must have magnitude in (0.5, 2)")

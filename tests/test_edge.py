@@ -654,6 +654,15 @@ def test_unitary_family_determinants_unimodular(lap_model, dirac_model):
         assert np.max(np.abs(np.abs(dets) - 1.0)) < 1e-8
 
 
+def test_unimodular_check_rejects_non_finite_samples():
+    # a nan deviation compares false against the bound; a zero det W(i)
+    # gives an infinite or nan det U sample
+    edge._check_unimodular(np.array([1.0, 1j]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="non-finite"):
+            edge._check_unimodular(np.array([1.0, bad]))
+
+
 _UNITARY_CASES = [
     ("lap_model", "halfline", ("robin", {"K": 1.0, "ell": 2.0, "M": 1.0}),
      ("dirichlet", {})),
@@ -692,15 +701,16 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
     two = (vn_unitary_family(bc, T, fam, ks)
            @ np.linalg.inv(vn_unitary_family(bc_ref, T, fam, ks)))
     calls = []
-    krein = extension._krein_family
+    full_jets = extension._full_jets
 
-    def counted(T, F):
-        calls.append(len(F.ks))
-        return krein(T, F)
+    def counted(T, sides, ks, zs):
+        calls.append((len(ks), complex(zs[0])))
+        return full_jets(T, sides, ks, zs)
 
-    monkeypatch.setattr(extension, "_krein_family", counted)
+    monkeypatch.setattr(extension, "_full_jets", counted)
     shared = extension.vn_unitary_family(bc, T, fam, ks, bc_ref=bc_ref)
-    assert calls == [len(ks)]
+    # one jet batch per spectral point, shared by both conditions
+    assert calls == [(len(ks), 1j), (len(ks), -1j)]
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
 
 

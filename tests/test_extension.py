@@ -28,12 +28,13 @@ from bec.errors import (
     TripleDegeneracyError,
 )
 from bec import extension
+from bec.edge import relative_winding, winding
 from bec.extension import (
     BoundaryTriple,
     _basis_batch,
     _char_poly,
     _companion_roots,
-    _full_jets_batch,
+    _full_jets,
     _kernel_vectors,
     _rank_deficient,
     _roots,
@@ -41,7 +42,6 @@ from bec.extension import (
     _admissibility,
     _weyl,
     _krein_family,
-    _krein_solve,
     affiliation_check,
     formal_symmetry_defect,
     from_ab,
@@ -58,6 +58,13 @@ import stacked_reference as stacked
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SQRT_1_MINUS_I = 1.09868411346781 - 0.455089860562227j
+
+
+def stacked_jets(T, F, zs):
+    """`_full_jets` of the fibers F stacked, (n, W, dimV), and the codes."""
+    J, code = _full_jets(T, [np.moveaxis(Ds, 0, -1) for Ds in F.sides],
+                         F.ks, zs)
+    return J.transpose(2, 0, 1), code
 
 
 def mu_plus(k, z):
@@ -349,11 +356,13 @@ def test_krein_Q_independent_of_basis_scaling():
         shape = (len(ks), T.dimV, T.dimV)
         R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for z, Q in zip((1j, -1j), _krein_family(T, F)):
-            J, code = _full_jets_batch(T, F, np.full(len(ks), z))
+            J, code = stacked_jets(T, F, np.full(len(ks), z))
             assert not np.any(code)
             size = 1.0 + np.abs(Q).max(axis=(1, 2))
-            assert np.all(np.abs(_krein_solve(J @ R, G1, G2) - Q)
-                          .max(axis=(1, 2)) <= 1e-9 * size)
+            X, Y = G1 @ J @ R, G2 @ J @ R
+            QR = np.linalg.solve(X.transpose(0, 2, 1),
+                                 Y.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert np.all(np.abs(QR - Q).max(axis=(1, 2)) <= 1e-9 * size)
             for i in (0, 20, 42):
                 assert np.array_equal(krein_Q(T, F[[i]], z), Q[i])
 
@@ -365,7 +374,7 @@ def test_krein_Q_independent_of_basis_scaling():
 def test_weyl_W_dirichlet_is_identity(lap_model):
     bc = lap_model.make_bc("dirichlet")
     Q = np.array([[[0.3 + 0.4j]]])
-    for W in _weyl(*bc.ab_batch([0.3]), (Q, Q.conj())):
+    for W in _weyl(bc, lap_model.triple(), np.array([0.3]), (Q, Q.conj())):
         assert np.allclose(W, [[[1.0]]])
 
 
@@ -476,6 +485,16 @@ def test_vn_unitary_rejects_singular_W():
 
         model = laplacian()
         vn_unitary(bc, model.triple("halfline"), model.fiber(0.5))
+
+
+def test_vn_unitary_family_names_the_momentum_of_a_singular_W(lap_model):
+    # A = B = 0: W(i) = A - B Q(i) vanishes at every momentum
+    zero = from_ab(0.0, 0.0)
+    T, fam = lap_model.triple("halfline"), lap_model.fiber_family()
+    for bc, ref in ((zero, None), (lap_model.make_bc("dirichlet"), zero)):
+        with pytest.raises(InadmissibleConditionError,
+                           match=r"W\(i\) is singular at k=0.5$"):
+            vn_unitary_family(bc, T, fam, [0.5, 1.0], bc_ref=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +639,10 @@ def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
         vn_unitary(bc, T, F)
     with pytest.raises(error):
         vn_unitary_family(bc, T, fam, [0.5, 2.0])
+    with pytest.raises(error):
+        winding(bc, T, fam)
+    with pytest.raises(error):
+        relative_winding(bc, bc, T, fam)
 
 
 def test_triple_of_wrong_dimension_raises_everywhere(lap_model):
@@ -637,6 +660,10 @@ def test_triple_of_wrong_dimension_raises_everywhere(lap_model):
         vn_unitary_family(bc, T, lap_model.fiber_family(), [0.5, 2.0])
     with pytest.raises(TripleDegeneracyError, match=match):
         edge_eigenvalues(bc, T, F, GapWindow(-5.0, 0.0))
+    with pytest.raises(TripleDegeneracyError, match=match):
+        winding(bc, T, lap_model.fiber_family())
+    with pytest.raises(TripleDegeneracyError, match=match):
+        relative_winding(bc, bc, T, lap_model.fiber_family())
     with pytest.raises(TripleDegeneracyError, match=match):
         green_identity_residual(T, F)
 
@@ -926,7 +953,7 @@ def test_full_jets_match_the_companion_svd_reference(monkeypatch, name, T,
         return _companion_roots(coeffs)
 
     monkeypatch.setattr(extension, "_companion_roots", counted)
-    J, code = _full_jets_batch(T, F, zs)
+    J, code = stacked_jets(T, F, zs)
     # the shipped symbols are even in mu; a symbol with an odd mu term goes
     # through the companion matrices, every row of it
     assert sum(companion_rows) == (len(ks) * len(F.sides) if odd else 0)

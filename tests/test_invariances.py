@@ -1,0 +1,123 @@
+"""Invariances of the reported windings.
+
+* Row mixing: (A, B) and (R A, R B), with R(k) polynomial and invertible on
+  the real line, are the same boundary condition.  On every table winding
+  condition the (relative) winding integer is unchanged, and the det U
+  samples agree within 1e-12 cond R(k).
+* Relative windings are antisymmetric, W(a, b) = -W(b, a), and additive,
+  W(a, b) + W(b, c) = W(a, c).  No expected value comes from a table.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from bec.cli import (
+    DIRAC_NUMERICS,
+    DIRAC_ROWS,
+    LAPLACE_NUMERICS,
+    LAPLACE_ROWS,
+    REGDIRAC_NUMERICS,
+    REGDIRAC_ROWS,
+)
+from bec.edge import K_LIMIT, _PHASE_SEEDS, relative_winding, winding
+from bec.extension import _unitary_dets, from_ab
+from bec.models import build_model
+
+
+def _table_windings():
+    """(id, model, side, condition, reference or None, k window) of every
+    table winding: the Laplacian rows, the Dirac rows against a = 1, the
+    regdirac rows against Dirichlet, and the Dirac interface decoupled(1, 1)
+    against transparent."""
+    cases = []
+    lap = build_model("laplacian")
+    for label, K, xi, *_ in LAPLACE_ROWS:
+        cases.append(("laplacian " + label, lap, "halfline",
+                      lap.make_bc("robin", K=K, ell=xi, M=1.0), None,
+                      LAPLACE_NUMERICS[0]))
+    for m, a, *_ in DIRAC_ROWS:
+        model = build_model("dirac", m=m)
+        cases.append(("dirac m=%+g a=%+g" % (m, a), model, "halfline",
+                      model.make_bc("a", a=a), model.make_bc("a", a=1.0),
+                      DIRAC_NUMERICS[0]))
+    for m in (-1.0, 1.0):
+        model = build_model("regdirac", m=m, eps=0.1)
+        for label, a, *_ in REGDIRAC_ROWS:
+            if a is not None:
+                cases.append(("regdirac m=%+g %s" % (m, label), model,
+                              "halfline", model.make_bc("a", a=a),
+                              model.make_bc("dirichlet"),
+                              REGDIRAC_NUMERICS[0]))
+    iface = build_model("dirac", m=1.0, m_minus=-1.0)
+    cases.append(("interface decoupled", iface, "interface",
+                  iface.make_bc("decoupled", aplus=1.0, aminus=1.0),
+                  iface.make_bc("transparent"), DIRAC_NUMERICS[0]))
+    return cases
+
+
+_CASES = _table_windings()
+
+
+def _mixing(p):
+    """Coefficients of R(k), invertible for every real k: the scalar
+    (0.7 - 1.3i)(k + 2i) for p = 1, and R0 (k + i diag(1, 3)) for p = 2,
+    whose determinant det R0 (k + i)(k + 3i) has no real zero."""
+    if p == 1:
+        return [np.array([[(0.7 - 1.3j) * 2j]]), np.array([[0.7 - 1.3j]])]
+    rng = np.random.default_rng(17)
+    R0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return [1j * R0 @ np.diag([1.0, 3.0]), R0]
+
+
+def _mixed(bc, R):
+    """The condition (R A, R B), by products of coefficient lists."""
+    def times(X):
+        out = [0.0] * (len(R) + len(X) - 1)
+        for i, Ri in enumerate(R):
+            for j, Xj in enumerate(X):
+                out[i + j] = out[i + j] + Ri @ Xj
+        return out
+    return from_ab(*(times(X) for X in bc._ab_poly), label=bc.label)
+
+
+@pytest.mark.parametrize("name, model, side, bc, ref, k_window", _CASES,
+                         ids=[case[0] for case in _CASES])
+def test_winding_invariant_under_row_mixing(name, model, side, bc, ref,
+                                            k_window):
+    T, fam = model.triple(side), model.fiber_family(side)
+    R = _mixing(T.dimV)
+    mixed = _mixed(bc, R)
+    mixed_ref = None if ref is None else _mixed(ref, R)
+    assert (winding(mixed, T, fam, k_window=k_window, bc_ref=mixed_ref)[0]
+            == winding(bc, T, fam, k_window=k_window, bc_ref=ref)[0])
+    # the seed samples of the phase curve, out to the ends +-K_LIMIT
+    s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
+    ks = np.tan(0.5 * np.pi * np.linspace(-s_lim, s_lim, _PHASE_SEEDS))
+    dets = _unitary_dets(bc, T, fam, ks, bc_ref=ref)
+    mixed_dets = _unitary_dets(mixed, T, fam, ks, bc_ref=mixed_ref)
+    cond = np.linalg.cond([R[0] + k * R[1] for k in ks])
+    assert np.all(np.abs(mixed_dets - dets) <= 1e-12 * cond)
+
+
+@pytest.mark.parametrize("name, params, conditions, k_window", [
+    ("dirac", {"m": 1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
+     DIRAC_NUMERICS[0]),
+    ("dirac", {"m": -1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
+     DIRAC_NUMERICS[0]),
+    ("regdirac", {"m": -1.0, "eps": 0.1},
+     [("a", {"a": a}) for a in (2.0, 0.0, -2.0)] + [("dirichlet", {})],
+     REGDIRAC_NUMERICS[0]),
+], ids=["dirac m=+1", "dirac m=-1", "regdirac m=-1"])
+def test_relative_windings_antisymmetric_and_additive(name, params,
+                                                      conditions, k_window):
+    model = build_model(name, **params)
+    T, fam = model.triple(), model.fiber_family()
+    bcs = [model.make_bc(family, **kw) for family, kw in conditions]
+    w = {(i, j): relative_winding(bcs[i], bcs[j], T, fam,
+                                  k_window=k_window)[0]
+         for i, j in itertools.permutations(range(len(bcs)), 2)}
+    for (i, j), value in w.items():
+        assert value == -w[j, i]
+    for i, j, k in itertools.permutations(range(len(bcs)), 3):
+        assert w[i, j] + w[j, k] == w[i, k]

@@ -324,6 +324,13 @@ def test_unwind_phase_rejects_bad_magnitudes():
         unwind_phase([1.0, 0.1])
 
 
+def test_unwind_phase_rejects_non_finite_samples():
+    # a nan compares false against both magnitude bounds
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ContractViolation, match="finite"):
+            unwind_phase([1.0, bad, 1j])
+
+
 def test_unwind_phase_rejects_coarse_sampling():
     # a jump of 3/4 pi cannot be told apart from -5/4 pi
     with pytest.raises(InsufficientResolutionError):

@@ -12,8 +12,7 @@ from numpy.polynomial.polynomial import polyfromroots
 from bec.edge import vn_unitary_family
 from bec.extension import (
     _companion_roots,
-    _full_jets_batch,
-    _krein_solve,
+    _full_jets,
     from_ab,
     green_identity_residual,
     krein_Q,
@@ -111,9 +110,11 @@ def test_Q_conjugation_symmetry_random_momenta(k, im, upper):
 def test_Q_independent_of_basis_rescaling(k, scale):
     # rescale one decaying solution and swap the two: J -> J R
     T, F = REGD.triple("halfline"), REGD.fiber(k)
-    J = _full_jets_batch(T, F, np.array([1j]))[0]
+    J = _full_jets(T, [np.moveaxis(Ds, 0, -1) for Ds in F.sides], F.ks,
+                   np.array([1j]))[0][..., 0]
     R = np.array([[0.0, scale], [1.0, 0.0]])
-    Q = _krein_solve(J @ R, *T.traces(F.ks))[0]
+    G1, G2 = (G[0] for G in T.traces(F.ks))
+    Q = np.linalg.solve((G1 @ J @ R).T, (G2 @ J @ R).T).T
     assert np.max(np.abs(krein_Q(T, F, 1j) - Q)) < 1e-9
 
 

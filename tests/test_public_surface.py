@@ -1,8 +1,10 @@
-"""The package exports only names that something calls.
+"""The package exports only names that something calls, and keeps only
+helpers that the package itself calls.
 
 Every name in `bec.__all__` must be used in `src/bec` outside its own
 definition, or in `perfbench/`, or be listed in ALLOWED with the ROADMAP
-open item that will give it a caller.
+open item that will give it a caller.  Every module-level private function
+or class of `src/bec` must be used in `src/bec` outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -13,8 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported names without a caller yet, each with the item that adds one
 ALLOWED = {
-    "krein_Q": "ROADMAP item 4: Krein's resolvent formula",
-    "green_identity_residual": "ROADMAP item 4: the L2 Gram matrix of the "
+    "krein_Q": "ROADMAP item 5: Krein's resolvent formula",
+    "green_identity_residual": "ROADMAP item 5: the L2 Gram matrix of the "
                                "decaying exponentials",
     "formal_symmetry_defect": "ROADMAP item 6: checks of a [triple] section",
     "triple_defect": "ROADMAP item 6: checks of a [triple] section",
@@ -52,9 +54,26 @@ def _used_names():
     return set().union(*map(_uses, paths))
 
 
+def _private_definitions(path):
+    """Module-level functions and classes of a module named with a single
+    leading underscore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
 def test_every_exported_name_has_a_caller():
     used = _used_names()
     assert sorted(set(bec.__all__) - used - set(ALLOWED)) == []
     # an allowed name leaves the list once it has a caller
     assert sorted(set(ALLOWED) & used) == []
     assert set(ALLOWED) <= set(bec.__all__)
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only tests call would outlive the path it served
+    paths = list((ROOT / "src" / "bec").glob("*.py"))
+    used = set().union(*map(_uses, paths))
+    defined = set().union(*map(_private_definitions, paths))
+    assert defined and sorted(defined - used) == []
