@@ -23,8 +23,8 @@ of the block are scanned in one pass of fixed-size detector batches, and one
 detector batch of one row per dip serves a refinement step of every column
 in the block.  Windings are computed from the phase of det U along a
 compactified momentum line, sampled as a ratio of determinants of the
-condition matrices W(z) = A - B Q(z) (`extension._unitary_dets`) without
-forming U.
+condition matrices W(+-i) = A - B Q(+-i) (`extension._unitary_dets`),
+from one jet batch at z = i and Q(-i) = Q(i)^dag, without forming U.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of

@@ -23,10 +23,11 @@ spectral points: `_basis_entries` on one side's coefficients, `_full_jets`
 on all sides of a fiber stack in a triple's layout, and `_jet_products`,
 the one place where jets J meet per-momentum factors.  The edge detector
 takes M = (A G1 - B G2) J from it; `_krein_family` takes G1 J and G2 J at
-z = +-i for Q = (G2 J)(G1 J)^{-1}, which the unitaries and the det U of
-the windings (`_unitary_dets`) share through W = A - B Q.  Every basis row
-carries a reason code; the edge detector masks the failing rows, and
-everything else raises the code's typed error.
+z = i for Q = (G2 J)(G1 J)^{-1}, which the unitaries and the det U of the
+windings (`_unitary_dets`) share through W(+-i) = A - B Q(+-i), with
+Q(-i) = Q(i)^dag.  Every basis row carries a reason code; the edge
+detector masks the failing rows, and everything else raises the code's
+typed error.
 
 The kernel holds every per-row quantity rows last: one (n,) array per
 matrix entry, polynomial coefficient, root or exponent, so that every
@@ -692,52 +693,51 @@ def _jet_products(T, F, factors):
 # R(k) = R0 (k + i diag(1, 3)), and by 2e-14 cond R from W.
 
 
-def _krein_family(T, F, zs=(1j, -1j)):
-    """Krein matrices Q(z) = (G2 J)(G1 J)^{-1}, each (n, dimV, dimV), of the
-    fibers F (a FiberStack, as `FiberFamily.stacks` returns it) at the
-    spectral points zs, by default (Q(i), Q(-i)): G1 J and G2 J are the
-    `_jet_products` of one jet batch per spectral point.  Raises the typed
-    error of the first failing basis row, and TripleDegeneracyError where
-    G1 J is singular.
+def _krein_family(T, F, z=1j):
+    """Krein matrices Q(z) = (G2 J)(G1 J)^{-1}, (n, dimV, dimV), of the
+    fibers F (a FiberStack, as `FiberFamily.stacks` returns it) at z, i but
+    for `krein_Q`: G1 J and G2 J are the `_jet_products` of one jet batch.
+    Raises the typed error of the first failing basis row, and
+    TripleDegeneracyError where G1 J is singular.
 
-    Q depends on the triple and the fibers only, so every boundary condition
-    over the same momenta shares it.
+    Every boundary condition over the same momenta shares Q.  Q(-i) is
+    Q(i)^dag (`test_krein_Q_conjugation_symmetry`), never computed: the
+    Green identity <G1 psi, G2 phi> - <G2 psi, G1 phi> = (z' - conj z)
+    <psi, phi>, psi in N_z and phi in N_z', vanishes at z' = conj z.
     """
-    products = _jet_products(T, F, T.traces(F.ks))
-    rows = np.arange(len(F.ks))
-    Qs = []
-    for z in zs:
-        (X, Y), code = products(rows, np.full(len(rows), complex(z)))
-        _check_codes(code, F.ks)
-        sv = _singular_values(X)
-        if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
-            raise TripleDegeneracyError(
-                "G1 restricted to the deficiency space is singular")
-        # Q = Y X^{-1}: Q^T solves X^T Q^T = Y^T
-        Qs.append(np.linalg.solve(X.transpose(2, 1, 0), Y.transpose(2, 1, 0))
-                  .transpose(0, 2, 1))
-    return Qs
+    (X, Y), code = _jet_products(T, F, T.traces(F.ks))(
+        np.arange(len(F.ks)), np.full(len(F.ks), complex(z)))
+    _check_codes(code, F.ks)
+    sv = _singular_values(X)
+    if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
+        raise TripleDegeneracyError(
+            "G1 restricted to the deficiency space is singular")
+    # Q = Y X^{-1}: Q^T solves X^T Q^T = Y^T
+    return np.linalg.solve(X.transpose(2, 1, 0),
+                           Y.transpose(2, 1, 0)).transpose(0, 2, 1)
 
 
 def krein_Q(T, F, z):
-    """Q(z) = (G2 J)(G1 J)^{-1} at the momentum of the fiber F (a one-row
-    FiberStack), J the jet matrix of its deficiency basis at z.  Independent
-    of the choice of basis."""
-    return _krein_family(T, F, (z,))[0][0]
+    """Q(z) = (G2 J)(G1 J)^{-1}, J the deficiency jets of the one-row
+    FiberStack F at z, in any basis; Q(conj z)^dag below the real axis."""
+    if complex(z).imag < 0.0:
+        return krein_Q(T, F, np.conj(z)).conj().T
+    return _krein_family(T, F, z)[0]
 
 
 def _weyl(bc, T, ks, Q):
-    """Condition matrices [W(z) = A(k) - B(k) Q(z) for each Q(z) of the
-    Krein family Q] of the condition bc, stacked over the momenta ks."""
+    """Condition matrices (W(i), W(-i)), W(z) = A(k) - B(k) Q(z), of the
+    condition bc over the momenta ks, from Q = Q(i) and Q(-i) = Q(i)^dag."""
     A, B = _ab_on(bc, T, ks)
-    return [A - _stack_product(B, q) for q in Q]
+    return (A - _stack_product(B, Q),
+            A - _stack_product(B, Q.conj().transpose(0, 2, 1)))
 
 
 def _unitary(bc, T, ks, Q):
     """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) of the condition bc over
-    the momenta ks, from the Krein family Q = (Q(i), Q(-i)) over the same
-    momenta.  Raises InadmissibleConditionError where W(i) is singular: its
-    smallest singular value at most 1e-12 max(1, ||W(i)||_inf)."""
+    the momenta ks, from the Krein family Q(i) over the same momenta.
+    Raises InadmissibleConditionError where W(i) is singular: its smallest
+    singular value at most 1e-12 max(1, ||W(i)||_inf)."""
     Wp, Wm = _weyl(bc, T, ks, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
     singular = _singular_values(Wp.transpose(1, 2, 0))[-1] <= 1e-12 * size
@@ -751,7 +751,7 @@ def vn_unitary_family(bc, T, fiber_family, ks, bc_ref=None):
     """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) stacked over the
     momenta ks, with fiber_family a `FiberFamily`
     (`ModelDescriptor.fiber_family`); with bc_ref the relative unitaries
-    U(k) U_ref(k)^{-1}, both conditions sharing one Krein family."""
+    U(k) U_ref(k)^{-1}, both conditions sharing one Krein family Q(i)."""
     ks = np.asarray(ks, dtype=float)
     Q = _krein_family(T, fiber_family.stacks(ks))
     U = _unitary(bc, T, ks, Q)
@@ -765,7 +765,7 @@ def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None):
     U; with bc_ref, det U U_ref^{-1}
     = det W(-i) det W_ref(i) / (det W(i) det W_ref(-i)).  The determinants
     are taken entry by entry (`_det`), and both conditions share one Krein
-    family."""
+    family Q(i)."""
     Q = _krein_family(T, fiber_family.stacks(ks))
 
     def dets(c):
@@ -779,7 +779,7 @@ def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None):
 
 
 def _checked_unitary(bc, T, Q, ks):
-    """`_unitary` from the Krein family Q of the triple T at momenta ks,
+    """`_unitary` from the Krein family Q(i) of the triple T at momenta ks,
     after the checks of the per-point API: (A, B) admissible at every
     momentum and W(i) nonsingular; then every eigenvalue of U must lie on
     the unit circle."""

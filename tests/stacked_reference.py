@@ -339,6 +339,20 @@ def _full_jets_batch(T, F, zs):
     return _triple_layout(T, [J for _, _, J, _ in sides]), code
 
 
+def _krein_batch(T, F, zs):
+    """Krein matrices Q = (G2 J)(G1 J)^{-1}, (n, dimV, dimV), of the fibers
+    F, each at its own spectral point zs, solved from the jets at that
+    point; the kernel in `src` takes Q(-i) = Q(i)^dag instead."""
+    J, code = _full_jets_batch(T, F, zs)
+    if np.any(code):
+        raise ContractViolation("deficiency basis failed at k=%s"
+                                % F.ks[code != 0])
+    G1, G2 = T.traces(F.ks)
+    X, Y = G1 @ J, G2 @ J
+    return np.linalg.solve(X.transpose(0, 2, 1),
+                           Y.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 def _detector(bc, T, F):
     """The edge detector's det(rows, lams) -> (sv (n, dimV), scale, valid)
     over the fibers F, with P = A G1 - B G2 formed once per column and

@@ -709,9 +709,36 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
 
     monkeypatch.setattr(extension, "_full_jets", counted)
     shared = extension.vn_unitary_family(bc, T, fam, ks, bc_ref=bc_ref)
-    # one jet batch per spectral point, shared by both conditions
-    assert calls == [(len(ks), 1j), (len(ks), -1j)]
+    # one jet batch, at z = i, shared by both conditions; W(-i) takes
+    # Q(-i) = Q(i)^dag
+    assert calls == [(len(ks), 1j)]
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
+
+
+@pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
+def test_relative_winding_builds_one_jet_batch_per_det_curve_evaluation(
+        request, monkeypatch, fixture, side, cond, ref):
+    model = request.getfixturevalue(fixture)
+    T, fam = model.triple(side), model.fiber_family(side)
+    bc, bc_ref = model.make_bc(cond[0], **cond[1]), model.make_bc(ref[0],
+                                                                  **ref[1])
+    batches, evaluations = [], []
+    full_jets, unitary_dets = extension._full_jets, edge._unitary_dets
+
+    def counted_jets(T, sides, ks, zs):
+        batches.append((len(ks), set(np.asarray(zs).tolist())))
+        return full_jets(T, sides, ks, zs)
+
+    def counted_dets(bc, T, fam, ks, bc_ref=None):
+        evaluations.append(len(ks))
+        return unitary_dets(bc, T, fam, ks, bc_ref=bc_ref)
+
+    monkeypatch.setattr(extension, "_full_jets", counted_jets)
+    monkeypatch.setattr(edge, "_unitary_dets", counted_dets)
+    relative_winding(bc, bc_ref, T, fam)
+    # the end check at k = -+K_LIMIT, then one batch per det-curve call
+    assert evaluations
+    assert batches == [(n, {1j}) for n in [2] + evaluations]
 
 
 def _vanishing_top_model(lap_model):

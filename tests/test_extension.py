@@ -332,16 +332,21 @@ def test_krein_Q_interface_closed_form(dirac_interface_model):
 
 def test_krein_Q_conjugation_symmetry(
         lap_model, dirac_model, regdirac_model, dirac_interface_model):
-    for model, k in ((lap_model, 1.0), (dirac_model, 0.7),
-                     (regdirac_model, 0.3)):
-        T = model.triple("halfline")
-        F = model.fiber(k)
-        Qp, Qm = (krein_Q(T, F, z) for z in (1j, -1j))
-        assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
-    T = dirac_interface_model.triple("interface")
-    F = dirac_interface_model.fiber(0.5, "interface")
-    Qp, Qm = (krein_Q(T, F, z) for z in (1j, -1j))
-    assert np.max(np.abs(Qm - Qp.conj().T)) < 1e-10
+    # the unitaries take Q(-i) = Q(i)^dag: Q built from the jets at -i
+    # must agree, relative to the size of Q (|Q| ~ 1e3 on regdirac at
+    # |k| = 1e4), on every triple, out to the affiliation momenta
+    ks = np.array([0.0, 0.3, -0.7, 1.0, -2.5,
+                   1e2, -1e2, 1e3, -1e3, 1e4, -1e4])
+    for model, side in ((lap_model, "halfline"), (dirac_model, "halfline"),
+                        (regdirac_model, "halfline"),
+                        (dirac_interface_model, "interface")):
+        T, F = model.triple(side), model.fiber_family(side).stacks(ks)
+        Qm = stacked._krein_batch(T, F, np.full(len(ks), -1j))
+        for i in range(len(ks)):
+            Qp = krein_Q(T, F[[i]], 1j)
+            assert np.max(np.abs(Qm[i] - Qp.conj().T)) \
+                <= 1e-10 * (1.0 + np.abs(Qp).max())
+            assert np.array_equal(krein_Q(T, F[[i]], -1j), Qp.conj().T)
 
 
 def test_krein_Q_independent_of_basis_scaling():
@@ -355,7 +360,8 @@ def test_krein_Q_independent_of_basis_scaling():
         G1, G2 = T.traces(ks)
         shape = (len(ks), T.dimV, T.dimV)
         R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for z, Q in zip((1j, -1j), _krein_family(T, F)):
+        Qi = _krein_family(T, F)
+        for z, Q in ((1j, Qi), (-1j, Qi.conj().transpose(0, 2, 1))):
             J, code = stacked_jets(T, F, np.full(len(ks), z))
             assert not np.any(code)
             size = 1.0 + np.abs(Q).max(axis=(1, 2))
@@ -374,7 +380,7 @@ def test_krein_Q_independent_of_basis_scaling():
 def test_weyl_W_dirichlet_is_identity(lap_model):
     bc = lap_model.make_bc("dirichlet")
     Q = np.array([[[0.3 + 0.4j]]])
-    for W in _weyl(bc, lap_model.triple(), np.array([0.3]), (Q, Q.conj())):
+    for W in _weyl(bc, lap_model.triple(), np.array([0.3]), Q):
         assert np.allclose(W, [[[1.0]]])
 
 
@@ -557,22 +563,23 @@ def test_affiliation_shares_krein_matrices_between_conditions(
          dirac_interface_model.make_bc("decoupled", aplus=1.0, aminus=1.0),
          dirac_interface_model.make_bc("transparent")),
     )
-    krein = ext._krein_family
+    full_jets = ext._full_jets
     calls = []
 
-    def counted(T, F):
-        calls.append(list(F.ks))
-        return krein(T, F)
+    def counted(T, sides, ks, zs):
+        calls.append((list(ks), set(np.asarray(zs).tolist())))
+        return full_jets(T, sides, ks, zs)
 
     for model, side, bc, ref in cases:
         T, fam = model.triple(side), model.fiber_family(side)
         want = _evidence_per_condition(bc, T, fam, ref)
         calls.clear()
-        monkeypatch.setattr(ext, "_krein_family", counted)
+        monkeypatch.setattr(ext, "_full_jets", counted)
         v = affiliation_check(bc, T, fam, bc_ref=ref)
-        monkeypatch.setattr(ext, "_krein_family", krein)
+        monkeypatch.setattr(ext, "_full_jets", full_jets)
         assert v.evidence == want
-        assert calls == [[1e2, 1e3, 1e4, -1e2, -1e3, -1e4]]
+        # one jet batch over the six momenta, at z = i only
+        assert calls == [([1e2, 1e3, 1e4, -1e2, -1e3, -1e4], {1j})]
 
 
 def test_affiliation_names_the_first_inadmissible_momentum(lap_model):

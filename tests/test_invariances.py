@@ -5,7 +5,9 @@
   condition the (relative) winding integer is unchanged, and the det U
   samples agree within 1e-12 cond R(k).
 * Relative windings are antisymmetric, W(a, b) = -W(b, a), and additive,
-  W(a, b) + W(b, c) = W(a, c).  No expected value comes from a table.
+  W(a, b) + W(b, c) = W(a, c).  No expected value of these comes from a
+  table.  On the Laplacian Robin rows, whose table gives absolute
+  windings w, also W(a, b) = w(a) - w(b).
 """
 import itertools
 
@@ -100,17 +102,22 @@ def test_winding_invariant_under_row_mixing(name, model, side, bc, ref,
     assert np.all(np.abs(mixed_dets - dets) <= 1e-12 * cond)
 
 
-@pytest.mark.parametrize("name, params, conditions, k_window", [
+@pytest.mark.parametrize("name, params, conditions, k_window, absolute", [
+    ("laplacian", {},
+     [("robin", {"K": K, "ell": xi, "M": 1.0})
+      for _, K, xi, *_ in LAPLACE_ROWS],
+     LAPLACE_NUMERICS[0], [wind for *_, wind in LAPLACE_ROWS]),
     ("dirac", {"m": 1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
-     DIRAC_NUMERICS[0]),
+     DIRAC_NUMERICS[0], None),
     ("dirac", {"m": -1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
-     DIRAC_NUMERICS[0]),
+     DIRAC_NUMERICS[0], None),
     ("regdirac", {"m": -1.0, "eps": 0.1},
      [("a", {"a": a}) for a in (2.0, 0.0, -2.0)] + [("dirichlet", {})],
-     REGDIRAC_NUMERICS[0]),
-], ids=["dirac m=+1", "dirac m=-1", "regdirac m=-1"])
+     REGDIRAC_NUMERICS[0], None),
+], ids=["laplacian robin rows", "dirac m=+1", "dirac m=-1", "regdirac m=-1"])
 def test_relative_windings_antisymmetric_and_additive(name, params,
-                                                      conditions, k_window):
+                                                      conditions, k_window,
+                                                      absolute):
     model = build_model(name, **params)
     T, fam = model.triple(), model.fiber_family()
     bcs = [model.make_bc(family, **kw) for family, kw in conditions]
@@ -119,5 +126,7 @@ def test_relative_windings_antisymmetric_and_additive(name, params,
          for i, j in itertools.permutations(range(len(bcs)), 2)}
     for (i, j), value in w.items():
         assert value == -w[j, i]
+        if absolute is not None:
+            assert value == absolute[i] - absolute[j]
     for i, j, k in itertools.permutations(range(len(bcs)), 3):
         assert w[i, j] + w[j, k] == w[i, k]
