@@ -1,5 +1,6 @@
 """Small dense complex linear algebra, adaptive 2D quadrature over the full
-plane, and phase unwinding.
+plane (refined in rounds, several cell splits per integrand call), and
+phase unwinding.
 
 Matrices are plain complex numpy arrays validated by the helpers below
 (finite entries, side length at most 64).  Stacks of small matrices have
@@ -9,7 +10,6 @@ form for 2 x 2 and by LAPACK otherwise, which serves the Fermi projections
 and the curvature integrand of the Chern pairings.
 """
 
-import heapq
 import itertools
 from collections import namedtuple
 
@@ -114,7 +114,8 @@ def _eigh_stack(H):
 
 QuadResult = namedtuple("QuadResult", "value error converged cells")
 
-_EPS = np.finfo(float).eps
+# cell splits (320 nodes) per integrand call at most, a bound on its memory
+_SPLITS_PER_CALL = 4
 
 
 # product Gauss-Legendre rules of orders 8 and 4: nodes and weight matrices
@@ -163,51 +164,50 @@ def quad_2d(f, tol=1e-6, max_cells=6000):
     The plane is mapped to the open square s in (-1,1)^2 through
     k_i = tan(pi s_i / 2) and the transformed integrand is handled by an
     adaptive product Gauss-Legendre rule (order 8, embedded order 4 for the
-    local error estimate, worst-cell-first refinement).
+    local error estimate), refined in rounds.  With the cells ordered worst
+    first (by error, then by creation), a round splits every cell whose
+    error plus those of all cells after it exceeds tol.  Refinement one
+    worst cell at a time must split each of them before its error total can
+    reach tol, so both stop at the same cells.  A round that does not fit
+    under max_cells splits up to that bound and ends unconverged.
 
     f must be array-valued: f(k1, k2) takes two 1D float arrays of momenta
-    and returns an array of the same length.  It is called once for the
-    initial 2x2 split and once per refinement, with the nodes of both rules
-    on all four new cells, so L final cells cost 1 + (L - 4)/3 calls.
+    and returns an array of the same length.  Each call carries both rules
+    on the four new cells of at most _SPLITS_PER_CALL splits of one round.
 
     Returns QuadResult(value, error, converged, cells).  Summation over the
     final cells happens in a fixed sorted order so the result is independent
     of the refinement schedule.
     """
     order = itertools.count()
-    heap = []
+    leaves = []
 
-    def push_split(a1, b1, a2, b2):
-        m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
-        boxes = [(x1, y1, x2, y2) for (x1, y1) in ((a1, m1), (m1, b1))
-                 for (x2, y2) in ((a2, m2), (m2, b2))]
-        cells = _make_cells(f, boxes)
-        for c in cells:
-            heapq.heappush(heap, (-c[5], next(order), c))
-        return sum(c[5] for c in cells)
+    def split(cells):
+        boxes = [(x1, y1, x2, y2) for a1, b1, a2, b2 in cells
+                 for x1, y1 in ((a1, (a1 + b1) / 2.0), ((a1 + b1) / 2.0, b1))
+                 for x2, y2 in ((a2, (a2 + b2) / 2.0), ((a2 + b2) / 2.0, b2))]
+        for at in range(0, len(boxes), 4 * _SPLITS_PER_CALL):
+            leaves.extend((-c[5], next(order), c) for c in
+                          _make_cells(f, boxes[at:at + 4 * _SPLITS_PER_CALL]))
 
     # start from a 2x2 split so symmetric integrands do not fool the estimate
-    running = peak = push_split(-1.0, 1.0, -1.0, 1.0)
-    while True:
-        # the running error total differs from the heap sum by rounding
-        # only, by less than 4 eps L T for L cells and a largest total T;
-        # within twice that of tol the heap sum, in heap order, decides the
-        # stop, so the cells are those of summing the heap on every step
-        if (running <= tol + 8.0 * _EPS * len(heap) * peak
-                and sum(-e for e, _, _ in heap) <= tol):
-            converged = True
-            break
-        if len(heap) + 3 > max_cells:
-            converged = False
-            break
-        _, _, worst = heapq.heappop(heap)
-        running += push_split(*worst[:4]) - worst[5]
-        peak = max(peak, running)
+    split([(-1.0, 1.0, -1.0, 1.0)])
+    forced = room = 1
+    while 0 < forced <= room:
+        # worst first; the unsplit cells stay sorted, so this merges runs
+        leaves.sort()
+        rest = itertools.accumulate(-e for e, _, _ in reversed(leaves))
+        # a NaN error (a NaN in f) is forced, so the loop cannot converge
+        forced = sum(1 for r in rest if not r <= tol)
+        room = max(0, (max_cells - len(leaves)) // 3)
+        worst = [c[:4] for _, _, c in leaves[:min(forced, room)]]
+        del leaves[:len(worst)]
+        split(worst)
 
-    leaves = sorted((c for _, _, c in heap), key=lambda c: (c[0], c[2]))
+    leaves = sorted((c for _, _, c in leaves), key=lambda c: (c[0], c[2]))
     value = complex(sum(c[4] for c in leaves))
     error = float(sum(c[5] for c in leaves))
-    return QuadResult(value, error, converged, len(leaves))
+    return QuadResult(value, error, forced == 0, len(leaves))
 
 
 # ---------------------------------------------------------------------------

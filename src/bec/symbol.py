@@ -230,18 +230,18 @@ def _curvature_integrand(S, level):
 
     def f(k1, k2):
         w, V = _eigh_gapped(S, k1, k2, level)
-        occ = (w < level).astype(float)
-        df = occ[:, None, :] - occ[:, :, None]
-        dE = w[:, None, :] - w[:, :, None]
-        # states on the same side of the level do not mix: df = 0 there,
-        # and across the level |dE| > 2e-8
-        D = np.divide(df, dE, out=np.zeros_like(df), where=df != 0)
         Vh = V.conj().swapaxes(1, 2)
         X1, X2 = (_stack_product(_stack_product(Vh, d.eval_batch(k1, k2)), V)
                   for d in dS)
         T = X2 * X1.swapaxes(1, 2)
-        tr = np.sum(occ[:, :, None] * D * D * (T - T.conj()), axis=(1, 2))
-        return tr / (2j * np.pi)
+        occ = (w < level).astype(float)
+        # states on the same side of the level do not mix: f_b - f_a = 0
+        # there, and across the level |E_b - E_a| > 2e-8
+        D = occ[:, None, :] - occ[:, :, None]
+        np.divide(D, w[:, None, :] - w[:, :, None], out=D, where=D != 0)
+        T -= T.conj()  # in place: a call can carry over a thousand momenta
+        T *= occ[:, :, None] * D * D
+        return np.sum(T, axis=(1, 2)) / (2j * np.pi)
 
     return f
 

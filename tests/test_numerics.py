@@ -4,6 +4,7 @@ Expected numbers are either exact by construction or frozen values of simple
 closed forms (square roots, Gaussian integrals) computed independently.
 """
 import heapq
+import itertools
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from bec.errors import (
     ContractViolation,
     InsufficientResolutionError,
 )
+from bec import numerics
 from bec.extension import _companion_roots
 from bec.numerics import (
+    _SPLITS_PER_CALL,
     _eigh_stack,
+    _make_cells,
     _stack_product,
     as_matrix,
     as_square,
@@ -213,10 +217,11 @@ def test_quad_2d_is_linear():
     assert abs(vfg - (2.0 * vf - 3.0 * vg)) < 1e-6
 
 
-def _quad_2d_per_cell(f, tol):
-    """Reference adaptive quadrature: the same rules, error estimate and
-    refinement order as quad_2d, but each rule on each cell evaluated by a
-    call of its own."""
+def _quad_2d_per_cell(f, tol, max_cells=6000):
+    """Reference adaptive quadrature: the same rules and error estimate as
+    quad_2d, refined one worst cell at a time, with each rule on each cell
+    evaluated by a call of its own.  It ends at the same leaves as quad_2d,
+    which refines in rounds.  Returns (value, error, converged, cells)."""
     rules = (leggauss(8), leggauss(4))
 
     def rule_value(a1, b1, a2, b2, nodes, weights):
@@ -242,7 +247,11 @@ def _quad_2d_per_cell(f, tol):
     for box in ((-1.0, 0.0, -1.0, 0.0), (-1.0, 0.0, 0.0, 1.0),
                 (0.0, 1.0, -1.0, 0.0), (0.0, 1.0, 0.0, 1.0)):
         push(*box)
+    converged = True
     while sum(-e for e, _, _ in heap) > tol:
+        if len(heap) + 3 > max_cells:
+            converged = False
+            break
         a1, b1, a2, b2 = heapq.heappop(heap)[2][:4]
         m1, m2 = (a1 + b1) / 2.0, (a2 + b2) / 2.0
         for x1, y1 in ((a1, m1), (m1, b1)):
@@ -250,7 +259,7 @@ def _quad_2d_per_cell(f, tol):
                 push(x1, y1, x2, y2)
     leaves = sorted((c for _, _, c in heap), key=lambda c: (c[0], c[2]))
     return (complex(sum(c[4] for c in leaves)),
-            float(sum(c[5] for c in leaves)), len(leaves))
+            float(sum(c[5] for c in leaves)), converged, len(leaves))
 
 
 def _counted(f):
@@ -263,6 +272,50 @@ def _counted(f):
     return g, sizes
 
 
+def _recorded(monkeypatch):
+    """The cells of every `_make_cells` call of quad_2d, one list per call
+    of the integrand."""
+    calls = []
+
+    def make_cells(f, boxes):
+        cells = _make_cells(f, boxes)
+        calls.append(cells)
+        return cells
+
+    monkeypatch.setattr(numerics, "_make_cells", make_cells)
+    return calls
+
+
+def _rounds(calls, tol):
+    """Replay the round rule on the recorded calls of a converged run: order
+    the cells worst first (by error, then by creation), count the forced
+    ones (error plus the errors of all cells after them above tol), and
+    check that the next calls split exactly those, worst first.  Returns
+    the splits of every round."""
+    created = itertools.count()
+    leaves = [(-c[5], next(created), c) for c in calls[0]]
+    rounds, at = [], 1
+    while True:
+        leaves.sort()
+        rest = itertools.accumulate(-e for e, _, _ in reversed(leaves))
+        forced = sum(1 for r in rest if r > tol)
+        if at == len(calls):
+            assert forced == 0
+            return rounds
+        split = []
+        while len(split) < 4 * forced:
+            split += calls[at]
+            at += 1
+        assert len(split) == 4 * forced
+        # the four cells of a split, lower left first, span its parent
+        parents = [(q[0][0], q[3][1], q[0][2], q[3][3])
+                   for q in zip(*[iter(split)] * 4)]
+        assert [c[:4] for _, _, c in leaves[:forced]] == parents
+        del leaves[:forced]
+        leaves += [(-c[5], next(created), c) for c in split]
+        rounds.append(forced)
+
+
 QUAD_INTEGRANDS = [
     lambda x, y: np.exp(-(x * x + y * y)),
     lambda x, y: np.exp(-((x - 1.0) ** 2 + y * y)) * x,
@@ -271,24 +324,83 @@ QUAD_INTEGRANDS = [
 
 
 @pytest.mark.parametrize("i", range(len(QUAD_INTEGRANDS)))
-def test_quad_2d_one_call_per_refinement(i):
+def test_quad_2d_calls_carry_whole_splits(i, monkeypatch):
+    calls = _recorded(monkeypatch)
     g, sizes = _counted(QUAD_INTEGRANDS[i])
     res = quad_2d(g, tol=1e-8)
     assert res.converged
-    assert res.cells > 4 and (res.cells - 4) % 3 == 0
-    assert len(sizes) == 1 + (res.cells - 4) // 3
-    # both rules (64 + 16 nodes) on the four cells of every split
-    assert sizes == [4 * 80] * len(sizes)
+    splits = (res.cells - 4) // 3
+    assert res.cells == 4 + 3 * splits
+    # the first call carries the initial split: both rules (64 + 16
+    # nodes) on four cells
+    assert sizes[0] == 4 * 80 and len(calls[0]) == 4
+    # every later call carries whole splits, at most _SPLITS_PER_CALL
+    assert [len(c) for c in calls] == [n // 80 for n in sizes]
+    assert all(n % (4 * 80) == 0 and 0 < n <= _SPLITS_PER_CALL * 4 * 80
+               for n in sizes[1:])
+    rounds = _rounds(calls, 1e-8)
+    assert sum(rounds) == splits
+    assert len(sizes) <= 1 + -(-splits // _SPLITS_PER_CALL) + len(rounds)
+    assert len(sizes) < 1 + splits
 
 
 @pytest.mark.parametrize("i", range(len(QUAD_INTEGRANDS)))
 def test_quad_2d_equals_per_cell_reference(i):
-    # the reference sums the heap before every refinement; quad_2d keeps a
-    # running total and must stop after the same cells at every tol
+    # the reference refines one cell at a time and sums the heap before
+    # every split; quad_2d splits every forced cell of a round at once and
+    # must stop after the same cells at every tol
     for tol in (1e-4, 1e-6, 1e-8):
         res = quad_2d(QUAD_INTEGRANDS[i], tol=tol)
-        assert (res.value, res.error, res.cells) == \
+        assert (res.value, res.error, res.converged, res.cells) == \
             _quad_2d_per_cell(QUAD_INTEGRANDS[i], tol)
+
+
+def _random_integrand(kind, rng):
+    """A seeded integrand: a Gaussian mixture with complex amplitudes, an
+    exactly symmetric Gaussian (whose cells tie in error), or the rational
+    (1 + i x) / (1 + x^2 + y^4)^p."""
+    if kind == "mixture":
+        n = rng.integers(1, 4)
+        centers = rng.normal(0.0, 1.5, (n, 2))
+        widths = rng.uniform(0.3, 2.0, n)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return lambda x, y: sum(
+            a * np.exp(-((x - c1) ** 2 + (y - c2) ** 2) / s)
+            for a, (c1, c2), s in zip(amps, centers, widths))
+    if kind == "symmetric":
+        s = rng.uniform(0.2, 3.0)
+        return lambda x, y: np.exp(-(x * x + y * y) / s)
+    p = rng.uniform(1.2, 3.0)
+    return lambda x, y: (1.0 + 1j * x) / (1.0 + x * x + y ** 4) ** p
+
+
+@pytest.mark.parametrize("kind", ["mixture", "symmetric", "rational"])
+@pytest.mark.parametrize("seed", range(3))
+def test_quad_2d_equals_reference_on_random_integrands(kind, seed):
+    f = _random_integrand(kind, np.random.default_rng(seed))
+    for tol in (1e-4, 1e-6):
+        for max_cells in (6000, 100):
+            res = quad_2d(f, tol=tol, max_cells=max_cells)
+            ref = _quad_2d_per_cell(f, tol, max_cells)
+            if ref[2]:
+                assert tuple(res) == ref
+            else:
+                # both loops must split every forced cell to converge, so
+                # both stop at the bound; only the leaves may differ there
+                assert (res.converged, res.cells) == (False, ref[3])
+
+
+def test_quad_2d_nan_integrand_does_not_converge():
+    def f(x, y):
+        out = np.exp(-(x * x + y * y))
+        out[(x > 0.3) & (x < 0.5) & (y > 0.1) & (y < 0.2)] = np.nan
+        return out
+
+    for g in (f, lambda x, y: np.full(x.shape, np.nan)):
+        res = quad_2d(g, tol=1e-6, max_cells=100)
+        assert not res.converged
+        assert res.cells == 100
+        assert np.isnan(res.error)
 
 
 def test_quad_2d_stops_at_max_cells():
@@ -296,7 +408,12 @@ def test_quad_2d_stops_at_max_cells():
     res = quad_2d(g, tol=1e-14, max_cells=40)
     assert not res.converged
     assert res.cells == 40
-    assert len(sizes) == 13
+    # every cell is forced at this tol: the first round splits the four
+    # initial cells, the second the eight of its sixteen that fit under 40
+    assert sum(sizes) == (1 + 4 + 8) * 4 * 80
+    assert all(n % (4 * 80) == 0 for n in sizes)
+    per_call = _SPLITS_PER_CALL
+    assert len(sizes) == 1 + -(-4 // per_call) + -(-8 // per_call)
 
 
 # ---------------------------------------------------------------------------

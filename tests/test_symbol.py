@@ -389,17 +389,23 @@ def test_chern_of_scalar_symbol_is_zero(lap_model):
 
 @pytest.fixture
 def quad_cells(monkeypatch):
-    """The cell count of every quadrature the symbol layer runs."""
-    cells = []
+    """(cells, integrand calls) of every quadrature the symbol layer runs."""
+    runs = []
     quad_2d = symbol.quad_2d
 
     def counted(f, **kwargs):
-        res = quad_2d(f, **kwargs)
-        cells.append(res.cells)
+        calls = []
+
+        def g(k1, k2):
+            calls.append(len(k1))
+            return f(k1, k2)
+
+        res = quad_2d(g, **kwargs)
+        runs.append((res.cells, len(calls)))
         return res
 
     monkeypatch.setattr(symbol, "quad_2d", counted)
-    return cells
+    return runs
 
 
 def test_chern_fourth_order_negative_mass(quad_cells):
@@ -409,36 +415,39 @@ def test_chern_fourth_order_negative_mass(quad_cells):
     value, resid = chern(S, 0.0, tol=1e-4)
     assert abs(value + 1.0) < 1e-3
     assert resid < 1e-3
-    # the cell schedule of the finite-difference integrand it replaced
-    assert quad_cells == [199]
+    # the cell schedule of the finite-difference integrand it replaced, in
+    # the integrand calls of refinement in rounds
+    assert quad_cells == [(199, 20)]
 
 
 # The seven pairings of the bulk-pairing benchmark at its tol 1e-6: cell
 # counts and values as the Kubo integrand with LAPACK eigenbases and stacked
 # matrix products gave them, recorded as such.  A change of the integrand's
 # rounding must keep every cell schedule and move no value by more than
-# 1e-12.
+# 1e-12.  The integrand calls are those of refinement in rounds with four
+# splits per call; one split per call took (cells - 1) / 3 of them.
 BULK_PAIRINGS = [
     ("regdirac m=-1", ("regdirac", {"m": -1.0, "eps": 0.1}), None, 0.0,
-     -1.0000000034578407, 568),
+     -1.0000000034578407, 568, 49),
     ("regdirac m=+1", ("regdirac", {"m": 1.0, "eps": 0.1}), None, 0.0,
-     -3.4557779530070786e-09, 595),
+     -3.4557779530070786e-09, 595, 52),
     ("dirac +1 vs -1", ("dirac", {"m": 1.0}), ("dirac", {"m": -1.0}), 0.0,
-     1.000000040936854, 235),
+     1.000000040936854, 235, 23),
     ("dirac -1 vs +1", ("dirac", {"m": -1.0}), ("dirac", {"m": 1.0}), 0.0,
-     -1.000000040936854, 235),
-    ("dirac m=+1", ("dirac", {"m": 1.0}), None, 0.0, 0.500000163757705, 184),
-    ("laplacian", ("laplacian", {}), None, -1.0, 0.0, 4),
+     -1.000000040936854, 235, 23),
+    ("dirac m=+1", ("dirac", {"m": 1.0}), None, 0.0, 0.500000163757705, 184,
+     18),
+    ("laplacian", ("laplacian", {}), None, -1.0, 0.0, 4, 1),
     ("shallow", ("shallow", {"f": 1.0, "nu": 0.1}), None, 0.5,
-     -2.0000000017296635, 715),
+     -2.0000000017296635, 715, 64),
 ]
 
 
-@pytest.mark.parametrize("first, second, level, value, cells",
+@pytest.mark.parametrize("first, second, level, value, cells, calls",
                          [p[1:] for p in BULK_PAIRINGS],
                          ids=[p[0] for p in BULK_PAIRINGS])
 def test_bulk_pairing_cell_schedules(quad_cells, first, second, level,
-                                     value, cells):
+                                     value, cells, calls):
     from bec.models import build_model
 
     S = build_model(first[0], **first[1]).symbol
@@ -450,7 +459,7 @@ def test_bulk_pairing_cell_schedules(quad_cells, first, second, level,
         else:
             S2 = build_model(second[0], **second[1]).symbol
             got, _ = relative_chern(S, S2, level, tol=1e-6)
-    assert quad_cells == [cells]
+    assert quad_cells == [(cells, calls)]
     assert abs(got - value) <= 1e-12
 
 
