@@ -629,7 +629,8 @@ _OPTIONS = {
     "--k-window": dict(type=float,
                        help="half width of the tracked momentum range"),
     "--k-resolution": dict(type=int),
-    "--lam-resolution": dict(type=int),
+    "--lam-resolution": dict(type=int,
+                             help="cap on energy samples per column"),
     "--plot": dict(help="write an SVG rendering to this file"),
     "--out": dict(help="write the main output to this file"),
     "which": dict(choices=("laplacian", "dirac", "regdirac")),

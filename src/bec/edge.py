@@ -1,27 +1,26 @@
 """Edge spectrum, dispersion-band tracking, spectral flow, and windings of
 von Neumann unitaries.
 
-Edge eigenvalues are located as kernel directions of the detector matrix
+Edge eigenvalues are counted with the level unitary
 
-    M(k, lam) = (A(k) G1 - B(k) G2) J = W(lam) G1 J
+    V(k, E) = U_bc^dag U_E,   U_E = (X - iY)(X + iY)^{-1},
 
-built on the normalized jet matrix J of the decaying exponential solutions
-at energy lam; a kernel vector assembles a genuine decaying eigenfunction,
-so dips of the smallest singular value signal true edge dispersion points
-(this also sees eigenvalues where the raw condition matrix is identically
-trivial, e.g. for a reference condition, and needs no inverse of G1 J).  M
-comes from `extension._jet_products`, the kernel that also gives the Krein
-matrices their products G1 J and G2 J: the factor P = A G1 - B G2 and the
-fiber coefficients are laid out once per momentum, one (n,) array per entry,
-a detector batch gathers its rows of them, and M = P J is summed entry by
-entry, one product over the batch's rows per term.  A momentum column is
-scanned on an energy grid, and each dip of the scan is refined by Brent
-minimization of the squared detector, starting from the dip's grid point.  A
-band track scans its grid columns a block at a time into a list that it
-steps through, passing each column on as a value: the grids of all columns
-of the block are scanned in one pass of fixed-size detector batches, and one
-detector batch of one row per dip serves a refinement step of every column
-in the block.  Windings are computed from the phase of det U along a
+built on the boundary values X = G1 J and Y = G2 J of the decaying
+solutions at a real energy E, and on the unitary U_bc of the condition's
+own Lagrangian plane (`extension._level_phases`).  E is an edge eigenvalue
+at k exactly where V has the eigenvalue 1, with its multiplicity, and the
+eigenphases of V turn one way as E grows, since the Krein matrix is a
+Nevanlinna function (Behrndt, Hassi and de Snoo, Boundary Value Problems,
+Weyl Functions, and Differential Operators, 2020).  A momentum column is
+sampled on a fixed seed grid of energies, refined until every step of
+arg det V is below a radian; each step's eigenphase count through 0 is an
+integer, certified by its rounding residual and by the one-way turn of the
+whole column, and each eigenphase that passes 0 is refined by batched
+Illinois regula falsi.  A band track computes its grid columns a block at
+a time into a list that it steps through, passing each column on as a
+value: all columns of a block share the fixed-size batches of the level
+unitary, and each refinement step is one batch over the running brackets
+of all of them.  Windings are computed from the phase of det U along a
 compactified momentum line, sampled as a ratio of determinants of the
 condition matrices W(+-i) = A - B Q(+-i) (`extension._unitary_dets`),
 from one jet batch at z = i and Q(-i) = Q(i)^dag, without forming U.
@@ -30,10 +29,9 @@ Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
 `FiberFamily.stacks`, and the fiber of `edge_eigenvalues` is the one-row
 case.  The deficiency bases, their jets and products, the trace maps, the
-Krein matrices and the unitaries come from the batched kernel in
-`extension`; this module holds the detector, the bands, the spectral flow
-and the windings.  The detector's singular values come from
-`extension._singular_values`, in closed form for dimV <= 2.
+Krein matrices, the unitaries and the level unitary's eigenphases come from
+the batched kernel in `extension`; this module holds the eigenvalue count,
+the bands, the spectral flow and the windings.
 """
 
 import numpy as np
@@ -48,10 +46,10 @@ from .errors import (
 from .extension import (
     _ab_on,
     _check_admissible,
-    _jet_products,
+    _level_phases,
     _side_bases,
-    _singular_values,
     _unitary_dets,
+    _wrap,
     vn_unitary_family,
 )
 from .numerics import unwind_phase
@@ -67,205 +65,212 @@ K_LIMIT = 1e4
 
 
 # ---------------------------------------------------------------------------
-# detector columns: energy scan, batched dip refinement, multiplicity
+# edge eigenvalues per column: the eigenphase count of the level unitary
 
 
-_DIP_FRACTION = 0.6      # local minima below this fraction of scale refine
-_ACCEPT_REL = 1e-8       # refined minimum below this fraction counts as zero
-_CGOLD = (3.0 - np.sqrt(5.0)) / 2.0  # golden-section step fraction
-_BRENT_ITERS = 100       # minimization steps at most per refinement
-# (column, energy) rows per detector batch of a scan: bounds the batch's
-# memory, which grows linearly with its rows
+# (column, energy) rows per level-unitary batch: bounds the batch's memory,
+# which grows linearly with its rows
 _SCAN_ROWS = 512
+# a column's seed energies, as fractions of its window: a uniform sweep plus
+# geometric ladders toward both ends, where the eigenphases of a band about
+# to merge into the bulk turn fastest
+_LADDER = np.geomspace(1e-6, 1e-2, 6)
+_SEEDS = np.sort(np.concatenate([np.linspace(0.0, 1.0, 24), _LADDER,
+                                 1.0 - _LADDER]))
+_PHASE_STEP = 1.0        # largest step of arg det V between samples, rad
+_COUNT_TOL = 1e-6        # largest rounding residual of a step's count
+_ILLINOIS_ITERS = 100    # regula falsi steps at most per eigenvalue
 
 
-def _detector(bc, T, F):
-    """Detector over the fibers F (a FiberStack), one per column.
-
-    Returns det(rows, lams) -> (sv, scale, valid): the singular values
-    (dimV, n), largest first, of M(k, lam) at the fibers of the columns
-    indexed by rows and the energies lams, the scale 1 + max|M| (n,), and
-    whether the basis is good (reason code 0); a failing basis never raises
-    here.  M comes from `extension._jet_products` on the one factor
-    P = A G1 - B G2, rows last; for dimV <= 2 no LAPACK routine runs.
-    """
-    A, B = _ab_on(bc, T, F.ks)
-    G1, G2 = T.traces(F.ks)
-    products = _jet_products(T, F, [A @ G1 - B @ G2])
-
-    def det(rows, lams):
-        (M,), code = products(rows, lams)
-        size = np.abs(M).reshape(len(M) ** 2, len(code)).max(axis=0)
-        return _singular_values(M), 1.0 + size, code == 0
-    return det
+def _batched(fun, rows, lams):
+    """fun(rows, lams) -> (phases (p, n), code (n,)) over _SCAN_ROWS-row
+    batches, joined."""
+    parts = [fun(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
+             for s in range(0, len(rows), _SCAN_ROWS)]
+    return (np.concatenate([th for th, _ in parts], axis=1),
+            np.concatenate([code for _, code in parts]))
 
 
-def _dips(r):
-    """Indices of the local minima of a scan's relative detector values r
-    (ties count, infinity beyond both ends) that lie below _DIP_FRACTION."""
-    left = np.concatenate([[np.inf], r[:-1]])
-    right = np.concatenate([r[1:], [np.inf]])
-    return np.nonzero((r < _DIP_FRACTION) & (r <= left) & (r <= right))[0]
-
-
-def _brent(rel, owner, a, x, fx, b, tol):
-    """Brent minimization of rel**2 over the brackets [a, b], one detector
-    batch of one row per running bracket per step.
-
-    Each bracket starts from a point x inside it and the value fx = rel(x)
-    already known there, and mixes parabolic steps on rel**2 (rel has a
-    V-shaped minimum that a parabola fits badly; its square does not) with
-    golden-section fallbacks (Brent 1973, as fminbound in Forsythe, Malcolm
-    and Moler 1977, with the absolute tolerance only).  owner gives each
+def _illinois(f, owner, x0, f0, x1, f1, tol):
+    """Roots of the continuous functions f(i, x) -> values, one per bracket
+    i, bracketed by [x0, x1] with f0 = f(x0) and f1 = f(x1) of opposite
+    signs: batched Illinois regula falsi (Dowell and Jarratt, BIT 11 (1971)),
+    one call of f per step over the running brackets.  owner gives each
     bracket's column and tol each column's width tolerance: a bracket stops
-    once its best point is within 2 tol / 3 of both of its ends, so its
-    result does not depend on the other brackets of the batch.  Returns the
-    best point of every bracket and the value of rel there.
+    once its ends are within tol, so its result does not depend on the
+    other brackets of the batch.  Each new point keeps tol / 4 from both
+    ends.  Returns the evaluated point of smallest |f| of every bracket and
+    |f| there.
     """
-    a, x, fx, b = (np.array(v, dtype=float) for v in (a, x, fx, b))
-    w, fw, v, fv = x.copy(), fx.copy(), x.copy(), fx.copy()
-    d, e = np.zeros_like(x), np.zeros_like(x)
-    tol1 = tol[owner] / 3.0
-    tol2 = 2.0 * tol1
-    # rows where the basis fails are inf: a parabola through them is nan and
-    # fails its acceptance test, which falls back to a golden step
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for _ in range(_BRENT_ITERS):
-            xm = 0.5 * (a + b)
-            i = np.nonzero(np.abs(x - xm) > tol2 - 0.5 * (b - a))[0]
-            if len(i) == 0:
-                break
-            ai, bi, xi, xmi, t1, t2 = a[i], b[i], x[i], xm[i], tol1[i], tol2[i]
-            wi, vi, ei = w[i], v[i], e[i]
-            Fx, Fw, Fv = fx[i] ** 2, fw[i] ** 2, fv[i] ** 2
-            r = (xi - wi) * (Fx - Fv)
-            q = (xi - vi) * (Fx - Fw)
-            p = (xi - vi) * q - (xi - wi) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            parabolic = ((np.abs(ei) > t1) & (np.abs(p) < np.abs(0.5 * q * ei))
-                         & (p > q * (ai - xi)) & (p < q * (bi - xi)))
-            golden = np.where(xi >= xmi, ai - xi, bi - xi)
-            step = np.where(parabolic, p / q, _CGOLD * golden)
-            # a parabolic point next to an end moves by tol1 toward the middle
-            toward = np.where(xmi >= xi, t1, -t1)
-            near = parabolic & ((xi + step - ai < t2) | (bi - xi - step < t2))
-            step = np.where(near, toward, step)
-            e[i] = np.where(parabolic, d[i], golden)
-            d[i] = step
-            u = xi + np.where(step >= 0.0, 1.0, -1.0) * np.maximum(
-                np.abs(step), t1)
-            fu = rel(owner[i], u)
-            fxi, fwi, fvi = fx[i], fw[i], fv[i]
-            better = fu <= fxi
-            left = u < xi
-            a[i] = np.where(better, np.where(left, ai, xi),
-                            np.where(left, u, ai))
-            b[i] = np.where(better, np.where(left, xi, bi),
-                            np.where(left, bi, u))
-            to_w = better | (fu <= fwi) | (wi == xi)
-            to_v = ~to_w & ((fu <= fvi) | (vi == xi) | (vi == wi))
-            v[i] = np.where(to_w, wi, np.where(to_v, u, vi))
-            fv[i] = np.where(to_w, fwi, np.where(to_v, fu, fvi))
-            w[i] = np.where(better, xi, np.where(to_w, u, wi))
-            fw[i] = np.where(better, fxi, np.where(to_w, fu, fwi))
-            x[i] = np.where(better, u, xi)
-            fx[i] = np.where(better, fu, fxi)
-    return x, fx
+    x0, f0, x1, f1 = (np.array(v, dtype=float) for v in (x0, f0, x1, f1))
+    near = np.abs(f0) <= np.abs(f1)
+    best, fbest = np.where(near, x0, x1), np.where(near, np.abs(f0),
+                                                    np.abs(f1))
+    tol = tol[owner]
+    side = np.zeros(len(x0), dtype=int)
+    for _ in range(_ILLINOIS_ITERS):
+        i = np.nonzero((np.abs(x1 - x0) > tol) & (fbest > 0.0))[0]
+        if len(i) == 0:
+            return best, fbest
+        a, fa, b, fb = x0[i], f0[i], x1[i], f1[i]
+        x = (a * fb - b * fa) / (fb - fa)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        x = np.clip(x, lo + 0.25 * tol[i], hi - 0.25 * tol[i])
+        fx = f(i, x)
+        closer = np.abs(fx) < fbest[i]
+        best[i] = np.where(closer, x, best[i])
+        fbest[i] = np.where(closer, np.abs(fx), fbest[i])
+        # x replaces the end whose value has its sign; the other end's value
+        # is halved when it is kept a second time in a row
+        to_x1 = np.sign(fx) == np.sign(fb)
+        x1[i] = np.where(to_x1, x, b)
+        f1[i] = np.where(to_x1, fx, np.where(side[i] == 1, 0.5 * fb, fb))
+        x0[i] = np.where(to_x1, a, x)
+        f0[i] = np.where(to_x1, np.where(side[i] == -1, 0.5 * fa, fa), fx)
+        side[i] = np.where(to_x1, -1, 1)
+    raise NumericalFailure("edge eigenvalue refinement did not converge "
+                           "in %d steps" % _ILLINOIS_ITERS)
+
+
+def _cut_frame(theta):
+    """A cut gamma (n,) for each sample of the eigenphases theta (p, n):
+    the middle of the largest gap between them on the circle.  Within a
+    step of arg det V below pi / p no eigenphase passes it, as they turn
+    one way."""
+    t = np.sort(np.mod(theta, 2.0 * np.pi), axis=0)
+    gaps = np.diff(np.concatenate([t, t[:1] + 2.0 * np.pi]), axis=0)
+    j, n = np.argmax(gaps, axis=0), np.arange(t.shape[1])
+    return t[j, n] + 0.5 * gaps[j, n]
+
+
+def _in_frame(theta, gamma):
+    """The eigenphases theta (p, n) as values in (gamma - 2 pi, gamma],
+    ascending, minus the value that 0 takes in that range."""
+    v = gamma - np.mod(gamma - theta, 2.0 * np.pi)
+    return np.sort(v, axis=0) - (gamma - np.mod(gamma, 2.0 * np.pi))
+
+
+def _level_samples(phases, ks, lo, hi, nl, dimV):
+    """Samples of the level unitary's eigenphases (`phases`, from
+    `extension._level_phases`) over the windows [lo, hi] of the columns at
+    momenta ks: the seed grid _SEEDS of every column, and midpoints added
+    until every step of arg det V within a column is below _PHASE_STEP and
+    pi / dimV.  Samples where the basis fails are left out.
+
+    Returns (column (n,), energy (n,), eigenphases (dimV, n)), ordered by
+    column and energy, with the steps of arg det V (n - 1,) and whether
+    each step joins two samples of one column.  A column that needs more
+    than nl samples raises InsufficientResolutionError.
+    """
+    bound = min(_PHASE_STEP, np.pi / dimV)
+    owner = np.repeat(np.arange(len(ks)), len(_SEEDS))
+    lams = (lo[:, None] + (hi - lo)[:, None] * _SEEDS).ravel()
+    col, E, theta = np.zeros(0, dtype=int), np.zeros(0), np.zeros((dimV, 0))
+    while len(owner):
+        th, code = _batched(phases, owner, lams)
+        ok = code == 0
+        col = np.concatenate([col, owner[ok]])
+        E = np.concatenate([E, lams[ok]])
+        theta = np.concatenate([theta, th[:, ok]], axis=1)
+        order = np.lexsort((E, col))
+        col, E, theta = col[order], E[order], theta[:, order]
+        inner = col[1:] == col[:-1]
+        steps = _wrap(np.diff(theta.sum(axis=0)))
+        bad = np.nonzero(inner & (np.abs(steps) > bound))[0]
+        owner, lams = col[bad], 0.5 * (E[bad] + E[bad + 1])
+        over = np.bincount(np.concatenate([col, owner]),
+                           minlength=len(ks)) > nl
+        if np.any(over):
+            raise InsufficientResolutionError(
+                "the edge eigenvalue count at k=%g needs more than %d "
+                "energy samples" % (ks[np.argmax(over)], nl))
+    return col, E, theta, steps, inner
 
 
 def _columns(bc, T, F, windows, nl, xtol=None):
     """Edge eigenvalues of the fibers F (a FiberStack), each within its own
-    open window (lo, hi): one list of (lam, relative residual), ascending,
-    per momentum.
+    window [lo, hi]: one list of (lam, |eigenphase| there), ascending, per
+    momentum.
 
-    Every column has its own energy grid, and the grids of all columns are
-    scanned in one pass, _SCAN_ROWS (column, energy) rows per detector
-    batch; a row's value does not depend on its batch, so a batch may split
-    a column.  The detector dips of all columns are then refined together by
-    `_brent`, from their grid points and scanned values, so that each step
-    is one detector batch, while each column keeps its own width tolerance
-    (xtol, by default 1e-9 of the window's magnitude) and so its own
-    result.
+    E is an edge eigenvalue at k exactly where the level unitary V(k, E)
+    (`extension._level_phases`) has the eigenvalue 1, and the eigenphases
+    of V turn one way as E grows (Q is a Nevanlinna function).  The columns
+    are sampled together by `_level_samples`, at most nl samples each.  A
+    step from a to b passes c = (d arg det V - sum [theta_b]
+    + sum [theta_a]) / 2 pi eigenphases through 0, with [.] in [0, 2 pi).
+    NumericalFailure is raised if c is not an integer to _COUNT_TOL, or if
+    the steps of a column turn both ways: monotonicity certifies that no
+    turn was missed.
+
+    In a step with c != 0 the eigenphases, continuous and ascending in a
+    frame cut where none of them passes (`_cut_frame`), give the |c| that
+    pass 0, and `_illinois` refines each, all columns together, each column
+    to its own width tolerance (xtol, by default 1e-9 of the window's
+    magnitude), so a column gives the same result alone or in a batch.
+    Roots of one step within that tolerance are one eigenvalue of their
+    multiplicity, as on a decoupled interface.  Every batch of the level
+    unitary has at most _SCAN_ROWS rows.
     """
     out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
             if np.isfinite(lo) and np.isfinite(hi) and hi > lo]
     if not cols:
         return out
-    det = _detector(bc, T, F[cols])
-
-    def rel(rows, lams):
-        sv, scale, valid = det(rows, lams)
-        return np.where(valid, sv[-1] / scale, np.inf)
-
-    nl = int(nl)
+    ks = F.ks[cols]
+    phases = _level_phases(bc, T, F[cols])
     lo, hi = np.array([windows[i] for i in cols], dtype=float).T
     size = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
     tol = 1e-9 * size if xtol is None else np.full(len(cols), float(xtol))
-    fine = 1e-13 * size
-    # uniform sweep plus geometric ladders toward both window ends: states
-    # about to delocalize sit arbitrarily close to the window edge and their
-    # detector dip narrows with the binding energy
-    ladder = np.geomspace(1e-9, 1.0 / max(nl, 2), 24)
-    grids = []
-    for a, b in zip(lo, hi):
-        lad = ladder * (b - a)
-        grids.append(np.unique(np.concatenate([np.linspace(a, b, nl),
-                                               a + lad, b - lad])))
-    lengths = [len(grid) for grid in grids]
-    rows = np.repeat(np.arange(len(cols)), lengths)
-    lams = np.concatenate(grids)
-    vals = np.concatenate([rel(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
-                           for s in range(0, len(lams), _SCAN_ROWS)])
-    los, xs, vmin, his, owner = [], [], [], [], []
-    per_column = np.split(vals, np.cumsum(lengths)[:-1])
-    for c, (grid, r) in enumerate(zip(grids, per_column)):
-        dips = _dips(r)
-        los.append(grid[np.maximum(dips - 1, 0)])
-        xs.append(grid[dips])
-        vmin.append(r[dips])
-        his.append(grid[np.minimum(dips + 1, len(grid) - 1)])
-        owner.append(np.full(len(dips), c))
-    owner = np.concatenate(owner)
-    if len(owner) == 0:
-        return out
-    xs, vmin = _brent(rel, owner, np.concatenate(los), np.concatenate(xs),
-                      np.concatenate(vmin), np.concatenate(his), tol)
-    # near-window states give very steep dips; candidates that stopped just
-    # above the acceptance bar get a second, machine-level refinement
-    retry = (vmin >= _ACCEPT_REL) & (vmin < 1e-3)
-    if np.any(retry):
-        step = 2.0 * tol[owner[retry]]
-        xs[retry], vmin[retry] = _brent(rel, owner[retry], xs[retry] - step,
-                                        xs[retry], vmin[retry],
-                                        xs[retry] + step, fine)
-    seen = [[] for _ in cols]
-    keep = []
-    for j in np.nonzero(vmin < _ACCEPT_REL)[0]:
-        x, c = xs[j], owner[j]
-        if not any(abs(x - y) <= 1e-7 * (1.0 + abs(x)) for y in seen[c]):
-            seen[c].append(x)
-            keep.append(j)
-    if keep:
-        # multiplicity: decoupled interfaces can carry coinciding branches
-        # from both sides, seen as several small singular values
-        keep = np.array(keep)
-        sv, scale, valid = det(owner[keep], xs[keep])
-        small = np.sum(sv < 1e2 * _ACCEPT_REL * scale, axis=0)
-        mult = np.where(valid, np.maximum(1, small), 1)
-        for j, m in zip(keep, mult):
-            out[cols[owner[j]]].extend([(float(xs[j]), float(vmin[j]))]
-                                       * int(m))
-    for col in out:
-        col.sort()
+    col, E, theta, steps, inner = _level_samples(phases, ks, lo, hi, nl,
+                                                 T.dimV)
+
+    # count each step; the eigenphases passing 0 become brackets
+    up = np.bincount(col[:-1][inner & (steps > 0.0)], minlength=len(cols))
+    down = np.bincount(col[:-1][inner & (steps < 0.0)], minlength=len(cols))
+    if np.any(up * down):
+        raise NumericalFailure(
+            "eigenphases of the level unitary turn both ways at k=%g"
+            % ks[np.argmax(up * down)])
+    count = (steps - np.diff(np.mod(theta, 2.0 * np.pi).sum(axis=0))) \
+        / (2.0 * np.pi)
+    off = np.where(inner, np.abs(count - np.round(count)), 0.0)
+    if np.any(off > _COUNT_TOL):
+        raise NumericalFailure(
+            "edge eigenvalue count at k=%g is not an integer (residual %.1e)"
+            % (ks[col[np.argmax(off)]], off.max()))
+    s = np.nonzero(inner & (np.round(count) != 0.0))[0]
+    gamma = _cut_frame(theta[:, s])
+    fa, fb = _in_frame(theta[:, s], gamma), _in_frame(theta[:, s + 1], gamma)
+    passing = (fa >= 0.0) != (fb >= 0.0)
+    wrong = passing.sum(axis=0) != np.abs(np.round(count[s]))
+    if np.any(wrong):
+        raise NumericalFailure(
+            "edge eigenvalue count at k=%g does not match its eigenphases"
+            % ks[col[s[np.argmax(wrong)]]])
+    b, j = np.nonzero(passing.T)
+    owner, gamma = col[s[b]], gamma[b]
+
+    def f(i, x):
+        th, _ = _batched(phases, owner[i], x)
+        return _in_frame(th, gamma[i])[j[i], np.arange(len(i))]
+
+    roots, resid = _illinois(f, owner, E[s[b]], fa[j, b], E[s[b] + 1],
+                             fb[j, b], tol)
+    for r, c in enumerate(owner):
+        column = out[cols[c]]
+        shared = (r > 0 and b[r - 1] == b[r]
+                  and abs(roots[r] - column[-1][0]) <= tol[c])
+        column.append(column[-1] if shared
+                      else (float(roots[r]), float(resid[r])))
+    for column in out:
+        column.sort()
     return out
 
 
 def edge_eigenvalues(bc, T, F, gap, lam_resolution=400):
     """Edge eigenvalues of the fiber at its momentum inside the given gap
-    window.  An infinite lower bound is clipped to a heuristic depth."""
+    window, from at most lam_resolution energy samples (`_columns`).  An
+    infinite lower bound is clipped to a heuristic depth."""
     lo, hi = gap.lo, gap.hi
     if not np.isfinite(hi):
         hi = gap.lo + 1e3 if np.isfinite(gap.lo) else 1e3
@@ -486,15 +491,15 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     """Follow all edge dispersion branches over |k| <= k_window.
 
     The columns of the k grid do not depend on the tracking decisions, so
-    they are computed ahead, a block of consecutive columns at a time: the
-    energy grids of all columns of the block are scanned in one pass of
-    _SCAN_ROWS-row detector batches, and the dips of all of them are refined
-    in one batched Brent pass (each column to its own tolerance, so the
-    result equals a column computed alone).
+    they are computed ahead, a block of consecutive columns at a time, by
+    the eigenvalue count of `_columns`: the columns of a block share its
+    batches of the level unitary, and each column is refined to its own
+    tolerance, so the result equals a column computed alone.
+    lam_resolution caps the energy samples of a column.
 
     Returns a list of DispersionBand.  Steps halve (up to 8 times) whenever a
     branch jumps by more than a fiftieth of the gap width or two branches get
-    within 2e-3 gap widths; a halving momentum's column is scanned when the
+    within 2e-3 gap widths; a halving momentum's column is computed when the
     step halves.  A band that disappears (a death) and one that appears (a
     birth) end by one rule, `_end` (see BandEndpoint); a band that ends
     mid-gap raises LostBandError.
@@ -517,9 +522,7 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
     tol_close = 2e-3 * width
 
     # the grid's columns are computed a block at a time, not all at once, to
-    # bound the size of a refinement batch: with one to three dips per column
-    # and one energy per dip and step, a block of nl/4 columns gives
-    # refinement batches of nl/4 to 3 nl/4 rows, below one scan batch
+    # bound the samples held at once: nl/4 columns of a few dozen each
     block = max(1, int(lam_resolution) // 4)
     cols = tracker.scan(ks[:block])
 
@@ -639,11 +642,21 @@ def spectral_flow(bands, level=0.0):
 
     A band that leaves the k window while still moving toward the level
     raises InsufficientResolutionError, since the count may miss a crossing
-    outside the window."""
+    outside the window.  A band's 'touches-bulk' ends count as samples of
+    it: the band is born or dies there, and a crossing between such an end
+    and a grid sample that sits on the level up to rounding then counts
+    whatever the sign of that rounding."""
     crossings = []
     flagged = False
     for band in bands:
-        lam = band.lams - level
+        ks, lams = band.ks, band.lams
+        if band.left is not None and band.left.kind == "touches-bulk":
+            ks, lams = np.append(band.left.k, ks), np.append(band.left.lam,
+                                                             lams)
+        if band.right is not None and band.right.kind == "touches-bulk":
+            ks, lams = np.append(ks, band.right.k), np.append(lams,
+                                                              band.right.lam)
+        lam = lams - level
         scale = 1.0 + abs(level)
         if band.flat and np.max(np.abs(lam)) < 1e-7 * scale:
             flagged = True
@@ -656,7 +669,7 @@ def spectral_flow(bands, level=0.0):
                 raise InsufficientResolutionError(
                     "a band leaves the k window at k=%.6g, lam=%.6g still "
                     "moving toward the level %g; widen the k window"
-                    % (band.ks[i], band.lams[i], level))
+                    % (ks[i], lams[i], level))
         for i in range(len(lam) - 1):
             a, b = lam[i], lam[i + 1]
             if a == 0.0:
@@ -664,9 +677,9 @@ def spectral_flow(bands, level=0.0):
                     flagged = True
                 continue
             if a * b < 0.0 or (b == 0.0 and i + 1 == len(lam) - 1):
-                dk = band.ks[i + 1] - band.ks[i]
+                dk = ks[i + 1] - ks[i]
                 slope = (b - a) / dk if dk != 0.0 else 0.0
-                k_star = band.ks[i] - a / slope if slope != 0.0 else band.ks[i]
+                k_star = ks[i] - a / slope if slope != 0.0 else ks[i]
                 if abs(slope) < _TANGENCY_TOL * scale:
                     flagged = True
                     continue
@@ -674,12 +687,12 @@ def spectral_flow(bands, level=0.0):
             elif b == 0.0 and i + 2 < len(lam):
                 c = lam[i + 2]
                 if a * c < 0.0:
-                    dk = band.ks[i + 2] - band.ks[i]
+                    dk = ks[i + 2] - ks[i]
                     slope = (c - a) / dk if dk != 0.0 else 0.0
                     if abs(slope) < _TANGENCY_TOL * scale:
                         flagged = True
                         continue
-                    crossings.append((float(band.ks[i + 1]),
+                    crossings.append((float(ks[i + 1]),
                                       int(np.sign(slope))))
                 else:
                     flagged = True

@@ -21,13 +21,14 @@ its own boundary family.
 The steps bases -> jets -> products are one kernel, batched over fibers and
 spectral points: `_basis_entries` on one side's coefficients, `_full_jets`
 on all sides of a fiber stack in a triple's layout, and `_jet_products`,
-the one place where jets J meet per-momentum factors.  The edge detector
-takes M = (A G1 - B G2) J from it; `_krein_family` takes G1 J and G2 J at
-z = i for Q = (G2 J)(G1 J)^{-1}, which the unitaries and the det U of the
-windings (`_unitary_dets`) share through W(+-i) = A - B Q(+-i), with
+the one place where jets J meet per-momentum factors.  The level unitary
+of the edge eigenvalue count (`_level_phases`) takes (G1 -+ iG2) J from it
+at real energies; `_krein_family` takes G1 J and G2 J at z = i for
+Q = (G2 J)(G1 J)^{-1}, which the unitaries and the det U of the windings
+(`_unitary_dets`) share through W(+-i) = A - B Q(+-i), with
 Q(-i) = Q(i)^dag.  Every basis row carries a reason code; the edge
-detector masks the failing rows, and everything else raises the code's
-typed error.
+eigenvalue count leaves the failing rows out, and everything else raises
+the code's typed error.
 
 The kernel holds every per-row quantity rows last: one (n,) array per
 matrix entry, polynomial coefficient, root or exponent, so that every
@@ -56,14 +57,16 @@ the exponent order from elementwise comparisons of the roots; the
 amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
 (N = 2, `_kernel_vectors`); the jets and their rank test on two columns
 (`_rank_deficient`); the singular values of 1 x 1 or 2 x 2 matrices
-(`_singular_values`), which serve the edge detector, the G1 J and W(i)
-singularity tests and the admissibility test of iA + B; and the
-determinants of 1 x 1 or 2 x 2 matrices (`_det`).  LAPACK takes the rest,
-each at the boundary of the rows-last layout: companion-matrix eigenvalues
-for a polynomial that is not even or of another degree, the last right
-singular vector for N > 2, SVDs of jets with more than two columns and of
-matrices larger than 2 x 2, and the stacked solves of the Krein matrices
-and the unitaries.
+(`_singular_values`), which serve the G1 J and W(i) singularity tests and
+the admissibility test of iA + B; the determinants of 1 x 1 or 2 x 2
+matrices (`_det`); and the eigenphases of 1 x 1 or 2 x 2 unitaries
+(`_unitary_phases`).  LAPACK takes the rest, each at the boundary of the
+rows-last layout: companion-matrix eigenvalues for a polynomial that is not
+even or of another degree, the last right singular vector for N > 2, SVDs
+of jets with more than two columns and of matrices larger than 2 x 2,
+eigenvalues of unitaries larger than 2 x 2, and the stacked solves of the
+Krein matrices, the unitaries and the condition factor of the level
+unitary.
 
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
@@ -176,6 +179,45 @@ def _singular_values(M):
     np.divide(np.abs(_det(M)), np.where(out[0] == 0.0, 1.0, out[0]),
               out=out[1])
     return out * size
+
+
+def _wrap(theta):
+    """Phases in (-pi, pi] of the angles theta."""
+    return theta - 2.0 * np.pi * np.ceil((theta - np.pi) / (2.0 * np.pi))
+
+
+def _unitary_phases(N, R):
+    """Eigenphases (p, n) in (-pi, pi] of the unitaries V = N R^{-1} whose
+    factors N, R (p, p, n) hold the rows last.
+
+    For p = 1 the phase of N conj(R).  For p = 2, V = e^{i phi} W with
+    e^{2 i phi} = det V and W in SU(2), whose eigenvalues e^{+-i omega} give
+    the phases phi +- omega: cos omega is the mean of W's diagonal real
+    parts, and sin omega the norm of the anti-Hermitian part of W, taken
+    from its entries.  Neither cancels where the eigenvalues coincide, as
+    the roots of the characteristic polynomial would.  LAPACK's eigenvalues
+    serve p > 2.
+    """
+    p = len(N)
+    if p == 1:
+        return np.angle(N[0, 0] * R[0, 0].conj())[None]
+    if p > 2:
+        V = np.linalg.solve(R.transpose(2, 1, 0), N.transpose(2, 1, 0))
+        return np.angle(np.linalg.eigvals(V)).T
+    (n00, n01), (n10, n11) = N
+    (r00, r01), (r10, r11) = R
+    d = _det(R)
+    v00 = (n00 * r11 - n01 * r10) / d
+    v01 = (n01 * r00 - n00 * r01) / d
+    v10 = (n10 * r11 - n11 * r10) / d
+    v11 = (n11 * r00 - n10 * r01) / d
+    phi = 0.5 * np.angle(v00 * v11 - v01 * v10)
+    turn = np.exp(-1j * phi)
+    w00, w01, w10, w11 = v00 * turn, v01 * turn, v10 * turn, v11 * turn
+    omega = np.arctan2(np.hypot(0.5 * (w00.imag - w11.imag),
+                                0.5 * np.abs(w10 - w01.conj())),
+                       0.5 * (w00.real + w11.real))
+    return _wrap(np.stack([phi + omega, phi - omega]))
 
 
 def _char_poly(E, scale):
@@ -652,12 +694,12 @@ def _ab_on(bc, T, ks):
 
 
 # ---------------------------------------------------------------------------
-# jet products: one kernel for the detector and the Krein matrices
+# jet products: one kernel for the level unitary and the Krein matrices
 
 
 def _jet_products(T, F, factors):
     """Products X J(k, z) of per-momentum factors X, stacks (n, p, W) over
-    the momenta of F (such as G1, G2, or P = A G1 - B G2), with the jets of
+    the momenta of F (such as G1 and G2, or G1 +- iG2), with the jets of
     the fibers F (a FiberStack), rows last.  The factors and the fiber
     coefficients are laid out once.  Returns products(rows, zs) -> (list of
     X J (p, dimV, n), one per factor, code (n,)): the fibers of the momenta
@@ -681,6 +723,44 @@ def _jet_products(T, F, factors):
             out.append(XJ)
         return out, code
     return products
+
+
+def _level_phases(bc, T, F):
+    """Eigenphases of the level unitaries V(k, E) = U_bc^dag U_E of the
+    condition bc over the fibers F (a FiberStack), at real energies E.
+
+    At a real E in the gap the boundary values (X, Y) = (G1 J, G2 J) of the
+    decaying solutions span a Lagrangian plane, with the unitary
+    U_E = (X - iY)(X + iY)^{-1}; the condition's plane has
+    U_bc = (B^dag - iA^dag)(B^dag + iA^dag)^{-1}.  The planes meet, and E is
+    an edge eigenvalue at k, exactly where V has the eigenvalue 1.
+    U_bc^dag = (B - iA)^{-1}(B + iA) is solved once per momentum; X and Y
+    are the `_jet_products` of G1 and G2, and V = N R^{-1} with
+    N = U_bc^dag (X - iY) and R = X + iY is formed entry by entry
+    (`_unitary_phases`).  Returns phases(rows, lams) -> (eigenphases
+    (dimV, n) in (-pi, pi], code (n,)) at the fibers of the momenta indexed
+    by rows; a failing basis never raises here, and a row's phases do not
+    depend on its batch.  The condition must be admissible at every
+    momentum of F, or InadmissibleConditionError names the first failure.
+    """
+    A, B = _ab_on(bc, T, F.ks)
+    _check_admissible(bc, F.ks, A, B)
+    adj = np.moveaxis(np.linalg.solve(B - 1j * A, B + 1j * A), 0, -1).copy()
+    products = _jet_products(T, F, T.traces(F.ks))
+    p = T.dimV
+
+    def phases(rows, lams):
+        (X, Y), code = products(rows, lams)
+        C, P = adj[..., rows], X - 1j * Y
+        # products of whole (n,) rows only: a broadcast product may take
+        # another rounding (a fused multiply-add) at another batch size
+        N = np.empty_like(P)
+        for i, j in itertools.product(range(p), repeat=2):
+            N[i, j] = C[i, 0] * P[0, j]
+            for k in range(1, p):
+                N[i, j] += C[i, k] * P[k, j]
+        return _unitary_phases(N, X + 1j * Y), code
+    return phases
 
 
 # ---------------------------------------------------------------------------

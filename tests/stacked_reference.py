@@ -1,6 +1,5 @@
-"""The deficiency-basis and detector kernel in its stacked layout, as
-reference code for the entry-wise kernel in `bec.extension` and
-`bec.edge`.
+"""The deficiency-basis and level-unitary kernel in its stacked layout, as
+reference code for the entry-wise kernel in `bec.extension`.
 
 Every per-row quantity here is a stacked array (n, ...) whose small axes
 (matrix entries, exponents, polynomial coefficients) are inner axes, and
@@ -28,32 +27,6 @@ from bec.extension import (
     _WRONG_COUNT,
     _ab_on,
 )
-
-
-def _singular_values(M):
-    """Singular values (n, p) of the p x p matrices M (n, p, p), largest
-    first, as np.linalg.svd gives them.
-
-    For p <= 2 in closed form.  Each matrix is first divided by its largest
-    entry, so that entries near 1e+-150 neither overflow nor underflow when
-    squared.  sigma_max^2 is the larger eigenvalue of the Gram matrix
-    M^dag M = [[g, r], [r*, h]], (g + h)/2 + hypot((g - h)/2, |r|), a sum
-    of non-negative terms; then sigma_min = |det M| / sigma_max.  Neither
-    step cancels, and both values are within a few eps sigma_max of
-    LAPACK's."""
-    p = M.shape[-1]
-    if p > 2:
-        return np.linalg.svd(M, compute_uv=False)
-    size = np.abs(M).max(axis=(1, 2))
-    if p == 1:
-        return size[:, None]
-    M = M / np.where(size == 0.0, 1.0, size)[:, None, None]
-    G = M.conj().transpose(0, 2, 1) @ M
-    g, h = G[:, 0, 0].real, G[:, 1, 1].real
-    smax = np.sqrt(0.5 * (g + h) + np.hypot(0.5 * (g - h), np.abs(G[:, 0, 1])))
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    smin = np.abs(det) / np.where(smax == 0.0, 1.0, smax)
-    return np.stack([smax, smin], axis=1) * size[:, None]
 
 
 def _char_matrices(Ds, zs, mus):
@@ -353,18 +326,23 @@ def _krein_batch(T, F, zs):
                            Y.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def _detector(bc, T, F):
-    """The edge detector's det(rows, lams) -> (sv (n, dimV), scale, valid)
-    over the fibers F, with P = A G1 - B G2 formed once per column and
-    M = P[rows] @ J per batch."""
+def _level_phases(bc, T, F):
+    """The level unitary's eigenphases over the fibers F:
+    phases(rows, lams) -> (eigenphases (n, dimV), ascending, code (n,)),
+    from stacked `@` products and inverses, V = U_bc^dag U_E with
+    U_bc = (B^dag - iA^dag)(B^dag + iA^dag)^{-1} formed once per column
+    and U_E = (X - iY)(X + iY)^{-1}, X = G1 J and Y = G2 J, and LAPACK's
+    eigenvalues.  Every row's basis must be good."""
     A, B = _ab_on(bc, T, F.ks)
     G1, G2 = T.traces(F.ks)
-    P = A @ G1 - B @ G2
+    Ah, Bh = A.conj().transpose(0, 2, 1), B.conj().transpose(0, 2, 1)
+    U_bc = (Bh - 1j * Ah) @ np.linalg.inv(Bh + 1j * Ah)
 
-    def det(rows, lams):
+    def phases(rows, lams):
         J, code = _full_jets_batch(T, F[rows],
                                    np.asarray(lams, dtype=complex))
-        M = P[rows] @ J
-        sv = _singular_values(M)
-        return sv, 1.0 + np.abs(M).max(axis=(1, 2)), code == 0
-    return det
+        X, Y = G1[rows] @ J, G2[rows] @ J
+        U_E = (X - 1j * Y) @ np.linalg.inv(X + 1j * Y)
+        V = U_bc[rows].conj().transpose(0, 2, 1) @ U_E
+        return np.sort(np.angle(np.linalg.eigvals(V)), axis=1), code
+    return phases

@@ -43,6 +43,18 @@ def test_counting_wrappers_install_and_leave():
     assert tracer.counts["phase_samples"] > 0
 
 
+def test_traced_flow_job_builds_fibers():
+    # the traced run divides the reference track's (A, B) evaluations by its
+    # fibers built, so that track must build some
+    tracer = tracing.Tracer()
+    with tracing.counting(bec, tracer):
+        job = jobs.build_jobs(bec)[1][jobs.REFERENCE_JOBS["flow"]]
+        got, ok = job.check(tracer)
+    assert ok, got
+    track, = [s for s in tracer.spans if s["name"] == "edge.track_bands"]
+    assert track["counts"]["fiberize"] > 0
+
+
 def test_build_jobs_builds_every_workload():
     pools, by_name = jobs.build_jobs(bec)
     assert sorted(pools) == ["bulk-pairing", "tables-flow", "tables-winding"]

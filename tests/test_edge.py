@@ -108,8 +108,21 @@ def test_edge_eigenvalue_multiplicity_two_for_coinciding_branches(
     assert abs(out[1][0] - 0.3) < 1e-8
 
 
+def test_edge_eigenvalues_name_an_inadmissible_condition(lap_model):
+    # A B^dag = 1 + ik is Hermitian at k = 0 only: the condition's unitary
+    # U_bc is not unitary at k = 1, and no count is taken there
+    from bec.errors import InadmissibleConditionError
+    from bec.extension import from_ab
+
+    bad = from_ab([np.eye(1), 1j * np.eye(1)], np.eye(1), label="bad")
+    with pytest.raises(InadmissibleConditionError,
+                       match=r"bad: A B\^dag not Hermitian at k=1"):
+        edge_eigenvalues(bad, lap_model.triple(), lap_model.fiber(1.0),
+                         GapWindow(-20.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
-# many columns in one detector pass
+# many columns in one pass of the level unitary
 
 
 def _columns_match_single_calls(bc, T, model, side, ks, gap, nl):
@@ -141,23 +154,15 @@ def test_columns_match_single_calls_two_band_family(dirac_model):
     assert sum(len(col) for col in out) >= 4
 
 
-def test_columns_match_single_calls_with_retry_pass(monkeypatch):
+def test_columns_match_single_calls_regularized_dirac():
+    # columns whose eigenvalues lie in steep stretches of the phase, near
+    # the window ends
     model = build_model("regdirac", m=-1.0, eps=0.1)
-    tols = []
-    brent = edge._brent
-
-    def counted(rel, owner, a, x, fx, b, tol):
-        tols.append(tol)
-        return brent(rel, owner, a, x, fx, b, tol)
-
-    monkeypatch.setattr(edge, "_brent", counted)
-    _columns_match_single_calls(model.make_bc("a", a=2.0),
-                                model.triple("halfline"), model, "halfline",
-                                np.linspace(-12.0, 12.0, 9),
-                                model.declared_gap, 320)
-    # some dips stop just above the acceptance bar and are refined again at
-    # the machine-level tolerance
-    assert any(np.all(t < 1e-11) for t in tols)
+    out = _columns_match_single_calls(model.make_bc("a", a=2.0),
+                                      model.triple("halfline"), model,
+                                      "halfline", np.linspace(-12.0, 12.0, 9),
+                                      model.declared_gap, 320)
+    assert sum(len(col) for col in out) >= 6
 
 
 def test_columns_match_single_calls_with_multiplicity(dirac_interface_model):
@@ -182,6 +187,26 @@ def test_columns_skip_empty_and_unbounded_windows(dirac_model):
     assert abs(out[2][0][0] - 0.8) < 1e-7
 
 
+def test_columns_count_two_phases_that_pass_pi_and_0_together(
+        monkeypatch, dirac_interface_model):
+    # a level unitary whose two eigenphases are equal, 0.5 - 1.5 lam: they
+    # pass pi together at lam = -1.76 (arg det V jumps by 4 pi there) and 0
+    # together at lam = 1/3, one eigenvalue of multiplicity 2
+    from types import SimpleNamespace
+
+    def level_phases(bc, T, F):
+        def phases(rows, lams):
+            theta = extension._wrap(0.5 - 1.5 * lams)
+            return np.stack([theta, theta]), np.zeros(len(rows), dtype=int)
+        return phases
+
+    monkeypatch.setattr(edge, "_level_phases", level_phases)
+    F = dirac_interface_model.fiber_family("interface").stacks([0.3])
+    (first, second), = edge._columns(None, SimpleNamespace(dimV=2), F,
+                                     [(-2.0, 2.0)], 200)
+    assert first == second and abs(first[0] - 1.0 / 3.0) <= 3e-9
+
+
 # the reference conditions of the benchmark's layer probes: (model name and
 # parameters, side, boundary family and parameters)
 PROBE_CONDITIONS = {
@@ -198,151 +223,149 @@ PROBE_CONDITIONS = {
 
 @pytest.mark.parametrize("name", sorted(PROBE_CONDITIONS))
 def test_detector_rows_do_not_depend_on_their_batch(name):
-    # a scan batch may split a column and mix columns, which is only sound
-    # if every row's (sv, scale, valid) is the one it has alone, bit for bit
+    # the edge eigenvalues are detected from the level unitary's eigenphases:
+    # a batch may split a column and mix columns, which is only sound if
+    # every row's (phases, code) is the one it has alone, bit for bit
     (model_name, params), side, (family, kw) = PROBE_CONDITIONS[name]
     model = build_model(model_name, **params)
     gap = model.declared_gap or find_gap(model.symbol, model.gap_around, 8.0)
     ks = np.linspace(-3.0, 3.0, 7)
-    det = edge._detector(model.make_bc(family, **kw), model.triple(side),
-                         model.fiber_family(side).stacks(ks))
+    phases = extension._level_phases(model.make_bc(family, **kw),
+                                     model.triple(side),
+                                     model.fiber_family(side).stacks(ks))
     rng = np.random.default_rng(12)
     rows = rng.integers(0, len(ks), edge._SCAN_ROWS)
     lo, hi = np.array([model.scan_window(k, gap) for k in ks]).T[:, rows]
     # mostly inside each column's window, an eighth in the continuum above
-    # it and a few at its edge, where the basis fails
+    # it and a few at its edge
     t = rng.random(len(rows))
     t[::8] = 1.0 + rng.random(len(t[::8]))
     t[::61] = 1.0
     lams = lo + t * (hi - lo)
-    together = det(rows, lams)
-    alone = [det(rows[i:i + 1], lams[i:i + 1]) for i in range(len(rows))]
-    for got, want in zip(together, zip(*alone)):
-        np.testing.assert_array_equal(got, np.concatenate(want, axis=-1))
-    valid = together[2]
-    assert 0 < np.sum(~valid) < len(rows) // 2
+    theta, code = phases(rows, lams)
+    alone = [phases(rows[i:i + 1], lams[i:i + 1]) for i in range(len(rows))]
+    np.testing.assert_array_equal(theta, np.concatenate([a for a, _ in alone],
+                                                        axis=1))
+    np.testing.assert_array_equal(code, np.concatenate([c for _, c in alone]))
+    assert 0 < np.sum(code != 0) < len(rows) // 2
 
 
-def test_block_scan_shares_detector_batches(monkeypatch):
+def test_block_scan_batches_stay_within_scan_rows(monkeypatch):
     # one block of a Dirac table row at the numerics of `bec tables`: the
-    # scan sends its (column, energy) rows in full _SCAN_ROWS batches, not
-    # one batch per column, and the refinement of all its dips takes a few
-    # batches
+    # seed grids of all its columns go out in full _SCAN_ROWS batches, not
+    # one batch per column, and the midpoints and the refinement of every
+    # column take a few batches more
     k_window, k_resolution, nl = cli.DIRAC_NUMERICS
     model = build_model("dirac", m=1.0)
     tracker = edge._Tracker(model.make_bc("a", a=2.0), model.triple(),
                             model, model.declared_gap, nl)
     ks = np.linspace(-k_window, k_window, k_resolution)[:nl // 4]
-    batches, refining = [], []
-    detector, brent = edge._detector, edge._brent
+    batches = []
+    level = edge._level_phases
 
-    def counted_detector(*args):
-        det = detector(*args)
+    def counted_level(*args):
+        phases = level(*args)
 
         def counted(rows, lams):
-            batches.append((len(rows), bool(refining)))
-            return det(rows, lams)
+            batches.append(len(rows))
+            return phases(rows, lams)
         return counted
 
-    def marked_brent(*args):
-        refining.append(True)
-        return brent(*args)
-
-    monkeypatch.setattr(edge, "_detector", counted_detector)
-    monkeypatch.setattr(edge, "_brent", marked_brent)
+    monkeypatch.setattr(edge, "_level_phases", counted_level)
     cols = tracker.scan(ks)
-    scans = [n for n, refine in batches if not refine]
-    rows = sum(scans)
-    # every column's grid: nl uniform energies and two 24-step ladders
-    assert len(ks) * nl <= rows <= len(ks) * (nl + 48)
-    assert len(scans) == -(-rows // edge._SCAN_ROWS) < len(ks)
-    assert all(n == edge._SCAN_ROWS for n in scans[:-1])
-    assert refining and len(cols) == len(ks)
-    # refinement: 8 minimization steps and the multiplicity batch were
-    # measured (golden section took 35 steps, a midpoint and that batch)
-    assert len(batches) - len(scans) <= 12
+    seeds = len(ks) * len(edge._SEEDS)
+    full, rest = divmod(seeds, edge._SCAN_ROWS)
+    assert batches[:full + 1] == [edge._SCAN_ROWS] * full + [rest]
+    assert max(batches) <= edge._SCAN_ROWS
+    # the branch lam = (3 + 4k)/5 in every column
+    assert [len(col) for col in cols] == [1] * len(ks)
+    assert np.allclose([col[0][0] for col in cols], (3.0 + 4.0 * ks) / 5.0,
+                       rtol=0.0, atol=1e-8)
+    # midpoint rounds and regula falsi steps: 11 batches were measured
+    assert len(batches) - (full + 1) <= 16
 
 
-def _dips_by_loop(r):
-    cand = []
-    for i in range(len(r)):
-        left = r[i - 1] if i > 0 else np.inf
-        right = r[i + 1] if i + 1 < len(r) else np.inf
-        if r[i] < edge._DIP_FRACTION and r[i] <= left and r[i] <= right:
-            cand.append(i)
-    return cand
+def _with_shape(shape, d):
+    """A function of d = x - root with one sign change at d = 0: a line, a
+    cubic that flattens at the root, or a kink (two slopes, as the ordered
+    eigenphases have where two of them pass 0 together)."""
+    if shape == "line":
+        return 2.0 * d
+    if shape == "cubic":
+        return d ** 3 + 1e-3 * d
+    return np.where(d < 0.0, 0.1 * d, 3.0 * d)
 
 
-def test_dips_match_scan_loop():
-    rng = np.random.default_rng(3)
-    levels = np.array([0.0, 1e-9, 0.3, 0.59, 0.6, 0.61, 2.0, np.inf])
-    for n in (1, 2, 3, 7, 50):
-        for _ in range(40):
-            # few distinct values, so plateaus and ties are common
-            r = rng.choice(levels, size=n)
-            assert edge._dips(r).tolist() == _dips_by_loop(r)
-    r = rng.random(400)
-    assert edge._dips(r).tolist() == _dips_by_loop(r)
-
-
-def _minima(centres, steps, shape="parabola"):
-    """rel of columns with minima at centres: a parabola, a kink |x - c|, or
-    the kink with inf beyond c + 0.05, as where the basis fails."""
-    def rel(rows, xs):
-        steps.append(np.bincount(rows, minlength=len(centres)))
-        d = np.abs(xs - centres[rows])
-        if shape == "parabola":
-            return d ** 2
-        if shape == "wall":
-            return np.where(xs > centres[rows] + 0.05, np.inf, d)
-        return d
-    return rel
-
-
-# two columns of one batch, three brackets: column 1 has two, each holding
-# its centre, and a tolerance far below column 0's
-_CENTRES = np.array([0.3, -0.2])
+# three brackets in two columns: column 1 holds two, and its tolerance is far
+# below column 0's
+_ROOTS = np.array([0.3, -0.2, -0.42])
 _OWNER = np.array([0, 1, 1])
-_A = np.array([-1.0, -0.5, -0.4])
-_X = np.array([-0.4, -0.3, -0.25])
-_B = np.array([1.0, 0.5, 0.0])
+_X0 = np.array([-1.0, -0.3, -0.6])
+_X1 = np.array([1.0, 0.5, -0.3])
 _TOL = np.array([1e-3, 1e-10])
 
 
-def _brent_on(shape, rows, centres=_CENTRES, tol=_TOL, steps=None):
-    rel = _minima(centres, [] if steps is None else steps, shape)
-    owner = _OWNER[rows] if len(centres) > 1 else np.zeros(len(rows), int)
-    fx = rel(owner, _X[rows])
-    return edge._brent(rel, owner, _A[rows], _X[rows], fx, _B[rows], tol)
+def _illinois_on(shape, brackets, steps=None):
+    brackets = np.asarray(brackets)
+    roots, owner = _ROOTS[brackets], _OWNER[brackets]
+
+    def f(i, x):
+        if steps is not None:
+            steps.append(np.bincount(owner[i], minlength=len(_TOL)))
+        return _with_shape(shape, x - roots[i])
+
+    x0, x1 = _X0[brackets], _X1[brackets]
+    return edge._illinois(f, owner, x0, _with_shape(shape, x0 - roots), x1,
+                          _with_shape(shape, x1 - roots), _TOL)
 
 
-def test_brent_columns_stop_on_their_own_tolerance():
+def test_illinois_columns_stop_on_their_own_tolerance():
     # the columns converge after different numbers of steps; each ends where
     # refining it alone ends
     steps = []
-    x, v = _brent_on("parabola", [0, 1, 2], steps=steps)
-    running = (np.array(steps[1:]) > 0).sum(axis=0)
-    assert 0 < running[0] < running[1] < edge._BRENT_ITERS
+    x, v = _illinois_on("kink", [0, 1, 2], steps=steps)
+    running = (np.array(steps) > 0).sum(axis=0)
+    assert 0 < running[0] < running[1] < edge._ILLINOIS_ITERS
     for c in (0, 1):
         mine = np.nonzero(_OWNER == c)[0]
-        xc, vc = _brent_on("parabola", mine, _CENTRES[c:c + 1],
-                           _TOL[c:c + 1])
+        xc, vc = _illinois_on("kink", mine)
         assert np.array_equal(x[mine], xc) and np.array_equal(v[mine], vc)
 
 
-@pytest.mark.parametrize("shape", ["parabola", "kink", "wall"])
-def test_brent_brackets_match_alone_and_reach_their_tolerance(shape):
-    # the block refinement relies on each bracket's (x, value) not depending
-    # on the other brackets of its batch; inf rows must not warn (pytest
-    # turns warnings into errors)
+@pytest.mark.parametrize("shape", ["line", "cubic", "kink"])
+def test_illinois_brackets_match_alone_and_reach_their_tolerance(shape):
+    # the block refinement relies on each bracket's (x, |f|) not depending on
+    # the other brackets of its batch
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        x, v = _brent_on(shape, [0, 1, 2])
+        x, v = _illinois_on(shape, [0, 1, 2])
         for j in range(3):
-            xj, vj = _brent_on(shape, [j])
+            xj, vj = _illinois_on(shape, [j])
             assert xj[0] == x[j] and vj[0] == v[j]
-    assert np.all(np.abs(x - _CENTRES[_OWNER]) <= _TOL[_OWNER])
-    assert np.all(np.isfinite(v))
+    assert np.all(np.abs(x - _ROOTS) <= _TOL[_OWNER])
+    assert np.all(v == np.abs(_with_shape(shape, x - _ROOTS)))
+
+
+@pytest.mark.parametrize("case", ["laplacian robin K=1 xi=1", "dirac m=1 a=2"])
+def test_column_count_equals_the_analytic_count(case, lap_model, dirac_model):
+    # Robin: lam = k^2 - (1 + k)^2 = -1 - 2k wherever 1 + k > 0, under the
+    # window ceiling k^2; two-band family: lam = (3 + 4k)/5 for k < 4/3
+    if case.startswith("laplacian"):
+        model, gap = lap_model, GapWindow(-np.inf, 0.0)
+        bc = model.make_bc("robin", K=1.0, ell=1.0, M=1.0)
+        ks = np.linspace(-4.0, 4.0, 41)
+        exists, lam = ks > -1.0, -1.0 - 2.0 * ks
+    else:
+        model, gap = dirac_model, dirac_model.declared_gap
+        bc = model.make_bc("a", a=2.0)
+        ks = np.linspace(-3.0, 3.0, 31)
+        exists, lam = ks < 4.0 / 3.0, (3.0 + 4.0 * ks) / 5.0
+    T = model.triple()
+    cols = edge._columns(bc, T, model.fiber_family().stacks(ks),
+                         [model.scan_window(k, gap) for k in ks], 400)
+    assert [len(col) for col in cols] == exists.astype(int).tolist()
+    got = np.array([col[0][0] for col in cols if col])
+    assert np.all(np.abs(got - lam[exists]) <= 1e-8 * (1.0 + np.abs(got)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +554,10 @@ def test_tracker_finds_the_regdirac_state_near_minus_one():
     assert lam is not None and abs(lam + 1.0035587) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a bound band of "
-                   "regdirac m=+1, a=0 is lost and reported as a bulk merge")
 def test_track_bands_keeps_the_regdirac_band_near_minus_one():
-    # at table numerics the band through lam(0.125) = -1.00284 ends
-    # touches-bulk at k = 0.136 and a second band is born touches-bulk at
-    # k = 0.200, although the state is inside the gap in between
+    # at table numerics the band through lam(0.125) = -1.00284 stays in the
+    # gap from k = 0.13 to 0.21, where its state is bound: no bulk merge
+    # there
     model, bc, T = _regdirac_lost_band()
     bands = track_bands(bc, T, model, 12.0, k_resolution=481,
                         lam_resolution=320)

@@ -1,20 +1,17 @@
-"""The entry-wise deficiency-basis and detector kernel against its stacked
-form (`stacked_reference`), row by row.
+"""The entry-wise deficiency-basis and level-unitary kernel against its
+stacked form (`stacked_reference`), row by row.
 
 The bases (exponents, amplitudes, jets and reason codes) agree bit for bit.
-So do the detector's validity flags, and its singular values and scales
-for the one-dimensional triples.  For dimV = 2 the detector's M = P J and
-the Gram matrix of its singular values were stacked `@` products, whose
-inner loop accumulates complex products with fused multiply-adds; the
-entry-wise sums round each product, so those values agree to a few units
-of the last place of the products' size, a bound fixed below from the
-dtype.
+The level unitary's eigenphases come from entry-wise sums and a closed form
+for dimV <= 2, the stacked ones from `@` products, inverses and LAPACK's
+eigenvalues; both round differently, so the eigenvalues e^{i theta} agree
+to a few units of the last place, a bound fixed below from the dtype.
 """
 import numpy as np
 import pytest
 
 import stacked_reference as stacked
-from bec import edge
+from bec import extension
 from bec.extension import _basis_batch
 from bec.models import build_model
 from bec.symbol import find_gap
@@ -84,29 +81,22 @@ def test_bases_equal_the_stacked_kernel_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(CONDITIONS))
-def test_detector_equals_the_stacked_detector(name):
+def test_level_phases_equal_the_stacked_level_phases(name):
     model, T, bc, ks, zs = _rows(name, 22)
-    F = model.fiber_family(T.side).stacks(ks)
-    rows = np.arange(len(ks))
-    sv, scale, valid = edge._detector(bc, T, F)(rows, zs)
-    sv_ref, scale_ref, valid_ref = stacked._detector(bc, T, F)(rows, zs)
-    assert np.array_equal(valid, valid_ref)
-    assert 0 < np.sum(valid) < len(rows)
-    if T.dimV == 1:
-        assert np.array_equal(sv, sv_ref.T)
-        assert np.array_equal(scale, scale_ref)
-        return
-    # entries of M differ by the rounding of sums of W products of P
-    # entries and unit jets; the singular values add the rounding of their
-    # closed form, a few eps of sigma_max
-    A, B = bc.ab_batch(ks)
-    G1, G2 = T.traces(ks)
-    P = A @ G1 - B @ G2
-    W = P.shape[2]
-    bound = 8.0 * EPS * (W * np.abs(P).max(axis=(1, 2)) + scale_ref)
-    ok = valid_ref
-    assert np.all(np.abs(scale - scale_ref)[ok] <= bound[ok])
-    assert np.all(np.abs(sv - sv_ref.T)[:, ok] <= bound[ok])
+    real = zs.imag == 0.0
+    F = model.fiber_family(T.side).stacks(ks[real])
+    rows, lams = np.arange(np.sum(real)), zs[real].real
+    theta, code = extension._level_phases(bc, T, F)(rows, lams)
+    assert np.array_equal(code, stacked._full_jets_batch(T, F, lams)[1])
+    ok = code == 0
+    assert 0 < np.sum(ok) < len(rows)
+    want, _ = stacked._level_phases(bc, T, F[rows[ok]])(
+        np.arange(np.sum(ok)), lams[ok])
+    # the same eigenvalues on the unit circle: each within a few eps of one
+    # of the stacked ones, whatever their order
+    got, want = np.exp(1j * theta[:, ok]).T, np.exp(1j * want)
+    err = np.abs(got[:, :, None] - want[:, None, :]).min(axis=2)
+    assert np.all(err <= 16.0 * EPS)
 
 
 class _Constant:

@@ -10,6 +10,7 @@ expected values from the table's flows through SF(bc) - SF(dirichlet).
 import numpy as np
 import pytest
 
+from bec import edge
 from bec.cli import (
     DIRAC_NUMERICS,
     DIRAC_ROWS,
@@ -20,10 +21,11 @@ from bec.cli import (
     REGDIRAC_ROWS,
 )
 from bec.edge import relative_winding, spectral_flow, track_bands, winding
-from bec.extension import affiliation_check
+from bec.extension import _level_phases, affiliation_check
 from bec.models import build_model
+from bec.symbol import find_gap
 
-# ROADMAP item 2: the computed evidence settles at rate O(k^-2), so the
+# ROADMAP item 5: the computed evidence settles at rate O(k^-2), so the
 # check reports 'affiliated'; it is open whether the row or the check is wrong
 DISPUTED = {"K real, xi=0"}
 # the regularized Dirac reference condition (a is None) and the others
@@ -47,7 +49,7 @@ def test_laplace_row_winding(lap_model, label, K, xi, sf, wind):
 
 @pytest.mark.parametrize("label, K, xi, verdict", [
     pytest.param(*row, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: disputed affiliation row"))
+        strict=True, reason="ROADMAP item 5: disputed affiliation row"))
     if row[0] in DISPUTED else row
     for row in LAPLACE_AFFILIATION_ROWS], ids=_ids(LAPLACE_AFFILIATION_ROWS))
 def test_laplace_affiliation_row(lap_model, label, K, xi, verdict):
@@ -128,6 +130,39 @@ def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf,
     assert [(b.left.kind, b.right.kind) for b in bands] == ends
     assert all(np.isfinite([e.k, e.lam]).all()
                for b in bands for e in (b.left, b.right))
+
+
+@pytest.mark.parametrize("name, params, family, kw, numerics",
+                         [row[1:6] for row in _flow_rows()],
+                         ids=[row[0] for row in _flow_rows()])
+def test_tracked_columns_count_integers_with_monotone_phases(
+        name, params, family, kw, numerics):
+    # every grid column of the track: the steps of arg det V turn one way,
+    # and each step passes an integer number of eigenphases through 0, as
+    # many in all as the column has eigenvalues
+    model = build_model(name, **params)
+    T = model.triple("interface" if "m_minus" in params else "halfline")
+    bc = model.make_bc(family, **kw)
+    k_window, k_resolution, lam_resolution = numerics
+    gap = model.declared_gap or find_gap(model.symbol, model.gap_around,
+                                         k_window)
+    ks = np.linspace(-k_window, k_window, k_resolution)
+    windows = [model.scan_window(k, gap) for k in ks]
+    F = model.fiber_family(T.side).stacks(ks)
+    lo, hi = np.array(windows).T
+    col, _, theta, steps, inner = edge._level_samples(
+        _level_phases(bc, T, F), ks, lo, hi, lam_resolution, T.dimV)
+    owner = col[:-1][inner]
+    steps = steps[inner]
+    assert not np.any(np.bincount(owner[steps > 0.0], minlength=len(ks))
+                      * np.bincount(owner[steps < 0.0], minlength=len(ks)))
+    wrapped = np.diff(np.mod(theta, 2.0 * np.pi).sum(axis=0))[inner]
+    count = (steps - wrapped) / (2.0 * np.pi)
+    assert np.max(np.abs(count - np.round(count))) <= 1e-12
+    per_column = np.bincount(owner, weights=np.abs(np.round(count)),
+                             minlength=len(ks))
+    found = edge._columns(bc, T, F, windows, lam_resolution)
+    assert per_column.tolist() == [len(c) for c in found]
 
 
 def _table_conditions():
