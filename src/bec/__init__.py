@@ -1,9 +1,10 @@
 """Bulk, edge, and interface topological invariants of two-dimensional
 translation-invariant continuum Hamiltonians.
 
-The package computes Chern pairings of bulk symbols, tracks edge dispersion
-bands of half-plane and interface extensions defined through boundary
-triples, counts spectral flow, and evaluates windings of von Neumann
+The package computes Chern pairings of bulk symbols, counts the spectral
+flow of half-plane and interface extensions defined through boundary
+triples as the Maslov index of a level unitary along the momentum line,
+tracks their edge dispersion bands, and evaluates windings of von Neumann
 unitaries, so that the corrected correspondence
 
     spectral flow == bulk pairing + relative winding
@@ -18,6 +19,7 @@ from .edge import (
     FlowResult,
     dispersion_csv,
     edge_eigenvalues,
+    level_flow,
     relative_winding,
     spectral_flow,
     track_bands,

@@ -9,16 +9,15 @@ Commands and the flags each one reads (every command also takes --out):
     bec edge spectrum   track edge dispersion bands; CSV and optional SVG
                         --model --param --bc --side --level --k-window
                         --k-resolution --lam-resolution --plot
-    bec edge flow       signed crossing count through the fiducial level
+    bec edge flow       spectral flow through the fiducial level: the
+                        Maslov index of the level unitary, with crossings
                         --model --param --bc --side --level --k-window
-                        --k-resolution --lam-resolution
     bec winding         (relative) winding of the von Neumann unitary
                         --model --param --bc --bc-ref --ref-param --side
                         --k-window
     bec verify          corrected bulk-edge correspondence check
                         --model --param --bc --bc-ref --ref-param --side
-                        --level --tol --k-window --k-resolution
-                        --lam-resolution
+                        --level --tol --k-window
     bec tables          recompute the three summary tables and diff them
                         laplacian|dirac|regdirac
 
@@ -53,7 +52,7 @@ import warnings
 import numpy as np
 
 from . import modelfile
-from .edge import dispersion_csv, relative_winding, spectral_flow, \
+from .edge import dispersion_csv, level_flow, relative_winding, \
     track_bands, winding
 from .errors import BecError, DomainError, InsufficientResolutionError, \
     LostBandError, ModelFileError, NoGapError, NumericalFailure
@@ -307,13 +306,6 @@ def _affiliation_banner(ctx, rep, bc, label):
     return verdict
 
 
-def _tracked(ctx, bc):
-    return track_bands(bc, ctx.triple(), ctx.model, ctx.numerics["k_window"],
-                       gap=ctx.task["gap"],
-                       k_resolution=ctx.numerics["k_resolution"],
-                       lam_resolution=ctx.numerics["lam_resolution"])
-
-
 def cmd_edge_spectrum(args):
     ctx = _build_context(args)
     rep = _base_report(ctx, "edge spectrum")
@@ -323,7 +315,10 @@ def cmd_edge_spectrum(args):
     if verdict.verdict != "affiliated":
         rep.add_line("WARN: condition is not certified affiliated; spectrum "
                      "is still drawn but invariants may be undefined")
-    bands = _tracked(ctx, ctx.bc)
+    bands = track_bands(ctx.bc, ctx.triple(), ctx.model,
+                        ctx.numerics["k_window"], gap=ctx.task["gap"],
+                        k_resolution=ctx.numerics["k_resolution"],
+                        lam_resolution=ctx.numerics["lam_resolution"])
     for i, band in enumerate(bands):
         rep.add_line("band %d: %d samples, k in [%.6g, %.6g], left %s, "
                      "right %s%s"
@@ -348,21 +343,26 @@ def cmd_edge_spectrum(args):
     return 0
 
 
-def _flow_of(ctx, bc):
-    return spectral_flow(_tracked(ctx, bc), level=ctx.task["level"])
+def _flow_of(ctx, bc, rep, name):
+    """The spectral flow of bc through the task level, reported as name
+    with its rounding residual, plus its end margins: per side the end
+    eigenphase of smallest magnitude and its shrink factor per decade."""
+    flow = level_flow(bc, ctx.triple(), ctx.fibers(), ctx.task["level"],
+                      k_window=ctx.numerics["k_window"])
+    rep.add_value(name, flow.value, flow.resid)
+    rep.add_line("%s end phases: %s" % (name, ", ".join(
+        "k -> %sinf %+.2e (shrink %.3g per decade)" % (side, phi, shrink)
+        for side, (phi, shrink) in zip("-+", flow.ends))))
+    return flow
 
 
 def cmd_edge_flow(args):
     ctx = _build_context(args)
     rep = _base_report(ctx, "edge spectral flow")
     _affiliation_banner(ctx, rep, ctx.bc, str(ctx.bc))
-    flow = _flow_of(ctx, ctx.bc)
-    rep.add_value("SF", flow.value)
+    flow = _flow_of(ctx, ctx.bc, rep, "SF")
     for k_star, sign in flow.crossings:
         rep.add_line("crossing: k = %.6g, sign = %+d" % (k_star, sign))
-    if flow.flagged:
-        rep.add_line("FLAGGED: tangency or level-flat band; the count may "
-                     "be unreliable")
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0
 
@@ -427,12 +427,10 @@ def cmd_verify(args):
         _write_or_print(rep.render() + "\n", getattr(args, "out", None))
         return 2
 
-    flow1 = _flow_of(ctx, ctx.bc)
-    flow2 = _flow_of(ctx, ref)
+    flow1 = _flow_of(ctx, ctx.bc, rep, "SF(bc)")
+    flow2 = _flow_of(ctx, ref, rep, "SF(ref)")
     wind, resid = relative_winding(ctx.bc, ref, ctx.triple(), ctx.fibers(),
                                    k_window=ctx.numerics["k_window"])
-    rep.add_value("SF(bc)", flow1.value)
-    rep.add_value("SF(ref)", flow2.value)
     rep.add_value("relative winding", wind, resid)
     ok = (flow1.value - flow2.value) == wind
     rep.add_line("identity SF(bc) - SF(ref) == relative winding: %s"
@@ -448,9 +446,6 @@ def cmd_verify(args):
                         "VIOLATED (%+d vs %+d)"
                         % (flow1.value, sigma_b + wind)))
         ok = ok and ok_bulk
-    if flow1.flagged or flow2.flagged:
-        rep.add_line("FLAGGED crossings were present; counts may be "
-                     "unreliable")
     rep.set_status("PASS" if ok else "FAIL")
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0 if ok else 1
@@ -499,18 +494,19 @@ REGDIRAC_ROWS = (
 )
 REGDIRAC_BULK = (-1, 0)
 
-# (k_window, k_resolution, lam_resolution) of each table's tracking; the
-# windings use the same k_window
+# (k_window, k_resolution, lam_resolution) of each table: the counts and
+# the windings take the k_window; the tracked cross-check of the counts,
+# track_bands + spectral_flow, takes all three
 LAPLACE_NUMERICS = (8.0, 481, 320)
 DIRAC_NUMERICS = (6.0, 481, 240)
 REGDIRAC_NUMERICS = (12.0, 481, 320)
 
 
-def _table_flow(bc, T, model, numerics):
-    k_window, k_resolution, lam_resolution = numerics
-    bands = track_bands(bc, T, model, k_window, k_resolution=k_resolution,
-                        lam_resolution=lam_resolution)
-    return spectral_flow(bands, level=0.0).value
+def _table_flow(bc, T, model, k_window):
+    """The spectral flow of a table row, counted at the model's fiducial
+    level (the Laplacian's lies inside its gap, below the bulk edge 0)."""
+    return level_flow(bc, T, model.fiber_family(T.side), model.fiducial_E,
+                      k_window=k_window).value
 
 
 def _table_laplacian(rep):
@@ -520,7 +516,7 @@ def _table_laplacian(rep):
     mism = 0
     for label, K, xi, sf_exp, wind_exp in LAPLACE_ROWS:
         bc = model.make_bc("robin", K=K, ell=xi, M=1.0)
-        sf = _table_flow(bc, T, model, LAPLACE_NUMERICS)
+        sf = _table_flow(bc, T, model, LAPLACE_NUMERICS[0])
         wind = winding(bc, T, fam, k_window=LAPLACE_NUMERICS[0])[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
         mism += 0 if ok else 1
@@ -546,7 +542,7 @@ def _table_dirac(rep):
         fam = model.fiber_family()
         bc = model.make_bc("a", a=a)
         ref = model.make_bc("a", a=1.0)
-        sf = _table_flow(bc, T, model, DIRAC_NUMERICS)
+        sf = _table_flow(bc, T, model, DIRAC_NUMERICS[0])
         wind = relative_winding(bc, ref, T, fam,
                                 k_window=DIRAC_NUMERICS[0])[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
@@ -568,7 +564,7 @@ def _table_regdirac(rep):
             bc = model.make_bc("dirichlet") if a is None else \
                 model.make_bc("a", a=a)
             flows[(label, mi)] = _table_flow(bc, T, model,
-                                             REGDIRAC_NUMERICS)
+                                             REGDIRAC_NUMERICS[0])
     for label, _a, sf_m_neg, sf_m_pos in REGDIRAC_ROWS:
         got = (flows[(label, 0)], flows[(label, 1)])
         ok = got == (sf_m_neg, sf_m_pos)
@@ -627,7 +623,10 @@ _OPTIONS = {
     "--level": dict(type=float, help="fiducial energy"),
     "--tol": dict(type=float, help="quadrature tolerance"),
     "--k-window": dict(type=float,
-                       help="half width of the tracked momentum range"),
+                       help="half width of the momentum range that edge "
+                            "spectrum tracks and bulk searches for a gap; "
+                            "it only seeds the sampling of the spectral "
+                            "flow and the windings"),
     "--k-resolution": dict(type=int),
     "--lam-resolution": dict(type=int,
                              help="cap on energy samples per column"),
@@ -647,13 +646,12 @@ _COMMANDS = (
      "--model --param --bc --side --level --k-window --k-resolution "
      "--lam-resolution --out --plot"),
     ("edge flow", "spectral flow through the level", cmd_edge_flow,
-     "--model --param --bc --side --level --k-window --k-resolution "
-     "--lam-resolution --out"),
+     "--model --param --bc --side --level --k-window --out"),
     ("winding", "winding of the von Neumann unitary", cmd_winding,
      "--model --param --bc --bc-ref --ref-param --side --k-window --out"),
     ("verify", "corrected correspondence check", cmd_verify,
      "--model --param --bc --bc-ref --ref-param --side --level --tol "
-     "--k-window --k-resolution --lam-resolution --out"),
+     "--k-window --out"),
     ("tables", "recompute the summary tables", cmd_tables, "which --out"),
 )
 

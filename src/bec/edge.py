@@ -1,7 +1,7 @@
 """Edge spectrum, dispersion-band tracking, spectral flow, and windings of
 von Neumann unitaries.
 
-Edge eigenvalues are counted with the level unitary
+Edge eigenvalues and spectral flow are both counted with the level unitary
 
     V(k, E) = U_bc^dag U_E,   U_E = (X - iY)(X + iY)^{-1},
 
@@ -20,10 +20,18 @@ Illinois regula falsi.  A band track computes its grid columns a block at
 a time into a list that it steps through, passing each column on as a
 value: all columns of a block share the fixed-size batches of the level
 unitary, and each refinement step is one batch over the running brackets
-of all of them.  Windings are computed from the phase of det U along a
-compactified momentum line, sampled as a ratio of determinants of the
-condition matrices W(+-i) = A - B Q(+-i) (`extension._unitary_dets`),
-from one jet batch at z = i and Q(-i) = Q(i)^dag, without forming U.
+of all of them.
+
+The spectral flow through a level is the Maslov index of V(k, level) along
+the compactified momentum line (Robbin and Salamon, Topology 32 (1993)):
+the signed count of eigenphases through 0, read from the phase of det V
+with the same sampler and unwinding as the windings, plus the end
+eigenphases at |k| = K_LIMIT (`level_flow`); no band is followed.  Band
+tracking serves the dispersion output and `spectral_flow(bands)`, its
+cross-check.  Windings are computed from the phase of det U along the same
+line, sampled as a ratio of determinants of the condition matrices
+W(+-i) = A - B Q(+-i) (`extension._unitary_dets`), from one jet batch at
+z = i and Q(-i) = Q(i)^dag, without forming U.
 
 Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
 its own momenta: a band track's columns are the rows of
@@ -46,6 +54,7 @@ from .errors import (
 from .extension import (
     _ab_on,
     _check_admissible,
+    _check_codes,
     _level_phases,
     _side_bases,
     _unitary_dets,
@@ -616,21 +625,22 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
 
 
 class FlowResult:
-    """Signed count of dispersion-branch crossings through a fiducial level.
+    """Signed count of edge-band crossings through a level.
 
-    crossings: list of (k, sign); flagged marks tangencies or flat bands
-    sitting at the level, where the count is unreliable.
+    crossings: list of (k, sign).  The count of `level_flow` also carries
+    its rounding residual, and ends: per side (-, +), the end eigenphase of
+    smallest magnitude at K_LIMIT and its shrink factor per decade.
     """
 
-    def __init__(self, value, crossings, flagged):
+    def __init__(self, value, crossings, resid=None, ends=None):
         self.value = int(value)
         self.crossings = list(crossings)
-        self.flagged = bool(flagged)
+        self.resid = resid
+        self.ends = ends
 
     def __repr__(self):
-        tag = " FLAGGED" if self.flagged else ""
-        return "FlowResult(%+d, %d crossings%s)" % (self.value,
-                                                    len(self.crossings), tag)
+        return "FlowResult(%+d, %d crossings)" % (self.value,
+                                                  len(self.crossings))
 
 
 # a crossing slope below this, relative to 1 + |level|, is a tangency
@@ -638,16 +648,17 @@ _TANGENCY_TOL = 1e-7
 
 
 def spectral_flow(bands, level=0.0):
-    """Up-crossings minus down-crossings of the bands through the level.
+    """Up-crossings minus down-crossings of the tracked bands through the
+    level: the cross-check of `level_flow`.
 
     A band that leaves the k window while still moving toward the level
     raises InsufficientResolutionError, since the count may miss a crossing
-    outside the window.  A band's 'touches-bulk' ends count as samples of
-    it: the band is born or dies there, and a crossing between such an end
-    and a grid sample that sits on the level up to rounding then counts
-    whatever the sign of that rounding."""
+    outside the window.  Tangencies and flat bands at the level are not
+    counted.  A band's 'touches-bulk' ends count as samples of it: the band
+    is born or dies there, and a crossing between such an end and a grid
+    sample that sits on the level up to rounding then counts whatever the
+    sign of that rounding."""
     crossings = []
-    flagged = False
     for band in bands:
         ks, lams = band.ks, band.lams
         if band.left is not None and band.left.kind == "touches-bulk":
@@ -659,7 +670,6 @@ def spectral_flow(bands, level=0.0):
         lam = lams - level
         scale = 1.0 + abs(level)
         if band.flat and np.max(np.abs(lam)) < 1e-7 * scale:
-            flagged = True
             continue
         for end, i, inner in ((band.left, 0, 1), (band.right, -1, -2)):
             # leaving the window still moving toward the level, the band
@@ -673,15 +683,12 @@ def spectral_flow(bands, level=0.0):
         for i in range(len(lam) - 1):
             a, b = lam[i], lam[i + 1]
             if a == 0.0:
-                if i == 0:
-                    flagged = True
                 continue
             if a * b < 0.0 or (b == 0.0 and i + 1 == len(lam) - 1):
                 dk = ks[i + 1] - ks[i]
                 slope = (b - a) / dk if dk != 0.0 else 0.0
                 k_star = ks[i] - a / slope if slope != 0.0 else ks[i]
                 if abs(slope) < _TANGENCY_TOL * scale:
-                    flagged = True
                     continue
                 crossings.append((float(k_star), int(np.sign(slope))))
             elif b == 0.0 and i + 2 < len(lam):
@@ -690,15 +697,12 @@ def spectral_flow(bands, level=0.0):
                     dk = ks[i + 2] - ks[i]
                     slope = (c - a) / dk if dk != 0.0 else 0.0
                     if abs(slope) < _TANGENCY_TOL * scale:
-                        flagged = True
                         continue
                     crossings.append((float(ks[i + 1]),
                                       int(np.sign(slope))))
-                else:
-                    flagged = True
     crossings.sort()
     value = sum(s for _, s in crossings)
-    return FlowResult(value, crossings, flagged)
+    return FlowResult(value, crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +799,133 @@ def relative_winding(bc1, bc2, T, fiber_family, k_window=20.0):
     """Calibrated winding of the relative unitary U1 U2^{-1}; with the
     shipped calibration this equals SF(bc1) - SF(bc2) for affiliated pairs."""
     return winding(bc1, T, fiber_family, k_window=k_window, bc_ref=bc2)
+
+
+# ---------------------------------------------------------------------------
+# spectral flow as the Maslov index of the level unitary
+
+
+# the |k| of the end certificate, ending at K_LIMIT, and the eigenphase
+# bound below which an end eigenphase must keep its sign and shrink along
+# them.  Smallest end phases measured on 1e2, 1e3, 1e4: Laplacian |xi| = 1
+# -1.97e-4, -2.00e-6, -2.00e-8; regdirac 2e-1, 2e-2, 2e-3; Dirac and the
+# interface none below 0.9 rad.
+_END_LADDER = (1e2, 1e3, K_LIMIT)
+_END_PHASE = 0.1
+
+
+def _phases_at(bc, T, fiber_family, ks, level):
+    """Eigenphases (dimV, n) of the level unitary V(k, level) at the momenta
+    ks; a failing basis raises its typed error, naming the momenta."""
+    ks = np.asarray(ks, dtype=float)
+    phases = _level_phases(bc, T, fiber_family.stacks(ks))
+    th, code = _batched(phases, np.arange(len(ks)),
+                        np.full(len(ks), float(level)))
+    _check_codes(code, ks)
+    return th
+
+
+def _end_margins(bc, T, fiber_family, level):
+    """Certify the ends of the count: at k = -+K_LIMIT every eigenphase of
+    V within _END_PHASE of 0 must keep its sign and shrink along
+    _END_LADDER, and must not be 0; otherwise NumericalFailure, since a band
+    that tends to the level as |k| -> infinity (a boundary-induced band)
+    would make the count depend on the end.  V is algebraic in k, so its
+    phases have finitely many zeros, and the ladder pins the leading term.
+
+    The eigenphases are matched across the ladder by rank, ascending in
+    (-pi, pi].  Returns per side (-, +) the end eigenphase of smallest
+    magnitude and its shrink factor per decade along the ladder."""
+    ladder = np.array(_END_LADDER)
+    decades = np.log10(ladder[-1] / ladder[0])
+    out = []
+    for side in (-1.0, 1.0):
+        runs = np.sort(_phases_at(bc, T, fiber_family, side * ladder, level),
+                       axis=0)
+        margins = []
+        for run in runs:
+            phi = run[-1]
+            if abs(phi) < _END_PHASE and not (
+                    phi != 0.0 and np.all(np.sign(run) == np.sign(phi))
+                    and np.all(np.diff(np.abs(run)) < 0.0)):
+                raise NumericalFailure(
+                    "an eigenphase of the level unitary tends to 0 as "
+                    "k -> %s (%s on |k| = %s): a band may approach the "
+                    "level %g" % ("-inf" if side < 0 else "+inf",
+                                  ", ".join("%.3g" % v for v in run),
+                                  ", ".join("%g" % k for k in ladder),
+                                  level))
+            shrink = (abs(run[0]) / abs(phi)) ** (1.0 / decades) \
+                if phi != 0.0 else np.inf
+            margins.append((float(phi), float(shrink)))
+        out.append(min(margins, key=lambda m: abs(m[0])))
+    return out
+
+
+def level_flow(bc, T, fiber_family, level=0.0, k_window=20.0):
+    """Spectral flow of the edge bands of bc through the level: the Maslov
+    index of the level unitary V(k, level) along the momentum line.
+
+    det V = exp(i sum theta) is sampled by `_det_curve`, as det U is for the
+    windings, and SF = `unwind_phase`(det V) + (sum [phi_j(-K_LIMIT)]
+    - sum [phi_j(+K_LIMIT)]) / 2 pi, with the end eigenphases phi_j taken
+    in [0, 2 pi) and certified by `_end_margins`.  k_window only seeds the
+    sampling.  Any failing basis sample raises its typed error; a count
+    whose rounding residual exceeds _COUNT_TOL raises NumericalFailure.
+
+    A step of the sampling passes c = (d arg det V - sum [theta_b]
+    + sum [theta_a]) / 2 pi eigenphases through 0; in a step with c != 0
+    each eigenphase that passes 0 in the frame of `_cut_frame` is refined
+    by `_illinois` in s = (2/pi) atan k, and gives one crossing of sign c.
+    Returns a FlowResult with the crossings, the residual and the end
+    margins."""
+    ends = _end_margins(bc, T, fiber_family, level)
+    sampled = []
+
+    def detfun(ks):
+        th = _phases_at(bc, T, fiber_family, ks, level)
+        sampled.append((ks, th))
+        return np.exp(1j * th.sum(axis=0))
+
+    s, vals = _det_curve(detfun, k_window)
+    ks = np.concatenate([k for k, _ in sampled])
+    theta = np.concatenate([th for _, th in sampled], axis=1)
+    theta = theta[:, np.argsort(ks)]
+    wrapped = np.mod(theta, 2.0 * np.pi).sum(axis=0)
+    total = unwind_phase(vals) + (wrapped[0] - wrapped[-1]) / (2.0 * np.pi)
+    value = int(np.round(total))
+    resid = float(abs(total - value))
+    if resid > _COUNT_TOL:
+        raise NumericalFailure(
+            "spectral flow %.6f through the level %g is not an integer"
+            % (total, level))
+
+    count = np.round((np.angle(vals[1:] / vals[:-1]) - np.diff(wrapped))
+                     / (2.0 * np.pi))
+    b = np.nonzero(count)[0]
+    gamma = _cut_frame(theta[:, b])
+    fa, fb = _in_frame(theta[:, b], gamma), _in_frame(theta[:, b + 1], gamma)
+    # a phase that lands on 0 at a sample, up to rounding, passes in the
+    # step that the count gives it, whichever side of 0 it rounds to
+    passing = np.sign(fa) != np.sign(fb)
+    wrong = passing.sum(axis=0) != np.abs(count[b])
+    if np.any(wrong):
+        raise NumericalFailure(
+            "spectral flow count near k=%g does not match its eigenphases"
+            % np.tan(0.5 * np.pi * s[b[np.argmax(wrong)]]))
+    r, j = np.nonzero(passing.T)
+
+    def f(i, x):
+        th = _phases_at(bc, T, fiber_family, np.tan(0.5 * np.pi * x), level)
+        return _in_frame(th, gamma[r[i]])[j[i], np.arange(len(i))]
+
+    # as `_columns`: 1e-9 of the magnitude of the window of s
+    tol = np.array([1e-9 * (1.0 + np.abs(s).max())])
+    roots, _ = _illinois(f, np.zeros(len(r), dtype=int), s[b[r]], fa[j, r],
+                         s[b[r] + 1], fb[j, r], tol)
+    crossings = sorted((float(np.tan(0.5 * np.pi * x)), int(np.sign(c)))
+                       for x, c in zip(roots, count[b[r]]))
+    return FlowResult(value, crossings, resid, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def laplacian():
         bc_families={"robin": robin, "dirichlet": dirichlet,
                      "neumann": neumann},
         reference_bc={"halfline": dirichlet()},
-        fiducial_E=0.0, gap_around=-1.0,
+        fiducial_E=-1.0, gap_around=-1.0,
         scan_window=window)
 
 

@@ -143,10 +143,9 @@ def test_laplacian_has_no_klm_family():
 def test_edge_flow_two_band():
     code, out, err = run_cli(["edge", "flow", "--model", "dirac",
                               "--param", "m=1,a=2", "--bc", "a",
-                              "--k-window", "3", "--k-resolution", "161",
-                              "--lam-resolution", "160"])
+                              "--k-window", "3"])
     assert code == 0, err
-    assert "SF = +1" in out
+    assert "SF = +1 (resid" in out
     assert "crossing: k = -0.75" in out
     assert "affiliated" in out
 
@@ -189,8 +188,7 @@ def test_edge_spectrum_warns_when_not_affiliated(tmp_path):
 def test_verify_passes_for_affiliated_robin():
     code, out, err = run_cli(["verify", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--k-window", "8", "--k-resolution", "241",
-                              "--lam-resolution", "200"])
+                              "--k-window", "8"])
     assert code == 0, err
     assert "SF(bc) = -1" in out
     assert "relative winding = -1" in out
@@ -203,8 +201,7 @@ def test_verify_reports_non_integer_chern_warning():
     # the Chern warning of the bulk term lands in the report, not nowhere
     code, out, err = run_cli(["verify", "--model", "dirac",
                               "--param", "m=1,a=2", "--bc", "a",
-                              "--k-window", "8", "--k-resolution", "241",
-                              "--lam-resolution", "200", "--tol", "1e-4"])
+                              "--k-window", "8", "--tol", "1e-4"])
     assert code == 0, err
     assert "[non-integer; bulk identity skipped]" in out
     assert "WARN: Chern pairing 0.500042 is not close to an integer" in out
@@ -223,19 +220,50 @@ def test_verify_skips_unaffiliated_condition():
     (["verify"], ["--tol", "1e-3"]),
     (["edge", "flow"], []),
 ])
-def test_band_leaving_the_window_toward_the_level_exits_3(command, flags):
-    # regdirac m = -1, a = 2: at k_window 4 a band leaves the window at
-    # k = -4 with lam = -2.21, outside the bulk gap (-1, 1) but still rising
-    # toward the level; its crossing lies at k = -5.81.  Counting only the
-    # window used to report SF(bc) = -1 and a violated identity.
-    code, out, err = run_cli(command + [
-        "--model", "regdirac", "--param", "m=-1,eps=0.1", "--bc", "a",
-        "--param", "a=2", "--k-window", "4", "--k-resolution", "161",
-        "--lam-resolution", "200"] + flags)
-    assert code == 3
-    assert "VIOLATED" not in out
-    assert err.startswith("numerical failure: a band leaves the k window at "
-                          "k=-4, lam=-2.21")
+def test_crossing_beyond_the_k_window_is_counted_at_any_window(command,
+                                                               flags):
+    # regdirac m = -1, a = 2: a band crosses the level at k = -5.81, beyond
+    # a k window of 4, and again at k = 1.47.  The count runs over the whole
+    # momentum line, so SF(bc) is the table's -2 = -1 (bulk) + -1 (relative
+    # winding to dirichlet) whatever the window.
+    for k_window in ("4", "12"):
+        code, out, err = run_cli(command + [
+            "--model", "regdirac", "--param", "m=-1,eps=0.1", "--bc", "a",
+            "--param", "a=2", "--k-window", k_window] + flags)
+        assert code == 0, err
+        if command == ["verify"]:
+            assert "SF(bc) = -2 (resid" in out
+            assert "identity SF(bc) - SF(ref) == relative winding: holds" \
+                in out
+            assert "identity SF(bc) == bulk + relative winding: holds" in out
+        else:
+            assert "SF = -2 (resid" in out
+            assert "crossing: k = -5.80971, sign = -1" in out
+            assert "crossing: k = 1.46544, sign = -1" in out
+
+
+def test_level_on_the_bulk_edge_exits_2_naming_the_momentum():
+    # the Laplacian's bulk spectrum starts at 0, reached at k = 0: the
+    # decaying basis fails there and the count never skips a sample
+    code, out, err = run_cli(["edge", "flow", "--model", "laplacian",
+                              "--bc", "robin", "--param", "K=1,ell=2,M=1",
+                              "--level", "0"])
+    assert code == 2
+    assert err.startswith("error: deficiency basis failed (a decay exponent "
+                          "sits on the imaginary axis) at k=[0.]")
+    assert out == ""
+
+
+def test_flow_reports_its_residual_and_end_margins():
+    # regdirac end eigenphases tend to 0 like 1/|k|: a shrink of 10 per
+    # decade, from opposite sides on the two ends
+    code, out, err = run_cli(["edge", "flow", "--model", "regdirac",
+                              "--param", "m=-1,eps=0.1", "--bc", "a",
+                              "--param", "a=2"])
+    assert code == 0, err
+    line, = [x for x in out.splitlines() if x.startswith("SF end phases: ")]
+    assert line == ("SF end phases: k -> -inf +1.00e-03 (shrink 9.92 per "
+                    "decade), k -> +inf -2.00e-03 (shrink 9.95 per decade)")
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +353,10 @@ def _subparser(words):
                                    "--tol"]),
     (["edge", "spectrum"], COMMON + BC + GRID + ["--level", "--k-window",
                                                  "--plot"]),
-    (["edge", "flow"], COMMON + BC + GRID + ["--level", "--k-window"]),
+    (["edge", "flow"], COMMON + BC + ["--level", "--k-window"]),
     (["winding"], COMMON + BC + ["--bc-ref", "--ref-param", "--k-window"]),
-    (["verify"], COMMON + BC + GRID + ["--bc-ref", "--ref-param", "--level",
-                                       "--tol", "--k-window"]),
+    (["verify"], COMMON + BC + ["--bc-ref", "--ref-param", "--level",
+                                "--tol", "--k-window"]),
     (["tables"], ["which", "--out"]),
 ], ids=["bulk", "relative-chern", "edge-spectrum", "edge-flow", "winding",
         "verify", "tables"])
@@ -347,8 +375,13 @@ def test_each_command_takes_the_flags_it_reads(words, options):
     ["bulk", "--model", "laplacian", "--k-resolution", "11"],
     ["relative-chern", "--model", "dirac", "--param", "m=1", "--model2",
      "dirac", "--param2", "m=-1", "--k-window", "3"],
-], ids=["winding-tol", "winding-level", "edge-flow-bc-ref",
-        "bulk-k-resolution", "relative-chern-k-window"])
+] + [words + DIRAC_A2_FLAGS + [flag, "161"] for words in (["edge", "flow"],
+                                                          ["verify"])
+     for flag in GRID],
+    ids=["winding-tol", "winding-level", "edge-flow-bc-ref",
+         "bulk-k-resolution", "relative-chern-k-window",
+         "edge-flow-k-resolution", "edge-flow-lam-resolution",
+         "verify-k-resolution", "verify-lam-resolution"])
 def test_flags_a_command_does_not_read_exit_2(argv):
     code, out, err = run_cli(argv)
     assert code == 2
@@ -529,7 +562,10 @@ def test_rejected_value_exits_2_naming_the_key(tmp_path, key, argv, text):
         path = tmp_path / "bad.model"
         path.write_text(text)
         argv = ["--model", str(path)] + argv
-    code, out, err = run_cli(["verify"] + argv)
+    # the resolutions are read by edge spectrum only
+    command = ["edge", "spectrum"] if key.endswith("resolution") \
+        else ["verify"]
+    code, out, err = run_cli(command + argv)
     assert code == 2
     assert err.startswith("error: ") and "%s = " % key in err
     assert out == ""

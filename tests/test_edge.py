@@ -22,6 +22,7 @@ from bec.edge import (
     DispersionBand,
     dispersion_csv,
     edge_eigenvalues,
+    level_flow,
     relative_winding,
     spectral_flow,
     track_bands,
@@ -29,10 +30,12 @@ from bec.edge import (
     winding,
 )
 from bec.errors import (
+    BoundaryOfRegularityError,
     ContractViolation,
     InsufficientResolutionError,
     LostBandError,
     NotComparableError,
+    NumericalFailure,
 )
 from bec.models import build_model
 from bec.symbol import GapWindow, find_gap
@@ -388,8 +391,7 @@ def test_spectral_flow_up_and_down_crossings():
     assert spectral_flow([down]).value == -1
     both = spectral_flow([up, down])
     assert both.value == 0
-    assert len(both.crossings) == 2
-    assert not both.flagged
+    assert sorted(sign for _, sign in both.crossings) == [-1, 1]
 
 
 def test_spectral_flow_crossing_location_and_sign():
@@ -403,7 +405,7 @@ def test_spectral_flow_crossing_location_and_sign():
 def test_spectral_flow_exact_sample_on_level():
     ks = np.linspace(-1.0, 1.0, 5)  # middle sample exactly at zero
     flow = spectral_flow([_band(ks, ks)])
-    assert flow.value == 1 and not flow.flagged
+    assert flow.value == 1 and len(flow.crossings) == 1
     assert flow.crossings[0][0] == 0.0
 
 
@@ -411,14 +413,14 @@ def test_spectral_flow_tangency_is_flagged_not_counted():
     ks = np.linspace(-1.0, 1.0, 5)
     flow = spectral_flow([_band(ks, ks * ks)])
     assert flow.value == 0
-    assert flow.flagged
+    assert flow.crossings == []
 
 
 def test_spectral_flow_flat_band_at_level_is_flagged():
     ks = np.linspace(-1.0, 1.0, 5)
     flow = spectral_flow([_band(ks, np.zeros(5), flat=True)])
     assert flow.value == 0
-    assert flow.flagged
+    assert flow.crossings == []
 
 
 def test_spectral_flow_nonzero_level():
@@ -450,6 +452,61 @@ def test_spectral_flow_rejects_a_band_leaving_the_window_toward_the_level():
     # the right end, at a nonzero level
     with pytest.raises(InsufficientResolutionError, match=r"k=1, lam=0\.5"):
         spectral_flow([_windowed(_band(ks, 1.0 - 0.5 * ks))], level=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# spectral flow as the Maslov index of the level unitary
+
+
+def _one_phase_family(monkeypatch, phase):
+    """Replace the level unitary by the one-phase family theta = phase(k)."""
+    def phases_of(bc, T, F):
+        def phases(rows, lams):
+            return phase(F.ks[rows])[None, :], np.zeros(len(rows), dtype=int)
+        return phases
+    monkeypatch.setattr(edge, "_level_phases", phases_of)
+
+
+def test_level_flow_counts_a_phase_through_0_against_its_ends(monkeypatch,
+                                                             lap_model):
+    # theta = -k / (1 + k^2) falls through 0 at k = 0 and tends to 0 from
+    # above at -inf and from below at +inf: det V does not wind, and the
+    # crossing is the end term's [theta(-inf)] - [theta(+inf)] = -2 pi
+    _one_phase_family(monkeypatch, lambda k: -k / (1.0 + k * k))
+    flow = level_flow(None, lap_model.triple(), lap_model.fiber_family(),
+                      0.0, 8.0)
+    assert flow.value == -1 and flow.resid <= 1e-12
+    (k_star, sign), = flow.crossings
+    assert abs(k_star) < 1e-9 and sign == -1
+    (phi_minus, shrink_minus), (phi_plus, shrink_plus) = flow.ends
+    assert phi_minus == pytest.approx(1e-4) and phi_plus == -phi_minus
+    assert shrink_minus == pytest.approx(10.0, rel=1e-3) == shrink_plus
+
+
+@pytest.mark.parametrize("phase", [
+    lambda k: 1.0 / np.abs(k) - 5e-4,
+    lambda k: 1e-6 * np.abs(k),
+    lambda k: np.where(np.abs(k) < edge.K_LIMIT, 1.0 / np.abs(k), 0.0),
+], ids=["changes-sign", "grows", "zero-at-the-end"])
+def test_level_flow_rejects_an_end_phase_tending_to_the_level(monkeypatch,
+                                                              lap_model,
+                                                              phase):
+    # on |k| = 1e2, 1e3, 1e4: 9.5e-3, 5e-4, -4e-4; 1e-4, 1e-3, 1e-2; and
+    # 1e-2, 1e-3, 0.  Each may be a band tending to the level.
+    _one_phase_family(monkeypatch, phase)
+    with pytest.raises(NumericalFailure,
+                       match=r"tends to 0 as k -> -inf .* on \|k\| = 100, "
+                             r"1000, 10000"):
+        level_flow(None, lap_model.triple(), lap_model.fiber_family(),
+                   0.0, 8.0)
+
+
+def test_level_flow_on_the_bulk_edge_names_the_momentum(lap_model):
+    # the Laplacian's bulk spectrum starts at 0, at k = 0: no sample skipped
+    bc = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
+    with pytest.raises(BoundaryOfRegularityError, match=r"at k=\[0\.\]"):
+        level_flow(bc, lap_model.triple(), lap_model.fiber_family(), 0.0,
+                   8.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The windings and affiliation verdicts of the summary tables in bec.cli,
-computed with the same calls and momentum windows as `bec tables`.
+"""The summary tables in bec.cli, computed with the same calls and momentum
+windows as `bec tables`, and `bec tables` itself.
 
-The spectral flows of the tables need band tracking, seconds per row; all
-of them are checked by `bec tables`, and here one member of each mirror pair
-that the benchmark's tables-flow workload runs: a flow that moves with the
-tracker's numerics fails tier-1.  The regularized Dirac windings take their
-expected values from the table's flows through SF(bc) - SF(dirichlet).
+Every spectral flow of the tables, and of both interface conditions, is
+counted by `level_flow` at the table's level and at two more levels inside
+the gap, where the flow must not change.  Band tracking, seconds per row,
+cross-checks the count on one member of each mirror pair that the
+benchmark's tables-flow workload runs: a flow that moves with the tracker's
+numerics fails tier-1.  The regularized Dirac windings take their expected
+values from the table's flows through SF(bc) - SF(dirichlet).
 """
 import numpy as np
 import pytest
@@ -20,10 +22,17 @@ from bec.cli import (
     REGDIRAC_NUMERICS,
     REGDIRAC_ROWS,
 )
-from bec.edge import relative_winding, spectral_flow, track_bands, winding
+from bec.edge import (
+    level_flow,
+    relative_winding,
+    spectral_flow,
+    track_bands,
+    winding,
+)
 from bec.extension import _level_phases, affiliation_check
 from bec.models import build_model
 from bec.symbol import find_gap
+from conftest import run_cli
 
 # ROADMAP item 5: the computed evidence settles at rate O(k^-2), so the
 # check reports 'affiliated'; it is open whether the row or the check is wrong
@@ -123,10 +132,12 @@ def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf,
     model = build_model(name, **params)
     T = model.triple("interface" if "m_minus" in params else "halfline")
     k_window, k_resolution, lam_resolution = numerics
-    bands = track_bands(model.make_bc(family, **kw), T, model, k_window,
-                        k_resolution=k_resolution,
+    bc = model.make_bc(family, **kw)
+    bands = track_bands(bc, T, model, k_window, k_resolution=k_resolution,
                         lam_resolution=lam_resolution)
     assert spectral_flow(bands, level=0.0).value == sf
+    assert level_flow(bc, T, model.fiber_family(T.side), model.fiducial_E,
+                      k_window).value == sf
     assert [(b.left.kind, b.right.kind) for b in bands] == ends
     assert all(np.isfinite([e.k, e.lam]).all()
                for b in bands for e in (b.left, b.right))
@@ -163,6 +174,66 @@ def test_tracked_columns_count_integers_with_monotone_phases(
                              minlength=len(ks))
     found = edge._columns(bc, T, F, windows, lam_resolution)
     assert per_column.tolist() == [len(c) for c in found]
+
+
+def _count_rows():
+    """(id, model name, model parameters, side, family, family parameters,
+    k_window, expected SF) of every spectral flow of the tables and of both
+    interface conditions."""
+    out = [("laplacian " + label, "laplacian", {}, "halfline", "robin",
+            {"K": K, "ell": xi, "M": 1.0}, LAPLACE_NUMERICS[0], sf)
+           for label, K, xi, sf, _ in LAPLACE_ROWS]
+    out += [("dirac m=%+g a=%+g" % (m, a), "dirac", {"m": m}, "halfline",
+             "a", {"a": a}, DIRAC_NUMERICS[0], sf)
+            for m, a, _, sf in DIRAC_ROWS]
+    out += [("regdirac m=%+g %s" % (m, label), "regdirac",
+             {"m": m, "eps": 0.1}, "halfline",
+             *(("dirichlet", {}) if a is None else ("a", {"a": a})),
+             REGDIRAC_NUMERICS[0], sfs[mi])
+            for mi, m in enumerate((-1.0, 1.0))
+            for label, a, *sfs in REGDIRAC_ROWS]
+    # analytic: the branch lam = k, once across the transparent interface
+    # and on both decoupled sides
+    interface = ("dirac", {"m": 1.0, "m_minus": -1.0}, "interface")
+    out += [("interface transparent", *interface, "transparent", {},
+             DIRAC_NUMERICS[0], 1),
+            ("interface decoupled(1,1)", *interface, "decoupled",
+             {"aplus": 1.0, "aminus": 1.0}, DIRAC_NUMERICS[0], 2)]
+    return out
+
+
+# levels inside the gap besides the table's own (the model's fiducial
+# level): the Laplacian's gap is (-inf, 0), the others' (-1, 1)
+OTHER_LEVELS = {"laplacian": (-0.1, -1e-3), "dirac": (0.3, -0.5),
+                "regdirac": (0.3, -0.5)}
+
+
+@pytest.mark.parametrize("name, params, side, family, kw, k_window, sf",
+                         [row[1:] for row in _count_rows()],
+                         ids=[row[0] for row in _count_rows()])
+@pytest.mark.parametrize("which", [0, 1, 2],
+                         ids=["table-level", "level-2", "level-3"])
+def test_count_is_the_table_flow_across_the_gap(name, params, side, family,
+                                                kw, k_window, sf, which):
+    model = build_model(name, **params)
+    level = (model.fiducial_E,) + OTHER_LEVELS[name]
+    flow = level_flow(model.make_bc(family, **kw), model.triple(side),
+                      model.fiber_family(side), level[which], k_window)
+    assert flow.value == sf
+    assert flow.resid <= 1e-12
+    assert sum(sign for _, sign in flow.crossings) == sf
+
+
+@pytest.mark.parametrize("which, code, mismatched", [
+    ("laplacian", 1, sorted(DISPUTED)), ("dirac", 0, []),
+    ("regdirac", 0, [])])
+def test_tables_command_mismatches_only_the_disputed_row(which, code,
+                                                         mismatched):
+    got, out, err = run_cli(["tables", which])
+    assert got == code, err
+    rows = out.splitlines()[2:-1]
+    assert [row.split("  ")[0] for row in rows
+            if row.endswith("MISMATCH")] == mismatched
 
 
 def _table_conditions():
