@@ -11,35 +11,26 @@ own Lagrangian plane (`extension._level_phases`).  E is an edge eigenvalue
 at k exactly where V has the eigenvalue 1, with its multiplicity, and the
 eigenphases of V turn one way as E grows, since the Krein matrix is a
 Nevanlinna function (Behrndt, Hassi and de Snoo, Boundary Value Problems,
-Weyl Functions, and Differential Operators, 2020).  A momentum column is
-sampled on a fixed seed grid of energies, refined until every step of
-arg det V is below a radian; each step's eigenphase count through 0 is an
-integer, certified by its rounding residual and by the one-way turn of the
-whole column, and each eigenphase that passes 0 is refined by batched
-Illinois regula falsi.  A band track computes its grid columns a block at
-a time into a list that it steps through, passing each column on as a
-value: all columns of a block share the fixed-size batches of the level
-unitary, and each refinement step is one batch over the running brackets
-of all of them.
+Weyl Functions, and Differential Operators, 2020).
 
-The spectral flow through a level is the Maslov index of V(k, level) along
-the compactified momentum line (Robbin and Salamon, Topology 32 (1993)):
-the signed count of eigenphases through 0, read from the phase of det V
-with the same sampler and unwinding as the windings, plus the end
-eigenphases at |k| = K_LIMIT (`level_flow`); no band is followed.  Band
-tracking serves the dispersion output and `spectral_flow(bands)`, its
-cross-check.  Windings are computed from the phase of det U along the same
-line, sampled as a ratio of determinants of the condition matrices
-W(+-i) = A - B Q(+-i) (`extension._unitary_dets`), from one jet batch at
-z = i and Q(-i) = Q(i)^dag, without forming U.
+Three integers are read off phase curves by one engine: the edge
+eigenvalues of a momentum column, from the eigenphases of V along E
+(`_columns`); the spectral flow through a level, the Maslov index of
+V(k, level) along the compactified momentum line s = (2/pi) atan k (Robbin
+and Salamon, Topology 32 (1993); `level_flow`); and the windings, from the
+phase of det U along the same line (`winding`).  `_samples` samples the
+curves until every step of the phase sum is below a radian and pi / p, and
+`_crossings` counts the eigenphases through 0 in each step, certified by
+the step's rounding residual, and refines each by batched Illinois regula
+falsi.  det U is sampled as det W(-i) / det W(i) of the condition matrices
+W(+-i) = A - B Q(+-i) (`extension._unitary_dets`), without forming U.
 
-Every kernel here takes its fibers as one `symbol.FiberStack`, which carries
-its own momenta: a band track's columns are the rows of
-`FiberFamily.stacks`, and the fiber of `edge_eigenvalues` is the one-row
-case.  The deficiency bases, their jets and products, the trace maps, the
-Krein matrices, the unitaries and the level unitary's eigenphases come from
-the batched kernel in `extension`; this module holds the eigenvalue count,
-the bands, the spectral flow and the windings.
+Band tracking, a block of grid columns at a time sharing the batches of the
+level unitary, serves the dispersion output and `spectral_flow(bands)`, the
+cross-check of the count.  Every kernel takes its fibers as one
+`symbol.FiberStack`, which carries its own momenta; the deficiency bases,
+jets, Krein matrices, unitaries and eigenphases come from the batched
+kernel in `extension`.
 """
 
 import numpy as np
@@ -52,6 +43,8 @@ from .errors import (
     NumericalFailure,
 )
 from .extension import (
+    K_LADDER,
+    K_LIMIT,
     _ab_on,
     _check_admissible,
     _check_codes,
@@ -69,35 +62,67 @@ from .symbol import find_gap
 # calibration test) and applied to every reported winding.
 CALIBRATION_SIGN = -1
 
-# momentum magnitude standing in for |k| = infinity on the compactified line
-K_LIMIT = 1e4
-
 
 # ---------------------------------------------------------------------------
-# edge eigenvalues per column: the eigenphase count of the level unitary
+# phase curves: one sampler and one crossing counter
 
 
-# (column, energy) rows per level-unitary batch: bounds the batch's memory,
-# which grows linearly with its rows
-_SCAN_ROWS = 512
-# a column's seed energies, as fractions of its window: a uniform sweep plus
-# geometric ladders toward both ends, where the eigenphases of a band about
-# to merge into the bulk turn fastest
-_LADDER = np.geomspace(1e-6, 1e-2, 6)
-_SEEDS = np.sort(np.concatenate([np.linspace(0.0, 1.0, 24), _LADDER,
-                                 1.0 - _LADDER]))
-_PHASE_STEP = 1.0        # largest step of arg det V between samples, rad
+_PHASE_STEP = 1.0        # largest step of the phase sum between samples, rad
 _COUNT_TOL = 1e-6        # largest rounding residual of a step's count
-_ILLINOIS_ITERS = 100    # regula falsi steps at most per eigenvalue
+_ILLINOIS_ITERS = 100    # regula falsi steps at most per root
 
 
-def _batched(fun, rows, lams):
-    """fun(rows, lams) -> (phases (p, n), code (n,)) over _SCAN_ROWS-row
-    batches, joined."""
-    parts = [fun(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
-             for s in range(0, len(rows), _SCAN_ROWS)]
-    return (np.concatenate([th for th, _ in parts], axis=1),
-            np.concatenate([code for _, code in parts]))
+def _samples(fun, owner, x, cap, where):
+    """Samples of phase curves from the seeds (owner (n,), x (n,)), ordered
+    by curve and x: curve owner[i] at x[i] has the eigenphases fun(owner,
+    x) -> (eigenphases (p, n), ok (n,)), ok False where they fail; one call
+    per round over all pending points.  Midpoints are added until every
+    step of the phase sum between neighbouring good samples of a curve is
+    below _PHASE_STEP and pi / p, each step split between every two samples
+    it holds, good or failed, so no point is evaluated twice.  Failing
+    samples are left out.  A curve that needs more than cap evaluated
+    samples, or a step with no floating-point midpoint, raises
+    InsufficientResolutionError naming where(curve, x).
+
+    Returns the good samples (curve (m,), x (m,), eigenphases (p, m)),
+    ordered by curve and x, with the steps of the phase sum (m - 1,) and
+    whether each step joins two samples of one curve.
+    """
+    used, rounds = np.zeros(owner.max() + 1, dtype=int), []
+    while True:
+        used += np.bincount(owner, minlength=len(used))
+        if np.any(used > cap):
+            c = np.argmax(used > cap)
+            raise InsufficientResolutionError(
+                "%s needs more than %d phase samples"
+                % (where(c, x[np.argmax(owner == c)]), cap))
+        th, good = fun(owner, x)
+        rounds.append((owner, x, good, th))
+        curve, at, ok, theta = (np.concatenate(a, axis=-1)
+                                for a in zip(*rounds))
+        if len(rounds) > 1:
+            order = np.lexsort((at, curve))
+            curve, at, ok, theta = (a[..., order]
+                                    for a in (curve, at, ok, theta))
+        g = np.nonzero(ok)[0]
+        good_curve, good_theta = curve[g], theta[:, g]
+        inner = good_curve[1:] == good_curve[:-1]
+        steps = _wrap(np.diff(good_theta.sum(axis=0)))
+        bound = min(_PHASE_STEP, np.pi / len(th))
+        bad = np.nonzero(inner & (np.abs(steps) > bound))[0]
+        if len(bad) == 0:
+            return good_curve, at[g], good_theta, steps, inner
+        # the gaps between the samples, good or failed, of each step to refine
+        first, span = g[bad], g[bad + 1] - g[bad]
+        gaps = np.repeat(first - np.cumsum(span) + span, span) \
+            + np.arange(span.sum())
+        owner, x = curve[gaps], 0.5 * (at[gaps] + at[gaps + 1])
+        flat = (x == at[gaps]) | (x == at[gaps + 1])
+        if np.any(flat):
+            i = np.argmax(flat)
+            raise InsufficientResolutionError(
+                "%s needs a phase step below floating-point resolution"
+                % where(owner[i], x[i]))
 
 
 def _illinois(f, owner, x0, f0, x1, f1, tol):
@@ -105,7 +130,7 @@ def _illinois(f, owner, x0, f0, x1, f1, tol):
     i, bracketed by [x0, x1] with f0 = f(x0) and f1 = f(x1) of opposite
     signs: batched Illinois regula falsi (Dowell and Jarratt, BIT 11 (1971)),
     one call of f per step over the running brackets.  owner gives each
-    bracket's column and tol each column's width tolerance: a bracket stops
+    bracket's curve and tol each curve's width tolerance: a bracket stops
     once its ends are within tol, so its result does not depend on the
     other brackets of the batch.  Each new point keeps tol / 4 from both
     ends.  Returns the evaluated point of smallest |f| of every bracket and
@@ -137,14 +162,14 @@ def _illinois(f, owner, x0, f0, x1, f1, tol):
         x0[i] = np.where(to_x1, a, x)
         f0[i] = np.where(to_x1, np.where(side[i] == -1, 0.5 * fa, fa), fx)
         side[i] = np.where(to_x1, -1, 1)
-    raise NumericalFailure("edge eigenvalue refinement did not converge "
+    raise NumericalFailure("eigenphase root refinement did not converge "
                            "in %d steps" % _ILLINOIS_ITERS)
 
 
 def _cut_frame(theta):
     """A cut gamma (n,) for each sample of the eigenphases theta (p, n):
     the middle of the largest gap between them on the circle.  Within a
-    step of arg det V below pi / p no eigenphase passes it, as they turn
+    step of the phase sum below pi / p no eigenphase passes it, as they turn
     one way."""
     t = np.sort(np.mod(theta, 2.0 * np.pi), axis=0)
     gaps = np.diff(np.concatenate([t, t[:1] + 2.0 * np.pi]), axis=0)
@@ -159,41 +184,101 @@ def _in_frame(theta, gamma):
     return np.sort(v, axis=0) - (gamma - np.mod(gamma, 2.0 * np.pi))
 
 
-def _level_samples(phases, ks, lo, hi, nl, dimV):
-    """Samples of the level unitary's eigenphases (`phases`, from
-    `extension._level_phases`) over the windows [lo, hi] of the columns at
-    momenta ks: the seed grid _SEEDS of every column, and midpoints added
-    until every step of arg det V within a column is below _PHASE_STEP and
-    pi / dimV.  Samples where the basis fails are left out.
+def _crossings(fun, curve, x, theta, steps, inner, tol, where):
+    """The eigenphases that pass 0 between the samples of phase curves
+    (`_samples` with the phase function fun).
 
-    Returns (column (n,), energy (n,), eigenphases (dimV, n)), ordered by
-    column and energy, with the steps of arg det V (n - 1,) and whether
-    each step joins two samples of one column.  A column that needs more
-    than nl samples raises InsufficientResolutionError.
+    A step from a to b passes c = (d sum theta - sum [theta_b]
+    + sum [theta_a]) / 2 pi eigenphases through 0, with [.] in [0, 2 pi),
+    or NumericalFailure if c is not an integer to _COUNT_TOL.  They are the
+    eigenphases whose value changes sign in a frame cut where none of them
+    passes (`_cut_frame`), so a phase on 0 up to rounding at a sample passes
+    in the step that c gives it; NumericalFailure if they are not |c|.
+    `_illinois` refines all of them together, each to the width tolerance
+    tol of its curve.
+
+    Returns the counts c (m - 1,), unrounded and 0 between curves, and for
+    each passing eigenphase, ordered by step and then by frame value, its
+    step, its root and its |frame value| there.
     """
-    bound = min(_PHASE_STEP, np.pi / dimV)
-    owner = np.repeat(np.arange(len(ks)), len(_SEEDS))
-    lams = (lo[:, None] + (hi - lo)[:, None] * _SEEDS).ravel()
-    col, E, theta = np.zeros(0, dtype=int), np.zeros(0), np.zeros((dimV, 0))
-    while len(owner):
-        th, code = _batched(phases, owner, lams)
-        ok = code == 0
-        col = np.concatenate([col, owner[ok]])
-        E = np.concatenate([E, lams[ok]])
-        theta = np.concatenate([theta, th[:, ok]], axis=1)
-        order = np.lexsort((E, col))
-        col, E, theta = col[order], E[order], theta[:, order]
-        inner = col[1:] == col[:-1]
-        steps = _wrap(np.diff(theta.sum(axis=0)))
-        bad = np.nonzero(inner & (np.abs(steps) > bound))[0]
-        owner, lams = col[bad], 0.5 * (E[bad] + E[bad + 1])
-        over = np.bincount(np.concatenate([col, owner]),
-                           minlength=len(ks)) > nl
-        if np.any(over):
-            raise InsufficientResolutionError(
-                "the edge eigenvalue count at k=%g needs more than %d "
-                "energy samples" % (ks[np.argmax(over)], nl))
-    return col, E, theta, steps, inner
+    count = np.where(inner, (steps - np.diff(np.mod(theta, 2.0 * np.pi)
+                                             .sum(axis=0))) / (2.0 * np.pi),
+                     0.0)
+    off = np.abs(count - np.round(count))
+    if np.any(off > _COUNT_TOL):
+        i = np.argmax(off)
+        raise NumericalFailure("%s is not an integer (residual %.1e)"
+                               % (where(curve[i], x[i]), off[i]))
+    s = np.nonzero(np.round(count))[0]
+    gamma = _cut_frame(theta[:, s])
+    fa, fb = _in_frame(theta[:, s], gamma), _in_frame(theta[:, s + 1], gamma)
+    passing = np.sign(fa) != np.sign(fb)
+    wrong = passing.sum(axis=0) != np.abs(np.round(count[s]))
+    if np.any(wrong):
+        i = s[np.argmax(wrong)]
+        raise NumericalFailure("%s does not match its eigenphases"
+                               % where(curve[i], x[i]))
+    b, j = np.nonzero(passing.T)
+    step, gamma = s[b], gamma[b]
+
+    def f(i, at):
+        th, _ = fun(curve[step[i]], at)
+        return _in_frame(th, gamma[i])[j[i], np.arange(len(i))]
+
+    roots, resid = _illinois(f, curve[step], x[step], fa[j, b], x[step + 1],
+                             fb[j, b], tol)
+    return count, step, roots, resid
+
+
+# seeds of the phase curves on the compactified momentum line, and the most
+# samples such a curve may take
+_PHASE_SEEDS = 1025
+_PHASE_MAX_POINTS = 60000
+
+
+def _on_line(fun, k_window, what):
+    """The phase curve fun(ks) -> eigenphases (p, n) on the compactified
+    momentum line s = (2/pi) atan k, |k| <= K_LIMIT, sampled by `_samples`
+    from _PHASE_SEEDS uniform seeds in s and 801 over |k| <= k_window.
+    Returns its phase function in s, where (naming a point's momentum for
+    what) and the samples."""
+    def in_s(_, s):
+        return fun(np.tan(0.5 * np.pi * s)), np.ones(len(s), dtype=bool)
+
+    def where(_, s):
+        return "%s near k=%g" % (what, np.tan(0.5 * np.pi * s))
+
+    s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
+    s = np.unique(np.clip(np.append(
+        np.linspace(-s_lim, s_lim, _PHASE_SEEDS),
+        (2.0 / np.pi) * np.arctan(np.linspace(-k_window, k_window, 801))),
+        -s_lim, s_lim))
+    return in_s, where, _samples(in_s, np.zeros(len(s), dtype=int), s,
+                                 _PHASE_MAX_POINTS, where)
+
+
+# ---------------------------------------------------------------------------
+# edge eigenvalues per column: the eigenphase count of the level unitary
+
+
+# (column, energy) rows per level-unitary batch: bounds the batch's memory,
+# which grows linearly with its rows
+_SCAN_ROWS = 512
+# a column's seed energies, as fractions of its window: a uniform sweep plus
+# geometric ladders toward both ends, where the eigenphases of a band about
+# to merge into the bulk turn fastest
+_LADDER = np.geomspace(1e-6, 1e-2, 6)
+_SEEDS = np.sort(np.concatenate([np.linspace(0.0, 1.0, 24), _LADDER,
+                                 1.0 - _LADDER]))
+
+
+def _batched(fun, rows, lams):
+    """fun(rows, lams) -> (phases (p, n), code (n,)) over _SCAN_ROWS-row
+    batches, joined."""
+    parts = [fun(rows[s:s + _SCAN_ROWS], lams[s:s + _SCAN_ROWS])
+             for s in range(0, len(rows), _SCAN_ROWS)]
+    return (np.concatenate([th for th, _ in parts], axis=1),
+            np.concatenate([code for _, code in parts]))
 
 
 def _columns(bc, T, F, windows, nl, xtol=None):
@@ -201,24 +286,15 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     window [lo, hi]: one list of (lam, |eigenphase| there), ascending, per
     momentum.
 
-    E is an edge eigenvalue at k exactly where the level unitary V(k, E)
-    (`extension._level_phases`) has the eigenvalue 1, and the eigenphases
-    of V turn one way as E grows (Q is a Nevanlinna function).  The columns
-    are sampled together by `_level_samples`, at most nl samples each.  A
-    step from a to b passes c = (d arg det V - sum [theta_b]
-    + sum [theta_a]) / 2 pi eigenphases through 0, with [.] in [0, 2 pi).
-    NumericalFailure is raised if c is not an integer to _COUNT_TOL, or if
-    the steps of a column turn both ways: monotonicity certifies that no
-    turn was missed.
-
-    In a step with c != 0 the eigenphases, continuous and ascending in a
-    frame cut where none of them passes (`_cut_frame`), give the |c| that
-    pass 0, and `_illinois` refines each, all columns together, each column
-    to its own width tolerance (xtol, by default 1e-9 of the window's
-    magnitude), so a column gives the same result alone or in a batch.
-    Roots of one step within that tolerance are one eigenvalue of their
-    multiplicity, as on a decoupled interface.  Every batch of the level
-    unitary has at most _SCAN_ROWS rows.
+    Each column is the phase curve of V(k, E) in E, seeded with _SEEDS over
+    its window, sampled by `_samples` with at most nl evaluated samples and
+    counted by `_crossings` to its own width tolerance (xtol, by default
+    1e-9 of the window's magnitude), so a column gives the same result alone
+    or in a batch.  The eigenphases of V turn one way as E grows: a column
+    whose steps turn both ways raises NumericalFailure, and monotonicity
+    certifies that no turn was missed.  Roots of one step within the
+    tolerance are one eigenvalue of their multiplicity, as on a decoupled
+    interface.  Every batch of the level unitary has at most _SCAN_ROWS rows.
     """
     out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
@@ -230,44 +306,29 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     lo, hi = np.array([windows[i] for i in cols], dtype=float).T
     size = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
     tol = 1e-9 * size if xtol is None else np.full(len(cols), float(xtol))
-    col, E, theta, steps, inner = _level_samples(phases, ks, lo, hi, nl,
-                                                 T.dimV)
 
-    # count each step; the eigenphases passing 0 become brackets
+    def fun(owner, lams):
+        th, code = _batched(phases, owner, lams)
+        return th, code == 0
+
+    def where(c, _):
+        return "the edge eigenvalue count at k=%g" % ks[c]
+
+    col, E, theta, steps, inner = _samples(
+        fun, np.repeat(np.arange(len(ks)), len(_SEEDS)),
+        (lo[:, None] + (hi - lo)[:, None] * _SEEDS).ravel(), nl, where)
     up = np.bincount(col[:-1][inner & (steps > 0.0)], minlength=len(cols))
     down = np.bincount(col[:-1][inner & (steps < 0.0)], minlength=len(cols))
     if np.any(up * down):
         raise NumericalFailure(
             "eigenphases of the level unitary turn both ways at k=%g"
             % ks[np.argmax(up * down)])
-    count = (steps - np.diff(np.mod(theta, 2.0 * np.pi).sum(axis=0))) \
-        / (2.0 * np.pi)
-    off = np.where(inner, np.abs(count - np.round(count)), 0.0)
-    if np.any(off > _COUNT_TOL):
-        raise NumericalFailure(
-            "edge eigenvalue count at k=%g is not an integer (residual %.1e)"
-            % (ks[col[np.argmax(off)]], off.max()))
-    s = np.nonzero(inner & (np.round(count) != 0.0))[0]
-    gamma = _cut_frame(theta[:, s])
-    fa, fb = _in_frame(theta[:, s], gamma), _in_frame(theta[:, s + 1], gamma)
-    passing = (fa >= 0.0) != (fb >= 0.0)
-    wrong = passing.sum(axis=0) != np.abs(np.round(count[s]))
-    if np.any(wrong):
-        raise NumericalFailure(
-            "edge eigenvalue count at k=%g does not match its eigenphases"
-            % ks[col[s[np.argmax(wrong)]]])
-    b, j = np.nonzero(passing.T)
-    owner, gamma = col[s[b]], gamma[b]
-
-    def f(i, x):
-        th, _ = _batched(phases, owner[i], x)
-        return _in_frame(th, gamma[i])[j[i], np.arange(len(i))]
-
-    roots, resid = _illinois(f, owner, E[s[b]], fa[j, b], E[s[b] + 1],
-                             fb[j, b], tol)
-    for r, c in enumerate(owner):
+    _, step, roots, resid = _crossings(fun, col, E, theta, steps, inner, tol,
+                                       where)
+    for r, b in enumerate(step):
+        c = col[b]
         column = out[cols[c]]
-        shared = (r > 0 and b[r - 1] == b[r]
+        shared = (r > 0 and step[r - 1] == b
                   and abs(roots[r] - column[-1][0]) <= tol[c])
         column.append(column[-1] if shared
                       else (float(roots[r]), float(resid[r])))
@@ -709,56 +770,20 @@ def spectral_flow(bands, level=0.0):
 # windings of von Neumann unitaries
 
 
-# seeds of the phase sampling of det U, and the most samples it may take
-_PHASE_SEEDS = 1025
-_PHASE_MAX_POINTS = 60000
-
-
-def _det_curve(detfun, k_window):
-    """Adaptively sampled det U over the compactified momentum line.
-
-    detfun maps an array of momenta to complex determinants; sampling in
-    s = (2/pi) atan(k) refines until adjacent phase steps are below 1 rad.
-    """
-    s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
-    seeds = np.concatenate([
-        np.linspace(-s_lim, s_lim, _PHASE_SEEDS),
-        (2.0 / np.pi) * np.arctan(np.linspace(-k_window, k_window, 801)),
-    ])
-    s = np.unique(np.clip(seeds, -s_lim, s_lim))
-    vals = detfun(np.tan(0.5 * np.pi * s))
-    for _ in range(16):
-        steps = np.abs(np.angle(vals[1:] / vals[:-1]))
-        bad = np.nonzero(steps > 1.0)[0]
-        if len(bad) == 0:
-            break
-        mids = 0.5 * (s[bad] + s[bad + 1])
-        if len(s) + len(mids) > _PHASE_MAX_POINTS:
-            raise InsufficientResolutionError(
-                "phase sampling exceeded %d points" % _PHASE_MAX_POINTS)
-        mvals = detfun(np.tan(0.5 * np.pi * mids))
-        s = np.concatenate([s, mids])
-        vals = np.concatenate([vals, mvals])
-        order = np.argsort(s)
-        s = s[order]
-        vals = vals[order]
-    else:
-        raise InsufficientResolutionError("phase refinement did not settle")
-    return s, vals
-
-
 def _check_unimodular(dets):
     if not np.all(np.isfinite(dets)):
         raise ContractViolation("det U has non-finite samples")
     dev = np.max(np.abs(np.abs(dets) - 1.0))
     if dev >= 1e-6:
-        raise ContractViolation(
-            "det U leaves the unit circle by %.2e" % dev)
+        raise ContractViolation("det U leaves the unit circle by %.2e" % dev)
 
 
 def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     """Calibrated winding number of det U over the momentum line.
 
+    theta = arg det U is a one-phase curve of `_on_line`, each round of its
+    sampling one `extension._unitary_dets` batch checked by
+    `_check_unimodular`, and the winding unwinds it on its closed loop.
     With bc_ref the relative unitary U U_ref^{-1} is used.  The loop closes
     through |k| = infinity, so both large-momentum limits must agree (within
     0.05); otherwise the winding is not defined and NotComparableError is
@@ -780,12 +805,14 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
         raise NotComparableError(
             "unitary does not settle to a common large-momentum limit "
             "(deviation %.3f)" % gap_dev)
-    _, vals = _det_curve(
-        lambda ks: _unitary_dets(bc, T, fiber_family, ks, bc_ref=bc_ref),
-        k_window)
-    _check_unimodular(vals)
-    loop = np.append(vals, vals[0])
-    raw = unwind_phase(loop)
+
+    def phase(ks):
+        dets = _unitary_dets(bc, T, fiber_family, ks, bc_ref=bc_ref)
+        _check_unimodular(dets)
+        return np.angle(dets)[None, :]
+
+    _, _, (_, _, theta, _, _) = _on_line(phase, k_window, "det U")
+    raw = unwind_phase(np.exp(1j * np.append(theta[0], theta[0, 0])))
     cal = CALIBRATION_SIGN * raw
     value = int(np.round(cal))
     resid = float(abs(cal - value))
@@ -805,12 +832,10 @@ def relative_winding(bc1, bc2, T, fiber_family, k_window=20.0):
 # spectral flow as the Maslov index of the level unitary
 
 
-# the |k| of the end certificate, ending at K_LIMIT, and the eigenphase
-# bound below which an end eigenphase must keep its sign and shrink along
-# them.  Smallest end phases measured on 1e2, 1e3, 1e4: Laplacian |xi| = 1
-# -1.97e-4, -2.00e-6, -2.00e-8; regdirac 2e-1, 2e-2, 2e-3; Dirac and the
-# interface none below 0.9 rad.
-_END_LADDER = (1e2, 1e3, K_LIMIT)
+# the eigenphase bound below which an end eigenphase must keep its sign and
+# shrink along K_LADDER.  Smallest end phases measured on 1e2, 1e3, 1e4:
+# Laplacian |xi| = 1 -1.97e-4, -2.00e-6, -2.00e-8; regdirac 2e-1, 2e-2,
+# 2e-3; Dirac and the interface none below 0.9 rad.
 _END_PHASE = 0.1
 
 
@@ -827,16 +852,16 @@ def _phases_at(bc, T, fiber_family, ks, level):
 
 def _end_margins(bc, T, fiber_family, level):
     """Certify the ends of the count: at k = -+K_LIMIT every eigenphase of
-    V within _END_PHASE of 0 must keep its sign and shrink along
-    _END_LADDER, and must not be 0; otherwise NumericalFailure, since a band
-    that tends to the level as |k| -> infinity (a boundary-induced band)
-    would make the count depend on the end.  V is algebraic in k, so its
-    phases have finitely many zeros, and the ladder pins the leading term.
+    V within _END_PHASE of 0 must keep its sign and shrink along K_LADDER,
+    and must not be 0; otherwise NumericalFailure, since a band that tends
+    to the level as |k| -> infinity (a boundary-induced band) would make the
+    count depend on the end.  V is algebraic in k, so its phases have
+    finitely many zeros, and the ladder pins the leading term.
 
     The eigenphases are matched across the ladder by rank, ascending in
     (-pi, pi].  Returns per side (-, +) the end eigenphase of smallest
     magnitude and its shrink factor per decade along the ladder."""
-    ladder = np.array(_END_LADDER)
+    ladder = np.array(K_LADDER)
     decades = np.log10(ladder[-1] / ladder[0])
     out = []
     for side in (-1.0, 1.0):
@@ -864,68 +889,33 @@ def _end_margins(bc, T, fiber_family, level):
 
 def level_flow(bc, T, fiber_family, level=0.0, k_window=20.0):
     """Spectral flow of the edge bands of bc through the level: the Maslov
-    index of the level unitary V(k, level) along the momentum line.
+    index of the level unitary V(k, level) along the momentum line, the sum
+    of the step counts c of `_crossings` on the phase curve of the
+    eigenphases theta_j of V (`_on_line`).  With [.] in [0, 2 pi) the
+    [theta] terms of neighbouring steps cancel, and the sum telescopes to
+    the winding of det V = exp(i sum theta) plus an end term:
 
-    det V = exp(i sum theta) is sampled by `_det_curve`, as det U is for the
-    windings, and SF = `unwind_phase`(det V) + (sum [phi_j(-K_LIMIT)]
-    - sum [phi_j(+K_LIMIT)]) / 2 pi, with the end eigenphases phi_j taken
-    in [0, 2 pi) and certified by `_end_margins`.  k_window only seeds the
-    sampling.  Any failing basis sample raises its typed error; a count
-    whose rounding residual exceeds _COUNT_TOL raises NumericalFailure.
+        sum c = unwind_phase(det V) + (sum [theta_j(-K_LIMIT)]
+                                       - sum [theta_j(+K_LIMIT)]) / 2 pi.
 
-    A step of the sampling passes c = (d arg det V - sum [theta_b]
-    + sum [theta_a]) / 2 pi eigenphases through 0; in a step with c != 0
-    each eigenphase that passes 0 in the frame of `_cut_frame` is refined
-    by `_illinois` in s = (2/pi) atan k, and gives one crossing of sign c.
-    Returns a FlowResult with the crossings, the residual and the end
-    margins."""
+    `_end_margins` certifies the end eigenphases; k_window only seeds the
+    sampling, and any failing basis sample raises its typed error.  Each
+    eigenphase that passes 0 is refined in s = (2/pi) atan k and gives one
+    crossing of the sign of its step's count.  Returns a FlowResult with the
+    crossings, the rounding residual of the sum and the end margins."""
     ends = _end_margins(bc, T, fiber_family, level)
-    sampled = []
-
-    def detfun(ks):
-        th = _phases_at(bc, T, fiber_family, ks, level)
-        sampled.append((ks, th))
-        return np.exp(1j * th.sum(axis=0))
-
-    s, vals = _det_curve(detfun, k_window)
-    ks = np.concatenate([k for k, _ in sampled])
-    theta = np.concatenate([th for _, th in sampled], axis=1)
-    theta = theta[:, np.argsort(ks)]
-    wrapped = np.mod(theta, 2.0 * np.pi).sum(axis=0)
-    total = unwind_phase(vals) + (wrapped[0] - wrapped[-1]) / (2.0 * np.pi)
-    value = int(np.round(total))
-    resid = float(abs(total - value))
-    if resid > _COUNT_TOL:
-        raise NumericalFailure(
-            "spectral flow %.6f through the level %g is not an integer"
-            % (total, level))
-
-    count = np.round((np.angle(vals[1:] / vals[:-1]) - np.diff(wrapped))
-                     / (2.0 * np.pi))
-    b = np.nonzero(count)[0]
-    gamma = _cut_frame(theta[:, b])
-    fa, fb = _in_frame(theta[:, b], gamma), _in_frame(theta[:, b + 1], gamma)
-    # a phase that lands on 0 at a sample, up to rounding, passes in the
-    # step that the count gives it, whichever side of 0 it rounds to
-    passing = np.sign(fa) != np.sign(fb)
-    wrong = passing.sum(axis=0) != np.abs(count[b])
-    if np.any(wrong):
-        raise NumericalFailure(
-            "spectral flow count near k=%g does not match its eigenphases"
-            % np.tan(0.5 * np.pi * s[b[np.argmax(wrong)]]))
-    r, j = np.nonzero(passing.T)
-
-    def f(i, x):
-        th = _phases_at(bc, T, fiber_family, np.tan(0.5 * np.pi * x), level)
-        return _in_frame(th, gamma[r[i]])[j[i], np.arange(len(i))]
-
+    fun, where, (curve, s, theta, steps, inner) = _on_line(
+        lambda ks: _phases_at(bc, T, fiber_family, ks, level), k_window,
+        "the spectral flow count")
     # as `_columns`: 1e-9 of the magnitude of the window of s
     tol = np.array([1e-9 * (1.0 + np.abs(s).max())])
-    roots, _ = _illinois(f, np.zeros(len(r), dtype=int), s[b[r]], fa[j, r],
-                         s[b[r] + 1], fb[j, r], tol)
+    count, step, roots, _ = _crossings(fun, curve, s, theta, steps, inner,
+                                       tol, where)
+    value = int(np.round(count).sum())
     crossings = sorted((float(np.tan(0.5 * np.pi * x)), int(np.sign(c)))
-                       for x, c in zip(roots, count[b[r]]))
-    return FlowResult(value, crossings, resid, ends)
+                       for x, c in zip(roots, np.round(count[step])))
+    return FlowResult(value, crossings, float(abs(count.sum() - value)),
+                      ends)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 Y_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i * sigma_y
 
+# the |k| of every large-momentum decision; the top, K_LIMIT, stands in for
+# |k| = infinity on the compactified momentum line
+K_LADDER = (1e2, 1e3, 1e4)
+K_LIMIT = K_LADDER[-1]
+
 
 def _poly_stack(coeffs, ks):
     """sum_j C_j k^j for the matrix coefficients C_j, stacked over ks."""
@@ -913,14 +918,14 @@ def affiliation_check(bc, T, fiber_family, bc_ref=None):
     """Decide whether the extension's unitary settles to the reference at
     large momentum.
 
-    Computes r(kappa) = ||U(+-kappa) - U_ref(+-kappa)|| at kappa = 1e2, 1e3,
-    1e4 (U_ref = 1 when no reference condition is given).  Affiliated needs a
-    non-increasing trend (up to roundoff, _SETTLED) with r(1e4) < 0.05 on
-    both sides; a limit above 0.5 on a side reports not-affiliated in that
+    Computes r(kappa) = ||U(+-kappa) - U_ref(+-kappa)|| at kappa in
+    K_LADDER (U_ref = 1 when no reference condition is given).  Affiliated
+    needs a non-increasing trend (up to roundoff, _SETTLED) with r(1e4) <
+    0.05 on both sides; a limit above 0.5 on a side reports not-affiliated in that
     direction; anything else is inconclusive.  One Krein family over the six
     momenta serves both conditions.
     """
-    kappas = np.array([1e2, 1e3, 1e4])
+    kappas = np.array(K_LADDER)
     ks = np.concatenate([kappas, -kappas])
     Q = _krein_family(T, fiber_family.stacks(ks))
     U = _checked_unitary(bc, T, Q, ks)

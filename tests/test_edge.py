@@ -210,6 +210,63 @@ def test_columns_count_two_phases_that_pass_pi_and_0_together(
     assert first == second and abs(first[0] - 1.0 / 3.0) <= 3e-9
 
 
+def _one_phase_column(monkeypatch, phase, calls=None):
+    """Replace the level unitary by the one-phase family phase(lams) ->
+    (theta, code); with calls, a batch past that many raises RuntimeError,
+    so a sampler that does not end fails instead of hanging."""
+    batches = []
+
+    def level_phases(bc, T, F):
+        def phases(rows, lams):
+            batches.append(len(rows))
+            if calls is not None and len(batches) > calls:
+                raise RuntimeError("the column sampler does not end")
+            theta, code = phase(lams)
+            return theta[None, :], code
+        return phases
+
+    monkeypatch.setattr(edge, "_level_phases", level_phases)
+    return batches
+
+
+@pytest.mark.parametrize("at_seed", [-4e-17, 0.0],
+                         ids=["rounds-below-0", "exact-0"])
+def test_column_counts_a_phase_on_0_at_a_seed(monkeypatch, dirac_model,
+                                              at_seed):
+    # theta = lam - seed rises through 0 at a seed energy, where it is
+    # at_seed: np.mod puts -4e-17 at 2 pi and the cut frame at 0, so the
+    # step after the seed counts it, and its frame value must pass there
+    from types import SimpleNamespace
+
+    seed = -1.0 + 2.0 * edge._SEEDS[12]
+    _one_phase_column(monkeypatch, lambda lams: (
+        np.where(lams == seed, at_seed, lams - seed),
+        np.zeros(len(lams), dtype=int)))
+    F = dirac_model.fiber_family().stacks([0.3])
+    (lam, resid), = edge._columns(None, SimpleNamespace(dimV=1), F,
+                                  [(-1.0, 1.0)], 200)[0]
+    assert lam == seed and resid <= abs(at_seed)
+
+
+def test_column_across_a_failing_jump_ends_at_its_sample_cap(monkeypatch,
+                                                             dirac_model):
+    # one phase that jumps by 2 rad across 0.45 < lam < 0.55, where the
+    # basis fails (code 2): no step across the gap gets below the bound, so
+    # the column must raise at its cap of evaluated samples
+    from types import SimpleNamespace
+
+    batches = _one_phase_column(monkeypatch, lambda lams: (
+        np.where(lams < 0.5, 0.1, 2.1),
+        np.where((lams > 0.45) & (lams < 0.55), 2, 0)), calls=2000)
+    F = dirac_model.fiber_family().stacks([0.3])
+    with pytest.raises(InsufficientResolutionError,
+                       match=r"at k=0\.3 needs more than 200 phase samples"):
+        edge._columns(None, SimpleNamespace(dimV=1), F, [(-1.0, 1.0)], 200)
+    # a failing point is never evaluated twice: the gaps between the failing
+    # samples double each round
+    assert len(batches) <= 10
+
+
 # the reference conditions of the benchmark's layer probes: (model name and
 # parameters, side, boundary family and parameters)
 PROBE_CONDITIONS = {

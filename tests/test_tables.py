@@ -9,6 +9,9 @@ benchmark's tables-flow workload runs: a flow that moves with the tracker's
 numerics fails tier-1.  The regularized Dirac windings take their expected
 values from the table's flows through SF(bc) - SF(dirichlet).
 """
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,8 @@ from conftest import run_cli
 # ROADMAP item 5: the computed evidence settles at rate O(k^-2), so the
 # check reports 'affiliated'; it is open whether the row or the check is wrong
 DISPUTED = {"K real, xi=0"}
+# the recorded `bec tables` output
+DATA = Path(__file__).resolve().parent / "data"
 # the regularized Dirac reference condition (a is None) and the others
 DIRICHLET_ROW, = [row for row in REGDIRAC_ROWS if row[1] is None]
 REGDIRAC_A_ROWS = [row for row in REGDIRAC_ROWS if row[1] is not None]
@@ -161,8 +166,16 @@ def test_tracked_columns_count_integers_with_monotone_phases(
     windows = [model.scan_window(k, gap) for k in ks]
     F = model.fiber_family(T.side).stacks(ks)
     lo, hi = np.array(windows).T
-    col, _, theta, steps, inner = edge._level_samples(
-        _level_phases(bc, T, F), ks, lo, hi, lam_resolution, T.dimV)
+    phases = _level_phases(bc, T, F)
+
+    def fun(owner, lams):
+        th, code = edge._batched(phases, owner, lams)
+        return th, code == 0
+
+    col, _, theta, steps, inner = edge._samples(
+        fun, np.repeat(np.arange(len(ks)), len(edge._SEEDS)),
+        (lo[:, None] + (hi - lo)[:, None] * edge._SEEDS).ravel(),
+        lam_resolution, lambda c, _: "k=%g" % ks[c])
     owner = col[:-1][inner]
     steps = steps[inner]
     assert not np.any(np.bincount(owner[steps > 0.0], minlength=len(ks))
@@ -224,16 +237,32 @@ def test_count_is_the_table_flow_across_the_gap(name, params, side, family,
     assert sum(sign for _, sign in flow.crossings) == sf
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(which):
+    """(exit code, stdout, stderr) of `bec tables which`, run once."""
+    return run_cli(["tables", which])
+
+
 @pytest.mark.parametrize("which, code, mismatched", [
     ("laplacian", 1, sorted(DISPUTED)), ("dirac", 0, []),
     ("regdirac", 0, [])])
 def test_tables_command_mismatches_only_the_disputed_row(which, code,
                                                          mismatched):
-    got, out, err = run_cli(["tables", which])
+    got, out, err = _tables(which)
     assert got == code, err
     rows = out.splitlines()[2:-1]
     assert [row.split("  ")[0] for row in rows
             if row.endswith("MISMATCH")] == mismatched
+
+
+@pytest.mark.parametrize("which, code", [("laplacian", 1), ("dirac", 0),
+                                         ("regdirac", 0)])
+def test_tables_command_prints_the_recorded_tables(which, code):
+    # tests/data holds the recorded stdout of `bec tables`: a change to the
+    # numerics that keeps every table integer keeps it byte for byte
+    got, out, err = _tables(which)
+    assert got == code, err
+    assert out == (DATA / ("tables_%s.txt" % which)).read_text()
 
 
 def _table_conditions():
