@@ -43,16 +43,18 @@ from .errors import (
     NumericalFailure,
 )
 from .extension import (
+    _END_PHASE,
+    _SETTLE,
+    _SIDES,
+    K_ENDS,
     K_LADDER,
     K_LIMIT,
-    _ab_on,
-    _check_admissible,
     _check_codes,
+    _end_unitaries,
     _level_phases,
     _side_bases,
     _unitary_dets,
     _wrap,
-    vn_unitary_family,
 )
 from .numerics import unwind_phase
 from .symbol import find_gap
@@ -425,7 +427,7 @@ class _Tracker:
         """All decay exponents mu of the fiber's exponential solutions at a
         real energy inside the gap."""
         bases = _side_bases(self.model.fiber(k, self.T.side), [complex(lam)])
-        return np.concatenate([np.zeros(0)] + [mus[0] for mus, _, _, code
+        return np.concatenate([np.zeros(0)] + [mus[:, 0] for mus, _, _, code
                                                in bases if code[0] == 0])
 
 
@@ -778,6 +780,18 @@ def _check_unimodular(dets):
         raise ContractViolation("det U leaves the unit circle by %.2e" % dev)
 
 
+def _closure_deviation(bc, T, fiber_family, bc_ref=None):
+    """How far the loop of `winding` is from closing through infinity, on
+    the stage's rows at -+K_LIMIT: ||U(-K_LIMIT) - U(K_LIMIT)||_2, or with
+    bc_ref the larger affiliation evidence ||U U_ref^{-1} - 1||_2 there."""
+    U = _end_unitaries(bc, T, fiber_family, bc_ref)
+    minus, plus = K_ENDS.index(-K_LIMIT), K_ENDS.index(K_LIMIT)
+    if bc_ref is None:
+        return np.linalg.norm(U[minus] - U[plus], 2)
+    dev = np.linalg.norm(U - np.eye(T.dimV), 2, axis=(1, 2))
+    return max(dev[minus], dev[plus])
+
+
 def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     """Calibrated winding number of det U over the momentum line.
 
@@ -785,23 +799,12 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     sampling one `extension._unitary_dets` batch checked by
     `_check_unimodular`, and the winding unwinds it on its closed loop.
     With bc_ref the relative unitary U U_ref^{-1} is used.  The loop closes
-    through |k| = infinity, so both large-momentum limits must agree (within
-    0.05); otherwise the winding is not defined and NotComparableError is
-    raised.  Both conditions must be admissible at the two ends, or
-    InadmissibleConditionError names the first failure.  Returns (integer,
-    rounding residual)."""
-    p = T.dimV
-    k_ends = np.array([-K_LIMIT, K_LIMIT])
-    for c in (bc, bc_ref):
-        if c is not None:
-            _check_admissible(c, k_ends, *_ab_on(c, T, k_ends))
-    ends = vn_unitary_family(bc, T, fiber_family, k_ends, bc_ref=bc_ref)
-    if bc_ref is not None:
-        gap_dev = max(np.linalg.norm(ends[0] - np.eye(p), 2),
-                      np.linalg.norm(ends[1] - np.eye(p), 2))
-    else:
-        gap_dev = np.linalg.norm(ends[0] - ends[1], 2)
-    if gap_dev > 0.05:
+    through |k| = infinity, so a `_closure_deviation` above _SETTLE leaves
+    the winding undefined and raises NotComparableError; the large-momentum
+    stage checks both conditions, and InadmissibleConditionError names the
+    first failure on its momenta.  Returns (integer, rounding residual)."""
+    gap_dev = _closure_deviation(bc, T, fiber_family, bc_ref)
+    if gap_dev > _SETTLE:
         raise NotComparableError(
             "unitary does not settle to a common large-momentum limit "
             "(deviation %.3f)" % gap_dev)
@@ -832,13 +835,6 @@ def relative_winding(bc1, bc2, T, fiber_family, k_window=20.0):
 # spectral flow as the Maslov index of the level unitary
 
 
-# the eigenphase bound below which an end eigenphase must keep its sign and
-# shrink along K_LADDER.  Smallest end phases measured on 1e2, 1e3, 1e4:
-# Laplacian |xi| = 1 -1.97e-4, -2.00e-6, -2.00e-8; regdirac 2e-1, 2e-2,
-# 2e-3; Dirac and the interface none below 0.9 rad.
-_END_PHASE = 0.1
-
-
 def _phases_at(bc, T, fiber_family, ks, level):
     """Eigenphases (dimV, n) of the level unitary V(k, level) at the momenta
     ks; a failing basis raises its typed error, naming the momenta."""
@@ -851,22 +847,22 @@ def _phases_at(bc, T, fiber_family, ks, level):
 
 
 def _end_margins(bc, T, fiber_family, level):
-    """Certify the ends of the count: at k = -+K_LIMIT every eigenphase of
-    V within _END_PHASE of 0 must keep its sign and shrink along K_LADDER,
-    and must not be 0; otherwise NumericalFailure, since a band that tends
-    to the level as |k| -> infinity (a boundary-induced band) would make the
-    count depend on the end.  V is algebraic in k, so its phases have
-    finitely many zeros, and the ladder pins the leading term.
+    """Certify the ends of the count on the stage's momenta K_ENDS: at
+    -+K_LIMIT every eigenphase of V within _END_PHASE of 0 must keep its
+    sign, shrink along K_LADDER and not be 0; otherwise NumericalFailure,
+    since a band that tends to the level as |k| -> infinity (a
+    boundary-induced band) would make the count depend on the end.  V is
+    algebraic in k, so its phases have finitely many zeros, and the ladder
+    pins the leading term.
 
     The eigenphases are matched across the ladder by rank, ascending in
     (-pi, pi].  Returns per side (-, +) the end eigenphase of smallest
     magnitude and its shrink factor per decade along the ladder."""
-    ladder = np.array(K_LADDER)
-    decades = np.log10(ladder[-1] / ladder[0])
+    decades = np.log10(K_LADDER[-1] / K_LADDER[0])
+    th = _phases_at(bc, T, fiber_family, K_ENDS, level)
     out = []
-    for side in (-1.0, 1.0):
-        runs = np.sort(_phases_at(bc, T, fiber_family, side * ladder, level),
-                       axis=0)
+    for side in ("-", "+"):
+        runs = np.sort(th[:, _SIDES[side]], axis=0)
         margins = []
         for run in runs:
             phi = run[-1]
@@ -875,13 +871,11 @@ def _end_margins(bc, T, fiber_family, level):
                     and np.all(np.diff(np.abs(run)) < 0.0)):
                 raise NumericalFailure(
                     "an eigenphase of the level unitary tends to 0 as "
-                    "k -> %s (%s on |k| = %s): a band may approach the "
-                    "level %g" % ("-inf" if side < 0 else "+inf",
-                                  ", ".join("%.3g" % v for v in run),
-                                  ", ".join("%g" % k for k in ladder),
+                    "k -> %sinf (%s on |k| = %s): a band may approach the "
+                    "level %g" % (side, ", ".join("%.3g" % v for v in run),
+                                  ", ".join("%g" % k for k in K_LADDER),
                                   level))
-            shrink = (abs(run[0]) / abs(phi)) ** (1.0 / decades) \
-                if phi != 0.0 else np.inf
+            shrink = (abs(run[0]) / abs(phi)) ** (1.0 / decades)
             margins.append((float(phi), float(shrink)))
         out.append(min(margins, key=lambda m: abs(m[0])))
     return out

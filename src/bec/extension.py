@@ -37,8 +37,8 @@ over the outer axis of a (entries, n) array.  The fiber coefficients come
 in as (order+1, N, N, n), the bases go out as exponents (expect, n),
 amplitudes (N, expect, n) and jets (order*N, expect, n), the products as
 (p, dimV, n), and the two sides of an interface share one batch.
-`_basis_batch` and `_side_bases` give the bases stacked, (n, ...), for the
-per-point API and band tracking.
+`_side_bases` gives each side's bases in this layout to the Green identity
+and to band tracking.
 
 The characteristic polynomial det(sum_j D_j (-mu)^j - z) of a row is
 expanded from its entries (`_char_poly`): each entry is a polynomial in mu,
@@ -69,8 +69,9 @@ Krein matrices, the unitaries and the condition factor of the level
 unitary.
 
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
-the kernel on a one-row FiberStack, and `affiliation_check` runs it on its
-six momenta.
+the kernel on a one-row FiberStack.  One large-momentum stage, six momenta
+K_ENDS and one block of end thresholds, serves every decision about |k| ->
+infinity: `affiliation_check`, `edge.winding` and `edge._end_margins`.
 """
 import functools
 import itertools
@@ -91,11 +92,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 Y_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # i * sigma_y
-
-# the |k| of every large-momentum decision; the top, K_LIMIT, stands in for
-# |k| = infinity on the compactified momentum line
-K_LADDER = (1e2, 1e3, 1e4)
-K_LIMIT = K_LADDER[-1]
 
 
 def _poly_stack(coeffs, ks):
@@ -471,18 +467,6 @@ def _basis_entries(D, ks, zs, sign, expect):
     return mus, phis, J, np.where(lead_ok, code, _FAILED)
 
 
-def _basis_batch(Ds, ks, zs, side, expect):
-    """Decaying exponential solutions for a stack of fibers Ds
-    (n, order+1, N, N), ks, zs (n,), on y > 0 (side 'right') or y < 0
-    ('left'), stacked: `_basis_entries`, with its results as (mus
-    (n, expect), phis (n, expect, N), normalized jets (n, order*N, expect),
-    code (n,))."""
-    mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1), ks, zs,
-                                        1.0 if side == "right" else -1.0,
-                                        expect)
-    return mus.T, phis.transpose(2, 1, 0), J.transpose(2, 0, 1), code
-
-
 def _check_codes(code, ks):
     """Raise the typed error of the first failing row of a basis batch,
     naming the momenta of up to five failing rows."""
@@ -496,10 +480,10 @@ def _check_codes(code, ks):
 def _side_bases(F, zs):
     """Decaying solutions of the fibers F (a FiberStack), each at its own
     spectral point zs: on y > 0 for the first side and on y < 0 for an
-    interface's second, one `_basis_batch` result per side."""
-    return [_basis_batch(Ds, F.ks, zs, side,
-                         ((Ds.shape[1] - 1) * Ds.shape[2]) // 2)
-            for Ds, side in zip(F.sides, ("right", "left"))]
+    interface's second, one `_basis_entries` result per side, rows last."""
+    return [_basis_entries(np.moveaxis(Ds, 0, -1), F.ks, zs, sign,
+                           ((Ds.shape[1] - 1) * Ds.shape[2]) // 2)
+            for Ds, sign in zip(F.sides, (1.0, -1.0))]
 
 
 def _triple_layout(T, jets):
@@ -832,17 +816,12 @@ def _unitary(bc, T, ks, Q):
     return np.linalg.solve(Wp, Wm)
 
 
-def vn_unitary_family(bc, T, fiber_family, ks, bc_ref=None):
+def vn_unitary_family(bc, T, fiber_family, ks):
     """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) stacked over the
     momenta ks, with fiber_family a `FiberFamily`
-    (`ModelDescriptor.fiber_family`); with bc_ref the relative unitaries
-    U(k) U_ref(k)^{-1}, both conditions sharing one Krein family Q(i)."""
+    (`ModelDescriptor.fiber_family`)."""
     ks = np.asarray(ks, dtype=float)
-    Q = _krein_family(T, fiber_family.stacks(ks))
-    U = _unitary(bc, T, ks, Q)
-    if bc_ref is not None:
-        U = U @ np.linalg.inv(_unitary(bc_ref, T, ks, Q))
-    return U
+    return _unitary(bc, T, ks, _krein_family(T, fiber_family.stacks(ks)))
 
 
 def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None):
@@ -888,8 +867,25 @@ def vn_unitary(bc, T, F):
 
 
 # ---------------------------------------------------------------------------
-# affiliation verdict
+# large-momentum stage: every decision about |k| -> infinity
 
+# the ladder of |k|, whose top stands in for |k| = infinity; the stage's
+# momenta in one fixed order, +K_LADDER then -K_LADDER, and each side's rows
+K_LADDER = (1e2, 1e3, 1e4)
+K_LIMIT = K_LADDER[-1]
+K_ENDS = K_LADDER + tuple(-k for k in K_LADDER)
+_SIDES = {"+": slice(0, 3), "-": slice(3, 6)}
+
+# End thresholds.  On every table condition, alone and against its table
+# reference, r = ||U U_ref^{-1} - 1|| at K_LIMIT is <= 3.0e-4 on both sides
+# when affiliated and >= 1.41 on one side when not.  r < _SETTLE there
+# settles, and a winding's loop closes when its ends are that close; r >
+# _APART there and above _APART times r one rung below is not affiliated.
+_SETTLE = 0.05
+_APART = 0.5
+# a non-increasing trend may rise by this fraction per rung; no table verdict
+# turns on it: affiliated ones fall a decade per rung or sit at roundoff
+_TREND_SLACK = 1e-6
 # Deviations below this are roundoff and count as settled.  For identical
 # conditions U U_ref^{-1} - 1 is roundoff of the p x p solves and the
 # inverse: at most 2.2e-16, one unit of the double epsilon, over the
@@ -897,6 +893,24 @@ def vn_unitary(bc, T, F):
 # conditioned W(i) and stays far below the smallest genuine deviation of the
 # tables (3.3e-9, at k = 1e4).
 _SETTLED = 1e-13
+# The eigenphase bound below which an end eigenphase of the level unitary
+# must keep its sign and shrink along K_LADDER (`edge._end_margins`).
+# Smallest end phases measured on 1e2, 1e3, 1e4: Laplacian |xi| = 1
+# -1.97e-4, -2.00e-6, -2.00e-8; regdirac 2e-1, 2e-2, 2e-3; Dirac and the
+# interface none below 0.9 rad.
+_END_PHASE = 0.1
+
+
+def _end_unitaries(bc, T, fiber_family, bc_ref=None):
+    """The stage's evaluation: U (6, dimV, dimV) of bc on K_ENDS, or with
+    bc_ref U U_ref^{-1}; both conditions share one Krein family Q(i) and
+    pass the checks of `_checked_unitary`, bc first."""
+    ks = np.array(K_ENDS)
+    Q = _krein_family(T, fiber_family.stacks(ks))
+    U = _checked_unitary(bc, T, Q, ks)
+    if bc_ref is not None:
+        U = U @ np.linalg.inv(_checked_unitary(bc_ref, T, Q, ks))
+    return U
 
 
 class AffiliationVerdict:
@@ -911,36 +925,28 @@ class AffiliationVerdict:
 
 
 def _settles(r_before, r_after):
-    return r_after <= r_before * (1 + 1e-6) or r_after < _SETTLED
+    return r_after <= r_before * (1 + _TREND_SLACK) or r_after < _SETTLED
 
 
 def affiliation_check(bc, T, fiber_family, bc_ref=None):
     """Decide whether the extension's unitary settles to the reference at
     large momentum.
 
-    Computes r(kappa) = ||U(+-kappa) - U_ref(+-kappa)|| at kappa in
-    K_LADDER (U_ref = 1 when no reference condition is given).  Affiliated
-    needs a non-increasing trend (up to roundoff, _SETTLED) with r(1e4) <
-    0.05 on both sides; a limit above 0.5 on a side reports not-affiliated in that
-    direction; anything else is inconclusive.  One Krein family over the six
-    momenta serves both conditions.
+    Reads r(kappa) = ||U(+-kappa) U_ref(+-kappa)^{-1} - 1||_2 on the stage
+    (`_end_unitaries`, U_ref = 1 when no reference condition is given).  A
+    side with r(1e4) > _APART and r(1e4) > _APART r(1e3) reports
+    not-affiliated in that direction; affiliated needs, on both sides, a
+    non-increasing trend (up to the slack _TREND_SLACK, or below _SETTLED)
+    with r(1e4) < _SETTLE; anything else is inconclusive.
     """
-    kappas = np.array(K_LADDER)
-    ks = np.concatenate([kappas, -kappas])
-    Q = _krein_family(T, fiber_family.stacks(ks))
-    U = _checked_unitary(bc, T, Q, ks)
-    if bc_ref is not None:
-        U = U @ np.linalg.inv(_checked_unitary(bc_ref, T, Q, ks))
-    dev = np.linalg.norm(U - np.eye(T.dimV), 2, axis=(1, 2))
-    evidence = {"+": [float(r) for r in dev[:3]],
-                "-": [float(r) for r in dev[3:]]}
-    bad = []
-    good = []
-    for key in ("+", "-"):
-        r2, r3, r4 = evidence[key]
-        if r4 > 0.5 and r4 > 0.5 * r3:
+    dev = np.linalg.norm(_end_unitaries(bc, T, fiber_family, bc_ref)
+                         - np.eye(T.dimV), 2, axis=(1, 2))
+    evidence = {key: dev[rows].tolist() for key, rows in _SIDES.items()}
+    bad, good = [], []
+    for key, (r2, r3, r4) in evidence.items():
+        if r4 > _APART and r4 > _APART * r3:
             bad.append(key)
-        elif _settles(r2, r3) and _settles(r3, r4) and r4 < 0.05:
+        elif _settles(r2, r3) and _settles(r3, r4) and r4 < _SETTLE:
             good.append(key)
     if bad:
         return AffiliationVerdict("not-affiliated", "".join(bad), evidence)
@@ -968,10 +974,9 @@ def green_identity_residual(T, F):
             _check_codes(code, ks)
         # per side: L2 sign, exponents, and amplitudes scaled like the jets
         # (the first jet block)
-        parts = [(sign, mus[0], J[0, :N])
+        parts = [(sign, mus[:, 0], J[:N, :, 0])
                  for (mus, _, J, _), sign in zip(sides, (1.0, -1.0))]
-        solutions[z] = parts, _triple_layout(
-            T, [J.transpose(1, 2, 0) for _, _, J, _ in sides])[..., 0]
+        solutions[z] = parts, _triple_layout(T, [s[2] for s in sides])[..., 0]
     parts1, J1 = solutions[1j]
     worst = 0.0
     for z2 in (1j, -1j):

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import numpy as np
 import pytest
 
-from bec.extension import _basis_batch, _check_codes
+from bec.extension import _basis_entries, _check_codes
 from bec.models import build_model
 
 try:
@@ -59,10 +59,11 @@ def decaying_basis(F, z, side):
     one-sided, one-row fiber F at z that decay on y > 0 (side 'right') or on
     y < 0 ('left'); a failing basis raises its typed error."""
     Ds = F.sides[0]
-    mus, phis, _, code = _basis_batch(Ds, F.ks, np.array([z]), side,
-                                      (Ds.shape[1] - 1) * Ds.shape[2] // 2)
+    mus, phis, _, code = _basis_entries(
+        np.moveaxis(Ds, 0, -1), F.ks, np.array([z]),
+        1.0 if side == "right" else -1.0, (Ds.shape[1] - 1) * Ds.shape[2] // 2)
     _check_codes(code, F.ks)
-    return mus[0], phis[0]
+    return mus[:, 0], phis[..., 0].T
 
 
 def run_cli(argv):

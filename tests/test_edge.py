@@ -26,7 +26,6 @@ from bec.edge import (
     relative_winding,
     spectral_flow,
     track_bands,
-    vn_unitary_family,
     winding,
 )
 from bec.errors import (
@@ -37,6 +36,7 @@ from bec.errors import (
     NotComparableError,
     NumericalFailure,
 )
+from bec.extension import vn_unitary_family
 from bec.models import build_model
 from bec.symbol import GapWindow, find_gap
 
@@ -831,7 +831,7 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
     T, fam = model.triple(side), model.fiber_family(side)
     bc, bc_ref = model.make_bc(cond[0], **cond[1]), model.make_bc(ref[0],
                                                                   **ref[1])
-    ks = np.tan(0.5 * np.pi * np.linspace(-0.999, 0.999, 257))
+    ks = extension.K_ENDS
     # two independent families, as each condition computed its own before
     two = (vn_unitary_family(bc, T, fam, ks)
            @ np.linalg.inv(vn_unitary_family(bc_ref, T, fam, ks)))
@@ -843,9 +843,9 @@ def test_relative_unitaries_share_one_krein_family(request, monkeypatch,
         return full_jets(T, sides, ks, zs)
 
     monkeypatch.setattr(extension, "_full_jets", counted)
-    shared = extension.vn_unitary_family(bc, T, fam, ks, bc_ref=bc_ref)
-    # one jet batch, at z = i, shared by both conditions; W(-i) takes
-    # Q(-i) = Q(i)^dag
+    shared = extension._end_unitaries(bc, T, fam, bc_ref=bc_ref)
+    # one jet batch of the stage's momenta, at z = i, shared by both
+    # conditions; W(-i) takes Q(-i) = Q(i)^dag
     assert calls == [(len(ks), 1j)]
     assert np.array_equal(np.linalg.det(shared), np.linalg.det(two))
 
@@ -871,9 +871,37 @@ def test_relative_winding_builds_one_jet_batch_per_det_curve_evaluation(
     monkeypatch.setattr(extension, "_full_jets", counted_jets)
     monkeypatch.setattr(edge, "_unitary_dets", counted_dets)
     relative_winding(bc, bc_ref, T, fam)
-    # the end check at k = -+K_LIMIT, then one batch per det-curve call
+    # the end check on the six momenta of the large-momentum stage, then
+    # one batch per det-curve call
     assert evaluations
-    assert batches == [(n, {1j}) for n in [2] + evaluations]
+    assert batches == [(n, {1j}) for n in [6] + evaluations]
+
+
+@pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
+def test_flow_end_certificate_builds_one_jet_batch_on_the_stage_momenta(
+        request, monkeypatch, fixture, side, cond, ref):
+    model = request.getfixturevalue(fixture)
+    T, fam = model.triple(side), model.fiber_family(side)
+    bc = model.make_bc(cond[0], **cond[1])
+    batches, certificate = [], []
+    full_jets, end_margins = extension._full_jets, edge._end_margins
+
+    def counted_jets(T, sides, ks, zs):
+        batches.append((tuple(ks), set(np.asarray(zs).tolist())))
+        return full_jets(T, sides, ks, zs)
+
+    def counted_margins(*args):
+        start = len(batches)
+        out = end_margins(*args)
+        certificate.extend(batches[start:])
+        return out
+
+    monkeypatch.setattr(extension, "_full_jets", counted_jets)
+    monkeypatch.setattr(edge, "_end_margins", counted_margins)
+    flow = level_flow(bc, T, fam, model.fiducial_E, 6.0)
+    # one batch of six rows at the real level: K_LADDER on each side
+    assert certificate == [(extension.K_ENDS, {model.fiducial_E})]
+    assert len(flow.ends) == 2
 
 
 def _vanishing_top_model(lap_model):
@@ -897,7 +925,7 @@ def test_winding_checks_both_conditions_at_the_ends(lap_model):
     bad = from_ab([np.eye(1), 1j * np.eye(1)], np.eye(1), label="bad")
     for bc, ref in ((bad, None), (good, bad)):
         with pytest.raises(InadmissibleConditionError,
-                           match=r"bad: A B\^dag not Hermitian at k=-10000"):
+                           match=r"bad: A B\^dag not Hermitian at k=100 \("):
             winding(bc, T, fam, k_window=8.0, bc_ref=ref)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import stacked_reference as stacked
 from bec import extension
-from bec.extension import _basis_batch
+from bec.extension import _basis_entries
 from bec.models import build_model
 from bec.symbol import find_gap
 
@@ -59,7 +59,10 @@ def _rows(name, seed):
 
 def _assert_same_basis(Ds, ks, zs, side):
     expect = (Ds.shape[1] - 1) * Ds.shape[2] // 2
-    got = _basis_batch(Ds, ks, zs, side, expect)
+    mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1), ks, zs,
+                                        1.0 if side == "right" else -1.0,
+                                        expect)
+    got = mus.T, phis.transpose(2, 1, 0), J.transpose(2, 0, 1), code
     want = stacked._basis_batch(Ds, ks, zs, side, expect)
     for name, a, b in zip(("mus", "phis", "jets", "code"), got, want):
         assert a.shape == b.shape, name

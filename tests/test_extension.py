@@ -31,7 +31,7 @@ from bec import extension
 from bec.edge import relative_winding, winding
 from bec.extension import (
     BoundaryTriple,
-    _basis_batch,
+    _basis_entries,
     _char_poly,
     _companion_roots,
     _full_jets,
@@ -176,10 +176,11 @@ def test_deficiency_basis_rejects_imaginary_axis_exponent():
 
 def test_jets_stack_derivatives(lap_model):
     Ds = lap_model.fiber(1.0).sides[0]
-    mus, phis, J, code = _basis_batch(Ds, np.array([1.0]), np.array([1j]),
-                                      "right", 1)
+    mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1),
+                                        np.array([1.0]), np.array([1j]),
+                                        1.0, 1)
     assert code[0] == 0
-    mu, phi, J = mus[0, 0], phis[0, 0], J[0]
+    mu, phi, J = mus[0, 0], phis[:, 0, 0], J[..., 0]
     assert J.shape == (2, 1)
     # (phi, -mu phi), normalized to a unit column
     norm = np.sqrt(1.0 + abs(mu) ** 2) * abs(phi[0])
@@ -497,10 +498,9 @@ def test_vn_unitary_family_names_the_momentum_of_a_singular_W(lap_model):
     # A = B = 0: W(i) = A - B Q(i) vanishes at every momentum
     zero = from_ab(0.0, 0.0)
     T, fam = lap_model.triple("halfline"), lap_model.fiber_family()
-    for bc, ref in ((zero, None), (lap_model.make_bc("dirichlet"), zero)):
-        with pytest.raises(InadmissibleConditionError,
-                           match=r"W\(i\) is singular at k=0.5$"):
-            vn_unitary_family(bc, T, fam, [0.5, 1.0], bc_ref=ref)
+    with pytest.raises(InadmissibleConditionError,
+                       match=r"W\(i\) is singular at k=0.5$"):
+        vn_unitary_family(zero, T, fam, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +766,13 @@ def test_double_nu_and_double_mu_have_the_coinciding_exponents_code():
     # companion roots split by sqrt(eps), past _CLUSTER_TOL
     eye = np.eye(2)
     Ds = np.array([[-eye, 0.0 * eye, eye]], dtype=complex)
-    code = _basis_batch(Ds, np.array([0.0]), np.array([1j]), "right", 2)[3]
+    code = _basis_entries(np.moveaxis(Ds, 0, -1), np.array([0.0]),
+                          np.array([1j]), 1.0, 2)[3]
     assert code[0] == extension._DEGENERATE
     # the scalar (mu - 1)^2 + i - z at z = i: a double mu
     Ds = np.array([[[[1.0 + 1j]], [[2.0]], [[1.0]]]], dtype=complex)
-    code = _basis_batch(Ds, np.array([0.5]), np.array([1j]), "right", 1)[3]
+    code = _basis_entries(np.moveaxis(Ds, 0, -1), np.array([0.5]),
+                          np.array([1j]), 1.0, 1)[3]
     assert code[0] == extension._DEGENERATE
     with pytest.raises(DegenerateExponentError):
         decaying_basis(_ConstantFamily(Ds[0]).stacks([0.5]), 1j, "right")
@@ -887,7 +889,7 @@ def test_char_poly_matches_interpolation(Ds, ks, zs):
 def _reference_basis(Ds, ks, zs, side, expect):
     """The deficiency kernel with LAPACK at every step: the interpolated
     characteristic polynomial, the companion roots of every polynomial and
-    an SVD per amplitude, under the checks of `_basis_batch` less the
+    an SVD per amplitude, under the checks of `_basis_entries` less the
     discriminant test.  Returns (normalized jets, code)."""
     order = Ds.shape[1] - 1
     d = order * Ds.shape[2]

@@ -8,6 +8,10 @@
   W(a, b) + W(b, c) = W(a, c).  No expected value of these comes from a
   table.  On the Laplacian Robin rows, whose table gives absolute
   windings w, also W(a, b) = w(a) - w(b).
+* One end reading: a relative winding's loop closes exactly where
+  `affiliation_check` finds the unitary within the closure constant of the
+  reference at K_LIMIT on both sides; both read the same large-momentum
+  stage, so the deviations agree bit for bit.
 """
 import itertools
 
@@ -22,8 +26,15 @@ from bec.cli import (
     REGDIRAC_NUMERICS,
     REGDIRAC_ROWS,
 )
-from bec.edge import K_LIMIT, _PHASE_SEEDS, relative_winding, winding
-from bec.extension import _unitary_dets, from_ab
+from bec.edge import (
+    K_LIMIT,
+    _PHASE_SEEDS,
+    _closure_deviation,
+    relative_winding,
+    winding,
+)
+from bec.errors import NotComparableError
+from bec.extension import _SETTLE, _unitary_dets, affiliation_check, from_ab
 from bec.models import build_model
 
 
@@ -130,3 +141,34 @@ def test_relative_windings_antisymmetric_and_additive(name, params,
             assert value == absolute[i] - absolute[j]
     for i, j, k in itertools.permutations(range(len(bcs)), 3):
         assert w[i, j] + w[j, k] == w[i, k]
+
+
+def _closure_cases():
+    """The table windings taken against a reference, and the Laplacian row
+    'K=0, |xi|=1' against Dirichlet, whose loop does not close."""
+    lap = build_model("laplacian")
+    return [case for case in _CASES if case[4] is not None] + [
+        ("laplacian K=0, |xi|=1 vs dirichlet", lap, "halfline",
+         lap.make_bc("robin", K=0.0, ell=1.0, M=1.0),
+         lap.make_bc("dirichlet"), LAPLACE_NUMERICS[0])]
+
+
+_CLOSURE_CASES = _closure_cases()
+
+
+@pytest.mark.parametrize("name, model, side, bc, ref, k_window",
+                         _CLOSURE_CASES,
+                         ids=[case[0] for case in _CLOSURE_CASES])
+def test_winding_closes_exactly_where_affiliation_settles_at_k_limit(
+        name, model, side, bc, ref, k_window):
+    T, fam = model.triple(side), model.fiber_family(side)
+    evidence = affiliation_check(bc, T, fam, bc_ref=ref).evidence
+    dev = max(evidence["+"][-1], evidence["-"][-1])
+    assert _closure_deviation(bc, T, fam, ref) == dev
+    # only the Laplacian pair stays apart: its deviation reads 2.000
+    assert (dev > _SETTLE) == name.startswith("laplacian")
+    if dev > _SETTLE:
+        with pytest.raises(NotComparableError, match=r"deviation 2\.000"):
+            relative_winding(bc, ref, T, fam, k_window=k_window)
+    else:
+        relative_winding(bc, ref, T, fam, k_window=k_window)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
 
-from bec.edge import vn_unitary_family
+from bec.extension import vn_unitary_family
 from bec.extension import (
     _companion_roots,
     _full_jets,
