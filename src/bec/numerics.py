@@ -6,8 +6,10 @@ Matrices are plain complex numpy arrays validated by the helpers below
 (finite entries, side length at most 64).  Stacks of small matrices have
 their own kernels: `_stack_product`, a matrix product as broadcast products
 over the inner index, and `_eigh_stack`, a Hermitian eigensolver in closed
-form for 2 x 2 and by LAPACK otherwise, which serves the Fermi projections
-and the curvature integrand of the Chern pairings.
+form for 2 x 2 and 3 x 3 and by LAPACK otherwise, which serves the Fermi
+projections and the curvature integrand of the Chern pairings.  A 3 x 3 row
+near a degenerate pair or triple, where the closed form would lose digits,
+takes LAPACK too; no row's result depends on the other rows of its stack.
 """
 
 import itertools
@@ -78,16 +80,23 @@ def _eigh_stack(H):
     column, of the Hermitian stack H (n, N, N), as np.linalg.eigh gives
     them up to the phase of each eigenvector.
 
-    For N = 2 in closed form, from the lower triangle as LAPACK reads it.
-    With H = [[a, b], [b*, c]], d = (a - c)/2 and r = hypot(d, |b|) the
+    N = 2 and N = 3 take closed forms on entry-wise (n,) arrays, read from
+    the lower triangle as LAPACK reads it (`_eigh_2x2`, `_eigh_3x3`); any
+    other N takes LAPACK.  Every row's result depends on that row alone."""
+    if H.shape[-1] == 2:
+        return _eigh_2x2(H)
+    if H.shape[-1] == 3:
+        return _eigh_3x3(H)
+    return np.linalg.eigh(H)
+
+
+def _eigh_2x2(H):
+    """With H = [[a, b], [b*, c]], d = (a - c)/2 and r = hypot(d, |b|) the
     eigenvalues are (a + c)/2 -+ r.  The lower eigenvector solves the row
     of H - ((a + c)/2 - r) whose diagonal entry is |d| + r, the one that
     does not cancel; the upper one is its orthogonal complement.  No entry
     is squared, so entries near 1e+-150 neither overflow nor underflow, and
-    r = 0 (a multiple of the identity) gives the identity.  Any other N
-    takes LAPACK."""
-    if H.shape[-1] != 2:
-        return np.linalg.eigh(H)
+    r = 0 (a multiple of the identity) gives the identity."""
     a, c = H[:, 0, 0].real, H[:, 1, 1].real
     b = H[:, 1, 0].conj()
     d = 0.5 * (a - c)
@@ -107,6 +116,99 @@ def _eigh_stack(H):
     V[:, 0, 0], V[:, 1, 0] = x, y
     V[:, 0, 1], V[:, 1, 1] = -y.conj(), x.conj()
     return w, V
+
+
+# a 3 x 3 row takes LAPACK when 1 - |r| or a chosen cross product (in units
+# of the scaled entries) falls below these: see `_eigh_3x3`
+_PAIR_MARGIN = 1.0 / 32
+_CROSS_MIN = 1.0 / 32
+
+
+def _abs2(x):
+    """|x|^2 of a complex array, from its real view."""
+    f = x.view(float)
+    f = f * f
+    return f[..., 0::2] + f[..., 1::2]
+
+
+def _eigh_3x3(H):
+    """The trigonometric eigenvalues and cross-product eigenvectors of each
+    3 x 3 row (Kopp, Int. J. Mod. Phys. C 19 (2008) 523), with LAPACK for
+    the rows where they would lose digits.
+
+    Each row is scaled by the power of two 2^-e that brings its largest
+    |H_ij| into [1/2, 1), which is exact, so entries near 1e+-150 neither
+    overflow nor underflow.  With q = tr A / 3, B = A - q, p^2 = |B|_F^2 / 6
+    and r = det B / (2 p^3) = cos 3 phi, the eigenvalues of B are
+    2 p cos(phi + 2 pi j / 3).  For each eigenvalue mu the rows of
+    M = B - mu span a plane whose normal is the eigenvector: the cross
+    products of the three pairs of rows are its multiples, and the largest
+    one is taken.  Its squared norm is at most the product of the squared
+    gaps from mu to the other two eigenvalues, and at least a third of it.
+
+    The formula loses digits near a close pair (|r| near 1) and the cross
+    product near any close pair or triple (a small norm), so a row with
+    1 - |r| < _PAIR_MARGIN or a chosen squared norm below _CROSS_MIN^2
+    takes LAPACK instead.  An accepted row's eigenvalues lie at least
+    0.05 2^e apart (see tests/test_numerics.py)."""
+    n = H.shape[0]
+    u, v, w = H[:, 1, 0].conj(), H[:, 2, 0].conj(), H[:, 2, 1].conj()
+    a = [H[:, i, i].real for i in range(3)]
+    big = np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])), np.abs(a[2]))
+    for x in (u, v, w):
+        np.maximum(big, np.abs(x), out=big)
+    e = np.clip(np.frexp(big)[1], -1021, 1021)
+    down = np.ldexp(1.0, -e)
+    a0, a1, a2 = (x * down for x in a)
+    # complex operands throughout: a real-times-complex product casts on
+    # every call and costs twice a complex one
+    down = down + 0j
+    u, v, w = u * down, v * down, w * down
+    uc, vc, wc = u.conj(), v.conj(), w.conj()
+    q = (a0 + a1 + a2) / 3.0
+    b0, b1, b2 = a0 - q, a1 - q, a2 - q
+    uu, vv, ww = _abs2(u), _abs2(v), _abs2(w)
+    P, Q, R = u * w, v * uc, w * vc
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (uu + vv + ww)) / 6.0)
+    # det B = b0 b1 b2 + 2 Re(u w v*) - b0 |w|^2 - b1 |v|^2 - b2 |u|^2
+    det = (b0 * b1 * b2 + 2.0 * (u.real * R.real - u.imag * R.imag)
+           - b0 * ww - b1 * vv - b2 * uu)
+    # a row with p <= _CROSS_MIN fails the cross-product test below anyway
+    # (no product exceeds (2 sqrt(3) p)^2), and a smaller p^3 can underflow
+    live = p > _CROSS_MIN
+    r = np.where(live, det / (2.0 * np.where(live, p, 1.0) ** 3), 1.0)
+    np.clip(r, -1.0, 1.0, out=r)
+    phi = np.arccos(r) / 3.0
+    top = 2.0 * p * np.cos(phi)
+    bot = 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    good = np.abs(r) <= 1.0 - _PAIR_MARGIN
+    b0, b1, b2 = b0 + 0j, b1 + 0j, b2 + 0j
+    uu, vv, ww = uu + 0j, vv + 0j, ww + 0j
+    Pc, Qc = P.conj(), Q.conj()
+    up = np.ldexp(1.0, e)
+    w_out = np.empty((n, 3))
+    V = np.empty(H.shape, dtype=complex)
+    for j, mu in enumerate((bot, -top - bot, top)):
+        w_out[:, j] = (q + mu) * up
+        mu = mu + 0j
+        m0, m1, m2 = b0 - mu, b1 - mu, b2 - mu
+        # rows (m0, u, v), (u*, m1, w), (v*, w*, m2): products 01, 02, 12
+        cross = ((P - v * m1, Q - w * m0, m0 * m1 - uu),
+                 (u * m2 - v * wc, vv - m0 * m2, m0 * wc - Qc),
+                 (m1 * m2 - ww, R - uc * m2, Pc - m1 * vc))
+        n0, n1, n2 = (_abs2(x) + _abs2(y) + _abs2(z) for x, y, z in cross)
+        pick0 = (n0 >= n1) & (n0 >= n2)
+        pick1 = ~pick0 & (n1 >= n2)
+        norm2 = np.where(pick0, n0, np.where(pick1, n1, n2))
+        good &= norm2 >= _CROSS_MIN ** 2
+        inv = 1.0 / np.sqrt(np.where(norm2 > 0.0, norm2, 1.0)) + 0j
+        for i, (x, y, z) in enumerate(zip(*cross)):
+            V[:, i, j] = np.where(pick0, x, np.where(pick1, y, z)) * inv
+        del cross  # before the next eigenvalue's nine products
+    bad = ~good
+    if bad.any():
+        w_out[bad], V[bad] = np.linalg.eigh(H[bad])
+    return w_out, V
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ class Symbol:
         k2 = np.asarray(k2, dtype=float).ravel()
         out = np.zeros((k1.size, self.N, self.N), dtype=complex)
         for (a, b), C in self.terms.items():
-            out += (k1 ** a * k2 ** b)[:, None, None] * C
+            x = k1 ** a * k2 ** b
+            # entry by entry, so no (n, N, N) product is formed per term
+            for i, j in zip(*np.nonzero(C)):
+                out[:, i, j] += x * C[i, j]
         return out
 
     def derivative(self, axis):
@@ -191,9 +194,9 @@ def find_gap(S, around, k_window):
 
 def _eigh_gapped(S, K1, K2, level):
     """Eigenvalues and eigenvectors of H at a batch of momenta, refusing any
-    momentum where an eigenvalue lies within 1e-8 of `level`.  Two-band
-    symbols take the closed-form 2 x 2 eigenbasis of `_eigh_stack`, any
-    other size LAPACK."""
+    momentum where an eigenvalue lies within 1e-8 of `level`.  Two- and
+    three-band symbols take the closed-form eigenbases of `_eigh_stack`,
+    any other size LAPACK."""
     w, V = _eigh_stack(S.eval_batch(K1, K2))
     gap_dist = np.min(np.abs(w - level))
     if gap_dist <= 1e-8:
@@ -220,28 +223,40 @@ def _curvature_integrand(S, level):
     eigenbasis P = diag(f) with occupations f = [E < level], and the exact
     derivatives of the polynomial symbol give
     (d_j P)_ab = (V^dag d_j H V)_ab (f_b - f_a) / (E_b - E_a),
-    so there is no step size.  With X_j = V^dag d_j H V, formed by broadcast
-    products (`_stack_product`), and D_ab = (f_b - f_a) / (E_b - E_a), which
-    is symmetric, the trace is one weighted sum over the matrix entries,
-    sum_ab f_a D_ab^2 (X2_ab X1_ba - c.c.).  The returned function maps 1D
-    float arrays k1, k2 to an array of integrand values of the same length.
+    so there is no step size.  Only a below the level and b above it
+    contribute, so with X_j = V_occ^dag d_j H V_empty, the (r, N - r) block
+    of V^dag d_j H V formed by broadcast products (`_stack_product`), the
+    trace is sum_ab (X2_ab X1_ab* - c.c.) / (E_b - E_a)^2 / (2 pi i)
+    = sum_ab Im(X2_ab X1_ab*) / (E_b - E_a)^2 / pi.  Momenta are grouped by
+    their rank r, the number of eigenvalues below the level; rank 0 and
+    rank N give 0.  Each momentum's value is summed entry by entry, so it
+    does not depend on the other momenta of its batch.  The returned
+    function maps 1D float arrays k1, k2 to an array of integrand values of
+    the same length.
     """
     dS = (S.derivative(0), S.derivative(1))
 
     def f(k1, k2):
         w, V = _eigh_gapped(S, k1, k2, level)
-        Vh = V.conj().swapaxes(1, 2)
-        X1, X2 = (_stack_product(_stack_product(Vh, d.eval_batch(k1, k2)), V)
-                  for d in dS)
-        T = X2 * X1.swapaxes(1, 2)
-        occ = (w < level).astype(float)
-        # states on the same side of the level do not mix: f_b - f_a = 0
-        # there, and across the level |E_b - E_a| > 2e-8
-        D = occ[:, None, :] - occ[:, :, None]
-        np.divide(D, w[:, None, :] - w[:, :, None], out=D, where=D != 0)
-        T -= T.conj()  # in place: a call can carry over a thousand momenta
-        T *= occ[:, :, None] * D * D
-        return np.sum(T, axis=(1, 2)) / (2j * np.pi)
+        dH = [d.eval_batch(k1, k2) for d in dS]
+        rank = np.count_nonzero(w < level, axis=1)
+        out = np.zeros(len(w))
+        for r in range(1, S.N):
+            rows = np.flatnonzero(rank == r)
+            if rows.size == len(w):  # the common case: views, not copies
+                rows = slice(None)
+            elif rows.size == 0:
+                continue
+            Vr, wr = V[rows], w[rows]
+            occ_h = Vr[:, :, :r].conj().swapaxes(1, 2)
+            X1, X2 = (_stack_product(occ_h, _stack_product(d[rows],
+                                                           Vr[:, :, r:]))
+                      for d in dH)
+            # across the level |E_b - E_a| > 2e-8
+            gap = wr[:, None, r:] - wr[:, :r, None]
+            T = (X2.imag * X1.real - X2.real * X1.imag) / (gap * gap)
+            out[rows] = sum(T.reshape(len(wr), -1).T) / np.pi
+        return out
 
     return f
 

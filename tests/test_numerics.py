@@ -184,12 +184,131 @@ def test_eigh_stack_2x2_multiple_of_identity_gives_identity():
     assert np.array_equal(V, [np.eye(2), np.eye(2)])
 
 
-@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("N", [1, 4])
 def test_eigh_stack_other_sizes_are_lapack(N):
     H = _hermitian(np.random.default_rng(50 + N), 30, N)
     w, V = _eigh_stack(H)
     w_ref, V_ref = np.linalg.eigh(H)
     assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+
+def _with_spectrum(rng, w):
+    """Q diag(w) Q^dag for one random unitary Q per row of w (n, 3)."""
+    X = rng.normal(size=(len(w), 3, 3)) + 1j * rng.normal(size=(len(w), 3, 3))
+    Q = np.linalg.qr(X)[0]
+    return (Q * w[:, None, :]) @ Q.conj().swapaxes(1, 2)
+
+
+def _eigh_3x3_cases():
+    """3 x 3 Hermitian stacks: random ones; diagonal ones; multiples of the
+    identity and the zero matrix; a pair of eigenvalues t apart, at the top
+    and at the bottom of the spectrum; a triple within t; the shallow-water
+    symbol at nodes of the compactified plane out to |k| ~ 1e6; and all of
+    these scaled by 1e+-150."""
+    from bec.models import build_model
+
+    rng = np.random.default_rng(41)
+    diag = np.zeros((6, 3, 3), dtype=complex)
+    for i, d in enumerate([(3.0, 1.0, 2.0), (-1.0, 2.0, 0.0),
+                           (0.5, -0.5, 7.0), (1.0, 1.0, 2.0),
+                           (2.0, -2.0, 2.0), (0.0, 0.0, 1e-3)]):
+        diag[i] = np.diag(d)
+    stacks = {"random": _hermitian(rng, 200, 3), "diagonal": diag,
+              "identity": np.array([0.0, 1.0, -2.5, 1e-3])[:, None, None]
+              * np.eye(3) + 0j}
+    for t in (1e-2, 1e-6, 1e-12, 0.0):
+        stacks["pair %g" % t] = np.concatenate([
+            _with_spectrum(rng, np.tile([-1.0, 1.0, 1.0 + t], (10, 1))),
+            _with_spectrum(rng, np.tile([-1.0 - t, -1.0, 1.0], (10, 1)))])
+    for t in (1e-3, 1e-8, 1e-13, 1e-120):
+        stacks["triple %g" % t] = np.eye(3) + t * _hermitian(rng, 20, 3)
+    s = rng.uniform(-1.0, 1.0, size=(2, 400))
+    s[0, :40] = np.sign(s[0, :40]) * (1.0 - np.geomspace(1e-5, 6e-7, 40))
+    k1, k2 = np.tan(np.pi / 2 * s)
+    shallow = build_model("shallow", f=1.0, nu=0.1).symbol
+    stacks["shallow"] = shallow.eval_batch(k1, k2)
+    for name in list(stacks):
+        for scale in (1e150, 1e-150):
+            stacks["%s*%g" % (name, scale)] = scale * stacks[name]
+    return stacks
+
+
+# The closed form's error bound c in units of eps times the largest |H_ij|.
+# The kernel scales each row by the power of two 2^-e that puts its largest
+# entry in [1/2, 1), so one unit of the scaled row is at most 2 |H|_max, and
+# it accepts a row only if 1 - |r| >= 1/32 and every chosen cross product is
+# >= 1/32 (scaled units).
+# - Eigenvalues: mu = 2 p cos(phi + 2 pi j/3) with r = cos 3 phi moves by at
+#   most 2 p dr / (3 sin 3 phi), and sin 3 phi >= sqrt(1 - (31/32)^2) > 1/4.1,
+#   p <= sqrt(3/2) (6 p^2 = |B|_F^2 <= |A|_F^2 <= 9).  With r, p and the shift
+#   each carrying about 8 roundings, dmu <~ 3.4 * 8 eps < 30 eps.
+# - Gaps: 1 - |r| >= 1/32 keeps every gap g >= 2 sqrt(3) p sin(arccos(31/32)/3)
+#   > 0.28 p; a chosen cross product is at most the product of its
+#   eigenvalue's two gaps, and no gap exceeds 2 sqrt(3) p, so
+#   g * 2 sqrt(3) p >= 1/32.  Together g > 0.05.
+# - Eigenvectors: an error d of the entries of H - mu turns the null vector
+#   by at most d / g < 20 d, with d about 8 eps: within 160 eps, and so is
+#   their orthonormality.  The residual H v - v mu is d per direction, not
+#   d / g: within 2 (30 + 8) eps.
+# Doubling the scaled unit, c = 2 * 160 bounds all three; LAPACK's own error
+# (a few eps) is well inside it.
+C_3X3 = 320.0
+
+
+@pytest.mark.parametrize("case", list(_eigh_3x3_cases()))
+def test_eigh_stack_3x3_matches_lapack(case):
+    H = _eigh_3x3_cases()[case]
+    w, V = _eigh_stack(H)
+    ref = np.linalg.eigvalsh(H)
+    eps = np.finfo(float).eps
+    scale = np.maximum(np.abs(H).max(axis=(1, 2)), np.finfo(float).tiny)
+    assert w.shape == ref.shape and V.shape == H.shape
+    assert np.all(np.diff(w, axis=1) >= 0.0)
+    assert np.all(np.abs(w - ref) <= C_3X3 * eps * scale[:, None])
+    assert np.max(np.abs(V.conj().swapaxes(1, 2) @ V - np.eye(3))) \
+        <= C_3X3 * eps
+    res = H @ V - V * w[:, None, :]
+    assert np.all(np.abs(res).max(axis=(1, 2)) <= C_3X3 * eps * scale)
+
+
+def test_eigh_stack_3x3_fallback_rows_are_lapack(monkeypatch):
+    cases = _eigh_3x3_cases()
+    H = np.concatenate(list(cases.values()))
+    names = np.concatenate([[name] * len(h) for name, h in cases.items()])
+    sent = []
+    eigh = np.linalg.eigh
+
+    def spy(A):
+        sent.append(A.copy())
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    w, V = _eigh_stack(H)
+    monkeypatch.undo()
+    assert len(sent) == 1
+    sent = {A.tobytes() for A in sent[0]}
+    rows = [i for i, h in enumerate(H) if h.tobytes() in sent]
+    w_ref, V_ref = eigh(H[rows])
+    assert w[rows].tobytes() == w_ref.tobytes()
+    assert V[rows].tobytes() == V_ref.tobytes()
+    # every row near a degenerate pair or triple goes, no shallow-water row
+    sent_per_case = {name: np.sum(names[rows] == name) for name in cases}
+    for name, h in cases.items():
+        base = name.split("*")[0]
+        if base in ("identity", "pair 1e-06", "pair 1e-12", "pair 0",
+                    "triple 1e-08", "triple 1e-13", "triple 1e-120"):
+            assert sent_per_case[name] == len(h), name
+        if base == "shallow":
+            assert sent_per_case[name] == 0, name
+
+
+def test_eigh_stack_3x3_rows_do_not_depend_on_their_batch():
+    H = np.concatenate(list(_eigh_3x3_cases().values()))
+    w, V = _eigh_stack(H)
+    for i in range(len(H)):
+        w1, V1 = _eigh_stack(H[i:i + 1])
+        assert w1.tobytes() == w[i:i + 1].tobytes()
+        assert V1.tobytes() == V[i:i + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------

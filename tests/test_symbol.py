@@ -17,6 +17,7 @@ from bec.errors import (
     NoGapError,
 )
 from bec import symbol
+from bec.numerics import _eigh_stack, _stack_product
 from bec.symbol import (
     GapWindow,
     Symbol,
@@ -85,6 +86,28 @@ def test_eval_is_hermitian_at_random_momenta(shallow_model, regdirac_model):
         for k1, k2 in rng.normal(scale=3.0, size=(25, 2)):
             H = S(k1, k2)
             assert np.max(np.abs(H - H.conj().T)) < 1e-12
+
+
+SHIPPED_SYMBOLS = [("laplacian", {}), ("dirac", {"m": 1.0}),
+                   ("regdirac", {"m": -1.0, "eps": 0.1}),
+                   ("shallow", {"f": 1.0, "nu": 0.1})]
+
+
+@pytest.mark.parametrize("name, params", SHIPPED_SYMBOLS,
+                         ids=[n for n, _ in SHIPPED_SYMBOLS])
+def test_eval_batch_equals_the_broadcast_sum(name, params):
+    # the entry-wise sum is the sum of broadcast (n, N, N) products of each
+    # term, bit for bit, on the symbol and both of its derivatives
+    from bec.models import build_model
+
+    S = build_model(name, **params).symbol
+    rng = np.random.default_rng(8)
+    k1, k2 = np.tan(np.pi / 2 * rng.uniform(-0.999, 0.999, size=(2, 1280)))
+    for T in (S, S.derivative(0), S.derivative(1)):
+        ref = np.zeros((len(k1), T.N, T.N), dtype=complex)
+        for (a, b), C in T.terms.items():
+            ref += (k1 ** a * k2 ** b)[:, None, None] * C
+        assert T.eval_batch(k1, k2).tobytes() == ref.tobytes()
 
 
 def test_derivative_of_fourth_order_symbol(regdirac_model):
@@ -333,22 +356,92 @@ def _curvature_by_differences(S, level, k1, k2):
     return np.einsum("nij,nji->n", P(0, 0), comm) / (2j * np.pi)
 
 
-@pytest.mark.parametrize("name, params, level", [
+# (model, parameters, level): one rank per batch, then mixed ranks
+INTEGRAND_CASES = [
     ("dirac", {"m": 1.0}, 0.0),
     ("regdirac", {"m": -1.0, "eps": 0.1}, 0.0),
     ("shallow", {"f": 1.0, "nu": 0.1}, 0.5),
-])
+    ("laplacian", {}, 1.0),
+    ("dirac", {"m": 1.0}, 1.5),
+    ("shallow", {"f": 1.0, "nu": 0.1}, 1.5),
+]
+INTEGRAND_IDS = ["%s@%g" % (c[0], c[2]) for c in INTEGRAND_CASES]
+
+
+def _quadrature_like_nodes(n, seed=5):
+    """Nodes spread like the quadrature's, over the compactified plane."""
+    rng = np.random.default_rng(seed)
+    return np.tan(np.pi / 2 * rng.uniform(-0.99, 0.99, size=(2, n)))
+
+
+@pytest.mark.parametrize("name, params, level", INTEGRAND_CASES[:4],
+                         ids=INTEGRAND_IDS[:4])
 def test_curvature_integrand_matches_differences(name, params, level):
     from bec.models import build_model
 
     S = build_model(name, **params).symbol
-    rng = np.random.default_rng(5)
-    # nodes spread like the quadrature's, over the compactified plane
-    k1, k2 = np.tan(np.pi / 2 * rng.uniform(-0.99, 0.99, size=(2, 300)))
+    k1, k2 = _quadrature_like_nodes(300)
     got = _curvature_integrand(S, level)(k1, k2)
     assert got.shape == (300,)
     assert np.max(np.abs(got - _curvature_by_differences(S, level, k1, k2))) \
         < 1e-10
+
+
+def _kubo_reference(S, level):
+    """The full-matrix Kubo integrand: sum_ab f_a D_ab^2 (X2_ab X1_ba - c.c.)
+    / (2 pi i) over all of X_j = V^dag d_j H V, with D_ab = (f_b - f_a) /
+    (E_b - E_a), in the eigenbasis of 2 x 2 closed form and LAPACK for any
+    other size.  The integrand had this form before it took the
+    occupied x empty block and the 3 x 3 closed form."""
+    dS = (S.derivative(0), S.derivative(1))
+
+    def f(k1, k2):
+        H = S.eval_batch(k1, k2)
+        w, V = _eigh_stack(H) if S.N == 2 else np.linalg.eigh(H)
+        Vh = V.conj().swapaxes(1, 2)
+        X1, X2 = (_stack_product(_stack_product(Vh, d.eval_batch(k1, k2)), V)
+                  for d in dS)
+        T = X2 * X1.swapaxes(1, 2)
+        occ = (w < level).astype(float)
+        D = occ[:, None, :] - occ[:, :, None]
+        np.divide(D, w[:, None, :] - w[:, :, None], out=D, where=D != 0)
+        T -= T.conj()
+        T *= occ[:, :, None] * D * D
+        return (np.sum(T, axis=(1, 2)) / (2j * np.pi)).real
+
+    return f
+
+
+@pytest.mark.parametrize("name, params, level", INTEGRAND_CASES,
+                         ids=INTEGRAND_IDS)
+def test_curvature_integrand_matches_kubo_reference(name, params, level):
+    from bec.models import build_model
+
+    S = build_model(name, **params).symbol
+    k1, k2 = _quadrature_like_nodes(600)
+    ranks = np.count_nonzero(np.linalg.eigvalsh(S.eval_batch(k1, k2)) < level,
+                             axis=1)
+    # the last three batches mix ranks
+    assert (len(set(ranks)) > 1) == (level == 1.0 or level == 1.5)
+    got = _curvature_integrand(S, level)(k1, k2)
+    ref = _kubo_reference(S, level)(k1, k2)
+    # both forms round the Kubo sum a few eps apart; out to |k| ~ 64 that
+    # stays well below 1e-13 of each value
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("name, params, level", INTEGRAND_CASES,
+                         ids=INTEGRAND_IDS)
+def test_curvature_integrand_rows_do_not_depend_on_their_batch(name, params,
+                                                               level):
+    from bec.models import build_model
+
+    f = _curvature_integrand(build_model(name, **params).symbol, level)
+    k1, k2 = _quadrature_like_nodes(120, seed=6)
+    together = f(k1, k2)
+    alone = np.concatenate([f(k1[i:i + 1], k2[i:i + 1])
+                            for i in range(len(k1))])
+    assert together.tobytes() == alone.tobytes()
 
 
 def test_curvature_integrand_of_two_band_closed_form():
@@ -421,11 +514,14 @@ def test_chern_fourth_order_negative_mass(quad_cells):
 
 
 # The seven pairings of the bulk-pairing benchmark at its tol 1e-6: cell
-# counts and values as the Kubo integrand with LAPACK eigenbases and stacked
-# matrix products gave them, recorded as such.  A change of the integrand's
-# rounding must keep every cell schedule and move no value by more than
-# 1e-12.  The integrand calls are those of refinement in rounds with four
-# splits per call; one split per call took (cells - 1) / 3 of them.
+# counts and values as the full-matrix Kubo integrand with LAPACK eigenbases
+# and stacked matrix products first gave them, recorded as such.  They hold
+# under the occupied x empty block form with the closed-form 2 x 2 and 3 x 3
+# eigenbases: every cell schedule is the same, and no value moves by more
+# than 4.5e-16.  A change of the integrand's rounding must keep every cell
+# schedule and move no value by more than 1e-12.  The integrand calls are
+# those of refinement in rounds with four splits per call; one split per
+# call took (cells - 1) / 3 of them.
 BULK_PAIRINGS = [
     ("regdirac m=-1", ("regdirac", {"m": -1.0, "eps": 0.1}), None, 0.0,
      -1.0000000034578407, 568, 49),
