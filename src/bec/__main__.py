@@ -1,0 +1,7 @@
+"""`python -m bec`: the command-line front end."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,13 +11,12 @@ Commands and the flags each one reads (every command also takes --out):
                         --k-resolution --lam-resolution --plot
     bec edge flow       spectral flow through the fiducial level: the
                         Maslov index of the level unitary, with crossings
-                        --model --param --bc --side --level --k-window
+                        --model --param --bc --side --level
     bec winding         (relative) winding of the von Neumann unitary
                         --model --param --bc --bc-ref --ref-param --side
-                        --k-window
     bec verify          corrected bulk-edge correspondence check
                         --model --param --bc --bc-ref --ref-param --side
-                        --level --tol --k-window
+                        --level --tol
     bec tables          recompute the three summary tables and diff them
                         laplacian|dirac|regdirac
 
@@ -347,8 +346,7 @@ def _flow_of(ctx, bc, rep, name):
     """The spectral flow of bc through the task level, reported as name
     with its rounding residual, plus its end margins: per side the end
     eigenphase of smallest magnitude and its shrink factor per decade."""
-    flow = level_flow(bc, ctx.triple(), ctx.fibers(), ctx.task["level"],
-                      k_window=ctx.numerics["k_window"])
+    flow = level_flow(bc, ctx.triple(), ctx.fibers(), ctx.task["level"])
     rep.add_value(name, flow.value, flow.resid)
     rep.add_line("%s end phases: %s" % (name, ", ".join(
         "k -> %sinf %+.2e (shrink %.3g per decade)" % (side, phi, shrink)
@@ -370,15 +368,10 @@ def cmd_edge_flow(args):
 def cmd_winding(args):
     ctx = _build_context(args)
     rep = _base_report(ctx, "winding of the von Neumann unitary")
-    if ctx.bc_ref is not None:
-        value, resid = relative_winding(ctx.bc, ctx.bc_ref, ctx.triple(),
-                                        ctx.fibers(),
-                                        k_window=ctx.numerics["k_window"])
-        rep.add_value("relative winding", value, resid)
-    else:
-        value, resid = winding(ctx.bc, ctx.triple(), ctx.fibers(),
-                               k_window=ctx.numerics["k_window"])
-        rep.add_value("winding", value, resid)
+    value, resid = winding(ctx.bc, ctx.triple(), ctx.fibers(),
+                           bc_ref=ctx.bc_ref)
+    rep.add_value("winding" if ctx.bc_ref is None else "relative winding",
+                  value, resid)
     _write_or_print(rep.render() + "\n", getattr(args, "out", None))
     return 0
 
@@ -429,8 +422,7 @@ def cmd_verify(args):
 
     flow1 = _flow_of(ctx, ctx.bc, rep, "SF(bc)")
     flow2 = _flow_of(ctx, ref, rep, "SF(ref)")
-    wind, resid = relative_winding(ctx.bc, ref, ctx.triple(), ctx.fibers(),
-                                   k_window=ctx.numerics["k_window"])
+    wind, resid = relative_winding(ctx.bc, ref, ctx.triple(), ctx.fibers())
     rep.add_value("relative winding", wind, resid)
     ok = (flow1.value - flow2.value) == wind
     rep.add_line("identity SF(bc) - SF(ref) == relative winding: %s"
@@ -494,19 +486,13 @@ REGDIRAC_ROWS = (
 )
 REGDIRAC_BULK = (-1, 0)
 
-# (k_window, k_resolution, lam_resolution) of each table: the counts and
-# the windings take the k_window; the tracked cross-check of the counts,
-# track_bands + spectral_flow, takes all three
+# (k_window, k_resolution, lam_resolution) of the tracked cross-check of each
+# table's counts, which only the tests run; tests/test_bench_contract.py
+# pins perfbench's copies to these.  The tables count every flow at the
+# model's fiducial level (the Laplacian's lies in its gap, below 0).
 LAPLACE_NUMERICS = (8.0, 481, 320)
 DIRAC_NUMERICS = (6.0, 481, 240)
 REGDIRAC_NUMERICS = (12.0, 481, 320)
-
-
-def _table_flow(bc, T, model, k_window):
-    """The spectral flow of a table row, counted at the model's fiducial
-    level (the Laplacian's lies inside its gap, below the bulk edge 0)."""
-    return level_flow(bc, T, model.fiber_family(T.side), model.fiducial_E,
-                      k_window=k_window).value
 
 
 def _table_laplacian(rep):
@@ -516,8 +502,8 @@ def _table_laplacian(rep):
     mism = 0
     for label, K, xi, sf_exp, wind_exp in LAPLACE_ROWS:
         bc = model.make_bc("robin", K=K, ell=xi, M=1.0)
-        sf = _table_flow(bc, T, model, LAPLACE_NUMERICS[0])
-        wind = winding(bc, T, fam, k_window=LAPLACE_NUMERICS[0])[0]
+        sf = level_flow(bc, T, fam, model.fiducial_E).value
+        wind = winding(bc, T, fam)[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
         mism += 0 if ok else 1
         rep.add_line("%-24s computed (SF %+d, wind %+d)  expected "
@@ -542,9 +528,8 @@ def _table_dirac(rep):
         fam = model.fiber_family()
         bc = model.make_bc("a", a=a)
         ref = model.make_bc("a", a=1.0)
-        sf = _table_flow(bc, T, model, DIRAC_NUMERICS[0])
-        wind = relative_winding(bc, ref, T, fam,
-                                k_window=DIRAC_NUMERICS[0])[0]
+        sf = level_flow(bc, T, fam, model.fiducial_E).value
+        wind = relative_winding(bc, ref, T, fam)[0]
         ok = (sf == sf_exp) and (wind == wind_exp)
         mism += 0 if ok else 1
         rep.add_line("m=%+g a=%+g   computed (wind %+d, SF %+d)  expected "
@@ -559,12 +544,12 @@ def _table_regdirac(rep):
     flows = {}
     for mi, m in enumerate((-1.0, 1.0)):
         model = build_model("regdirac", m=m, eps=0.1)
-        T = model.triple()
+        T, fam = model.triple(), model.fiber_family()
         for label, a, *_ in REGDIRAC_ROWS:
             bc = model.make_bc("dirichlet") if a is None else \
                 model.make_bc("a", a=a)
-            flows[(label, mi)] = _table_flow(bc, T, model,
-                                             REGDIRAC_NUMERICS[0])
+            flows[(label, mi)] = level_flow(bc, T, fam,
+                                            model.fiducial_E).value
     for label, _a, sf_m_neg, sf_m_pos in REGDIRAC_ROWS:
         got = (flows[(label, 0)], flows[(label, 1)])
         ok = got == (sf_m_neg, sf_m_pos)
@@ -624,9 +609,7 @@ _OPTIONS = {
     "--tol": dict(type=float, help="quadrature tolerance"),
     "--k-window": dict(type=float,
                        help="half width of the momentum range that edge "
-                            "spectrum tracks and bulk searches for a gap; "
-                            "it only seeds the sampling of the spectral "
-                            "flow and the windings"),
+                            "spectrum tracks and bulk searches for a gap"),
     "--k-resolution": dict(type=int),
     "--lam-resolution": dict(type=int,
                              help="cap on evaluated energy samples per "
@@ -647,12 +630,11 @@ _COMMANDS = (
      "--model --param --bc --side --level --k-window --k-resolution "
      "--lam-resolution --out --plot"),
     ("edge flow", "spectral flow through the level", cmd_edge_flow,
-     "--model --param --bc --side --level --k-window --out"),
+     "--model --param --bc --side --level --out"),
     ("winding", "winding of the von Neumann unitary", cmd_winding,
-     "--model --param --bc --bc-ref --ref-param --side --k-window --out"),
+     "--model --param --bc --bc-ref --ref-param --side --out"),
     ("verify", "corrected correspondence check", cmd_verify,
-     "--model --param --bc --bc-ref --ref-param --side --level --tol "
-     "--k-window --out"),
+     "--model --param --bc --bc-ref --ref-param --side --level --tol --out"),
     ("tables", "recompute the summary tables", cmd_tables, "which --out"),
 )
 

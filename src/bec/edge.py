@@ -19,11 +19,14 @@ eigenvalues of a momentum column, from the eigenphases of V along E
 V(k, level) along the compactified momentum line s = (2/pi) atan k (Robbin
 and Salamon, Topology 32 (1993); `level_flow`); and the windings, from the
 phase of det U along the same line (`winding`).  `_samples` samples the
-curves until every step of the phase sum is below a radian and pi / p, and
-`_crossings` counts the eigenphases through 0 in each step, certified by
-the step's rounding residual, and refines each by batched Illinois regula
-falsi.  det U is sampled as det W(-i) / det W(i) of the condition matrices
-W(+-i) = A - B Q(+-i) (`extension._unitary_dets`), without forming U.
+curves until every step of the phase sum is below pi / p and a bound of its
+caller: a radian on a column, whose eigenphases turn one way, and a quarter
+radian on the momentum line, where nothing certifies the steps
+(`_on_line`).  `_crossings` counts the eigenphases through 0 in each step,
+certified by the step's rounding residual, and refines each by batched
+Illinois regula falsi.  det U is sampled as det W(-i) / det W(i) of the
+condition matrices W(+-i) = A - B Q(+-i) (`extension._unitary_dets`),
+without forming U.
 
 Band tracking, a block of grid columns at a time sharing the batches of the
 level unitary, serves the dispersion output and `spectral_flow(bands)`, the
@@ -69,18 +72,23 @@ CALIBRATION_SIGN = -1
 # phase curves: one sampler and one crossing counter
 
 
-_PHASE_STEP = 1.0        # largest step of the phase sum between samples, rad
+_PHASE_STEP = 1.0        # a column's largest step of the phase sum, rad
+# a momentum-line curve's, rad.  A column's eigenphases turn one way, which
+# certifies each step; a line curve's may turn either way, so a step that
+# reads d could hide a turn of d -+ 2 pi.  A quarter radian, far below
+# pi / p, makes refinement meet a fast turn before it can alias.
+_LINE_STEP = 0.25
 _COUNT_TOL = 1e-6        # largest rounding residual of a step's count
 _ILLINOIS_ITERS = 100    # regula falsi steps at most per root
 
 
-def _samples(fun, owner, x, cap, where):
+def _samples(fun, owner, x, cap, where, bound):
     """Samples of phase curves from the seeds (owner (n,), x (n,)), ordered
     by curve and x: curve owner[i] at x[i] has the eigenphases fun(owner,
     x) -> (eigenphases (p, n), ok (n,)), ok False where they fail; one call
     per round over all pending points.  Midpoints are added until every
     step of the phase sum between neighbouring good samples of a curve is
-    below _PHASE_STEP and pi / p, each step split between every two samples
+    below bound (rad) and pi / p, each step split between every two samples
     it holds, good or failed, so no point is evaluated twice.  Failing
     samples are left out.  A curve that needs more than cap evaluated
     samples, or a step with no floating-point midpoint, raises
@@ -110,8 +118,8 @@ def _samples(fun, owner, x, cap, where):
         good_curve, good_theta = curve[g], theta[:, g]
         inner = good_curve[1:] == good_curve[:-1]
         steps = _wrap(np.diff(good_theta.sum(axis=0)))
-        bound = min(_PHASE_STEP, np.pi / len(th))
-        bad = np.nonzero(inner & (np.abs(steps) > bound))[0]
+        bad = np.nonzero(inner & (np.abs(steps)
+                                  > min(bound, np.pi / len(th))))[0]
         if len(bad) == 0:
             return good_curve, at[g], good_theta, steps, inner
         # the gaps between the samples, good or failed, of each step to refine
@@ -234,16 +242,16 @@ def _crossings(fun, curve, x, theta, steps, inner, tol, where):
 
 # seeds of the phase curves on the compactified momentum line, and the most
 # samples such a curve may take
-_PHASE_SEEDS = 1025
+_PHASE_SEEDS = 65
 _PHASE_MAX_POINTS = 60000
 
 
-def _on_line(fun, k_window, what):
+def _on_line(fun, what):
     """The phase curve fun(ks) -> eigenphases (p, n) on the compactified
     momentum line s = (2/pi) atan k, |k| <= K_LIMIT, sampled by `_samples`
-    from _PHASE_SEEDS uniform seeds in s and 801 over |k| <= k_window.
-    Returns its phase function in s, where (naming a point's momentum for
-    what) and the samples."""
+    from _PHASE_SEEDS uniform seeds in s, refined until every step is below
+    _LINE_STEP.  Returns its phase function in s, where (naming a point's
+    momentum for what) and the samples."""
     def in_s(_, s):
         return fun(np.tan(0.5 * np.pi * s)), np.ones(len(s), dtype=bool)
 
@@ -251,12 +259,9 @@ def _on_line(fun, k_window, what):
         return "%s near k=%g" % (what, np.tan(0.5 * np.pi * s))
 
     s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
-    s = np.unique(np.clip(np.append(
-        np.linspace(-s_lim, s_lim, _PHASE_SEEDS),
-        (2.0 / np.pi) * np.arctan(np.linspace(-k_window, k_window, 801))),
-        -s_lim, s_lim))
+    s = np.linspace(-s_lim, s_lim, _PHASE_SEEDS)
     return in_s, where, _samples(in_s, np.zeros(len(s), dtype=int), s,
-                                 _PHASE_MAX_POINTS, where)
+                                 _PHASE_MAX_POINTS, where, _LINE_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +295,14 @@ def _columns(bc, T, F, windows, nl, xtol=None):
 
     Each column is the phase curve of V(k, E) in E, seeded with _SEEDS over
     its window, sampled by `_samples` with at most nl evaluated samples and
-    counted by `_crossings` to its own width tolerance (xtol, by default
-    1e-9 of the window's magnitude), so a column gives the same result alone
-    or in a batch.  The eigenphases of V turn one way as E grows: a column
-    whose steps turn both ways raises NumericalFailure, and monotonicity
-    certifies that no turn was missed.  Roots of one step within the
-    tolerance are one eigenvalue of their multiplicity, as on a decoupled
-    interface.  Every batch of the level unitary has at most _SCAN_ROWS rows.
+    steps below _PHASE_STEP, and counted by `_crossings` to its own width
+    tolerance (xtol, by default 1e-9 of the window's magnitude), so a column
+    gives the same result alone or in a batch.  The eigenphases of V turn
+    one way as E grows: a column whose steps turn both ways raises
+    NumericalFailure, and monotonicity certifies that no turn was missed.
+    Roots of one step within the tolerance are one eigenvalue of their
+    multiplicity, as on a decoupled interface.  Every batch of the level
+    unitary has at most _SCAN_ROWS rows.
     """
     out = [[] for _ in windows]
     cols = [i for i, (lo, hi) in enumerate(windows)
@@ -318,7 +324,8 @@ def _columns(bc, T, F, windows, nl, xtol=None):
 
     col, E, theta, steps, inner = _samples(
         fun, np.repeat(np.arange(len(ks)), len(_SEEDS)),
-        (lo[:, None] + (hi - lo)[:, None] * _SEEDS).ravel(), nl, where)
+        (lo[:, None] + (hi - lo)[:, None] * _SEEDS).ravel(), nl, where,
+        _PHASE_STEP)
     up = np.bincount(col[:-1][inner & (steps > 0.0)], minlength=len(cols))
     down = np.bincount(col[:-1][inner & (steps < 0.0)], minlength=len(cols))
     if np.any(up * down):
@@ -802,7 +809,8 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     through |k| = infinity, so a `_closure_deviation` above _SETTLE leaves
     the winding undefined and raises NotComparableError; the large-momentum
     stage checks both conditions, and InadmissibleConditionError names the
-    first failure on its momenta.  Returns (integer, rounding residual)."""
+    first failure on its momenta.  Returns (integer, rounding residual).
+    k_window is unused; perfbench/jobs.py passes it until ROADMAP item 2."""
     gap_dev = _closure_deviation(bc, T, fiber_family, bc_ref)
     if gap_dev > _SETTLE:
         raise NotComparableError(
@@ -814,7 +822,7 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
         _check_unimodular(dets)
         return np.angle(dets)[None, :]
 
-    _, _, (_, _, theta, _, _) = _on_line(phase, k_window, "det U")
+    _, _, (_, _, theta, _, _) = _on_line(phase, "det U")
     raw = unwind_phase(np.exp(1j * np.append(theta[0], theta[0, 0])))
     cal = CALIBRATION_SIGN * raw
     value = int(np.round(cal))
@@ -827,8 +835,9 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
 
 def relative_winding(bc1, bc2, T, fiber_family, k_window=20.0):
     """Calibrated winding of the relative unitary U1 U2^{-1}; with the
-    shipped calibration this equals SF(bc1) - SF(bc2) for affiliated pairs."""
-    return winding(bc1, T, fiber_family, k_window=k_window, bc_ref=bc2)
+    shipped calibration this equals SF(bc1) - SF(bc2) for affiliated pairs;
+    k_window is unused, as in `winding`."""
+    return winding(bc1, T, fiber_family, bc_ref=bc2)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +890,7 @@ def _end_margins(bc, T, fiber_family, level):
     return out
 
 
-def level_flow(bc, T, fiber_family, level=0.0, k_window=20.0):
+def level_flow(bc, T, fiber_family, level=0.0):
     """Spectral flow of the edge bands of bc through the level: the Maslov
     index of the level unitary V(k, level) along the momentum line, the sum
     of the step counts c of `_crossings` on the phase curve of the
@@ -892,14 +901,15 @@ def level_flow(bc, T, fiber_family, level=0.0, k_window=20.0):
         sum c = unwind_phase(det V) + (sum [theta_j(-K_LIMIT)]
                                        - sum [theta_j(+K_LIMIT)]) / 2 pi.
 
-    `_end_margins` certifies the end eigenphases; k_window only seeds the
-    sampling, and any failing basis sample raises its typed error.  Each
-    eigenphase that passes 0 is refined in s = (2/pi) atan k and gives one
-    crossing of the sign of its step's count.  Returns a FlowResult with the
+    `_end_margins` certifies the end eigenphases, and any failing basis
+    sample raises its typed error.  The count covers the whole line, so no
+    momentum window enters it.  Each eigenphase that passes 0 is refined in
+    s = (2/pi) atan k and gives one crossing of the sign of its step's
+    count.  Returns a FlowResult with the
     crossings, the rounding residual of the sum and the end margins."""
     ends = _end_margins(bc, T, fiber_family, level)
     fun, where, (curve, s, theta, steps, inner) = _on_line(
-        lambda ks: _phases_at(bc, T, fiber_family, ks, level), k_window,
+        lambda ks: _phases_at(bc, T, fiber_family, ks, level),
         "the spectral flow count")
     # as `_columns`: 1e-9 of the magnitude of the window of s
     tol = np.array([1e-9 * (1.0 + np.abs(s).max())])

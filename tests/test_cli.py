@@ -104,8 +104,7 @@ def test_relative_chern_two_band_masses():
 
 def test_winding_robin():
     code, out, err = run_cli(["winding", "--model", "laplacian",
-                              "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--k-window", "8"])
+                              "--bc", "robin", "--param", "K=1,ell=2,M=1"])
     assert code == 0, err
     assert "winding = -1 (resid" in out
 
@@ -113,7 +112,7 @@ def test_winding_robin():
 def test_winding_relative_to_reference():
     code, out, err = run_cli(["winding", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--bc-ref", "dirichlet", "--k-window", "8"])
+                              "--bc-ref", "dirichlet"])
     assert code == 0, err
     assert "relative winding = -1 (resid" in out
 
@@ -142,8 +141,7 @@ def test_laplacian_has_no_klm_family():
 
 def test_edge_flow_two_band():
     code, out, err = run_cli(["edge", "flow", "--model", "dirac",
-                              "--param", "m=1,a=2", "--bc", "a",
-                              "--k-window", "3"])
+                              "--param", "m=1,a=2", "--bc", "a"])
     assert code == 0, err
     assert "SF = +1 (resid" in out
     assert "crossing: k = -0.75" in out
@@ -187,8 +185,7 @@ def test_edge_spectrum_warns_when_not_affiliated(tmp_path):
 
 def test_verify_passes_for_affiliated_robin():
     code, out, err = run_cli(["verify", "--model", "laplacian",
-                              "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--k-window", "8"])
+                              "--bc", "robin", "--param", "K=1,ell=2,M=1"])
     assert code == 0, err
     assert "SF(bc) = -1" in out
     assert "relative winding = -1" in out
@@ -201,7 +198,7 @@ def test_verify_reports_non_integer_chern_warning():
     # the Chern warning of the bulk term lands in the report, not nowhere
     code, out, err = run_cli(["verify", "--model", "dirac",
                               "--param", "m=1,a=2", "--bc", "a",
-                              "--k-window", "8", "--tol", "1e-4"])
+                              "--tol", "1e-4"])
     assert code == 0, err
     assert "[non-integer; bulk identity skipped]" in out
     assert "WARN: Chern pairing 0.500042 is not close to an integer" in out
@@ -220,16 +217,18 @@ def test_verify_skips_unaffiliated_condition():
     (["verify"], ["--tol", "1e-3"]),
     (["edge", "flow"], []),
 ])
-def test_crossing_beyond_the_k_window_is_counted_at_any_window(command,
-                                                               flags):
+def test_crossing_beyond_the_k_window_is_counted_at_any_window(
+        tmp_path, command, flags):
     # regdirac m = -1, a = 2: a band crosses the level at k = -5.81, beyond
     # a k window of 4, and again at k = 1.47.  The count runs over the whole
     # momentum line, so SF(bc) is the table's -2 = -1 (bulk) + -1 (relative
-    # winding to dirichlet) whatever the window.
+    # winding to dirichlet) whatever the model file's window.
+    path = tmp_path / "regdirac.model"
     for k_window in ("4", "12"):
-        code, out, err = run_cli(command + [
-            "--model", "regdirac", "--param", "m=-1,eps=0.1", "--bc", "a",
-            "--param", "a=2", "--k-window", k_window] + flags)
+        path.write_text("[model]\nname = regdirac\nm = -1\neps = 0.1\n\n"
+                        "[boundary]\nfamily = a\na = 2\n\n"
+                        "[numerics]\nk_window = %s\n" % k_window)
+        code, out, err = run_cli(command + ["--model", str(path)] + flags)
         assert code == 0, err
         if command == ["verify"]:
             assert "SF(bc) = -2 (resid" in out
@@ -322,8 +321,7 @@ def test_builtin_name_and_model_file_agree(tmp_path):
                     "[boundary]\nfamily = a\na = 2\n\n"
                     "[numerics]\nk_window = 3\n")
     code, out, err = run_cli(["winding", "--model", "dirac", "--param", "m=1",
-                              "--bc", "a", "--param", "a=2", "--bc-ref", "a",
-                              "--k-window", "3"])
+                              "--bc", "a", "--param", "a=2", "--bc-ref", "a"])
     assert code == 0, err
     assert "relative winding = +0 (resid" in out
     assert run_cli(["winding", "--model", str(path), "--bc-ref", "a"]) == \
@@ -353,10 +351,10 @@ def _subparser(words):
                                    "--tol"]),
     (["edge", "spectrum"], COMMON + BC + GRID + ["--level", "--k-window",
                                                  "--plot"]),
-    (["edge", "flow"], COMMON + BC + ["--level", "--k-window"]),
-    (["winding"], COMMON + BC + ["--bc-ref", "--ref-param", "--k-window"]),
+    (["edge", "flow"], COMMON + BC + ["--level"]),
+    (["winding"], COMMON + BC + ["--bc-ref", "--ref-param"]),
     (["verify"], COMMON + BC + ["--bc-ref", "--ref-param", "--level",
-                                "--tol", "--k-window"]),
+                                "--tol"]),
     (["tables"], ["which", "--out"]),
 ], ids=["bulk", "relative-chern", "edge-spectrum", "edge-flow", "winding",
         "verify", "tables"])
@@ -377,11 +375,14 @@ def test_each_command_takes_the_flags_it_reads(words, options):
      "dirac", "--param2", "m=-1", "--k-window", "3"],
 ] + [words + DIRAC_A2_FLAGS + [flag, "161"] for words in (["edge", "flow"],
                                                           ["verify"])
-     for flag in GRID],
+     for flag in GRID] + [
+    words + DIRAC_A2_FLAGS + ["--k-window", "8"]
+    for words in (["edge", "flow"], ["winding"], ["verify"])],
     ids=["winding-tol", "winding-level", "edge-flow-bc-ref",
          "bulk-k-resolution", "relative-chern-k-window",
          "edge-flow-k-resolution", "edge-flow-lam-resolution",
-         "verify-k-resolution", "verify-lam-resolution"])
+         "verify-k-resolution", "verify-lam-resolution",
+         "edge-flow-k-window", "winding-k-window", "verify-k-window"])
 def test_flags_a_command_does_not_read_exit_2(argv):
     code, out, err = run_cli(argv)
     assert code == 2
@@ -449,20 +450,19 @@ def test_whitespace_inside_a_number_exits_2(tmp_path):
 def test_model_keys_in_ref_param_are_rejected():
     code, out, err = run_cli(["winding", "--model", "laplacian",
                               "--bc", "robin", "--param", "K=1,ell=2,M=1",
-                              "--bc-ref", "dirichlet", "--ref-param", "m=5",
-                              "--k-window", "8"])
+                              "--bc-ref", "dirichlet", "--ref-param", "m=5"])
     assert code == 2
     assert "--ref-param takes boundary parameters only" in err
 
 
 @pytest.mark.parametrize("flag, key, argv", [
     ("--param", "a", ["winding", "--model", "dirac", "--param", "m=1",
-                      "--bc", "a", "--param", "a=nan", "--k-window", "6"]),
+                      "--bc", "a", "--param", "a=nan"]),
     ("--param", "m", ["verify", "--model", "dirac", "--param", "m=inf",
                       "--bc", "a", "--param", "a=2"]),
     ("--ref-param", "a", ["winding", "--model", "dirac", "--param", "m=1",
                           "--bc", "a", "--param", "a=2", "--bc-ref", "a",
-                          "--ref-param", "a=nan", "--k-window", "6"]),
+                          "--ref-param", "a=nan"]),
     ("--param2", "m", ["relative-chern", "--model", "dirac", "--param", "m=1",
                        "--model2", "dirac", "--param2", "m=-inf"]),
 ], ids=["boundary-key", "model-key", "ref-param", "param2"])
@@ -562,9 +562,10 @@ def test_rejected_value_exits_2_naming_the_key(tmp_path, key, argv, text):
         path = tmp_path / "bad.model"
         path.write_text(text)
         argv = ["--model", str(path)] + argv
-    # the resolutions are read by edge spectrum only
-    command = ["edge", "spectrum"] if key.endswith("resolution") \
-        else ["verify"]
+    # verify takes no grid flags: the k window and the resolutions go to
+    # edge spectrum
+    command = ["edge", "spectrum"] if key.startswith("k_") \
+        or key.endswith("resolution") else ["verify"]
     code, out, err = run_cli(command + argv)
     assert code == 2
     assert err.startswith("error: ") and "%s = " % key in err

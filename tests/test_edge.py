@@ -531,7 +531,7 @@ def test_level_flow_counts_a_phase_through_0_against_its_ends(monkeypatch,
     # crossing is the end term's [theta(-inf)] - [theta(+inf)] = -2 pi
     _one_phase_family(monkeypatch, lambda k: -k / (1.0 + k * k))
     flow = level_flow(None, lap_model.triple(), lap_model.fiber_family(),
-                      0.0, 8.0)
+                      0.0)
     assert flow.value == -1 and flow.resid <= 1e-12
     (k_star, sign), = flow.crossings
     assert abs(k_star) < 1e-9 and sign == -1
@@ -555,15 +555,35 @@ def test_level_flow_rejects_an_end_phase_tending_to_the_level(monkeypatch,
                        match=r"tends to 0 as k -> -inf .* on \|k\| = 100, "
                              r"1000, 10000"):
         level_flow(None, lap_model.triple(), lap_model.fiber_family(),
-                   0.0, 8.0)
+                   0.0)
 
 
 def test_level_flow_on_the_bulk_edge_names_the_momentum(lap_model):
     # the Laplacian's bulk spectrum starts at 0, at k = 0: no sample skipped
     bc = lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0)
     with pytest.raises(BoundaryOfRegularityError, match=r"at k=\[0\.\]"):
-        level_flow(bc, lap_model.triple(), lap_model.fiber_family(), 0.0,
-                   8.0)
+        level_flow(bc, lap_model.triple(), lap_model.fiber_family(), 0.0)
+
+
+def test_level_flow_refines_a_turn_inside_one_seed_interval(monkeypatch,
+                                                            lap_model):
+    # theta = 2 atan((k - k0) / w) passes 0 once, upward at k0, midway
+    # between two seeds of the line, and turns through all of 2 pi but
+    # 0.5 rad between them: the seeds alone read a step of -0.5 rad and no
+    # crossing, below pi and a column's radian alike.  Only refinement
+    # under the line's step bound finds the crossing.
+    s_lim = (2.0 / np.pi) * np.arctan(edge.K_LIMIT)
+    seeds = np.tan(0.5 * np.pi * np.linspace(-s_lim, s_lim,
+                                             edge._PHASE_SEEDS))
+    k_a, k_b = seeds[len(seeds) // 2 + 3: len(seeds) // 2 + 5]
+    k0 = 0.5 * (k_a + k_b)
+    w = 0.5 * (k_b - k_a) / np.tan(0.25 * (2.0 * np.pi - 0.5))
+    _one_phase_family(monkeypatch, lambda k: 2.0 * np.arctan((k - k0) / w))
+    flow = level_flow(None, lap_model.triple(), lap_model.fiber_family(),
+                      0.0)
+    assert flow.value == 1
+    (k_star, sign), = flow.crossings
+    assert sign == 1 and abs(k_star - k0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +778,24 @@ def test_relative_winding_antisymmetry_and_additivity(lap_model):
     assert w12 == -1  # same as the absolute winding: the reference is inert
 
 
+@pytest.mark.parametrize("name, params, family, kw, ref", [
+    ("dirac", {"m": 1.0}, "a", {"a": 2.0}, ("a", {"a": 1.0})),
+    ("regdirac", {"m": -1.0, "eps": 0.1}, "a", {"a": 2.0},
+     ("dirichlet", {})),
+], ids=["dirac", "regdirac"])
+def test_windings_do_not_read_the_k_window(name, params, family, kw, ref):
+    # the keyword stays only for the callers in perfbench/jobs.py; ROADMAP
+    # item 2 removes it
+    model = build_model(name, **params)
+    T, fam = model.triple(), model.fiber_family()
+    bc, bc_ref = model.make_bc(family, **kw), model.make_bc(ref[0], **ref[1])
+    for k_window in (4.0, 12.0):
+        assert winding(bc, T, fam, k_window=k_window, bc_ref=bc_ref) \
+            == winding(bc, T, fam, bc_ref=bc_ref)
+        assert relative_winding(bc, bc_ref, T, fam, k_window=k_window) \
+            == relative_winding(bc, bc_ref, T, fam)
+
+
 def test_raw_winding_undefined_for_two_band_family(dirac_model):
     # the unitary has different limits at k -> +-infinity, so the loop
     # through infinity does not close without a reference condition
@@ -898,7 +936,7 @@ def test_flow_end_certificate_builds_one_jet_batch_on_the_stage_momenta(
 
     monkeypatch.setattr(extension, "_full_jets", counted_jets)
     monkeypatch.setattr(edge, "_end_margins", counted_margins)
-    flow = level_flow(bc, T, fam, model.fiducial_E, 6.0)
+    flow = level_flow(bc, T, fam, model.fiducial_E)
     # one batch of six rows at the real level: K_LADDER on each side
     assert certificate == [(extension.K_ENDS, {model.fiducial_E})]
     assert len(flow.ends) == 2

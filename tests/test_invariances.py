@@ -1,4 +1,4 @@
-"""Invariances of the reported windings.
+"""Invariances of the reported windings and flows.
 
 * Row mixing: (A, B) and (R A, R B), with R(k) polynomial and invertible on
   the real line, are the same boundary condition.  On every table winding
@@ -12,60 +12,58 @@
   `affiliation_check` finds the unitary within the closure constant of the
   reference at K_LIMIT on both sides; both read the same large-momentum
   stage, so the deviations agree bit for bit.
+* Line sampling (ROADMAP items 4 and 12): doubling the seeds of the
+  momentum line and halving its step bound leaves every table integer
+  unchanged on all 49 table curves, the 26 flows of `level_flow` and the
+  23 windings, with every crossing sign, and every crossing momentum to
+  1e-6 relative.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from bec.cli import (
-    DIRAC_NUMERICS,
-    DIRAC_ROWS,
-    LAPLACE_NUMERICS,
-    LAPLACE_ROWS,
-    REGDIRAC_NUMERICS,
-    REGDIRAC_ROWS,
-)
+from bec import edge
+from bec.cli import DIRAC_ROWS, LAPLACE_ROWS, REGDIRAC_ROWS
 from bec.edge import (
     K_LIMIT,
     _PHASE_SEEDS,
     _closure_deviation,
+    level_flow,
     relative_winding,
     winding,
 )
 from bec.errors import NotComparableError
 from bec.extension import _SETTLE, _unitary_dets, affiliation_check, from_ab
 from bec.models import build_model
+from test_tables import _count_rows
 
 
 def _table_windings():
-    """(id, model, side, condition, reference or None, k window) of every
-    table winding: the Laplacian rows, the Dirac rows against a = 1, the
+    """(id, model, side, condition, reference or None) of every table
+    winding: the Laplacian rows, the Dirac rows against a = 1, the
     regdirac rows against Dirichlet, and the Dirac interface decoupled(1, 1)
     against transparent."""
     cases = []
     lap = build_model("laplacian")
     for label, K, xi, *_ in LAPLACE_ROWS:
         cases.append(("laplacian " + label, lap, "halfline",
-                      lap.make_bc("robin", K=K, ell=xi, M=1.0), None,
-                      LAPLACE_NUMERICS[0]))
+                      lap.make_bc("robin", K=K, ell=xi, M=1.0), None))
     for m, a, *_ in DIRAC_ROWS:
         model = build_model("dirac", m=m)
         cases.append(("dirac m=%+g a=%+g" % (m, a), model, "halfline",
-                      model.make_bc("a", a=a), model.make_bc("a", a=1.0),
-                      DIRAC_NUMERICS[0]))
+                      model.make_bc("a", a=a), model.make_bc("a", a=1.0)))
     for m in (-1.0, 1.0):
         model = build_model("regdirac", m=m, eps=0.1)
         for label, a, *_ in REGDIRAC_ROWS:
             if a is not None:
                 cases.append(("regdirac m=%+g %s" % (m, label), model,
                               "halfline", model.make_bc("a", a=a),
-                              model.make_bc("dirichlet"),
-                              REGDIRAC_NUMERICS[0]))
+                              model.make_bc("dirichlet")))
     iface = build_model("dirac", m=1.0, m_minus=-1.0)
     cases.append(("interface decoupled", iface, "interface",
                   iface.make_bc("decoupled", aplus=1.0, aminus=1.0),
-                  iface.make_bc("transparent"), DIRAC_NUMERICS[0]))
+                  iface.make_bc("transparent")))
     return cases
 
 
@@ -94,16 +92,15 @@ def _mixed(bc, R):
     return from_ab(*(times(X) for X in bc._ab_poly), label=bc.label)
 
 
-@pytest.mark.parametrize("name, model, side, bc, ref, k_window", _CASES,
+@pytest.mark.parametrize("name, model, side, bc, ref", _CASES,
                          ids=[case[0] for case in _CASES])
-def test_winding_invariant_under_row_mixing(name, model, side, bc, ref,
-                                            k_window):
+def test_winding_invariant_under_row_mixing(name, model, side, bc, ref):
     T, fam = model.triple(side), model.fiber_family(side)
     R = _mixing(T.dimV)
     mixed = _mixed(bc, R)
     mixed_ref = None if ref is None else _mixed(ref, R)
-    assert (winding(mixed, T, fam, k_window=k_window, bc_ref=mixed_ref)[0]
-            == winding(bc, T, fam, k_window=k_window, bc_ref=ref)[0])
+    assert (winding(mixed, T, fam, bc_ref=mixed_ref)[0]
+            == winding(bc, T, fam, bc_ref=ref)[0])
     # the seed samples of the phase curve, out to the ends +-K_LIMIT
     s_lim = (2.0 / np.pi) * np.arctan(K_LIMIT)
     ks = np.tan(0.5 * np.pi * np.linspace(-s_lim, s_lim, _PHASE_SEEDS))
@@ -113,27 +110,25 @@ def test_winding_invariant_under_row_mixing(name, model, side, bc, ref,
     assert np.all(np.abs(mixed_dets - dets) <= 1e-12 * cond)
 
 
-@pytest.mark.parametrize("name, params, conditions, k_window, absolute", [
+@pytest.mark.parametrize("name, params, conditions, absolute", [
     ("laplacian", {},
      [("robin", {"K": K, "ell": xi, "M": 1.0})
       for _, K, xi, *_ in LAPLACE_ROWS],
-     LAPLACE_NUMERICS[0], [wind for *_, wind in LAPLACE_ROWS]),
+     [wind for *_, wind in LAPLACE_ROWS]),
     ("dirac", {"m": 1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
-     DIRAC_NUMERICS[0], None),
+     None),
     ("dirac", {"m": -1.0}, [("a", {"a": a}) for a in (2.0, 0.5, -2.0, 1.0)],
-     DIRAC_NUMERICS[0], None),
+     None),
     ("regdirac", {"m": -1.0, "eps": 0.1},
      [("a", {"a": a}) for a in (2.0, 0.0, -2.0)] + [("dirichlet", {})],
-     REGDIRAC_NUMERICS[0], None),
+     None),
 ], ids=["laplacian robin rows", "dirac m=+1", "dirac m=-1", "regdirac m=-1"])
 def test_relative_windings_antisymmetric_and_additive(name, params,
-                                                      conditions, k_window,
-                                                      absolute):
+                                                      conditions, absolute):
     model = build_model(name, **params)
     T, fam = model.triple(), model.fiber_family()
     bcs = [model.make_bc(family, **kw) for family, kw in conditions]
-    w = {(i, j): relative_winding(bcs[i], bcs[j], T, fam,
-                                  k_window=k_window)[0]
+    w = {(i, j): relative_winding(bcs[i], bcs[j], T, fam)[0]
          for i, j in itertools.permutations(range(len(bcs)), 2)}
     for (i, j), value in w.items():
         assert value == -w[j, i]
@@ -150,17 +145,16 @@ def _closure_cases():
     return [case for case in _CASES if case[4] is not None] + [
         ("laplacian K=0, |xi|=1 vs dirichlet", lap, "halfline",
          lap.make_bc("robin", K=0.0, ell=1.0, M=1.0),
-         lap.make_bc("dirichlet"), LAPLACE_NUMERICS[0])]
+         lap.make_bc("dirichlet"))]
 
 
 _CLOSURE_CASES = _closure_cases()
 
 
-@pytest.mark.parametrize("name, model, side, bc, ref, k_window",
-                         _CLOSURE_CASES,
+@pytest.mark.parametrize("name, model, side, bc, ref", _CLOSURE_CASES,
                          ids=[case[0] for case in _CLOSURE_CASES])
 def test_winding_closes_exactly_where_affiliation_settles_at_k_limit(
-        name, model, side, bc, ref, k_window):
+        name, model, side, bc, ref):
     T, fam = model.triple(side), model.fiber_family(side)
     evidence = affiliation_check(bc, T, fam, bc_ref=ref).evidence
     dev = max(evidence["+"][-1], evidence["-"][-1])
@@ -169,6 +163,36 @@ def test_winding_closes_exactly_where_affiliation_settles_at_k_limit(
     assert (dev > _SETTLE) == name.startswith("laplacian")
     if dev > _SETTLE:
         with pytest.raises(NotComparableError, match=r"deviation 2\.000"):
-            relative_winding(bc, ref, T, fam, k_window=k_window)
+            relative_winding(bc, ref, T, fam)
     else:
-        relative_winding(bc, ref, T, fam, k_window=k_window)
+        relative_winding(bc, ref, T, fam)
+
+
+def _line_curves():
+    """The value and crossings of every table flow, and every table
+    winding, at the current sampling of the momentum line."""
+    flows = []
+    for _, name, params, side, family, kw, _ in _count_rows():
+        model = build_model(name, **params)
+        flow = level_flow(model.make_bc(family, **kw), model.triple(side),
+                          model.fiber_family(side), model.fiducial_E)
+        flows.append((flow.value, flow.crossings))
+    windings = [winding(bc, model.triple(side), model.fiber_family(side),
+                        bc_ref=ref)[0]
+                for _, model, side, bc, ref in _CASES]
+    return flows, windings
+
+
+def test_finer_line_sampling_leaves_every_table_curve(monkeypatch):
+    flows, windings = _line_curves()
+    assert len(flows) + len(windings) == 49
+    monkeypatch.setattr(edge, "_PHASE_SEEDS", 2 * edge._PHASE_SEEDS - 1)
+    monkeypatch.setattr(edge, "_LINE_STEP", 0.5 * edge._LINE_STEP)
+    fine_flows, fine_windings = _line_curves()
+    assert fine_windings == windings
+    for (value, crossings), (fine_value, fine) in zip(flows, fine_flows):
+        assert fine_value == value
+        assert [sign for _, sign in fine] == [sign for _, sign in crossings]
+        np.testing.assert_allclose([k for k, _ in fine],
+                                   [k for k, _ in crossings], rtol=1e-6,
+                                   atol=0.0)

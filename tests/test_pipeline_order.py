@@ -3,7 +3,7 @@
 Each module imports only the modules before it in ORDER:
 
     errors, numerics -> symbol -> extension -> models -> edge
-    -> report, svgplot -> modelfile -> cli
+    -> report, svgplot -> modelfile -> cli -> __main__
 
 so a kernel never reaches into a consumer of its results.  `__init__`
 gathers the public names of all of them and is exempt.
@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bec"
 
 ORDER = ("errors", "numerics", "symbol", "extension", "models", "edge",
-         "report", "svgplot", "modelfile", "cli")
+         "report", "svgplot", "modelfile", "cli", "__main__")
 
 
 def _imports(path):

@@ -1,5 +1,5 @@
-"""The summary tables in bec.cli, computed with the same calls and momentum
-windows as `bec tables`, and `bec tables` itself.
+"""The summary tables in bec.cli, computed with the same calls as `bec
+tables`, and `bec tables` itself.
 
 Every spectral flow of the tables, and of both interface conditions, is
 counted by `level_flow` at the table's level and at two more levels inside
@@ -10,6 +10,9 @@ numerics fails tier-1.  The regularized Dirac windings take their expected
 values from the table's flows through SF(bc) - SF(dirichlet).
 """
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +61,7 @@ def test_laplace_row_winding(lap_model, label, K, xi, sf, wind):
     T, fam = lap_model.triple(), lap_model.fiber_family()
     bc = lap_model.make_bc("robin", K=K, ell=xi, M=1.0)
     assert affiliation_check(bc, T, fam).verdict == "affiliated"
-    assert winding(bc, T, fam, k_window=LAPLACE_NUMERICS[0])[0] == wind
+    assert winding(bc, T, fam)[0] == wind
 
 
 @pytest.mark.parametrize("label, K, xi, verdict", [
@@ -78,8 +81,7 @@ def test_dirac_row_relative_winding(m, a, wind, sf):
     T, fam = model.triple(), model.fiber_family()
     bc, ref = model.make_bc("a", a=a), model.make_bc("a", a=1.0)
     assert affiliation_check(bc, T, fam, bc_ref=ref).verdict == "affiliated"
-    assert relative_winding(bc, ref, T, fam,
-                            k_window=DIRAC_NUMERICS[0])[0] == wind
+    assert relative_winding(bc, ref, T, fam)[0] == wind
 
 
 @pytest.mark.parametrize("mi, m", [(0, -1.0), (1, 1.0)], ids=["m=-1", "m=+1"])
@@ -94,8 +96,7 @@ def test_regdirac_row_winding_relative_to_dirichlet(mi, m, label, a, sf_neg,
     bc = model.make_bc("a", a=a)
     assert affiliation_check(bc, T, fam,
                              bc_ref=dirichlet).verdict == "affiliated"
-    assert relative_winding(bc, dirichlet, T, fam,
-                            k_window=REGDIRAC_NUMERICS[0])[0] == want
+    assert relative_winding(bc, dirichlet, T, fam)[0] == want
 
 
 def _flow_rows():
@@ -141,8 +142,8 @@ def test_tracked_spectral_flow_row(name, params, family, kw, numerics, sf,
     bands = track_bands(bc, T, model, k_window, k_resolution=k_resolution,
                         lam_resolution=lam_resolution)
     assert spectral_flow(bands, level=0.0).value == sf
-    assert level_flow(bc, T, model.fiber_family(T.side), model.fiducial_E,
-                      k_window).value == sf
+    assert level_flow(bc, T, model.fiber_family(T.side),
+                      model.fiducial_E).value == sf
     assert [(b.left.kind, b.right.kind) for b in bands] == ends
     assert all(np.isfinite([e.k, e.lam]).all()
                for b in bands for e in (b.left, b.right))
@@ -175,7 +176,7 @@ def test_tracked_columns_count_integers_with_monotone_phases(
     col, _, theta, steps, inner = edge._samples(
         fun, np.repeat(np.arange(len(ks)), len(edge._SEEDS)),
         (lo[:, None] + (hi - lo)[:, None] * edge._SEEDS).ravel(),
-        lam_resolution, lambda c, _: "k=%g" % ks[c])
+        lam_resolution, lambda c, _: "k=%g" % ks[c], edge._PHASE_STEP)
     owner = col[:-1][inner]
     steps = steps[inner]
     assert not np.any(np.bincount(owner[steps > 0.0], minlength=len(ks))
@@ -191,27 +192,26 @@ def test_tracked_columns_count_integers_with_monotone_phases(
 
 def _count_rows():
     """(id, model name, model parameters, side, family, family parameters,
-    k_window, expected SF) of every spectral flow of the tables and of both
-    interface conditions."""
+    expected SF) of every spectral flow of the tables and of both interface
+    conditions."""
     out = [("laplacian " + label, "laplacian", {}, "halfline", "robin",
-            {"K": K, "ell": xi, "M": 1.0}, LAPLACE_NUMERICS[0], sf)
+            {"K": K, "ell": xi, "M": 1.0}, sf)
            for label, K, xi, sf, _ in LAPLACE_ROWS]
     out += [("dirac m=%+g a=%+g" % (m, a), "dirac", {"m": m}, "halfline",
-             "a", {"a": a}, DIRAC_NUMERICS[0], sf)
+             "a", {"a": a}, sf)
             for m, a, _, sf in DIRAC_ROWS]
     out += [("regdirac m=%+g %s" % (m, label), "regdirac",
              {"m": m, "eps": 0.1}, "halfline",
              *(("dirichlet", {}) if a is None else ("a", {"a": a})),
-             REGDIRAC_NUMERICS[0], sfs[mi])
+             sfs[mi])
             for mi, m in enumerate((-1.0, 1.0))
             for label, a, *sfs in REGDIRAC_ROWS]
     # analytic: the branch lam = k, once across the transparent interface
     # and on both decoupled sides
     interface = ("dirac", {"m": 1.0, "m_minus": -1.0}, "interface")
-    out += [("interface transparent", *interface, "transparent", {},
-             DIRAC_NUMERICS[0], 1),
+    out += [("interface transparent", *interface, "transparent", {}, 1),
             ("interface decoupled(1,1)", *interface, "decoupled",
-             {"aplus": 1.0, "aminus": 1.0}, DIRAC_NUMERICS[0], 2)]
+             {"aplus": 1.0, "aminus": 1.0}, 2)]
     return out
 
 
@@ -221,17 +221,17 @@ OTHER_LEVELS = {"laplacian": (-0.1, -1e-3), "dirac": (0.3, -0.5),
                 "regdirac": (0.3, -0.5)}
 
 
-@pytest.mark.parametrize("name, params, side, family, kw, k_window, sf",
+@pytest.mark.parametrize("name, params, side, family, kw, sf",
                          [row[1:] for row in _count_rows()],
                          ids=[row[0] for row in _count_rows()])
 @pytest.mark.parametrize("which", [0, 1, 2],
                          ids=["table-level", "level-2", "level-3"])
 def test_count_is_the_table_flow_across_the_gap(name, params, side, family,
-                                                kw, k_window, sf, which):
+                                                kw, sf, which):
     model = build_model(name, **params)
     level = (model.fiducial_E,) + OTHER_LEVELS[name]
     flow = level_flow(model.make_bc(family, **kw), model.triple(side),
-                      model.fiber_family(side), level[which], k_window)
+                      model.fiber_family(side), level[which])
     assert flow.value == sf
     assert flow.resid <= 1e-12
     assert sum(sign for _, sign in flow.crossings) == sf
@@ -263,6 +263,16 @@ def test_tables_command_prints_the_recorded_tables(which, code):
     got, out, err = _tables(which)
     assert got == code, err
     assert out == (DATA / ("tables_%s.txt" % which)).read_text()
+
+
+def test_python_m_bec_prints_the_recorded_table():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)))
+    done = subprocess.run([sys.executable, "-m", "bec", "tables", "dirac"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (DATA / "tables_dirac.txt").read_text()
 
 
 def _table_conditions():
