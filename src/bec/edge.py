@@ -384,11 +384,9 @@ class BandEndpoint:
 
 
 class DispersionBand:
-    def __init__(self, ks, lams, resids, gap):
+    def __init__(self, ks, lams):
         self.ks = np.asarray(ks, dtype=float)
         self.lams = np.asarray(lams, dtype=float)
-        self.resids = np.asarray(resids, dtype=float)
-        self.gap = gap
         self.left = None
         self.right = None
         self.flat = False
@@ -446,10 +444,9 @@ def _predict(band, k):
     return band.lams[-1] + slope * (k - band.ks[-1]), slope
 
 
-def _append(band, k, lam, resid):
+def _append(band, k, lam):
     band.ks = np.append(band.ks, k)
     band.lams = np.append(band.lams, lam)
-    band.resids = np.append(band.resids, resid)
 
 
 def _classify_boundary(tracker, k_edge, lam, width):
@@ -607,20 +604,20 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
 
     finished = []
     active = []
-    for lam, resid in cols[0]:
-        b = DispersionBand([ks[0]], [lam], [resid], gap)
+    for lam, _ in cols[0]:
+        b = DispersionBand([ks[0]], [lam])
         b.left = BandEndpoint("exits-k-window", ks[0], lam)
         active.append(b)
 
     def advance(k0, k1, col, depth):
         # collapse coinciding eigenvalues (degenerate branches) into
-        # (lam, resid, mult) groups so each copy can host its own branch
+        # (lam, mult) groups so each copy can host its own branch
         uniq = []
-        for lam, resid in col:
+        for lam, _ in col:
             if uniq and abs(lam - uniq[-1][0]) <= 1e-12 * (1.0 + abs(lam)):
-                uniq[-1][2] += 1
+                uniq[-1][1] += 1
             else:
-                uniq.append([lam, resid, 1])
+                uniq.append([lam, 1])
         taken = [0] * len(uniq)
         plan = []
         trouble = []
@@ -642,7 +639,7 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
         contested = {}
         for band, j in plan:
             contested.setdefault(j, []).append(band)
-        clean = all(len(v) <= uniq[j][2] for j, v in contested.items())
+        clean = all(len(v) <= uniq[j][1] for j, v in contested.items())
         if (trouble or not clean) and depth < 8:
             mid = 0.5 * (k0 + k1)
             if mid != k0 and mid != k1:
@@ -655,17 +652,16 @@ def track_bands(bc, T, model, k_window, gap=None, k_resolution=801,
             plan = [(band, j) for j, bands_j in contested.items()
                     for band in bands_j]
         for band, j in plan:
-            lam, resid, _ = uniq[j]
-            _append(band, k1, lam, resid)
+            _append(band, k1, uniq[j][0])
             taken[j] += 1
         for band in trouble:
             band.right = _end(tracker, band.ks[-1], band.lams[-1],
                               _predict(band, k1)[1], k1, width)
             finished.append(band)
             active.remove(band)
-        for j, (lam, resid, mult) in enumerate(uniq):
+        for j, (lam, mult) in enumerate(uniq):
             for _ in range(max(0, mult - taken[j])):
-                b = DispersionBand([k1], [lam], [resid], gap)
+                b = DispersionBand([k1], [lam])
                 b.left = _end(tracker, k1, lam, 0.0, k0, width)
                 active.append(b)
 

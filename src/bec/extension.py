@@ -34,46 +34,44 @@ The kernel holds every per-row quantity rows last: one (n,) array per
 matrix entry, polynomial coefficient, root or exponent, so that every
 numpy call loops over the rows, and a reduction over the few entries runs
 over the outer axis of a (entries, n) array.  The fiber coefficients come
-in as (order+1, N, N, n), the bases go out as exponents (expect, n),
-amplitudes (N, expect, n) and jets (order*N, expect, n), the products as
+in as (order+1, N, N, n), the bases go out as exponents (d/2, n),
+amplitudes (N, d/2, n) and jets (order*N, d/2, n), the products as
 (p, dimV, n), and the two sides of an interface share one batch.
 `_side_bases` gives each side's bases in this layout to the Green identity
 and to band tracking.
 
 The characteristic polynomial det(sum_j D_j (-mu)^j - z) of a row is
-expanded from its entries (`_char_poly`): each entry is a polynomial in mu,
-and the determinant is the Leibniz sum over the N! permutations of their
-products, multiplied out by coefficient convolution, all permutations at
-once; for N = 1 it is the entry and for N = 2 the polynomial a d - b c,
-with no interpolation.
+expanded from its entries (`_char_poly`): the entry itself for N = 1 and
+a d - b c for N = 2, each entry a polynomial in mu, multiplied out by
+coefficient convolution, with no interpolation.
 
-The shipped fibers are small (N <= 2, order*N <= 4, dimV <= 2), and the
-kernel takes closed forms at those sizes, chosen from the shapes and
-coefficients alone, never from the batch size: the exponents of a row
-whose characteristic polynomial has degree 2 or 4 and is even in mu as
-+-sqrt(nu), from the nu-linear or the cancellation-free nu-quadratic
-formula (`_roots`); the on-axis, coinciding-exponent and side tests and
-the exponent order from elementwise comparisons of the roots; the
-amplitude of an exponent as 1 (N = 1) or a normalized cofactor vector
-(N = 2, `_kernel_vectors`); the jets and their rank test on two columns
-(`_rank_deficient`); the singular values of 1 x 1 or 2 x 2 matrices
-(`_singular_values`), which serve the G1 J and W(i) singularity tests and
-the admissibility test of iA + B; the determinants of 1 x 1 or 2 x 2
-matrices (`_det`); and the eigenphases of 1 x 1 or 2 x 2 unitaries
-(`_unitary_phases`).  LAPACK takes the rest, each at the boundary of the
-rows-last layout: companion-matrix eigenvalues for a polynomial that is not
-even or of another degree, the last right singular vector for N > 2, SVDs
-of jets with more than two columns and of matrices larger than 2 x 2,
-eigenvalues of unitaries larger than 2 x 2, and the stacked solves of the
-Krein matrices, the unitaries and the condition factor of the level
-unitary.
+The kernel takes the shapes every edge model has, and rejects the others
+where they enter: `BoundaryTriple` raises ContractViolation for N > 2 or
+dimV > 2, `_basis_entries` for a fiber of order 0 or with N > 2, and
+`_roots` for a row whose characteristic polynomial is not even in mu of
+degree 2 or 4, naming its momenta; `_ab_on` makes every condition
+dimV x dimV.  A model's bulk determinant is even in the normal momentum,
+so its rows have the exponents +-s, s = sqrt(nu), from the nu-linear or
+the cancellation-free nu-quadratic formula (`_roots`), and split
+d/2 : d/2 between the sides unless a root is on the imaginary axis.  On
+those shapes every step has a closed form, chosen from the shapes alone,
+never from the batch size: the on-axis, coinciding-exponent and order
+tests from elementwise comparisons of the roots; the amplitude of an
+exponent as 1 (N = 1) or a normalized cofactor vector (N = 2,
+`_kernel_vectors`); the rank test of one or two jet columns
+(`_rank_deficient`); and the singular values, determinants and
+eigenphases of 1 x 1 or 2 x 2 matrices (`_singular_values`, `_det`,
+`_unitary_phases`), which serve the G1 J and W(i) singularity tests, the
+admissibility test of iA + B, det U and the level unitary.  Past the
+bases LAPACK serves only dimV x dimV work: the stacked solves of the Krein
+matrices, the unitaries and the condition factor of the level unitary, and
+the checks of U on the per-point API and the large-momentum stage.
 
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack.  One large-momentum stage, six momenta
 K_ENDS and one block of end thresholds, serves every decision about |k| ->
 infinity: `affiliation_check`, `edge.winding` and `edge._end_margins`.
 """
-import functools
 import itertools
 
 import numpy as np
@@ -115,56 +113,49 @@ _JET_RANK_TOL = 1e-10  # smallest singular value of the normalized jets
 # of its largest make it even in mu.  Expanded from the entries, the odd
 # coefficients of the shipped models cancel exactly: over 601 (k, z)
 # samples (k in [-30, 30], z cycling through i, -i, -0.5, 0.5) they are 0
-# for laplacian, dirac, regdirac, the interface and shallow water.
+# for laplacian, dirac, regdirac and the interface.
 _EVEN_TOL = 1e-12
 # A quadratic a x^2 + b x + c whose relative discriminant
 # |b^2 - 4ac| / (|b|^2 + 4|ac|) is at or below this has a double root: a
-# double exponent, for x = mu at degree 2 and x = nu = mu^2 on an even
-# quartic.  Companion roots split a double root by about sqrt(eps), too far
-# for _CLUSTER_TOL to see.  Over the 2,089,779 regdirac basis rows of the
+# double exponent, for x = mu at degree 2 and x = nu = mu^2 at degree 4.
+# The roots of a double root split by about sqrt(eps), too far for
+# _CLUSTER_TOL to see.  Over the 2,089,779 regdirac basis rows of the
 # benchmark's tables-flow and tables-winding jobs the smallest value on a
 # good row is 7.0e-14, 315 eps; a true double root gives a few eps.
 _DOUBLE_TOL = 64 * np.finfo(float).eps
 
 # reason codes of a basis row (0: a good row) and the errors they map to
-_ON_AXIS, _DEGENERATE, _WRONG_COUNT, _FAILED = 1, 2, 3, 4
+_ON_AXIS, _DEGENERATE, _FAILED = 1, 2, 4
 _CODE_ERRORS = {
     _ON_AXIS: (BoundaryOfRegularityError,
                "a decay exponent sits on the imaginary axis"),
     _DEGENERATE: (DegenerateExponentError,
                   "decay exponents coincide or their jets lose rank"),
-    _WRONG_COUNT: (TripleDegeneracyError,
-                   "wrong number of decaying exponents"),
     _FAILED: (NumericalFailure, "vanishing leading coefficient or "
               "amplitude residual too large"),
 }
 
 
 def _det(M):
-    """Determinants (n,) of the p x p matrices whose entries M (p, p, n)
-    hold the rows last: the entry for p = 1, a d - b c for p = 2, and
-    LAPACK above."""
+    """Determinants (n,) of the p x p matrices, p = 1 or 2, whose entries
+    M (p, p, n) hold the rows last: the entry, or a d - b c."""
     if len(M) == 1:
         return M[0, 0]
-    if len(M) == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return np.linalg.det(np.moveaxis(M, -1, 0))
+    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
 
 
 def _singular_values(M):
-    """Singular values (p, n), largest first, of the p x p matrices whose
-    entries M (p, p, n) hold the rows last.
+    """Singular values (p, n), largest first, of the p x p matrices, p = 1
+    or 2, whose entries M (p, p, n) hold the rows last, in closed form.
 
-    For p <= 2 in closed form.  Each matrix is first divided by its largest
-    entry, so that entries near 1e+-150 neither overflow nor underflow when
-    squared.  sigma_max^2 is the larger eigenvalue of the Gram matrix
-    M^dag M = [[g, r], [r*, h]], (g + h)/2 + hypot((g - h)/2, |r|), a sum
-    of non-negative terms, with g and h the squared column norms; then
-    sigma_min = |det M| / sigma_max.  Neither step cancels, and both values
-    are within a few eps sigma_max of LAPACK's, which serves p > 2."""
+    Each matrix is first divided by its largest entry, so that entries near
+    1e+-150 neither overflow nor underflow when squared.  sigma_max^2 is
+    the larger eigenvalue of the Gram matrix M^dag M = [[g, r], [r*, h]],
+    (g + h)/2 + hypot((g - h)/2, |r|), a sum of non-negative terms, with g
+    and h the squared column norms; then sigma_min = |det M| / sigma_max.
+    Neither step cancels, and both values are within a few eps sigma_max of
+    LAPACK's."""
     p, n = M.shape[0], M.shape[2]
-    if p > 2:
-        return np.linalg.svd(M.transpose(2, 0, 1), compute_uv=False).T
     mag = np.abs(M)
     size = mag.reshape(p * p, n).max(axis=0)
     if p == 1:
@@ -188,23 +179,18 @@ def _wrap(theta):
 
 
 def _unitary_phases(N, R):
-    """Eigenphases (p, n) in (-pi, pi] of the unitaries V = N R^{-1} whose
-    factors N, R (p, p, n) hold the rows last.
+    """Eigenphases (p, n) in (-pi, pi] of the unitaries V = N R^{-1}, p = 1
+    or 2, whose factors N, R (p, p, n) hold the rows last.
 
     For p = 1 the phase of N conj(R).  For p = 2, V = e^{i phi} W with
     e^{2 i phi} = det V and W in SU(2), whose eigenvalues e^{+-i omega} give
     the phases phi +- omega: cos omega is the mean of W's diagonal real
     parts, and sin omega the norm of the anti-Hermitian part of W, taken
     from its entries.  Neither cancels where the eigenvalues coincide, as
-    the roots of the characteristic polynomial would.  LAPACK's eigenvalues
-    serve p > 2.
+    the roots of the characteristic polynomial would.
     """
-    p = len(N)
-    if p == 1:
+    if len(N) == 1:
         return np.angle(N[0, 0] * R[0, 0].conj())[None]
-    if p > 2:
-        V = np.linalg.solve(R.transpose(2, 1, 0), N.transpose(2, 1, 0))
-        return np.angle(np.linalg.eigvals(V)).T
     (n00, n01), (n10, n11) = N
     (r00, r01), (r10, r11) = R
     d = _det(R)
@@ -221,72 +207,73 @@ def _unitary_phases(N, R):
     return _wrap(np.stack([phi + omega, phi - omega]))
 
 
+def _poly_mul(a, b):
+    """Coefficients (la + lb - 1, n), by degree, of the products of the
+    polynomials with coefficients a (la, n) and b (lb, n)."""
+    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=complex)
+    for i in range(len(a)):
+        out[i:i + len(b)] += a[i] * b
+    return out
+
+
 def _char_poly(E, scale):
     """Characteristic polynomials det(sum_j E_j y^j) in y = -mu, from the
-    entries E (order+1, N, N, n) of the coefficient matrices with z already
-    subtracted from the diagonal of E_0, in the rescaled variable
-    x = mu/scale whose roots are O(1): keeps the companion matrix well
-    balanced at large k.
+    entries E (order+1, N, N, n), N = 1 or 2, of the coefficient matrices
+    with z already subtracted from the diagonal of E_0, in the rescaled
+    variable x = mu/scale whose roots are O(1).
 
-    Expanded from the entries by the Leibniz formula: entry (r, c) is the
-    polynomial sum_j E_j[r, c] y^j, and the determinant is the signed sum,
-    over the N! permutations s, of the products of the entries (r, s(r)),
-    multiplied out by coefficient convolution, all permutations at once;
-    the coefficient of y^m then takes the factor (-scale)^m.  For N = 1
-    that is the entry itself, for N = 2 the polynomial a d - b c.  Returns
-    the coefficients (order*N + 1, n) by degree."""
-    order, N, n = E.shape[0] - 1, E.shape[1], E.shape[3]
-    perms = list(itertools.permutations(range(N)))
-    cols = np.array(perms)
-    prod = E[:, 0, cols[:, 0]]                            # (1 + order, N!, n)
-    for r in range(1, N):
-        terms = prod[:, None] * E[None, :, r, cols[:, r]]
-        prod = np.zeros((len(prod) + order,) + prod.shape[1:], dtype=complex)
-        for i in range(len(terms)):
-            prod[i:i + order + 1] += terms[i]
-    coeffs = 0.0
-    for p, s in enumerate(perms):
-        odd = sum(s[i] > s[j] for i in range(N) for j in range(i + 1, N)) % 2
-        coeffs = coeffs - prod[:, p] if odd else coeffs + prod[:, p]
-    coeffs[1:] *= (-scale)[None].repeat(order * N, axis=0).cumprod(axis=0)
+    Entry (r, c) is the polynomial sum_j E_j[r, c] y^j; the determinant is
+    that entry for N = 1 and a d - b c for N = 2, multiplied out by
+    coefficient convolution (`_poly_mul`); the coefficient of y^m then
+    takes the factor (-scale)^m.  Returns the coefficients (order*N + 1, n)
+    by degree."""
+    if E.shape[1] == 1:
+        coeffs = 0.0 + E[:, 0, 0]              # a copy, scaled in place below
+    else:
+        coeffs = (_poly_mul(E[:, 0, 0], E[:, 1, 1])
+                  - _poly_mul(E[:, 0, 1], E[:, 1, 0]))
+    power = (-scale)[None].repeat(len(coeffs) - 1, axis=0)
+    coeffs[1:] *= power.cumprod(axis=0)
     return coeffs
 
 
-def _companion_roots(coeffs):
-    """Roots (n, d) of the polynomials with coefficient rows (n, d+1), by
-    degree, as companion-matrix eigenvalues, and whether each leading
-    coefficient is above _LEAD_TOL of the largest (the roots of a row where
-    it is not mean nothing)."""
-    n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    ok = np.abs(coeffs[:, -1]) > _LEAD_TOL * (np.abs(coeffs).max(axis=1)
-                                              + 1e-300)
-    lead = np.where(ok, coeffs[:, -1], 1.0)
-    comp = np.zeros((n, d, d), dtype=complex)
-    if d > 1:
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    comp[:, :, -1] = -coeffs[:, :-1] / lead[:, None]
-    return np.linalg.eigvals(comp), ok
+def _roots(coeffs, ks):
+    """Principal roots s = sqrt(nu) (d/2, n) of the polynomials in mu with
+    coefficients (d+1, n), by degree, at the momenta ks (n,); whether each
+    leading coefficient is above _LEAD_TOL of the largest (the roots of a
+    row where it is not mean nothing); and which rows have a double root by
+    a discriminant.  The roots in mu are +-s.
 
-
-def _double_root(disc, a, b, c):
-    """Whether a x^2 + b x + c, of discriminant disc = b^2 - 4ac, has a
-    double root: its relative discriminant |b^2 - 4ac| / (|b|^2 + 4|ac|)
-    is at most _DOUBLE_TOL."""
-    return (np.abs(disc)
-            <= _DOUBLE_TOL * (np.abs(b) ** 2 + 4.0 * np.abs(a * c)))
-
-
-def _even_roots(c, a, disc):
-    """Roots +-sqrt(nu) (d, n) of even polynomials with coefficients c
-    (d+1, n), d = 2 or 4, and leading coefficients a, from the roots nu of
-    the nu-linear or nu-quadratic a nu^2 + b nu + c_0 of discriminant disc.
-    The quadratic's roots are q/a and c_0/q with
-    q = -(b + s sqrt(b^2 - 4 a c_0))/2, the sign s chosen so that b and
-    s sqrt(...) do not cancel."""
-    if len(c) == 3:
+    Each polynomial must be even in mu of degree d = 2 or 4: its odd
+    coefficients at most _EVEN_TOL of its largest.  Any other raises
+    ContractViolation naming up to five of its momenta.  nu solves the
+    nu-linear, or the nu-quadratic a nu^2 + b nu + c_0, whose roots are q/a
+    and c_0/q with q = -(b + t sqrt(b^2 - 4 a c_0))/2, the sign t chosen so
+    that b and t sqrt(...) do not cancel.  A row is double where the
+    relative discriminant |b^2 - 4ac| / (|b|^2 + 4|ac|) of a x^2 + b x + c
+    is at most _DOUBLE_TOL: the polynomial itself at degree 2 (a double
+    mu), the nu-quadratic at degree 4 (a double nu); other coinciding roots
+    are left to the distance test of `_basis_entries`."""
+    d = len(coeffs) - 1
+    mag = np.abs(coeffs)
+    size = mag.max(axis=0)
+    c = coeffs / np.where(size == 0.0, 1.0, size)
+    odd = np.abs(c[1::2]).max(axis=0) > _EVEN_TOL
+    if d not in (2, 4) or odd.any():
+        bad = odd if d in (2, 4) else np.ones(len(ks), dtype=bool)
+        raise ContractViolation(
+            "characteristic polynomial of degree %d is not even in mu of "
+            "degree 2 or 4 at k=%s"
+            % (d, np.unique(np.asarray(ks, float)[bad])[:5]))
+    ok = mag[-1] > _LEAD_TOL * (size + 1e-300)
+    a = np.where(ok, c[-1], 1.0)
+    b, c0 = c[d // 2], c[0]
+    disc = b * b - 4.0 * a * c0
+    double = (np.abs(disc)
+              <= _DOUBLE_TOL * (np.abs(b) ** 2 + 4.0 * np.abs(a * c0)))
+    if d == 2:
         nu = -c[:1] / a
     else:
-        b, c0 = c[2], c[0]
         root = np.sqrt(disc)
         root = np.where((b.conj() * root).real >= 0.0, root, -root)
         q = -0.5 * (b + root)
@@ -294,58 +281,17 @@ def _even_roots(c, a, disc):
         np.divide(q, a, out=nu[0])
         # q = 0 only when b = c_0 = 0, where both roots are 0
         np.divide(c0, np.where(q == 0.0, 1.0, q), out=nu[1])
-    s = np.sqrt(nu)
-    return np.concatenate([s, -s])
-
-
-def _roots(coeffs):
-    """Roots (d, n) of the polynomials with coefficients (d+1, n), by
-    degree; whether each leading coefficient is above _LEAD_TOL of the
-    largest (the roots of a row where it is not mean nothing); and which
-    rows have a double root by a discriminant (`_double_root`).
-
-    A row of degree 2 or 4 whose odd coefficients are at most _EVEN_TOL of
-    its largest takes `_even_roots`; every other row takes
-    `_companion_roots`.  A row of degree 2 is tested for a double mu, an
-    even row of degree 4 for a double nu = mu^2; other double roots are left
-    to the distance test of `_basis_entries`.  The choice is made row by
-    row, so a row's roots never depend on the other rows of its batch."""
-    d, n = coeffs.shape[0] - 1, coeffs.shape[1]
-    mag = np.abs(coeffs)
-    size = mag.max(axis=0)
-    ok = mag[-1] > _LEAD_TOL * (size + 1e-300)
-    c = coeffs / np.where(size == 0.0, 1.0, size)
-    a = np.where(ok, c[-1], 1.0)
-    even = np.zeros(n, dtype=bool)
-    double = even
-    if d in (2, 4):
-        even = np.abs(c[1::2]).max(axis=0) <= _EVEN_TOL
-        b = c[d // 2]
-        disc = b * b - 4.0 * a * c[0]
-        double = _double_root(disc, a, b, c[0])
-        if d == 4:
-            double &= even
-    # the even formula is row by row, so it runs on every row when any is
-    # even, and the companion roots replace it on the others
-    roots = _even_roots(c, a, disc) if even.any() else np.empty((d, n),
-                                                               complex)
-    if not even.all():
-        roots[:, ~even] = _companion_roots(coeffs[:, ~even].T)[0].T
-    return roots, ok, double
+    return np.sqrt(nu), ok, double
 
 
 def _kernel_vectors(C):
     """Unit vectors phi (N, ...) with C phi ~ 0 for the singular N x N
-    matrices whose entries C (N, N, ...) hold the rows last.  N = 1:
-    phi = 1.  N = 2: the cofactor vector (r_1, -r_0) of the row r of C with
-    the larger norm, which that row annihilates exactly; the zero matrix
-    gets (1, 0).  Larger N: the last right singular vector, from LAPACK."""
-    N = C.shape[0]
-    if N == 1:
+    matrices, N = 1 or 2, whose entries C (N, N, ...) hold the rows last.
+    N = 1: phi = 1.  N = 2: the cofactor vector (r_1, -r_0) of the row r of
+    C with the larger norm, which that row annihilates exactly; the zero
+    matrix gets (1, 0)."""
+    if C.shape[0] == 1:
         return np.ones(C.shape[1:], dtype=complex)
-    if N > 2:
-        vh = np.linalg.svd(np.moveaxis(C, (0, 1), (-2, -1)))[2]
-        return np.moveaxis(vh[..., -1, :].conj(), -1, 0)
     mag = np.abs(C)
     r = np.hypot(mag[:, 0], mag[:, 1])
     size = np.maximum(r[0], r[1])
@@ -358,51 +304,44 @@ def _kernel_vectors(C):
 
 
 def _rank_deficient(J):
-    """Rows whose normalized jet columns J (W, p, n) have a smallest
-    singular value at most _JET_RANK_TOL.  For two unit columns a, b that
-    value is |a - b e^{-i arg <a, b>}| / sqrt(2), which avoids both an SVD
-    and the cancellation in sqrt(1 - |<a, b>|); more columns take LAPACK."""
-    p = J.shape[1]
-    if p < 2:
+    """Rows whose normalized jet columns J (W, p, n), p = 1 or 2, have a
+    smallest singular value at most _JET_RANK_TOL.  For two unit columns
+    a, b that value is |a - b e^{-i arg <a, b>}| / sqrt(2), which avoids
+    both an SVD and the cancellation in sqrt(1 - |<a, b>|)."""
+    if J.shape[1] == 1:
         return np.zeros(J.shape[2], dtype=bool)
-    if p > 2:
-        return (np.linalg.svd(J.transpose(2, 0, 1), compute_uv=False)[:, -1]
-                <= _JET_RANK_TOL)
     a, b = J[:, 0], J[:, 1]
     diff = a - b * np.exp(-1j * np.angle((a.conj() * b).sum(axis=0)))
     smin = np.sqrt((diff.conj() * diff).real.sum(axis=0)) / np.sqrt(2.0)
     return smin <= _JET_RANK_TOL
 
 
-@functools.lru_cache(maxsize=None)
-def _root_tables(d):
-    """Constant tables of d roots: 1e30 on the diagonal of the d x d root
-    distances, and which pairs (a, b) of roots have a >= b."""
-    return 1e30 * np.eye(d)[:, :, None], np.tri(d, dtype=bool)[:, :, None]
-
-
-def _basis_entries(D, ks, zs, sign, expect):
+def _basis_entries(D, ks, zs, sign):
     """Decaying exponential solutions for a stack of fibers, rows last.
 
-    D: the coefficients D_j of the fibers, (order+1, N, N, n); ks, zs:
-    (n,); sign: +1 for solutions that decay on y > 0, -1 on y < 0, for all
-    rows or per row.  Returns (mus (expect, n), phis (N, expect, n),
-    normalized jets (order*N, expect, n), code (n,)).  A row's code is 0
-    when its basis is good; otherwise, by precedence, _FAILED for a
-    vanishing leading coefficient, _ON_AXIS for a root on the imaginary
-    axis, _DEGENERATE for coinciding roots (closer than _CLUSTER_TOL, or
-    double by a discriminant of `_roots`), _WRONG_COUNT when the roots do
-    not split into `expect` on the requested side, _FAILED for a poor
-    amplitude residual, and _DEGENERATE for rank-deficient jets.
+    D: the coefficients D_j of the fibers, (order+1, N, N, n), order >= 1
+    and N <= 2, whose characteristic polynomials must be even in mu of
+    degree d = order*N = 2 or 4 (`_roots`); ks, zs: (n,); sign: +1 for
+    solutions that decay on y > 0, -1 on y < 0, for all rows or per row.
+    Returns (mus (d/2, n), phis (N, d/2, n), normalized jets
+    (order*N, d/2, n), code (n,)).  A row's code is 0 when its basis is
+    good; otherwise, by precedence, _FAILED for a vanishing leading
+    coefficient, _ON_AXIS for a root on the imaginary axis, _DEGENERATE for
+    coinciding roots (closer than _CLUSTER_TOL, or double by a
+    discriminant of `_roots`), _FAILED for a poor amplitude residual, and
+    _DEGENERATE for rank-deficient jets.  An even row off the axis always
+    has d/2 decaying exponents on each side, so no count can fail.
 
-    The exponents are the first `expect` roots in the order of a stable
-    sort by (real part, imaginary part) of the roots on the requested side,
-    the other roots after them by index: each root's place is the number
-    of roots that sort before it.
+    The exponent of a principal root s is s on y > 0 and -s on y < 0,
+    except that a root on the imaginary axis keeps s on either side.  At
+    degree 4 the two exponents are ordered by real part, then by imaginary
+    part, the first root on a tie; a root on the axis goes after one off
+    it.
     """
     order, N, n = D.shape[0] - 1, D.shape[1], D.shape[3]
-    if order < 1:
-        raise ContractViolation("fiber operator must have order >= 1")
+    if order < 1 or N > 2:
+        raise ContractViolation("fiber operator must have order >= 1 and "
+                                "N <= 2, got order %d, N = %d" % (order, N))
     ks = np.asarray(ks, dtype=float)
     zs = np.asarray(zs, dtype=complex)
     zmag = np.abs(zs)
@@ -411,27 +350,25 @@ def _basis_entries(D, ks, zs, sign, expect):
     for r in range(N):
         E[0, r, r] -= zs
     scale = 1.0 + np.abs(ks) + zmag ** (1.0 / order)
-    roots, lead_ok, clustered = _roots(_char_poly(E, scale))
-    roots = roots * scale                                         # (d, n)
-    d = len(roots)
-    diag, lower = _root_tables(d)
-    mag = np.abs(roots)
-    on_axis = (np.abs(roots.real) < _REAL_MARGIN * (1.0 + mag)).any(axis=0)
-    if d > 1:
-        pair = np.abs(roots[:, None] - roots) + diag
-        clustered |= ~(pair.min(axis=(0, 1))
-                       >= _CLUSTER_TOL * (1.0 + mag.max(axis=0)))
-    good = roots.real * sign > 0.0
-    key_real = np.where(good, roots.real, 1e30)
-    key_imag = np.where(good, roots.imag, 0.0)
-    # before[a, b]: root a sorts before root b, ties going to the lower index
-    imag_lt = key_imag[:, None] < key_imag
-    before = (key_real[:, None] < key_real) | (
-        (key_real[:, None] == key_real)
-        & np.where(lower, imag_lt, ~imag_lt.transpose(1, 0, 2)))
-    ordered = np.zeros((d, n), dtype=complex)
-    ordered[before.sum(axis=0), np.arange(n)] = roots
-    mus = ordered[:expect]                                        # (e, n)
+    s, lead_ok, clustered = _roots(_char_poly(E, scale), ks)
+    plus, minus = s * scale, -s * scale                        # (d/2, n)
+    mag = np.abs(plus)
+    on_axis = (np.abs(plus.real) < _REAL_MARGIN * (1.0 + mag)).any(axis=0)
+    # the distances between the roots +-s: 2|s_i| and |s_0 -+ s_1|
+    gaps = [np.abs(2.0 * plus)]
+    if len(plus) == 2:
+        gaps += [np.abs(plus[:1] - plus[1]), np.abs(plus[:1] + plus[1])]
+    clustered |= ~(np.concatenate(gaps).min(axis=0)
+                   >= _CLUSTER_TOL * (1.0 + mag.max(axis=0)))
+    good = plus.real > 0.0
+    mus = np.where(good & (np.asarray(sign) < 0.0), minus, plus)
+    if len(mus) == 2:
+        key_real = np.where(good, mus.real, 1e30)
+        key_imag = np.where(good, mus.imag, 0.0)
+        swap = (key_real[1] < key_real[0]) | (
+            (key_real[1] == key_real[0]) & (key_imag[1] < key_imag[0]))
+        mus = np.where(swap, mus[::-1], mus)
+    expect = len(mus)
     neg = -mus
     pw = [None] + [neg ** j for j in range(1, order + 1)]
     C = E[0][:, :, None]
@@ -461,7 +398,6 @@ def _basis_entries(D, ks, zs, sign, expect):
     # later tests take precedence
     code = np.where(_rank_deficient(J), _DEGENERATE, 0)
     code = np.where(resid <= _RESID_TOL * (1.0 + tscale), code, _FAILED)
-    code = np.where(good.sum(axis=0) != expect, _WRONG_COUNT, code)
     code = np.where(clustered, _DEGENERATE, code)
     code = np.where(on_axis, _ON_AXIS, code)
     return mus, phis, J, np.where(lead_ok, code, _FAILED)
@@ -481,13 +417,12 @@ def _side_bases(F, zs):
     """Decaying solutions of the fibers F (a FiberStack), each at its own
     spectral point zs: on y > 0 for the first side and on y < 0 for an
     interface's second, one `_basis_entries` result per side, rows last."""
-    return [_basis_entries(np.moveaxis(Ds, 0, -1), F.ks, zs, sign,
-                           ((Ds.shape[1] - 1) * Ds.shape[2]) // 2)
+    return [_basis_entries(np.moveaxis(Ds, 0, -1), F.ks, zs, sign)
             for Ds, sign in zip(F.sides, (1.0, -1.0))]
 
 
 def _triple_layout(T, jets):
-    """The sides' jet matrices (order*N, expect, n), rows last, in the
+    """The sides' jet matrices (order*N, d/2, n), rows last, in the
     triple's layout (W, dimV, n): the right side's for a halfline triple;
     for an interface, solutions on y > 0 have a vanishing jet at 0-, and
     vice versa.  The deficiency space must have the triple's dimension
@@ -513,14 +448,12 @@ def _full_jets(T, sides, ks, zs):
     and the code (n,) of the first side whose basis fails.  An interface's
     two sides share one `_basis_entries` batch, the rows of y > 0 first."""
     n = len(ks)
-    D = sides[0]
-    expect = ((D.shape[0] - 1) * D.shape[1]) // 2
     if len(sides) == 1:
-        _, _, J, code = _basis_entries(D, ks, zs, 1.0, expect)
+        _, _, J, code = _basis_entries(sides[0], ks, zs, 1.0)
         return _triple_layout(T, [J]), code
     _, _, J, code = _basis_entries(
         np.concatenate(sides, axis=-1), np.concatenate([ks, ks]),
-        np.concatenate([zs, zs]), np.array([1.0, -1.0]).repeat(n), expect)
+        np.concatenate([zs, zs]), np.array([1.0, -1.0]).repeat(n))
     first = np.where(code[:n] != 0, code[:n], code[n:])
     return _triple_layout(T, [J[..., :n], J[..., n:]]), first
 
@@ -535,7 +468,8 @@ class BoundaryTriple:
     side 'halfline': jets are the order*N derivatives at y=0 of a function on
     y>0.  side 'interface': jets are stacked (jet at 0+, jet at 0-) and have
     twice the length.  G1 and G2 may be polynomial in k (list of coefficient
-    matrices); most triples are constant.  `traces` evaluates them.
+    matrices); most triples are constant.  `traces` evaluates them.  The
+    kernel takes N <= 2 and dimV <= 2, the shapes of every edge model.
     """
 
     def __init__(self, dimV, side, G1, G2, order, N):
@@ -545,6 +479,10 @@ class BoundaryTriple:
         self.side = side
         self.order = int(order)
         self.N = int(N)
+        if self.N > 2 or self.dimV > 2:
+            raise ContractViolation("a triple needs N <= 2 and dimV <= 2, "
+                                    "got N = %d, dimV = %d"
+                                    % (self.N, self.dimV))
         width = self.order * self.N * (2 if side == "interface" else 1)
         self.G1_coeffs = [as_square_or_rect(G, self.dimV, width) for G in
                           (G1 if isinstance(G1, (list, tuple)) else [G1])]

@@ -172,19 +172,22 @@ _GAP_RESOLUTION = 128
 
 def find_gap(S, around, k_window):
     """Largest interval around `around` free of sampled band energies over
-    the momentum square [-k_window, k_window]^2."""
+    the momentum square [-k_window, k_window]^2.
+
+    Each sorted band is continuous on the square, so a level strictly
+    between a band's smallest and largest sample, or within 1e-12 of a
+    sample, lies in that band: NoGapError."""
     g = np.linspace(-k_window, k_window, _GAP_RESOLUTION)
     K1, K2 = np.meshgrid(g, g, indexing="ij")
-    w = np.linalg.eigvalsh(S.eval_batch(K1.ravel(), K2.ravel())).ravel()
+    w = np.linalg.eigvalsh(S.eval_batch(K1.ravel(), K2.ravel()))
     below = w[w <= around]
     above = w[w >= around]
-    if np.any(np.abs(w - around) < 1e-12):
+    if (np.any((w.min(axis=0) < around) & (around < w.max(axis=0)))
+            or np.any(np.abs(w - around) < 1e-12)):
         raise NoGapError("bulk band passes through %g on the sampling grid"
                          % around)
     lo = float(np.max(below)) if below.size else -np.inf
     hi = float(np.min(above)) if above.size else np.inf
-    if hi - lo <= 0:
-        raise NoGapError("no gap around %g" % around)
     return GapWindow(lo, hi, provenance="computed")
 
 

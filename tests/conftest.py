@@ -61,7 +61,7 @@ def decaying_basis(F, z, side):
     Ds = F.sides[0]
     mus, phis, _, code = _basis_entries(
         np.moveaxis(Ds, 0, -1), F.ks, np.array([z]),
-        1.0 if side == "right" else -1.0, (Ds.shape[1] - 1) * Ds.shape[2] // 2)
+        1.0 if side == "right" else -1.0)
     _check_codes(code, F.ks)
     return mus[:, 0], phis[..., 0].T
 

@@ -6,6 +6,12 @@ Every per-row quantity here is a stacked array (n, ...) whose small axes
 numpy reductions, `@`, `einsum`, `lexsort` and `take_along_axis` run over
 them.  The kernel in `src` computes the same formulas with one (n,) array
 per entry.  `tests/test_entrywise_kernel.py` compares the two row by row.
+
+The reference keeps the general shapes that the kernel rejects: the Leibniz
+expansion for any N, companion-matrix roots for a polynomial that is not
+even of degree 2 or 4, the sort of all d roots with the wrong-count code
+_WRONG_COUNT, and SVDs for N > 2 and more than two jet columns.  On the
+shapes of the edge models both give the same bits.
 """
 import functools
 import itertools
@@ -24,9 +30,12 @@ from bec.extension import (
     _ON_AXIS,
     _REAL_MARGIN,
     _RESID_TOL,
-    _WRONG_COUNT,
     _ab_on,
 )
+
+# reason code of a row whose roots do not split into `expect` on the
+# requested side; the kernel has no such rows
+_WRONG_COUNT = 3
 
 
 def _char_matrices(Ds, zs, mus):

@@ -71,6 +71,18 @@ def test_bulk_rejects_level_on_flat_band():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "laplacian", "--level", "3"],
+    ["--model", "dirac", "--param", "m=1", "--level", "1.5"],
+])
+def test_bulk_rejects_level_inside_a_continuous_band(argv):
+    # no sample lands on the level, but a band's samples lie on both sides
+    code, out, err = run_cli(["bulk"] + argv)
+    assert code == 2
+    assert "bulk band passes through" in err
+    assert out == ""
+
+
 def test_bulk_two_band_reports_non_integer():
     code, out, err = run_cli(["bulk", "--model", "dirac", "--param", "m=1",
                               "--tol", "1e-4"])

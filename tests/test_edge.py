@@ -434,8 +434,7 @@ def test_column_count_equals_the_analytic_count(case, lap_model, dirac_model):
 
 def _band(ks, lams, flat=False):
     b = DispersionBand(np.asarray(ks, dtype=float),
-                       np.asarray(lams, dtype=float),
-                       np.zeros(len(ks)), GapWindow(-1.0, 1.0))
+                       np.asarray(lams, dtype=float))
     b.flat = flat
     return b
 

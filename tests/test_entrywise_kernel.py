@@ -12,6 +12,7 @@ import pytest
 
 import stacked_reference as stacked
 from bec import extension
+from bec.errors import ContractViolation
 from bec.extension import _basis_entries
 from bec.models import build_model
 from bec.symbol import find_gap
@@ -60,8 +61,7 @@ def _rows(name, seed):
 def _assert_same_basis(Ds, ks, zs, side):
     expect = (Ds.shape[1] - 1) * Ds.shape[2] // 2
     mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1), ks, zs,
-                                        1.0 if side == "right" else -1.0,
-                                        expect)
+                                        1.0 if side == "right" else -1.0)
     got = mus.T, phis.transpose(2, 1, 0), J.transpose(2, 0, 1), code
     want = stacked._basis_batch(Ds, ks, zs, side, expect)
     for name, a, b in zip(("mus", "phis", "jets", "code"), got, want):
@@ -121,36 +121,43 @@ def test_constructed_rows_equal_the_stacked_kernel():
         ([[[1.0 + 1j]], [[0.0]], [[1.0]]], "right", ks, 1j),
         # diag(mu^2 - 1 - i) at z = i: a double nu (code 2)
         ([-eye, 0.0 * eye, eye], "right", ks, 1j),
-        # (mu - 1)^2 + i - z at z = i: a double mu (code 2)
-        ([[[1.0 + 1j]], [[2.0]], [[1.0]]], "right", ks, 1j),
-        # i d/dy + 1 decays on y < 0 only: a wrong count (code 3)
-        ([[[1.0]], [[1j]]], "left", ks, 1j),
+        ([-eye, 0.0 * eye, eye], "left", ks, 1j),
         # a zero fiber: no leading coefficient (code 4), and the zero
         # characteristic matrix's kernel vector
         (np.zeros((3, 2, 2)), "right", ks, 1j),
-        # an odd mu term: the companion path
-        ([[[1.0]], [[0.3]], [[-1.0]]], "right", ks, 0.25 + 0.5j),
     ]
     for coeffs, side, k, z in cases:
         Ds = _Constant(coeffs).stack(len(k))
         for zz in (z, np.conj(z), 0.7):
             seen.update(_assert_same_basis(Ds, k, np.full(len(k), zz),
                                            side).tolist())
-    assert {1, 2, 3, 4} <= seen
+    assert {1, 2, 4} <= seen
 
 
-def test_three_component_fibers_equal_the_stacked_kernel():
-    # shallow water (N = 3): its leading coefficient has rank 2 of 3 (code
-    # 4); random Hermitian N = 3 stacks take the companion roots, the SVD
-    # kernel vectors and the SVD rank test on good rows
+def test_rows_only_the_stacked_kernel_takes_are_rejected():
+    # an odd mu term and a first-order scalar fiber have roots that are not
+    # +-sqrt(nu); the stacked kernel takes them through the companion
+    # matrix, and the kernel names their momenta
+    ks = np.array([0.0, 0.5, -2.0])
+    zs = np.full(len(ks), 0.25 + 0.5j)
+    for coeffs in ([[[1.0]], [[0.3]], [[-1.0]]], [[[1.0]], [[1j]]]):
+        Ds = _Constant(coeffs).stack(len(ks))
+        stacked._basis_batch(Ds, ks, zs, "right", 1)
+        with pytest.raises(ContractViolation, match=r"k=\[-2\. +0\. +0\.5\]"):
+            _basis_entries(np.moveaxis(Ds, 0, -1), ks, zs, 1.0)
+
+
+def test_three_component_fibers_are_rejected():
+    # shallow water (N = 3) and random Hermitian N = 3 stacks: the stacked
+    # kernel takes them, with code 4 on every shallow-water row; the kernel
+    # takes N <= 2 only
     ks = np.linspace(-5.0, 5.0, 41)
     zs = np.resize([1j, -1j, 0.3, -2.0], len(ks)).astype(complex)
     Ds = build_model("shallow", f=1.0, nu=0.1).symbol.fiber_stack(ks)
-    assert np.all(_assert_same_basis(Ds, ks, zs, "right") == 4)
+    assert np.all(stacked._basis_batch(Ds, ks, zs, "right", 3)[3] == 4)
     rng = np.random.default_rng(23)
     X = (rng.normal(size=(40, 3, 3, 3)) + 1j * rng.normal(size=(40, 3, 3, 3)))
-    Ds = X + X.conj().transpose(0, 1, 3, 2)
-    zs = (rng.normal(size=40) + 1j * rng.normal(size=40)).astype(complex)
-    codes = [_assert_same_basis(Ds, ks[:40], zs, side)
-             for side in ("right", "left")]
-    assert all(np.any(c == 0) for c in codes)
+    for D in (Ds, X + X.conj().transpose(0, 1, 3, 2)):
+        with pytest.raises(ContractViolation, match="N <= 2"):
+            _basis_entries(np.moveaxis(D, 0, -1), ks[:len(D)], zs[:len(D)],
+                           1.0)

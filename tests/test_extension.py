@@ -33,7 +33,6 @@ from bec.extension import (
     BoundaryTriple,
     _basis_entries,
     _char_poly,
-    _companion_roots,
     _full_jets,
     _kernel_vectors,
     _rank_deficient,
@@ -98,9 +97,10 @@ def _char_poly_by_row(Ds, ks, zs):
 
 
 def _roots_by_row(c):
-    """`_roots` of coefficient rows c (n, d+1): (roots (n, d), ok, double)."""
-    roots, ok, double = _roots(c.T)
-    return roots.T, ok, double
+    """`_roots` of coefficient rows c (n, d+1) at momenta 0, 1, ...:
+    (roots +-s (n, d), ok, double)."""
+    s, ok, double = _roots(c.T, np.arange(len(c)))
+    return np.concatenate([s, -s]).T, ok, double
 
 
 def test_char_poly_scalar_second_order(lap_model):
@@ -149,14 +149,13 @@ def test_deficiency_basis_counts_match_at_conjugate_points(
 
 
 def test_deficiency_basis_of_first_order_scalar_fiber():
-    # i d/dy + 1 has one exponent at z = i, mu = -1 - i, on the left.  The
-    # kernel expects order * N // 2 = 0 solutions per side, so the right
-    # basis is empty and the left one has the wrong count: the deficiency
-    # indices differ, and no boundary triple exists
+    # i d/dy + 1 has one exponent at z = i, mu = -1 - i, on the left: its
+    # characteristic polynomial has degree 1, a shape no edge model has,
+    # and the kernel names its momentum on either side
     F = _ConstantFamily([[[1.0]], [[1j]]]).stacks([0.0])
-    assert len(decaying_basis(F, 1j, "right")[0]) == 0
-    with pytest.raises(TripleDegeneracyError):
-        decaying_basis(F, 1j, "left")
+    for side in ("right", "left"):
+        with pytest.raises(ContractViolation, match=r"degree 1 .*k=\[0\.\]"):
+            decaying_basis(F, 1j, side)
 
 
 def test_kernel_rejects_order_zero_fiber(lap_model):
@@ -178,7 +177,7 @@ def test_jets_stack_derivatives(lap_model):
     Ds = lap_model.fiber(1.0).sides[0]
     mus, phis, J, code = _basis_entries(np.moveaxis(Ds, 0, -1),
                                         np.array([1.0]), np.array([1j]),
-                                        1.0, 1)
+                                        1.0)
     assert code[0] == 0
     mu, phi, J = mus[0, 0], phis[:, 0, 0], J[..., 0]
     assert J.shape == (2, 1)
@@ -242,6 +241,14 @@ def test_boundary_triple_rejects_bad_side(lap_model):
     G1, G2 = T.traces([0.0])
     with pytest.raises(ContractViolation):
         BoundaryTriple(T.dimV, "slab", G1[0], G2[0], T.order, T.N)
+
+
+def test_boundary_triple_rejects_more_than_two_components_or_dimensions():
+    # N = 3 (shallow water's size) and dimV = 3 are shapes no edge model has
+    with pytest.raises(ContractViolation, match="N = 3, dimV = 1"):
+        BoundaryTriple(1, "halfline", np.ones((1, 6)), np.ones((1, 6)), 2, 3)
+    with pytest.raises(ContractViolation, match="N = 2, dimV = 3"):
+        BoundaryTriple(3, "halfline", np.ones((3, 4)), np.ones((3, 4)), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def test_krein_Q_independent_of_basis_scaling():
     # krein_Q is the one-row case of the batched Krein family
     rng = np.random.default_rng(3)
     ks = np.concatenate([np.linspace(-20.0, 20.0, 41), [1e3, -1e4]])
-    for _, T, fam, _ in _kernel_cases()[:4]:
+    for _, T, fam in _kernel_cases():
         F = fam.stacks(ks)
         G1, G2 = T.traces(ks)
         shape = (len(ks), T.dimV, T.dimV)
@@ -620,25 +627,30 @@ def _laplacian_like_triple(G1):
                           np.array([[0.0, 1.0]], dtype=complex), 2, 1)
 
 
+_EYE = np.eye(2)
 _FAILING_BASES = [
     # exponents +-i at z = i: char 1 + i + mu^2 - z
-    pytest.param([[[1.0 + 1j]], [[0.0]], [[1.0]]], [1.0, 0.0],
+    pytest.param([[[1.0 + 1j]], [[0.0]], [[1.0]]],
+                 _laplacian_like_triple([1.0, 0.0]),
                  BoundaryOfRegularityError, id="imaginary-axis exponent"),
-    # the double exponent mu = 2 at z = i: char (mu - 2)^2 + i - z
-    pytest.param([[[4.0 + 1j]], [[4.0]], [[1.0]]], [1.0, 0.0],
+    # diag(mu^2 - 1 - z) at z = i: the double nu = 1 + i, two coinciding
+    # pairs of exponents
+    pytest.param([-_EYE, 0.0 * _EYE, _EYE],
+                 BoundaryTriple(2, "halfline", np.eye(2, 4), np.eye(2, 4, 2),
+                                2, 2),
                  DegenerateExponentError, id="coinciding exponents"),
     # G1 vanishes on the deficiency space of the Laplacian fiber
-    pytest.param([[[1.0]], [[0.0]], [[-1.0]]], [0.0, 0.0],
+    pytest.param([[[1.0]], [[0.0]], [[-1.0]]],
+                 _laplacian_like_triple([0.0, 0.0]),
                  TripleDegeneracyError, id="G1-singular triple"),
 ]
 
 
-@pytest.mark.parametrize("Ds, G1, error", _FAILING_BASES)
-def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
+@pytest.mark.parametrize("Ds, T, error", _FAILING_BASES)
+def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, T,
                                                                  error):
     fam = _ConstantFamily(Ds)
-    T = _laplacian_like_triple(G1)
-    bc = from_ab(np.eye(1), np.zeros((1, 1)))
+    bc = from_ab(np.eye(T.dimV), np.zeros((T.dimV, T.dimV)))
     F = fam.stacks([0.5])
     with pytest.raises(error):
         krein_Q(T, F, 1j)
@@ -650,6 +662,26 @@ def test_reason_codes_raise_the_same_error_per_point_and_batched(Ds, G1,
         winding(bc, T, fam)
     with pytest.raises(error):
         relative_winding(bc, bc, T, fam)
+
+
+def test_fibers_the_kernel_does_not_take_raise_naming_their_momentum():
+    # an odd mu term, and a first-order scalar fiber of degree 1
+    from bec.edge import edge_eigenvalues
+    from bec.symbol import GapWindow
+
+    bc = from_ab(np.eye(1), np.zeros((1, 1)))
+    cases = [(_ConstantFamily([[[1.0]], [[0.3]], [[-1.0]]]),
+              _laplacian_like_triple([1.0, 0.0])),
+             (_ConstantFamily([[[1.0]], [[1j]]]),
+              BoundaryTriple(1, "halfline", np.ones((1, 1)),
+                             np.zeros((1, 1)), 1, 1))]
+    for fam, T in cases:
+        with pytest.raises(ContractViolation, match=r"at k=\[0\.5"):
+            vn_unitary(bc, T, fam.stacks([0.5]))
+        with pytest.raises(ContractViolation, match=r"at k=\[0\.5"):
+            edge_eigenvalues(bc, T, fam.stacks([0.5]), GapWindow(-0.5, 0.5))
+        with pytest.raises(ContractViolation, match=r"k=\[-10000\. "):
+            winding(bc, T, fam)
 
 
 def test_triple_of_wrong_dimension_raises_everywhere(lap_model):
@@ -687,11 +719,6 @@ def test_rank_check_two_column_form_matches_svd():
     deficient = _rank_deficient(J.transpose(1, 2, 0))
     assert np.array_equal(deficient, smin <= 1e-10)
     assert 0 < np.sum(deficient) < len(J)
-    # three columns, the third a combination of the first two
-    J3 = np.concatenate([J[:, :, :1], b[:, :, None],
-                         (J[:, :, :1] + 2.0 * b[:, :, None])], axis=2)
-    J3 /= np.linalg.norm(J3, axis=1, keepdims=True)
-    assert np.all(_rank_deficient(J3.transpose(1, 2, 0)))
     assert not np.any(_rank_deficient(J[:, :, :1].transpose(1, 2, 0)))
 
 
@@ -728,7 +755,7 @@ def _even_polynomials(rng):
 def test_roots_of_even_polynomials_match_companion_roots():
     for c, exact in _even_polynomials(np.random.default_rng(11)):
         got, ok, double = _roots_by_row(c)
-        ref, ref_ok = _companion_roots(c)
+        ref, ref_ok = stacked._companion_roots(c)
         size = np.abs(exact).max()
         assert ok[0] and ref_ok[0]
         assert _set_distance(got[0], ref[0]) <= 1e-12 * size
@@ -738,42 +765,42 @@ def test_roots_of_even_polynomials_match_companion_roots():
         assert not double[0]
 
 
-def test_roots_of_odd_and_sextic_polynomials_take_the_companion_path():
+def test_roots_reject_odd_and_sextic_polynomials():
+    # even rows of degree 2 and 4 pass, an odd term above _EVEN_TOL of the
+    # largest coefficient or a degree of 6 raises, naming the momenta
     rng = np.random.default_rng(12)
     for d in (2, 4, 6):
         c = rng.normal(size=(5, d + 1)) + 1j * rng.normal(size=(5, d + 1))
-        if d == 6:
-            c[:, 1::2] = 0.0
-        assert np.array_equal(_roots_by_row(c)[0], _companion_roots(c)[0])
+        c[:, 1::2] = 0.0
+        if d < 6:
+            got, ref = _roots_by_row(c)[0], stacked._companion_roots(c)[0]
+            assert all(_set_distance(x, y) <= 1e-12 for x, y in zip(got, ref))
+            c[3, 1] = 2e-12 * np.abs(c[3]).max()
+        match = r"at k=\[0\. 1\. 2\. 3\. 4\.\]" if d == 6 else r"k=\[3\.\]"
+        with pytest.raises(ContractViolation, match=match):
+            _roots_by_row(c)
 
 
-def test_roots_choose_the_path_row_by_row():
-    # a batch that mixes even and odd quartics gives every row the roots it
-    # gets alone: exact +-sqrt(nu) pairs for the even rows
+def test_roots_of_a_row_do_not_depend_on_its_batch():
+    # a batch of even quartics gives every row the roots it gets alone,
+    # exact +-sqrt(nu) pairs
     c = np.array([row[0][0] for row in _even_polynomials(
         np.random.default_rng(13)) if row[0].shape[1] == 5][:6])
-    odd = c.copy()
-    odd[:, 1] = 0.5 - 0.2j
-    mixed = np.stack([c, odd], axis=1).reshape(-1, 5)
-    got = _roots_by_row(mixed)[0]
-    assert np.array_equal(got[0::2], _roots_by_row(c)[0])
-    assert np.array_equal(got[0::2, :2], -got[0::2, 2:])
-    assert np.array_equal(got[1::2], _companion_roots(odd)[0])
+    got = _roots_by_row(c)[0]
+    for i in range(len(c)):
+        assert np.array_equal(got[i], _roots_by_row(c[i:i + 1])[0][0])
+    assert np.array_equal(got[:, :2], -got[:, 2:])
 
 
-def test_double_nu_and_double_mu_have_the_coinciding_exponents_code():
+def test_double_nu_has_the_coinciding_exponents_code():
     # diag(mu^2 - 1 - i) at k = 0, z = i: (nu - 1 - i)^2, a double nu whose
     # companion roots split by sqrt(eps), past _CLUSTER_TOL
     eye = np.eye(2)
     Ds = np.array([[-eye, 0.0 * eye, eye]], dtype=complex)
-    code = _basis_entries(np.moveaxis(Ds, 0, -1), np.array([0.0]),
-                          np.array([1j]), 1.0, 2)[3]
-    assert code[0] == extension._DEGENERATE
-    # the scalar (mu - 1)^2 + i - z at z = i: a double mu
-    Ds = np.array([[[[1.0 + 1j]], [[2.0]], [[1.0]]]], dtype=complex)
-    code = _basis_entries(np.moveaxis(Ds, 0, -1), np.array([0.5]),
-                          np.array([1j]), 1.0, 1)[3]
-    assert code[0] == extension._DEGENERATE
+    for sign in (1.0, -1.0):
+        code = _basis_entries(np.moveaxis(Ds, 0, -1), np.array([0.0]),
+                              np.array([1j]), sign)[3]
+        assert code[0] == extension._DEGENERATE
     with pytest.raises(DegenerateExponentError):
         decaying_basis(_ConstantFamily(Ds[0]).stacks([0.5]), 1j, "right")
 
@@ -843,14 +870,13 @@ def _interpolated_char_poly(Ds, ks, zs):
 
 def _char_poly_cases():
     """(Ds, ks, zs) params: random Hermitian coefficient stacks of sizes
-    N = 1, 2, 3 and orders 1, 2, and every shipped fiber, the shallow-water
-    symbol (N = 3) included, at 61 momenta and spectral points +-i and
-    real energies."""
+    N = 1, 2 and orders 1, 2, and every shipped edge fiber, at 61 momenta
+    and spectral points +-i and real energies."""
     from bec.models import build_model
 
     rng = np.random.default_rng(8)
     cases = []
-    for N, order in itertools.product((1, 2, 3), (1, 2)):
+    for N, order in itertools.product((1, 2), (1, 2)):
         X = (rng.normal(size=(40, order + 1, N, N))
              + 1j * rng.normal(size=(40, order + 1, N, N)))
         Ds = X + X.conj().transpose(0, 1, 3, 2)
@@ -863,8 +889,7 @@ def _char_poly_cases():
     models = {"laplacian": build_model("laplacian"),
               "dirac": build_model("dirac", m=1.0),
               "regdirac": build_model("regdirac", m=-1.0, eps=0.1),
-              "interface": build_model("dirac", m=1.0, m_minus=-1.0),
-              "shallow": build_model("shallow", f=1.0, nu=0.1)}
+              "interface": build_model("dirac", m=1.0, m_minus=-1.0)}
     for name, model in models.items():
         side = "interface" if name == "interface" else "halfline"
         for i, S in enumerate(model.side_symbols(side)):
@@ -894,7 +919,7 @@ def _reference_basis(Ds, ks, zs, side, expect):
     order = Ds.shape[1] - 1
     d = order * Ds.shape[2]
     coeffs, scale = _interpolated_char_poly(Ds, ks, zs)
-    roots, lead_ok = _companion_roots(coeffs)
+    roots, lead_ok = stacked._companion_roots(coeffs)
     roots = roots * scale[:, None]
     on_axis = np.any(np.abs(roots.real) < extension._REAL_MARGIN
                      * (1.0 + np.abs(roots)), axis=1)
@@ -937,35 +962,22 @@ def _kernel_cases():
     lap, dirac = build_model("laplacian"), build_model("dirac", m=1.0)
     reg = build_model("regdirac", m=-1.0, eps=0.1)
     iface = build_model("dirac", m=1.0, m_minus=-1.0)
-    odd = _ConstantFamily([[[1.0]], [[0.3]], [[-1.0]]])
-    return [("laplacian", lap.triple(), lap.fiber_family(), False),
-            ("dirac", dirac.triple(), dirac.fiber_family(), False),
-            ("regdirac", reg.triple(), reg.fiber_family(), False),
+    return [("laplacian", lap.triple(), lap.fiber_family()),
+            ("dirac", dirac.triple(), dirac.fiber_family()),
+            ("regdirac", reg.triple(), reg.fiber_family()),
             ("interface", iface.triple("interface"),
-             iface.fiber_family("interface"), False),
-            ("odd mu term", _laplacian_like_triple([1.0, 0.0]), odd, True)]
+             iface.fiber_family("interface"))]
 
 
-@pytest.mark.parametrize("name, T, fam, odd", _kernel_cases(),
+@pytest.mark.parametrize("name, T, fam", _kernel_cases(),
                          ids=[case[0] for case in _kernel_cases()])
-def test_full_jets_match_the_companion_svd_reference(monkeypatch, name, T,
-                                                     fam, odd):
+def test_full_jets_match_the_companion_svd_reference(name, T, fam):
     k, lam = np.meshgrid(np.linspace(-12.0, 12.0, 25),
                          np.linspace(-3.0, 3.0, 61))
     ks = np.concatenate([k.ravel(), [0.0, 1.5, -40.0, 0.0, 1.5, -40.0]])
     zs = np.concatenate([lam.ravel(), [1j, 1j, 1j, -1j, -1j, -1j]])
     F = fam.stacks(ks)
-    companion_rows = []
-
-    def counted(coeffs):
-        companion_rows.append(len(coeffs))
-        return _companion_roots(coeffs)
-
-    monkeypatch.setattr(extension, "_companion_roots", counted)
     J, code = stacked_jets(T, F, zs)
-    # the shipped symbols are even in mu; a symbol with an odd mu term goes
-    # through the companion matrices, every row of it
-    assert sum(companion_rows) == (len(ks) * len(F.sides) if odd else 0)
     J_ref, code_ref = _reference_full_jets(T, F, zs)
     assert np.array_equal(code, code_ref)
     assert np.any(code == 0) and np.any(code != 0)

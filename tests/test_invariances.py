@@ -17,14 +17,21 @@
   unchanged on all 49 table curves, the 26 flows of `level_flow` and the
   23 windings, with every crossing sign, and every crossing momentum to
   1e-6 relative.
+* Relative Chern numbers (ROADMAP item 4) are integers, antisymmetric,
+  C(a, b) = -C(b, a), and obey the cocycle rule
+  C(a, b) + C(b, c) = C(a, c), each within the quadrature tolerance of
+  its pairings: on regdirac (m, eps) = (-1, 0.1), (1, 0.1), (1, 0.2) and
+  Dirac m = +-1.  C((-1, 0.1), (1, 0.1)) is the difference of the two
+  entries of the REGDIRAC_BULK table.
 """
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from bec import edge
-from bec.cli import DIRAC_ROWS, LAPLACE_ROWS, REGDIRAC_ROWS
+from bec.cli import DIRAC_ROWS, LAPLACE_ROWS, REGDIRAC_BULK, REGDIRAC_ROWS
 from bec.edge import (
     K_LIMIT,
     _PHASE_SEEDS,
@@ -36,6 +43,7 @@ from bec.edge import (
 from bec.errors import NotComparableError
 from bec.extension import _SETTLE, _unitary_dets, affiliation_check, from_ab
 from bec.models import build_model
+from bec.symbol import relative_chern
 from test_tables import _count_rows
 
 
@@ -196,3 +204,25 @@ def test_finer_line_sampling_leaves_every_table_curve(monkeypatch):
         np.testing.assert_allclose([k for k, _ in fine],
                                    [k for k, _ in crossings], rtol=1e-6,
                                    atol=0.0)
+
+
+def test_relative_chern_is_an_antisymmetric_integer_cocycle():
+    # each pairing is within TOL of its integer, so a sum of n of them is
+    # within n TOL of theirs; any quadrature or comparability warning fails
+    TOL = 1e-6
+    a, b, c = (build_model("regdirac", m=m, eps=eps).symbol
+               for m, eps in ((-1.0, 0.1), (1.0, 0.1), (1.0, 0.2)))
+    plus, minus = (build_model("dirac", m=m).symbol for m in (1.0, -1.0))
+    pairs = {"ab": (a, b), "ba": (b, a), "bc": (b, c), "ac": (a, c),
+             "+-": (plus, minus), "-+": (minus, plus)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        C = {key: relative_chern(S1, S2, 0.0, tol=TOL)[0]
+             for key, (S1, S2) in pairs.items()}
+    want = {"ab": REGDIRAC_BULK[0] - REGDIRAC_BULK[1], "ba": 1, "bc": 0,
+            "ac": -1, "+-": 1, "-+": -1}
+    for key, value in C.items():
+        assert abs(value - want[key]) <= TOL, key
+    assert abs(C["ab"] + C["ba"]) <= 2 * TOL
+    assert abs(C["+-"] + C["-+"]) <= 2 * TOL
+    assert abs(C["ab"] + C["bc"] - C["ac"]) <= 3 * TOL

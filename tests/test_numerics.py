@@ -16,7 +16,7 @@ from bec.errors import (
     InsufficientResolutionError,
 )
 from bec import numerics
-from bec.extension import _companion_roots
+from bec.extension import _roots
 from bec.numerics import (
     _SPLITS_PER_CALL,
     _eigh_stack,
@@ -32,12 +32,12 @@ from bec.numerics import (
 
 
 def poly_roots(coeffs):
-    """Roots of one polynomial (coefficients by degree) through the
-    deficiency kernel's companion step, which must accept its leading
+    """Roots +-s of one even polynomial (coefficients by degree) through
+    the deficiency kernel's root step, which must accept its leading
     coefficient."""
-    roots, ok = _companion_roots(np.asarray([coeffs], dtype=complex))
+    s, ok, _ = _roots(np.asarray(coeffs, dtype=complex)[:, None], [0.0])
     assert ok[0]
-    return list(roots[0])
+    return list(np.concatenate([s[:, 0], -s[:, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +105,25 @@ def test_poly_roots_fourth_order_dispersion_quartic():
 
 def test_poly_roots_rejects_degenerate_input():
     # a zero polynomial, and a leading coefficient at the noise level, have
-    # no meaningful roots: the companion step flags their rows
-    _, ok = _companion_roots(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 1e-16],
-                                       [1.0, 2.0, 1.0]], dtype=complex))
+    # no meaningful roots: the root step flags their rows; a polynomial
+    # that is not even in mu is no input at all
+    rows = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1e-16], [1.0, 0.0, 1.0]],
+                    dtype=complex)
+    _, ok, _ = _roots(rows.T, [0.0, 1.0, 2.0])
     assert ok.tolist() == [False, False, True]
+    rows[2, 1] = 2.0
+    with pytest.raises(ContractViolation, match=r"k=\[2\.\]"):
+        _roots(rows.T, [0.0, 1.0, 2.0])
 
 
 def test_poly_from_roots_round_trip():
+    # even polynomials of degree 2 and 4: roots in pairs +-r
     rng = np.random.default_rng(42)
-    for n in (2, 4, 8):
+    for n in (1, 2):
         roots = rng.normal(size=n) + 1j * rng.normal(size=n)
         # keep the roots well separated so the match is unambiguous
-        roots = np.array([r + 0.5 * i for i, r in enumerate(roots)])
+        roots = np.array([r + 0.5 * (i + 1) for i, r in enumerate(roots)])
+        roots = np.concatenate([roots, -roots])
         c = polyfromroots(roots)
         back = poly_roots(c)
         assert np.allclose(sorted(back, key=lambda z: (z.real, z.imag)),

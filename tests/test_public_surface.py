@@ -4,7 +4,9 @@ helpers that the package itself calls.
 Every name in `bec.__all__` must be used in `src/bec` outside its own
 definition, or in `perfbench/`, or be listed in ALLOWED with the ROADMAP
 open item that will give it a caller.  Every module-level private function
-or class of `src/bec` must be used in `src/bec` outside its own definition.
+or class of `src/bec`, and every module-level private name bound by
+assignment (a constant such as `_NAME = ...`), must be used in `src/bec`
+outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -54,13 +56,29 @@ def _used_names():
     return set().union(*map(_uses, paths))
 
 
+def _private(names):
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
 def _private_definitions(path):
     """Module-level functions and classes of a module named with a single
     leading underscore."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")}
+    return _private(node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+
+
+def _private_constants(path):
+    """Module-level names of a module bound by assignment, each target of
+    a tuple included, named with a single leading underscore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = [t for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets]
+    targets += [node.target for node in tree.body
+                if isinstance(node, ast.AnnAssign)]
+    return _private(node.id for t in targets for node in ast.walk(t)
+                    if isinstance(node, ast.Name))
 
 
 def test_every_exported_name_has_a_caller():
@@ -77,3 +95,12 @@ def test_every_private_helper_has_a_caller_in_the_package():
     used = set().union(*map(_uses, paths))
     defined = set().union(*map(_private_definitions, paths))
     assert defined and sorted(defined - used) == []
+
+
+def test_every_private_constant_is_read_in_the_package():
+    # a threshold or code that nothing reads would outlive the test it set
+    paths = list((ROOT / "src" / "bec").glob("*.py"))
+    used = set().union(*map(_uses, paths))
+    defined = set().union(*map(_private_constants, paths))
+    assert "_EVEN_TOL" in defined and "_FAILED" in defined
+    assert sorted(defined - used) == []

@@ -307,6 +307,18 @@ def test_find_gap_rejects_filled_level(shallow_model):
         find_gap(shallow_model.symbol, 0.0, 6.0)
 
 
+def test_find_gap_rejects_level_between_samples_of_one_band(dirac_model,
+                                                            lap_model):
+    # 1.5 lies in the upper Dirac band and 3 in the Laplacian band, though
+    # no grid sample is within 1e-12 of either level
+    for model, level in ((dirac_model, 1.5), (lap_model, 3.0)):
+        with pytest.raises(NoGapError, match="band passes through"):
+            find_gap(model.symbol, level, 6.0)
+    # a level in the gap, close to its edge, still has its gap
+    g = find_gap(dirac_model.symbol, 0.999, 6.0)
+    assert g.lo < 0.999 < g.hi
+
+
 # ---------------------------------------------------------------------------
 # Fermi projections
 
