@@ -68,7 +68,6 @@ from .symbol import (
     FiberStack,
     GapWindow,
     Symbol,
-    bulk_bands,
     chern,
     fiberize,
     find_gap,

@@ -22,7 +22,9 @@ Commands and the flags each one reads (every command also takes --out):
 
 A flag a command does not read is rejected (exit 2).  Exit codes: 0 success,
 1 verification/table mismatch, 2 bad input or inadmissible/non-affiliated
-condition, 3 numerical failure.
+condition, 3 numerical failure.  `bulk` and `relative-chern` (each model)
+exit 2 unless the level is in a declared gap or one `find_gap` finds over
+|k| <= min(k_window, 20), k_window from --model or, for `bulk`, --k-window.
 
 `--model` is a model-file path or a builtin name; a name is run as the file
 whose [model] section names it, so both go through `modelfile.build`, and a
@@ -54,13 +56,12 @@ from . import modelfile
 from .edge import dispersion_csv, level_flow, relative_winding, \
     track_bands, winding
 from .errors import BecError, DomainError, InsufficientResolutionError, \
-    LostBandError, ModelFileError, NoGapError, NumericalFailure
+    LostBandError, ModelFileError, NumericalFailure
 from .extension import affiliation_check
 from .models import build_model
 from .report import InvariantReport
 from .svgplot import spectrum_svg
-from .symbol import bulk_bands, chern, find_gap, is_integer_pairing, \
-    relative_chern
+from .symbol import chern, find_gap, is_integer_pairing, relative_chern
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -217,26 +218,13 @@ def _base_report(ctx, task_name):
 # bulk commands
 
 
-def _level_is_below_spectrum(S, level, k_window):
-    ks = np.linspace(-k_window, k_window, 65)
-    lo = min(bulk_bands(S, k, np.linspace(-k_window, k_window, 65)).min()
-             for k in ks)
-    return level <= lo + 1e-9 * (1.0 + abs(lo))
-
-
-def _check_gap_for_level(ctx):
-    """Exit-2 precondition: the fiducial level must avoid the bulk bands
-    (an empty projection below the whole spectrum is also fine)."""
-    S, level = ctx.model.symbol, ctx.task["level"]
-    g = ctx.model.declared_gap
-    if g is not None and g.lo < level < g.hi:
-        return
-    k_window = min(ctx.numerics["k_window"], 20.0)
-    try:
-        find_gap(S, level, k_window)
-    except NoGapError:
-        if not _level_is_below_spectrum(S, level, k_window):
-            raise
+def _check_gap_for_level(model, ctx):
+    """Exit-2 precondition of a bulk pairing: NoGapError unless the task
+    level lies in the model's declared gap or in one that `find_gap` finds,
+    which is unbounded for a level below or above the whole spectrum."""
+    level, g = ctx.task["level"], model.declared_gap
+    if g is None or not g.lo < level < g.hi:
+        find_gap(model.symbol, level, min(ctx.numerics["k_window"], 20.0))
 
 
 def _recorded(fn, *args, **kwargs):
@@ -258,7 +246,7 @@ def _chern_lines(rep, name, value, resid, tol):
 
 def cmd_bulk(args):
     ctx = _build_context(args)
-    _check_gap_for_level(ctx)
+    _check_gap_for_level(ctx.model, ctx)
     rep = _base_report(ctx, "bulk chern pairing")
     (value, resid), warns = _recorded(chern, ctx.model.symbol,
                                       ctx.task["level"],
@@ -280,6 +268,8 @@ def cmd_relative_chern(args):
                              "and one level" % (args.model2, ", ".join(
                                  list(data2.numerics) + list(data2.task))))
     model2 = modelfile.build(data2)[0]
+    for model in (ctx1.model, model2):
+        _check_gap_for_level(model, ctx1)
     rep = _base_report(ctx1, "relative chern pairing")
     rep.add_line("second model: %s(%s)" % (
         model2.name, ", ".join("%s=%g" % (k, v) for k, v in

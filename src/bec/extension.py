@@ -84,7 +84,7 @@ from .errors import (
     NumericalFailure,
     TripleDegeneracyError,
 )
-from .numerics import _stack_product, norm_inf
+from .numerics import _stack_product, as_matrix, norm_inf
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -483,27 +483,21 @@ class BoundaryTriple:
             raise ContractViolation("a triple needs N <= 2 and dimV <= 2, "
                                     "got N = %d, dimV = %d"
                                     % (self.N, self.dimV))
-        width = self.order * self.N * (2 if side == "interface" else 1)
-        self.G1_coeffs = [as_square_or_rect(G, self.dimV, width) for G in
-                          (G1 if isinstance(G1, (list, tuple)) else [G1])]
-        self.G2_coeffs = [as_square_or_rect(G, self.dimV, width) for G in
-                          (G2 if isinstance(G2, (list, tuple)) else [G2])]
+        shape = (self.dimV,
+                 self.order * self.N * (2 if side == "interface" else 1))
+        self.G1_coeffs, self.G2_coeffs = [
+            [as_matrix(G) for G in (Gs if isinstance(Gs, (list, tuple))
+                                    else [Gs])] for Gs in (G1, G2)]
+        for G in self.G1_coeffs + self.G2_coeffs:
+            if G.shape != shape:
+                raise ContractViolation("trace map shape %s, expected %s"
+                                        % (G.shape, shape))
 
     def traces(self, ks):
         """Trace maps (G1(k), G2(k)) stacked over the momenta ks, shape
         (len(ks), dimV, jet width) each."""
         return (_poly_stack(self.G1_coeffs, ks),
                 _poly_stack(self.G2_coeffs, ks))
-
-
-def as_square_or_rect(M, rows, cols):
-    A = np.asarray(M, dtype=complex)
-    if A.shape != (rows, cols):
-        raise ContractViolation("trace map shape %s, expected (%d, %d)"
-                                % (A.shape, rows, cols))
-    if not np.all(np.isfinite(A.view(float))):
-        raise ContractViolation("trace map has non-finite entries")
-    return A
 
 
 def green_boundary_matrix(Ds):

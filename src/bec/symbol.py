@@ -2,9 +2,9 @@
 
 A Symbol is a finite sum  H(k1, k2) = sum_ab c_ab k1^a k2^b  with Hermitian
 matrix coefficients.  This module evaluates symbols, restricts them to
-half-plane fibers (k2 -> derivative along y), samples bulk bands, locates
-spectral gaps, and computes Chern / relative-Chern pairings of the Fermi
-projection by adaptive quadrature.
+half-plane fibers (k2 -> derivative along y), locates spectral gaps, and
+computes Chern / relative-Chern pairings of the Fermi projection by
+adaptive quadrature.
 """
 
 import warnings
@@ -132,22 +132,6 @@ def fiberize(S, k):
     return FiberStack([k], [S.fiber_stack([k])])
 
 
-def bulk_bands(S, k, ky_grid):
-    """Eigenvalue branches of H(k, ky) over a ky grid.
-
-    Returns an (N, len(grid)) array; row j is the j-th band in ascending
-    order at each grid point.
-    """
-    ky = np.asarray(ky_grid, dtype=float).ravel()
-    if ky.size == 0:
-        raise ContractViolation("ky_grid must be nonempty")
-    if np.any(np.diff(ky) < 0):
-        raise ContractViolation("ky_grid must be sorted")
-    H = S.eval_batch(np.full(ky.shape, float(k)), ky)
-    w = np.linalg.eigvalsh(H)
-    return w.T
-
-
 class GapWindow:
     """Open energy interval (lo, hi) free of bulk spectrum."""
 
@@ -166,8 +150,9 @@ class GapWindow:
         return self.hi - self.lo
 
 
-# points per side of the momentum grid that `find_gap` samples
-_GAP_RESOLUTION = 128
+# points per side of the momentum grid that `find_gap` samples; odd, so
+# that the grid holds k = 0
+_GAP_RESOLUTION = 129
 
 
 def find_gap(S, around, k_window):
@@ -176,19 +161,21 @@ def find_gap(S, around, k_window):
 
     Each sorted band is continuous on the square, so a level strictly
     between a band's smallest and largest sample, or within 1e-12 of a
-    sample, lies in that band: NoGapError."""
+    sample, lies in that band: NoGapError.  The grid holds k = 0, where
+    the builtin bands have their edges (regdirac's when 1 + 2 eps m >= 0,
+    shallow water's when 2 nu f <= 1), so a level just past such an edge
+    lies between samples of its band.  An extremum off the grid, as a
+    custom [symbol] may have, is only sampled: a level between it and the
+    nearest sample passes."""
     g = np.linspace(-k_window, k_window, _GAP_RESOLUTION)
     K1, K2 = np.meshgrid(g, g, indexing="ij")
     w = np.linalg.eigvalsh(S.eval_batch(K1.ravel(), K2.ravel()))
-    below = w[w <= around]
-    above = w[w >= around]
     if (np.any((w.min(axis=0) < around) & (around < w.max(axis=0)))
             or np.any(np.abs(w - around) < 1e-12)):
         raise NoGapError("bulk band passes through %g on the sampling grid"
                          % around)
-    lo = float(np.max(below)) if below.size else -np.inf
-    hi = float(np.min(above)) if above.size else np.inf
-    return GapWindow(lo, hi, provenance="computed")
+    return GapWindow(np.max(w[w < around], initial=-np.inf),
+                     np.min(w[w > around], initial=np.inf), "computed")
 
 
 # ---------------------------------------------------------------------------

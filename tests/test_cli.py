@@ -72,12 +72,18 @@ def test_bulk_rejects_level_on_flat_band():
 
 
 @pytest.mark.parametrize("argv", [
-    ["--model", "laplacian", "--level", "3"],
-    ["--model", "dirac", "--param", "m=1", "--level", "1.5"],
+    ["bulk", "--model", "laplacian", "--level", "3"],
+    ["bulk", "--model", "dirac", "--param", "m=1", "--level", "1.5"],
+    # just past a band edge at k = 0
+    ["bulk", "--model", "laplacian", "--level", "0.0001"],
+    ["bulk", "--model", "dirac", "--param", "m=1", "--level", "1.0001"],
+    # outside m = 1's declared gap, so the search finds the band
+    ["relative-chern", "--model", "dirac", "--param", "m=1",
+     "--model2", "dirac", "--param2", "m=-1", "--level", "1.5"],
 ])
 def test_bulk_rejects_level_inside_a_continuous_band(argv):
     # no sample lands on the level, but a band's samples lie on both sides
-    code, out, err = run_cli(["bulk"] + argv)
+    code, out, err = run_cli(argv)
     assert code == 2
     assert "bulk band passes through" in err
     assert out == ""

@@ -17,6 +17,14 @@
   unchanged on all 49 table curves, the 26 flows of `level_flow` and the
   23 windings, with every crossing sign, and every crossing momentum to
   1e-6 relative.
+* The corrected correspondence on every pair (ROADMAP item 4): for every
+  pair (a, b) of conditions of one model, SF(a) - SF(b) = W(a, b) when
+  `affiliation_check(a, bc_ref=b)` reads affiliated, and `relative_winding`
+  raises NotComparableError otherwise.  The conditions are the Laplacian's
+  six Robin rows, Dirichlet and 'K=0, |xi|=1', Dirac a in (+-2, +-1, +-0.5)
+  at m = +-1, regdirac's four rows at each mass and the two interface
+  conditions: the 64 pairs without 'K=0, |xi|=1' are affiliated, and its
+  7 pairs are not.
 * Relative Chern numbers (ROADMAP item 4) are integers, antisymmetric,
   C(a, b) = -C(b, a), and obey the cocycle rule
   C(a, b) + C(b, c) = C(a, c), each within the quadrature tolerance of
@@ -204,6 +212,64 @@ def test_finer_line_sampling_leaves_every_table_curve(monkeypatch):
         np.testing.assert_allclose([k for k, _ in fine],
                                    [k for k, _ in crossings], rtol=1e-6,
                                    atol=0.0)
+
+
+def _condition_groups():
+    """(id, model, side, conditions) per model, the Laplacian's row
+    'K=0, |xi|=1' last."""
+    lap = build_model("laplacian")
+    groups = [("laplacian", lap, "halfline",
+               [lap.make_bc("robin", K=K, ell=xi, M=1.0)
+                for _, K, xi, *_ in LAPLACE_ROWS]
+               + [lap.make_bc("dirichlet"),
+                  lap.make_bc("robin", K=0.0, ell=1.0, M=1.0)])]
+    for m in (1.0, -1.0):
+        model = build_model("dirac", m=m)
+        groups.append(("dirac m=%+g" % m, model, "halfline",
+                       [model.make_bc("a", a=a)
+                        for a in (2.0, -2.0, 1.0, -1.0, 0.5, -0.5)]))
+    for m in (-1.0, 1.0):
+        model = build_model("regdirac", m=m, eps=0.1)
+        groups.append(("regdirac m=%+g" % m, model, "halfline",
+                       [model.make_bc("dirichlet") if a is None else
+                        model.make_bc("a", a=a)
+                        for _, a, *_ in REGDIRAC_ROWS]))
+    iface = build_model("dirac", m=1.0, m_minus=-1.0)
+    groups.append(("interface", iface, "interface",
+                   [iface.make_bc("decoupled", aplus=1.0, aminus=1.0),
+                    iface.make_bc("transparent")]))
+    return groups
+
+
+_GROUPS = _condition_groups()
+
+
+@pytest.mark.parametrize("name, model, side, bcs", _GROUPS,
+                         ids=[group[0] for group in _GROUPS])
+def test_flow_difference_is_the_relative_winding_of_affiliated_pairs(
+        name, model, side, bcs):
+    T, fam = model.triple(side), model.fiber_family(side)
+    flows = {}
+
+    def flow(i):
+        if i not in flows:
+            flows[i] = level_flow(bcs[i], T, fam, model.fiducial_E).value
+        return flows[i]
+
+    apart = []
+    for i, j in itertools.combinations(range(len(bcs)), 2):
+        verdict = affiliation_check(bcs[i], T, fam, bc_ref=bcs[j]).verdict
+        if verdict == "affiliated":
+            wind = relative_winding(bcs[i], bcs[j], T, fam)[0]
+            assert flow(i) - flow(j) == wind, (i, j)
+        else:
+            with pytest.raises(NotComparableError):
+                relative_winding(bcs[i], bcs[j], T, fam)
+            apart.append((i, j))
+    # only 'K=0, |xi|=1', the Laplacian's last condition, is apart
+    last = len(bcs) - 1
+    assert apart == ([(i, last) for i in range(last)]
+                     if name == "laplacian" else [])
 
 
 def test_relative_chern_is_an_antisymmetric_integer_cocycle():

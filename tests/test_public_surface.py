@@ -3,10 +3,12 @@ helpers that the package itself calls.
 
 Every name in `bec.__all__` must be used in `src/bec` outside its own
 definition, or in `perfbench/`, or be listed in ALLOWED with the ROADMAP
-open item that will give it a caller.  Every module-level private function
-or class of `src/bec`, and every module-level private name bound by
-assignment (a constant such as `_NAME = ...`), must be used in `src/bec`
-outside its own definition.
+open item that will give it a caller.  Every other module-level public
+function, class or name bound by assignment of `src/bec` must be used in
+`src/bec` outside its own definition, or in `perfbench/`.  Every
+module-level private function or class of `src/bec`, and every
+module-level private name bound by assignment (a constant such as
+`_NAME = ...`), must be used in `src/bec` outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -61,24 +63,23 @@ def _private(names):
             if name.startswith("_") and not name.startswith("__")}
 
 
-def _private_definitions(path):
-    """Module-level functions and classes of a module named with a single
-    leading underscore."""
+def _definitions(path):
+    """Module-level functions and classes of a module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return _private(node.name for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
-def _private_constants(path):
+def _constants(path):
     """Module-level names of a module bound by assignment, each target of
-    a tuple included, named with a single leading underscore."""
+    a tuple included."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     targets = [t for node in tree.body if isinstance(node, ast.Assign)
                for t in node.targets]
     targets += [node.target for node in tree.body
                 if isinstance(node, ast.AnnAssign)]
-    return _private(node.id for t in targets for node in ast.walk(t)
-                    if isinstance(node, ast.Name))
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
 
 
 def test_every_exported_name_has_a_caller():
@@ -89,11 +90,23 @@ def test_every_exported_name_has_a_caller():
     assert set(ALLOWED) <= set(bec.__all__)
 
 
+def test_every_unexported_public_name_has_a_caller():
+    # a public helper that neither the package nor the benchmark calls,
+    # and that bec does not export, serves only tests
+    paths = list((ROOT / "src" / "bec").glob("*.py"))
+    defined = set().union(*map(_definitions, paths),
+                          *map(_constants, paths))
+    public = {name for name in defined if not name.startswith("_")}
+    unexported = public - set(bec.__all__)
+    assert "LAPLACE_ROWS" in unexported and "main" in unexported
+    assert sorted(unexported - _used_names()) == []
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     # a helper that only tests call would outlive the path it served
     paths = list((ROOT / "src" / "bec").glob("*.py"))
     used = set().union(*map(_uses, paths))
-    defined = set().union(*map(_private_definitions, paths))
+    defined = _private(set().union(*map(_definitions, paths)))
     assert defined and sorted(defined - used) == []
 
 
@@ -101,6 +114,6 @@ def test_every_private_constant_is_read_in_the_package():
     # a threshold or code that nothing reads would outlive the test it set
     paths = list((ROOT / "src" / "bec").glob("*.py"))
     used = set().union(*map(_uses, paths))
-    defined = set().union(*map(_private_constants, paths))
+    defined = _private(set().union(*map(_constants, paths)))
     assert "_EVEN_TOL" in defined and "_FAILED" in defined
     assert sorted(defined - used) == []

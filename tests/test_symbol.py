@@ -23,7 +23,6 @@ from bec.symbol import (
     Symbol,
     _curvature_integrand,
     _projection_stack,
-    bulk_bands,
     chern,
     fiberize,
     find_gap,
@@ -235,51 +234,7 @@ def test_fiber_stack_of_constant_symbol_has_order_zero():
 
 
 # ---------------------------------------------------------------------------
-# bulk bands and gaps
-
-
-def test_bulk_bands_two_band_closed_form(dirac_model):
-    ky = np.linspace(-3.0, 3.0, 11)
-    w = bulk_bands(dirac_model.symbol, 0.0, ky)
-    assert w.shape == (2, 11)
-    assert np.allclose(w[0], -np.sqrt(1.0 + ky * ky))
-    assert np.allclose(w[1], np.sqrt(1.0 + ky * ky))
-
-
-def test_bulk_bands_scalar_closed_form(lap_model):
-    ky = np.linspace(0.0, 2.0, 5)
-    w = bulk_bands(lap_model.symbol, 0.0, ky)
-    assert np.allclose(w[0], ky * ky)
-
-
-def test_bulk_bands_shallow_closed_form():
-    from bec.models import shallow_water
-
-    S = shallow_water(1.0, 0.0).symbol
-    ky = np.linspace(-2.0, 2.0, 9)
-    w = bulk_bands(S, 0.0, ky)
-    assert np.allclose(w[1], 0.0, atol=1e-12)
-    assert np.allclose(w[2], np.sqrt(1.0 + ky * ky))
-    assert np.allclose(w[0], -np.sqrt(1.0 + ky * ky))
-
-
-def test_bulk_bands_shallow_frozen_sample(shallow_model):
-    w = bulk_bands(shallow_model.symbol, 0.7, np.array([-0.4]))
-    assert np.allclose(sorted(w[:, 0]),
-                       [-1.23459507531822, 0.0, 1.23459507531822],
-                       atol=1e-12)
-
-
-def test_bulk_bands_two_band_frozen_sample(dirac_model):
-    w = bulk_bands(dirac_model.symbol, 0.6, np.array([-0.8]))
-    assert abs(w[1, 0] - 1.4142135623731) < 1e-10
-
-
-def test_bulk_bands_rejects_bad_grid(dirac_model):
-    with pytest.raises(ContractViolation):
-        bulk_bands(dirac_model.symbol, 0.0, np.array([1.0, 0.0]))
-    with pytest.raises(ContractViolation):
-        bulk_bands(dirac_model.symbol, 0.0, np.array([]))
+# gaps
 
 
 def test_gap_window_contract():
@@ -309,9 +264,11 @@ def test_find_gap_rejects_filled_level(shallow_model):
 
 def test_find_gap_rejects_level_between_samples_of_one_band(dirac_model,
                                                             lap_model):
-    # 1.5 lies in the upper Dirac band and 3 in the Laplacian band, though
-    # no grid sample is within 1e-12 of either level
-    for model, level in ((dirac_model, 1.5), (lap_model, 3.0)):
+    # 1.5 and 1.0001 lie in the upper Dirac band, 3 and 1e-4 in the
+    # Laplacian band, though no grid sample is within 1e-12 of any of them;
+    # the two levels just past a band edge need the sample at k = 0
+    for model, level in ((dirac_model, 1.5), (lap_model, 3.0),
+                         (dirac_model, 1.0001), (lap_model, 1e-4)):
         with pytest.raises(NoGapError, match="band passes through"):
             find_gap(model.symbol, level, 6.0)
     # a level in the gap, close to its edge, still has its gap
