@@ -22,11 +22,21 @@ phase of det U along the same line (`winding`).  `_samples` samples the
 curves until every step of the phase sum is below pi / p and a bound of its
 caller: a radian on a column, whose eigenphases turn one way, and a quarter
 radian on the momentum line, where nothing certifies the steps
-(`_on_line`).  `_crossings` counts the eigenphases through 0 in each step,
-certified by the step's rounding residual, and refines each by batched
-Illinois regula falsi.  det U is sampled as det W(-i) / det W(i) of the
-condition matrices W(+-i) = A - B Q(+-i) (`extension._unitary_dets`),
-without forming U.
+(`_on_line`).  A step over its limit is cut in one round into 2^j equal
+parts, 2^j the least power of two at or above the ratio of its phase
+change to the limit, by the halvings bisection would take (`_cuts`).
+`_crossings` counts the eigenphases through 0 in each step, certified by
+the step's rounding residual, and refines each by batched Illinois regula
+falsi.  det U is sampled as det W(-i) / det W(i) of the condition matrices
+W(+-i) = A - B Q(+-i) (`extension._unitary_dets`), without forming U.
+
+The large-momentum stage, the six momenta `extension.K_ENDS`, has three
+readers: `extension.affiliation_check`, which evaluates it alone, and the
+two line readers, `winding` (its closure) and `level_flow` (its end
+margins, `_end_margins`).  Each line reader takes the stage from the K_ENDS
+rows of its seed batch, the first kernel batch of `_on_line`, and decides
+on them before it checks any seed row.  Kernel rows do not depend on their
+batch, so all three read the same stage, bit for bit.
 
 Band tracking, a block of grid columns at a time sharing the batches of the
 level unitary, serves the dispersion output and `spectral_flow(bands)`, the
@@ -53,7 +63,6 @@ from .extension import (
     K_LADDER,
     K_LIMIT,
     _check_codes,
-    _end_unitaries,
     _level_phases,
     _side_bases,
     _unitary_dets,
@@ -82,16 +91,44 @@ _COUNT_TOL = 1e-6        # largest rounding residual of a step's count
 _ILLINOIS_ITERS = 100    # regula falsi steps at most per root
 
 
+def _cuts(owner, lo, hi, depth, where):
+    """The cuts of each interval [lo, hi] into 2^depth equal parts, by the
+    halvings bisection would take, with their owners: the midpoints
+    0.5 (lo + hi), then those of both halves, depth levels down.  A
+    midpoint that equals an end leaves its part whole, and on the first
+    level raises InsufficientResolutionError naming where(owner, x)."""
+    owners, cuts = [], []
+    for level in range(depth.max()):
+        x = 0.5 * (lo + hi)
+        flat = (x == lo) | (x == hi)
+        if level == 0 and np.any(flat):
+            i = np.argmax(flat)
+            raise InsufficientResolutionError(
+                "%s needs a phase step below floating-point resolution"
+                % where(owner[i], x[i]))
+        keep = ~flat
+        owners.append(owner[keep])
+        cuts.append(x[keep])
+        keep &= depth > level + 1
+        owner, lo, hi = (np.concatenate([a[keep], b[keep]]) for a, b in
+                         ((owner, owner), (lo, x), (x, hi)))
+        depth = np.concatenate([depth[keep], depth[keep]])
+    return np.concatenate(owners), np.concatenate(cuts)
+
+
 def _samples(fun, owner, x, cap, where, bound):
     """Samples of phase curves from the seeds (owner (n,), x (n,)), ordered
     by curve and x: curve owner[i] at x[i] has the eigenphases fun(owner,
     x) -> (eigenphases (p, n), ok (n,)), ok False where they fail; one call
-    per round over all pending points.  Midpoints are added until every
-    step of the phase sum between neighbouring good samples of a curve is
-    below bound (rad) and pi / p, each step split between every two samples
-    it holds, good or failed, so no point is evaluated twice.  Failing
-    samples are left out.  A curve that needs more than cap evaluated
-    samples, or a step with no floating-point midpoint, raises
+    per round over all pending points.  Each round cuts every step of the
+    phase sum between neighbouring good samples of a curve whose change d
+    exceeds its limit, min(bound, pi / p) rad, in one go: every gap between
+    two samples it holds, good or failed, into 2^j equal parts, 2^j the
+    least power of two >= |d| / limit (`_cuts`), until no step exceeds the
+    limit.  The cuts are those of bisection, j levels down, so the samples
+    hold every point bisection would take, and no point is evaluated twice.
+    Failing samples are left out.  A curve that needs more than cap
+    evaluated samples, or a step with no floating-point midpoint, raises
     InsufficientResolutionError naming where(curve, x).
 
     Returns the good samples (curve (m,), x (m,), eigenphases (p, m)),
@@ -118,21 +155,18 @@ def _samples(fun, owner, x, cap, where, bound):
         good_curve, good_theta = curve[g], theta[:, g]
         inner = good_curve[1:] == good_curve[:-1]
         steps = _wrap(np.diff(good_theta.sum(axis=0)))
-        bad = np.nonzero(inner & (np.abs(steps)
-                                  > min(bound, np.pi / len(th))))[0]
+        limit = min(bound, np.pi / len(th))
+        bad = np.nonzero(inner & (np.abs(steps) > limit))[0]
         if len(bad) == 0:
             return good_curve, at[g], good_theta, steps, inner
-        # the gaps between the samples, good or failed, of each step to refine
+        # the gaps between the samples, good or failed, of each step to cut,
+        # and 2^j = m 2^e, m in [0.5, 1): j = e, or e - 1 where m = 0.5
         first, span = g[bad], g[bad + 1] - g[bad]
         gaps = np.repeat(first - np.cumsum(span) + span, span) \
             + np.arange(span.sum())
-        owner, x = curve[gaps], 0.5 * (at[gaps] + at[gaps + 1])
-        flat = (x == at[gaps]) | (x == at[gaps + 1])
-        if np.any(flat):
-            i = np.argmax(flat)
-            raise InsufficientResolutionError(
-                "%s needs a phase step below floating-point resolution"
-                % where(owner[i], x[i]))
+        m, e = np.frexp(np.abs(steps[bad]) / limit)
+        owner, x = _cuts(curve[gaps], at[gaps], at[gaps + 1],
+                         np.repeat(e - (m == 0.5), span), where)
 
 
 def _illinois(f, owner, x0, f0, x1, f1, tol):
@@ -247,13 +281,25 @@ _PHASE_MAX_POINTS = 60000
 
 
 def _on_line(fun, what):
-    """The phase curve fun(ks) -> eigenphases (p, n) on the compactified
-    momentum line s = (2/pi) atan k, |k| <= K_LIMIT, sampled by `_samples`
-    from _PHASE_SEEDS uniform seeds in s, refined until every step is below
-    _LINE_STEP.  Returns its phase function in s, where (naming a point's
-    momentum for what) and the samples."""
+    """The phase curve on the compactified momentum line s = (2/pi) atan k,
+    |k| <= K_LIMIT, sampled by `_samples` from _PHASE_SEEDS uniform seeds in
+    s, refined until every step is below _LINE_STEP.  fun(ks, ends) gives
+    the eigenphases (p, n - ends) of the momenta ks past their first ends.
+    Its first call, the seed batch, takes the large-momentum stage along:
+    ks is K_ENDS followed by the seeds, ends = len(K_ENDS), and fun reads
+    the stage from those rows of its kernel batch, deciding on them before
+    it checks any seed row.  Every later call has ends = 0.  The two line
+    readers of the stage do so, `winding` and `level_flow`; its third
+    reader, `extension.affiliation_check`, evaluates it alone.  Returns the
+    phase function in s, where (naming a point's momentum for what) and the
+    samples."""
+    ends = len(K_ENDS)
+
     def in_s(_, s):
-        return fun(np.tan(0.5 * np.pi * s)), np.ones(len(s), dtype=bool)
+        nonlocal ends
+        n, ends = ends, 0
+        ks = np.concatenate([K_ENDS[:n], np.tan(0.5 * np.pi * s)])
+        return fun(ks, n), np.ones(len(s), dtype=bool)
 
     def where(_, s):
         return "%s near k=%g" % (what, np.tan(0.5 * np.pi * s))
@@ -310,7 +356,8 @@ def _columns(bc, T, F, windows, nl, xtol=None):
     if not cols:
         return out
     ks = F.ks[cols]
-    phases = _level_phases(bc, T, F[cols])
+    phases, admissible = _level_phases(bc, T, F[cols])
+    admissible()
     lo, hi = np.array([windows[i] for i in cols], dtype=float).T
     size = 1.0 + np.maximum(np.abs(lo), np.abs(hi))
     tol = 1e-9 * size if xtol is None else np.full(len(cols), float(xtol))
@@ -783,15 +830,16 @@ def _check_unimodular(dets):
         raise ContractViolation("det U leaves the unit circle by %.2e" % dev)
 
 
-def _closure_deviation(bc, T, fiber_family, bc_ref=None):
+def _closure_deviation(U, relative):
     """How far the loop of `winding` is from closing through infinity, on
-    the stage's rows at -+K_LIMIT: ||U(-K_LIMIT) - U(K_LIMIT)||_2, or with
-    bc_ref the larger affiliation evidence ||U U_ref^{-1} - 1||_2 there."""
-    U = _end_unitaries(bc, T, fiber_family, bc_ref)
+    the stage's unitaries U (`extension._stage_unitaries`) at -+K_LIMIT:
+    ||U(-K_LIMIT) - U(K_LIMIT)||_2, or for a relative unitary
+    U U_ref^{-1} the larger affiliation evidence ||U U_ref^{-1} - 1||_2
+    there."""
     minus, plus = K_ENDS.index(-K_LIMIT), K_ENDS.index(K_LIMIT)
-    if bc_ref is None:
+    if not relative:
         return np.linalg.norm(U[minus] - U[plus], 2)
-    dev = np.linalg.norm(U - np.eye(T.dimV), 2, axis=(1, 2))
+    dev = np.linalg.norm(U - np.eye(U.shape[-1]), 2, axis=(1, 2))
     return max(dev[minus], dev[plus])
 
 
@@ -802,19 +850,26 @@ def winding(bc, T, fiber_family, k_window=20.0, bc_ref=None):
     sampling one `extension._unitary_dets` batch checked by
     `_check_unimodular`, and the winding unwinds it on its closed loop.
     With bc_ref the relative unitary U U_ref^{-1} is used.  The loop closes
-    through |k| = infinity, so a `_closure_deviation` above _SETTLE leaves
-    the winding undefined and raises NotComparableError; the large-momentum
-    stage checks both conditions, and InadmissibleConditionError names the
-    first failure on its momenta.  Returns (integer, rounding residual).
-    k_window is unused; perfbench/jobs.py passes it until ROADMAP item 2."""
-    gap_dev = _closure_deviation(bc, T, fiber_family, bc_ref)
-    if gap_dev > _SETTLE:
-        raise NotComparableError(
-            "unitary does not settle to a common large-momentum limit "
-            "(deviation %.3f)" % gap_dev)
+    through |k| = infinity: the seed batch holds the large-momentum stage,
+    whose unitaries come from the K_ENDS rows of that batch's Krein family
+    and (A, B), and a `_closure_deviation` above _SETTLE leaves the winding
+    undefined and raises NotComparableError.  Kernel rows do not depend on
+    their batch, so that deviation is `affiliation_check`'s evidence, bit
+    for bit.  The stage checks both conditions, and
+    InadmissibleConditionError names the first failure on its momenta;
+    every stage error and the closure come before any seed row's error.
+    Returns (integer, rounding residual).  k_window is unused;
+    perfbench/jobs.py passes it until ROADMAP item 2."""
+    def closes(U):
+        gap_dev = _closure_deviation(U, bc_ref is not None)
+        if gap_dev > _SETTLE:
+            raise NotComparableError(
+                "unitary does not settle to a common large-momentum limit "
+                "(deviation %.3f)" % gap_dev)
 
-    def phase(ks):
-        dets = _unitary_dets(bc, T, fiber_family, ks, bc_ref=bc_ref)
+    def phase(ks, ends):
+        dets = _unitary_dets(bc, T, fiber_family, ks, bc_ref=bc_ref,
+                             stage=closes if ends else None)
         _check_unimodular(dets)
         return np.angle(dets)[None, :]
 
@@ -840,31 +895,43 @@ def relative_winding(bc1, bc2, T, fiber_family, k_window=20.0):
 # spectral flow as the Maslov index of the level unitary
 
 
-def _phases_at(bc, T, fiber_family, ks, level):
+def _phases_at(bc, T, fiber_family, ks, level, stage=None):
     """Eigenphases (dimV, n) of the level unitary V(k, level) at the momenta
-    ks; a failing basis raises its typed error, naming the momenta."""
+    ks; an inadmissible condition or a failing basis raises its typed
+    error, naming the momenta.  With stage, ks starts with the stage's
+    momenta K_ENDS: their rows are checked first and their eigenphases go
+    to stage(th) before any other row is checked, and the eigenphases of
+    the other rows come back."""
     ks = np.asarray(ks, dtype=float)
-    phases = _level_phases(bc, T, fiber_family.stacks(ks))
+    phases, admissible = _level_phases(bc, T, fiber_family.stacks(ks))
     th, code = _batched(phases, np.arange(len(ks)),
                         np.full(len(ks), float(level)))
-    _check_codes(code, ks)
-    return th
+
+    def check(rows):
+        admissible(rows)
+        _check_codes(code[rows], ks[rows])
+
+    n = 0 if stage is None else len(K_ENDS)
+    if n:
+        check(slice(0, n))
+        stage(th[:, :n])
+    check(slice(n, None))
+    return th[:, n:]
 
 
-def _end_margins(bc, T, fiber_family, level):
-    """Certify the ends of the count on the stage's momenta K_ENDS: at
-    -+K_LIMIT every eigenphase of V within _END_PHASE of 0 must keep its
-    sign, shrink along K_LADDER and not be 0; otherwise NumericalFailure,
-    since a band that tends to the level as |k| -> infinity (a
-    boundary-induced band) would make the count depend on the end.  V is
-    algebraic in k, so its phases have finitely many zeros, and the ladder
-    pins the leading term.
+def _end_margins(th, level):
+    """Certify the ends of the count on the eigenphases th (dimV, 6) of V
+    at the stage's momenta K_ENDS: at -+K_LIMIT every eigenphase of V within
+    _END_PHASE of 0 must keep its sign, shrink along K_LADDER and not be 0;
+    otherwise NumericalFailure, since a band that tends to the level as
+    |k| -> infinity (a boundary-induced band) would make the count depend on
+    the end.  V is algebraic in k, so its phases have finitely many zeros,
+    and the ladder pins the leading term.
 
     The eigenphases are matched across the ladder by rank, ascending in
     (-pi, pi].  Returns per side (-, +) the end eigenphase of smallest
     magnitude and its shrink factor per decade along the ladder."""
     decades = np.log10(K_LADDER[-1] / K_LADDER[0])
-    th = _phases_at(bc, T, fiber_family, K_ENDS, level)
     out = []
     for side in ("-", "+"):
         runs = np.sort(th[:, _SIDES[side]], axis=0)
@@ -897,16 +964,24 @@ def level_flow(bc, T, fiber_family, level=0.0):
         sum c = unwind_phase(det V) + (sum [theta_j(-K_LIMIT)]
                                        - sum [theta_j(+K_LIMIT)]) / 2 pi.
 
-    `_end_margins` certifies the end eigenphases, and any failing basis
-    sample raises its typed error.  The count covers the whole line, so no
+    `_end_margins` certifies the end eigenphases, the K_ENDS rows of the
+    seed batch, before any seed row is checked; any failing basis sample
+    raises its typed error.  The count covers the whole line, so no
     momentum window enters it.  Each eigenphase that passes 0 is refined in
     s = (2/pi) atan k and gives one crossing of the sign of its step's
     count.  Returns a FlowResult with the
     crossings, the rounding residual of the sum and the end margins."""
-    ends = _end_margins(bc, T, fiber_family, level)
+    ends = []
+
+    def stage(th):
+        ends.extend(_end_margins(th, level))
+
+    def phases(ks, n):
+        return _phases_at(bc, T, fiber_family, ks, level,
+                          stage=stage if n else None)
+
     fun, where, (curve, s, theta, steps, inner) = _on_line(
-        lambda ks: _phases_at(bc, T, fiber_family, ks, level),
-        "the spectral flow count")
+        phases, "the spectral flow count")
     # as `_columns`: 1e-9 of the magnitude of the window of s
     tol = np.array([1e-9 * (1.0 + np.abs(s).max())])
     count, step, roots, _ = _crossings(fun, curve, s, theta, steps, inner,

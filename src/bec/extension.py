@@ -70,7 +70,15 @@ the checks of U on the per-point API and the large-momentum stage.
 The per-point API (`krein_Q`, `vn_unitary`, `green_identity_residual`) is
 the kernel on a one-row FiberStack.  One large-momentum stage, six momenta
 K_ENDS and one block of end thresholds, serves every decision about |k| ->
-infinity: `affiliation_check`, `edge.winding` and `edge._end_margins`.
+infinity, and has three readers.  `affiliation_check` evaluates it alone
+(`_end_unitaries`).  The two readers on the momentum line, `edge.winding`
+(its closure) and `edge._end_margins` (the end margins of
+`edge.level_flow`), take it from the K_ENDS rows of their seed batch: the
+stage's unitaries from that batch's Krein family and (A, B)
+(`_unitary_dets`), the level unitary's end eigenphases from that batch's
+`_level_phases`.  A batch that holds the stage checks its stage rows
+first (`_krein_rows` and `_level_phases` return their row checks), so
+every stage decision and stage error comes before any other row's error.
 """
 import itertools
 
@@ -589,12 +597,18 @@ def _admissibility(A, B):
     return ms, herm, (ms <= 1e-10) | (herm >= 1e-10 * (1.0 + size))
 
 
-def _check_admissible(bc, ks, A, B):
-    """Raise InadmissibleConditionError at the first of the momenta ks where
-    the condition's (A, B), stacked over ks, fails the admissibility test."""
+def _admissible(bc, ks, A, B):
+    """Which rows of the condition's (A, B), stacked over the momenta ks,
+    fail the admissibility test, and check(rows), which raises
+    InadmissibleConditionError at the first failing momentum of ks[rows]
+    (rows a slice, all of them by default)."""
     ms, herm, bad = _admissibility(A, B)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+
+    def check(rows=slice(None)):
+        fail = np.arange(len(ks))[rows][bad[rows]]
+        if len(fail) == 0:
+            return
+        i = fail[0]
         if ms[i] <= 1e-10:
             raise InadmissibleConditionError(
                 "%s: iA+B numerically singular at k=%g (min sing %.2e)"
@@ -602,6 +616,7 @@ def _check_admissible(bc, ks, A, B):
         raise InadmissibleConditionError(
             "%s: A B^dag not Hermitian at k=%g (defect %.2e)"
             % (bc.label, ks[i], herm[i]))
+    return bad, check
 
 
 def _ab_on(bc, T, ks):
@@ -660,13 +675,18 @@ def _level_phases(bc, T, F):
     N = U_bc^dag (X - iY) and R = X + iY is formed entry by entry
     (`_unitary_phases`).  Returns phases(rows, lams) -> (eigenphases
     (dimV, n) in (-pi, pi], code (n,)) at the fibers of the momenta indexed
-    by rows; a failing basis never raises here, and a row's phases do not
-    depend on its batch.  The condition must be admissible at every
-    momentum of F, or InadmissibleConditionError names the first failure.
+    by rows, and admissible(rows), the check of `_admissible` over the
+    momenta of F.  A failing basis never raises here, and a row's phases do
+    not depend on its batch.  The phases of a row read where the condition
+    fails the admissibility test mean nothing (an identity stands in for
+    its B - iA), so every caller checks those rows first.
     """
     A, B = _ab_on(bc, T, F.ks)
-    _check_admissible(bc, F.ks, A, B)
-    adj = np.moveaxis(np.linalg.solve(B - 1j * A, B + 1j * A), 0, -1).copy()
+    bad, admissible = _admissible(bc, F.ks, A, B)
+    C = B - 1j * A
+    if bad.any():
+        C[bad] = np.eye(T.dimV)
+    adj = np.moveaxis(np.linalg.solve(C, B + 1j * A), 0, -1).copy()
     products = _jet_products(T, F, T.traces(F.ks))
     p = T.dimV
 
@@ -681,7 +701,7 @@ def _level_phases(bc, T, F):
             for k in range(1, p):
                 N[i, j] += C[i, k] * P[k, j]
         return _unitary_phases(N, X + 1j * Y), code
-    return phases
+    return phases, admissible
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +714,14 @@ def _level_phases(bc, T, F):
 # R(k) = R0 (k + i diag(1, 3)), and by 2e-14 cond R from W.
 
 
-def _krein_family(T, F, z=1j):
+def _krein_rows(T, F, z=1j):
     """Krein matrices Q(z) = (G2 J)(G1 J)^{-1}, (n, dimV, dimV), of the
     fibers F (a FiberStack, as `FiberFamily.stacks` returns it) at z, i but
     for `krein_Q`: G1 J and G2 J are the `_jet_products` of one jet batch.
-    Raises the typed error of the first failing basis row, and
-    TripleDegeneracyError where G1 J is singular.
+    Returns Q and check(rows), which raises the typed error of the first
+    failing basis row of the rows (a slice, all of them by default), then
+    TripleDegeneracyError where G1 J is singular there; Q means nothing on
+    such a row (an identity stands in for its G1 J).
 
     Every boundary condition over the same momenta shares Q.  Q(-i) is
     Q(i)^dag (`test_krein_Q_conjugation_symmetry`), never computed: the
@@ -708,14 +730,28 @@ def _krein_family(T, F, z=1j):
     """
     (X, Y), code = _jet_products(T, F, T.traces(F.ks))(
         np.arange(len(F.ks)), np.full(len(F.ks), complex(z)))
-    _check_codes(code, F.ks)
     sv = _singular_values(X)
-    if np.any(sv[-1] <= 1e-10 * (1.0 + sv[0])):
-        raise TripleDegeneracyError(
-            "G1 restricted to the deficiency space is singular")
+    singular = sv[-1] <= 1e-10 * (1.0 + sv[0])
+    bad = (code != 0) | singular
+    if bad.any():
+        X[..., bad] = np.eye(T.dimV)[..., None]
+
+    def check(rows=slice(None)):
+        _check_codes(code[rows], F.ks[rows])
+        if np.any(singular[rows]):
+            raise TripleDegeneracyError(
+                "G1 restricted to the deficiency space is singular")
     # Q = Y X^{-1}: Q^T solves X^T Q^T = Y^T
     return np.linalg.solve(X.transpose(2, 1, 0),
-                           Y.transpose(2, 1, 0)).transpose(0, 2, 1)
+                           Y.transpose(2, 1, 0)).transpose(0, 2, 1), check
+
+
+def _krein_family(T, F, z=1j):
+    """`_krein_rows` with every row checked: Q, or the typed error of the
+    first failing basis row, or TripleDegeneracyError."""
+    Q, check = _krein_rows(T, F, z)
+    check()
+    return Q
 
 
 def krein_Q(T, F, z):
@@ -726,20 +762,20 @@ def krein_Q(T, F, z):
     return _krein_family(T, F, z)[0]
 
 
-def _weyl(bc, T, ks, Q):
-    """Condition matrices (W(i), W(-i)), W(z) = A(k) - B(k) Q(z), of the
-    condition bc over the momenta ks, from Q = Q(i) and Q(-i) = Q(i)^dag."""
-    A, B = _ab_on(bc, T, ks)
+def _weyl(A, B, Q):
+    """Condition matrices (W(i), W(-i)), W(z) = A - B Q(z), of a condition's
+    (A, B) stacked over some momenta, from Q = Q(i) over the same momenta
+    and Q(-i) = Q(i)^dag."""
     return (A - _stack_product(B, Q),
             A - _stack_product(B, Q.conj().transpose(0, 2, 1)))
 
 
-def _unitary(bc, T, ks, Q):
-    """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) of the condition bc over
-    the momenta ks, from the Krein family Q(i) over the same momenta.
+def _unitary(ks, A, B, Q):
+    """Von Neumann unitaries U(k) = W(i)^{-1} W(-i) of a condition's (A, B)
+    over the momenta ks, from the Krein family Q(i) over the same momenta.
     Raises InadmissibleConditionError where W(i) is singular: its smallest
     singular value at most 1e-12 max(1, ||W(i)||_inf)."""
-    Wp, Wm = _weyl(bc, T, ks, Q)
+    Wp, Wm = _weyl(A, B, Q)
     size = np.maximum(1.0, np.abs(Wp).sum(axis=2).max(axis=1))
     singular = _singular_values(Wp.transpose(1, 2, 0))[-1] <= 1e-12 * size
     if np.any(singular):
@@ -753,34 +789,47 @@ def vn_unitary_family(bc, T, fiber_family, ks):
     momenta ks, with fiber_family a `FiberFamily`
     (`ModelDescriptor.fiber_family`)."""
     ks = np.asarray(ks, dtype=float)
-    return _unitary(bc, T, ks, _krein_family(T, fiber_family.stacks(ks)))
+    Q = _krein_family(T, fiber_family.stacks(ks))
+    return _unitary(ks, *_ab_on(bc, T, ks), Q)
 
 
-def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None):
+def _unitary_dets(bc, T, fiber_family, ks, bc_ref=None, stage=None):
     """det U(k) = det W(-i) / det W(i) over the momenta ks, without forming
     U; with bc_ref, det U U_ref^{-1}
     = det W(-i) det W_ref(i) / (det W(i) det W_ref(-i)).  The determinants
-    are taken entry by entry (`_det`), and both conditions share one Krein
-    family Q(i)."""
-    Q = _krein_family(T, fiber_family.stacks(ks))
+    are taken entry by entry (`_det`), both conditions share one Krein
+    family Q(i), and each condition's (A, B) is evaluated once.
 
-    def dets(c):
-        return [_det(W.transpose(1, 2, 0)) for W in _weyl(c, T, ks, Q)]
-
-    plus, minus = dets(bc)
-    if bc_ref is None:
+    With stage, ks starts with the stage's momenta K_ENDS: their rows give
+    the stage's unitaries (`_stage_unitaries`) to stage(U), after the checks
+    of those rows and before any other row is checked, and the dets of the
+    other rows come back."""
+    ks = np.asarray(ks, dtype=float)
+    Q, check = _krein_rows(T, fiber_family.stacks(ks))
+    n = 0 if stage is None else len(K_ENDS)
+    if n:
+        check(slice(0, n))
+    bcs = [c for c in (bc, bc_ref) if c is not None]
+    ab = [_ab_on(c, T, ks) for c in bcs]
+    if n:
+        stage(_stage_unitaries(bcs, [(A[:n], B[:n]) for A, B in ab], Q[:n]))
+    check(slice(n, None))
+    (plus, minus), *ref = [[_det(W.transpose(1, 2, 0))
+                            for W in _weyl(A[n:], B[n:], Q[n:])]
+                           for A, B in ab]
+    if not ref:
         return minus / plus
-    ref_plus, ref_minus = dets(bc_ref)
+    (ref_plus, ref_minus), = ref
     return minus * ref_plus / (plus * ref_minus)
 
 
-def _checked_unitary(bc, T, Q, ks):
-    """`_unitary` from the Krein family Q(i) of the triple T at momenta ks,
-    after the checks of the per-point API: (A, B) admissible at every
-    momentum and W(i) nonsingular; then every eigenvalue of U must lie on
-    the unit circle."""
-    _check_admissible(bc, ks, *_ab_on(bc, T, ks))
-    U = _unitary(bc, T, ks, Q)
+def _checked_unitary(bc, ks, A, B, Q):
+    """`_unitary` of the condition bc from its (A, B) and the Krein family
+    Q(i) at momenta ks, after the checks of the per-point API: (A, B)
+    admissible at every momentum and W(i) nonsingular; then every
+    eigenvalue of U must lie on the unit circle."""
+    _admissible(bc, ks, A, B)[1]()
+    U = _unitary(ks, A, B, Q)
     off = np.abs(np.abs(np.linalg.eigvals(U)) - 1.0).max(axis=1)
     if np.any(off >= 1e-8):
         row = int(np.argmax(off >= 1e-8))
@@ -795,7 +844,8 @@ def vn_unitary(bc, T, F):
     momentum of the fiber F (a one-row FiberStack); similar to a unitary,
     so its eigenvalues lie on the unit circle."""
     ks = np.array([F.k])
-    return _checked_unitary(bc, T, _krein_family(T, F), ks)[0]
+    Q = _krein_family(T, F)
+    return _checked_unitary(bc, ks, *_ab_on(bc, T, ks), Q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -833,16 +883,24 @@ _SETTLED = 1e-13
 _END_PHASE = 0.1
 
 
+def _stage_unitaries(bcs, ab, Q):
+    """The stage's evaluation from the Krein family Q(i) (6, dimV, dimV) and
+    each condition's (A, B) on K_ENDS: U of bcs[0], or with a reference
+    bcs[1], U U_ref^{-1}.  Each condition passes the checks of
+    `_checked_unitary`, bcs[0] first."""
+    ks = np.array(K_ENDS)
+    U = [_checked_unitary(c, ks, A, B, Q) for c, (A, B) in zip(bcs, ab)]
+    return U[0] if len(U) == 1 else U[0] @ np.linalg.inv(U[1])
+
+
 def _end_unitaries(bc, T, fiber_family, bc_ref=None):
-    """The stage's evaluation: U (6, dimV, dimV) of bc on K_ENDS, or with
-    bc_ref U U_ref^{-1}; both conditions share one Krein family Q(i) and
-    pass the checks of `_checked_unitary`, bc first."""
+    """The stage alone, as `affiliation_check` reads it: U (6, dimV, dimV)
+    of bc on K_ENDS, or with bc_ref U U_ref^{-1}, from one Krein family
+    Q(i) of the six momenta (`_stage_unitaries`)."""
     ks = np.array(K_ENDS)
     Q = _krein_family(T, fiber_family.stacks(ks))
-    U = _checked_unitary(bc, T, Q, ks)
-    if bc_ref is not None:
-        U = U @ np.linalg.inv(_checked_unitary(bc_ref, T, Q, ks))
-    return U
+    bcs = [c for c in (bc, bc_ref) if c is not None]
+    return _stage_unitaries(bcs, [_ab_on(c, T, ks) for c in bcs], Q)
 
 
 class AffiliationVerdict:

@@ -228,6 +228,21 @@ def dirac(m, m_minus=None):
         scan_window=window)
 
 
+def _band_edge(m, eps):
+    """The bottom of the band sqrt(r + (m + eps r)^2), r = k^2 = k1^2 + k2^2
+    (regularized Dirac, and shallow water with m = f, eps = -nu).
+
+    g(r) = r + (m + eps r)^2 has g'(r) = 1 + 2 eps (m + eps r), increasing
+    in r when eps != 0.  Where 1 + 2 eps m >= 0 the minimum over r >= 0 is
+    g(0) = m^2, at k = 0.  Otherwise it lies off k = 0, at
+    r* = -(1 + 2 eps m) / (2 eps^2) > 0, where m + eps r* = -1 / (2 eps)
+    and g(r*) = -(1 + 4 eps m) / (4 eps^2): the band edge is
+    sqrt(-(1 + 4 eps m)) / (2 |eps|), below |m|."""
+    if 1.0 + 2.0 * eps * m >= 0.0:
+        return abs(m)
+    return np.sqrt(-(1.0 + 4.0 * eps * m)) / (2.0 * abs(eps))
+
+
 # ---------------------------------------------------------------------------
 # regularized Dirac operator
 
@@ -274,7 +289,8 @@ def regularized_dirac(m, eps):
         bc_families={"dirichlet": dirichlet, "a": a_family},
         reference_bc={"halfline": dirichlet()},
         fiducial_E=0.0, gap_around=0.0,
-        declared_gap=GapWindow(-abs(m), abs(m), "declared"),
+        declared_gap=GapWindow(-_band_edge(m, eps), _band_edge(m, eps),
+                               "declared"),
         scan_window=window)
 
 
@@ -301,7 +317,7 @@ def shallow_water(f, nu):
         "shallow", {"f": f, "nu": nu}, S,
         triples={}, bc_families={}, reference_bc={},
         fiducial_E=abs(f) / 2.0, gap_around=abs(f) / 2.0,
-        declared_gap=GapWindow(0.0, abs(f), "declared"))
+        declared_gap=GapWindow(0.0, _band_edge(f, -nu), "declared"))
 
 
 BUILTIN_MODELS = {

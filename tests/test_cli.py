@@ -80,6 +80,11 @@ def test_bulk_rejects_level_on_flat_band():
     # outside m = 1's declared gap, so the search finds the band
     ["relative-chern", "--model", "dirac", "--param", "m=1",
      "--model2", "dirac", "--param2", "m=-1", "--level", "1.5"],
+    # inside the declared gap of the band minimum at k = 0, but above the
+    # band edge off k = 0: sqrt(3)/2 = 0.866 and sqrt(23)/3 = 1.599
+    ["bulk", "--model", "shallow", "--param", "f=1,nu=1", "--level", "0.9"],
+    ["bulk", "--model", "regdirac", "--param", "m=4,eps=-1.5", "--level",
+     "2"],
 ])
 def test_bulk_rejects_level_inside_a_continuous_band(argv):
     # no sample lands on the level, but a band's samples lie on both sides

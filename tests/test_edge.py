@@ -39,6 +39,7 @@ from bec.errors import (
 from bec.extension import vn_unitary_family
 from bec.models import build_model
 from bec.symbol import GapWindow, find_gap
+from test_invariances import _CASES as _TABLE_WINDINGS
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,11 @@ def test_columns_skip_empty_and_unbounded_windows(dirac_model):
     assert abs(out[2][0][0] - 0.8) < 1e-7
 
 
+def _admissible(rows=None):
+    """The admissibility check of a synthetic level unitary: it has no
+    condition, so every row passes."""
+
+
 def test_columns_count_two_phases_that_pass_pi_and_0_together(
         monkeypatch, dirac_interface_model):
     # a level unitary whose two eigenphases are equal, 0.5 - 1.5 lam: they
@@ -201,7 +207,7 @@ def test_columns_count_two_phases_that_pass_pi_and_0_together(
         def phases(rows, lams):
             theta = extension._wrap(0.5 - 1.5 * lams)
             return np.stack([theta, theta]), np.zeros(len(rows), dtype=int)
-        return phases
+        return phases, _admissible
 
     monkeypatch.setattr(edge, "_level_phases", level_phases)
     F = dirac_interface_model.fiber_family("interface").stacks([0.3])
@@ -223,7 +229,7 @@ def _one_phase_column(monkeypatch, phase, calls=None):
                 raise RuntimeError("the column sampler does not end")
             theta, code = phase(lams)
             return theta[None, :], code
-        return phases
+        return phases, _admissible
 
     monkeypatch.setattr(edge, "_level_phases", level_phases)
     return batches
@@ -290,9 +296,9 @@ def test_detector_rows_do_not_depend_on_their_batch(name):
     model = build_model(model_name, **params)
     gap = model.declared_gap or find_gap(model.symbol, model.gap_around, 8.0)
     ks = np.linspace(-3.0, 3.0, 7)
-    phases = extension._level_phases(model.make_bc(family, **kw),
-                                     model.triple(side),
-                                     model.fiber_family(side).stacks(ks))
+    phases, _ = extension._level_phases(model.make_bc(family, **kw),
+                                        model.triple(side),
+                                        model.fiber_family(side).stacks(ks))
     rng = np.random.default_rng(12)
     rows = rng.integers(0, len(ks), edge._SCAN_ROWS)
     lo, hi = np.array([model.scan_window(k, gap) for k in ks]).T[:, rows]
@@ -324,12 +330,12 @@ def test_block_scan_batches_stay_within_scan_rows(monkeypatch):
     level = edge._level_phases
 
     def counted_level(*args):
-        phases = level(*args)
+        phases, admissible = level(*args)
 
         def counted(rows, lams):
             batches.append(len(rows))
             return phases(rows, lams)
-        return counted
+        return counted, admissible
 
     monkeypatch.setattr(edge, "_level_phases", counted_level)
     cols = tracker.scan(ks)
@@ -519,7 +525,7 @@ def _one_phase_family(monkeypatch, phase):
     def phases_of(bc, T, F):
         def phases(rows, lams):
             return phase(F.ks[rows])[None, :], np.zeros(len(rows), dtype=int)
-        return phases
+        return phases, _admissible
     monkeypatch.setattr(edge, "_level_phases", phases_of)
 
 
@@ -540,15 +546,18 @@ def test_level_flow_counts_a_phase_through_0_against_its_ends(monkeypatch,
 
 
 @pytest.mark.parametrize("phase", [
-    lambda k: 1.0 / np.abs(k) - 5e-4,
+    lambda k: 1.0 / np.maximum(np.abs(k), 1.0) - 5e-4,
     lambda k: 1e-6 * np.abs(k),
-    lambda k: np.where(np.abs(k) < edge.K_LIMIT, 1.0 / np.abs(k), 0.0),
+    lambda k: np.where(np.abs(k) < edge.K_LIMIT,
+                       1.0 / np.maximum(np.abs(k), 1.0), 0.0),
 ], ids=["changes-sign", "grows", "zero-at-the-end"])
 def test_level_flow_rejects_an_end_phase_tending_to_the_level(monkeypatch,
                                                               lap_model,
                                                               phase):
     # on |k| = 1e2, 1e3, 1e4: 9.5e-3, 5e-4, -4e-4; 1e-4, 1e-3, 1e-2; and
-    # 1e-2, 1e-3, 0.  Each may be a band tending to the level.
+    # 1e-2, 1e-3, 0.  Each may be a band tending to the level.  The stage
+    # rides in the seed batch, with the seed k = 0, so the phases are
+    # finite there (1 / max(|k|, 1)).
     _one_phase_family(monkeypatch, phase)
     with pytest.raises(NumericalFailure,
                        match=r"tends to 0 as k -> -inf .* on \|k\| = 100, "
@@ -564,13 +573,10 @@ def test_level_flow_on_the_bulk_edge_names_the_momentum(lap_model):
         level_flow(bc, lap_model.triple(), lap_model.fiber_family(), 0.0)
 
 
-def test_level_flow_refines_a_turn_inside_one_seed_interval(monkeypatch,
-                                                            lap_model):
-    # theta = 2 atan((k - k0) / w) passes 0 once, upward at k0, midway
-    # between two seeds of the line, and turns through all of 2 pi but
-    # 0.5 rad between them: the seeds alone read a step of -0.5 rad and no
-    # crossing, below pi and a column's radian alike.  Only refinement
-    # under the line's step bound finds the crossing.
+def _turn_between_seeds(monkeypatch):
+    """theta = 2 atan((k - k0) / w), which passes 0 once, upward at k0,
+    midway between two seeds of the line, and turns through all of 2 pi
+    but 0.5 rad between them, as the level unitary; returns k0."""
     s_lim = (2.0 / np.pi) * np.arctan(edge.K_LIMIT)
     seeds = np.tan(0.5 * np.pi * np.linspace(-s_lim, s_lim,
                                              edge._PHASE_SEEDS))
@@ -578,11 +584,237 @@ def test_level_flow_refines_a_turn_inside_one_seed_interval(monkeypatch,
     k0 = 0.5 * (k_a + k_b)
     w = 0.5 * (k_b - k_a) / np.tan(0.25 * (2.0 * np.pi - 0.5))
     _one_phase_family(monkeypatch, lambda k: 2.0 * np.arctan((k - k0) / w))
+    return k0
+
+
+def test_level_flow_refines_a_turn_inside_one_seed_interval(monkeypatch,
+                                                            lap_model):
+    # the seeds alone read a step of -0.5 rad across the turn and no
+    # crossing, below pi and a column's radian alike.  Only refinement
+    # under the line's step bound finds the crossing.
+    k0 = _turn_between_seeds(monkeypatch)
     flow = level_flow(None, lap_model.triple(), lap_model.fiber_family(),
                       0.0)
     assert flow.value == 1
     (k_star, sign), = flow.crossings
     assert sign == 1 and abs(k_star - k0) < 1e-9
+
+
+def _bisection_samples(fun, owner, x, cap, where, bound):
+    """The reference sampler: `edge._samples` as it was before the 2^j
+    split, one midpoint per gap of every step above the limit per round.
+    Returns the good samples (curve, x) and the number of rounds."""
+    used, rounds = np.zeros(owner.max() + 1, dtype=int), []
+    while True:
+        used += np.bincount(owner, minlength=len(used))
+        assert not np.any(used > cap)
+        th, good = fun(owner, x)
+        rounds.append((owner, x, good, th))
+        curve, at, ok, theta = (np.concatenate(a, axis=-1)
+                                for a in zip(*rounds))
+        order = np.lexsort((at, curve))
+        curve, at, ok, theta = (a[..., order]
+                                for a in (curve, at, ok, theta))
+        g = np.nonzero(ok)[0]
+        inner = curve[g][1:] == curve[g][:-1]
+        steps = edge._wrap(np.diff(theta[:, g].sum(axis=0)))
+        bad = np.nonzero(inner & (np.abs(steps)
+                                  > min(bound, np.pi / len(th))))[0]
+        if len(bad) == 0:
+            return curve[g], at[g], len(rounds)
+        first, span = g[bad], g[bad + 1] - g[bad]
+        gaps = np.repeat(first - np.cumsum(span) + span, span) \
+            + np.arange(span.sum())
+        owner, x = curve[gaps], 0.5 * (at[gaps] + at[gaps + 1])
+
+
+def _recorded_line_samples(monkeypatch):
+    """Wrap `edge._samples`: each call appends (fun, its arguments, its
+    result, its number of rounds) to the returned list."""
+    runs, samples = [], edge._samples
+
+    def recorded(fun, *args):
+        calls = []
+
+        def counted(owner, x):
+            calls.append(len(x))
+            return fun(owner, x)
+        out = samples(counted, *args)
+        runs.append((fun, args, out, len(calls)))
+        return out
+
+    monkeypatch.setattr(edge, "_samples", recorded)
+    return runs
+
+
+def _split_holds_bisection(fun, args, out, rounds):
+    """Every final step is within its limit, the samples hold every
+    sample of the bisection reference, and they take no more rounds.
+    Returns the reference's rounds."""
+    (owner, x, cap, where, bound) = args
+    curve, at, theta, steps, inner = out
+    assert np.all(np.abs(steps[inner])
+                  <= min(bound, np.pi / theta.shape[0]))
+    ref_curve, ref_at, ref_rounds = _bisection_samples(fun, owner, x, cap,
+                                                       where, bound)
+    assert set(zip(ref_curve.tolist(), ref_at.tolist())) \
+        <= set(zip(curve.tolist(), at.tolist()))
+    assert rounds <= ref_rounds
+    return ref_rounds
+
+
+def test_line_split_cuts_the_turn_in_one_round(monkeypatch, lap_model):
+    # the seed step across the turn reads -0.5 rad, twice the line's bound:
+    # one cut, as bisection takes; then the steps of up to pi near k0 take
+    # 2^j parts at once where bisection halves them round after round
+    _turn_between_seeds(monkeypatch)
+    runs = _recorded_line_samples(monkeypatch)
+    level_flow(None, lap_model.triple(), lap_model.fiber_family(), 0.0)
+    (fun, args, out, rounds), = runs
+    assert _split_holds_bisection(fun, args, out, rounds) > rounds
+
+
+def test_cuts_are_the_halvings_of_bisection():
+    # [0, 1] into 2^3 parts and [0, 3] into 2^1: the midpoints of the
+    # midpoints, and no cut of a part with no floating-point midpoint
+    owner, cuts = edge._cuts(np.array([0, 1]), np.array([0.0, 0.0]),
+                             np.array([1.0, 3.0]), np.array([3, 1]),
+                             lambda c, x: "curve %d" % c)
+    assert sorted(zip(owner.tolist(), cuts.tolist())) == \
+        [(0, i / 8.0) for i in range(1, 8)] + [(1, 1.5)]
+    def where(c, x):
+        return "curve %d at %.17g" % (c, x)
+
+    # [1, 1 + 2 ulp] has one midpoint, and its halves none
+    one_ulp = np.nextafter(1.0, 2.0)
+    two_ulp = np.nextafter(one_ulp, 2.0)
+    owner, cuts = edge._cuts(np.array([0]), np.array([1.0]),
+                             np.array([two_ulp]), np.array([3]), where)
+    assert cuts.tolist() == [one_ulp]
+    with pytest.raises(InsufficientResolutionError,
+                       match=r"curve 0 at 1 needs a phase step below"):
+        edge._cuts(np.array([0]), np.array([1.0]), np.array([one_ulp]),
+                   np.array([2]), where)
+
+
+# Krein batches of the table windings that refine their det U curve: the
+# seed batch, which holds the stage, then one per round; every other table
+# winding takes the seed batch alone
+_KREIN_BATCHES = {
+    "laplacian K real, 0<|xi|<1, xi>0": 3,
+    "laplacian K real, |xi|>1, xi<0": 2,
+    "laplacian K real, |xi|>1, xi>0": 2,
+    "regdirac m=+1 a = -2": 2,
+    "regdirac m=+1 a = 2": 3,
+    "regdirac m=-1 a = 0": 2,
+    "regdirac m=-1 a = 2": 3,
+}
+
+
+@pytest.mark.parametrize("name, model, side, bc, ref", _TABLE_WINDINGS,
+                         ids=[case[0] for case in _TABLE_WINDINGS])
+def test_table_winding_split_and_krein_batches(monkeypatch, name, model,
+                                               side, bc, ref):
+    # every final step of the det U curve is within the line's bound, the
+    # samples hold those of bisection, and the Krein batches are pinned
+    T, fam = model.triple(side), model.fiber_family(side)
+    batches, full_jets = [], extension._full_jets
+
+    def counted(T, sides, ks, zs):
+        batches.append(len(ks))
+        return full_jets(T, sides, ks, zs)
+
+    runs = _recorded_line_samples(monkeypatch)
+    monkeypatch.setattr(extension, "_full_jets", counted)
+    winding(bc, T, fam, bc_ref=ref)
+    assert batches[0] == len(extension.K_ENDS) + edge._PHASE_SEEDS
+    assert len(batches) == _KREIN_BATCHES.get(name, 1)
+    (fun, args, out, rounds), = runs
+    _split_holds_bisection(fun, args, out, rounds)
+
+
+def _failing_rows_at(monkeypatch, k):
+    """Give every basis row at the momentum k the code of a root on the
+    imaginary axis."""
+    full_jets = extension._full_jets
+
+    def failing(T, sides, ks, zs):
+        J, code = full_jets(T, sides, ks, zs)
+        return J, np.where(np.asarray(ks) == k, extension._ON_AXIS, code)
+
+    monkeypatch.setattr(extension, "_full_jets", failing)
+
+
+def _not_hermitian_off_0():
+    """A B^dag = 1 + ik: Hermitian at k = 0 only."""
+    from bec.extension import from_ab
+
+    return from_ab([np.eye(1), 1j * np.eye(1)], np.eye(1), label="bad")
+
+
+def test_winding_decides_on_the_stage_before_any_seed_row(monkeypatch,
+                                                          lap_model,
+                                                          dirac_model):
+    # the seed k = 0 fails its basis, in the batch that holds the stage:
+    # an inadmissible stage momentum and an open loop still come first
+    from bec.errors import InadmissibleConditionError
+
+    _failing_rows_at(monkeypatch, 0.0)
+    T, fam = lap_model.triple(), lap_model.fiber_family()
+    with pytest.raises(InadmissibleConditionError,
+                       match=r"bad: A B\^dag not Hermitian at k=100 \("):
+        winding(_not_hermitian_off_0(), T, fam)
+    with pytest.raises(NotComparableError, match="does not settle"):
+        winding(dirac_model.make_bc("a", a=2.0), dirac_model.triple(),
+                dirac_model.fiber_family())
+    # a condition the stage passes meets the seed's error, naming k = 0
+    with pytest.raises(BoundaryOfRegularityError, match=r"at k=\[0\.\]$"):
+        winding(lap_model.make_bc("robin", K=1.0, ell=2.0, M=1.0), T, fam)
+
+
+def test_level_flow_decides_on_the_stage_before_any_seed_row(monkeypatch,
+                                                             lap_model):
+    from bec.errors import InadmissibleConditionError
+    from bec.extension import from_ab
+
+    T, fam = lap_model.triple(), lap_model.fiber_family()
+    # A = k, B = 0: iA + B is singular at the seed k = 0 only
+    scaled = from_ab([np.zeros((1, 1)), np.eye(1)], np.zeros((1, 1)),
+                     label="scaled")
+    with pytest.raises(InadmissibleConditionError,
+                       match=r"scaled: iA\+B numerically singular at k=0 "):
+        level_flow(scaled, T, fam, -1.0)
+    with monkeypatch.context() as m:
+        # a failing basis on the stage comes before the seed's test
+        _failing_rows_at(m, 100.0)
+        with pytest.raises(BoundaryOfRegularityError,
+                           match=r"at k=\[100\.\]$"):
+            level_flow(scaled, T, fam, -1.0)
+    with monkeypatch.context() as m:
+        # an inadmissible stage momentum comes before a seed's basis
+        _failing_rows_at(m, 0.0)
+        with pytest.raises(InadmissibleConditionError,
+                           match=r"bad: A B\^dag not Hermitian at k=100 \("):
+            level_flow(_not_hermitian_off_0(), T, fam, -1.0)
+
+    # an end phase that tends to the level, 1e-6 |k|, comes before a
+    # seed's basis; a phase settled at the ends meets it, naming k = 0
+    def failing_at_0(phase):
+        def phases_of(bc, T, F):
+            def phases(rows, lams):
+                ks = F.ks[rows]
+                return phase(ks)[None, :], np.where(ks == 0.0, 1, 0)
+            return phases, _admissible
+        return phases_of
+
+    monkeypatch.setattr(edge, "_level_phases",
+                        failing_at_0(lambda k: 1e-6 * np.abs(k)))
+    with pytest.raises(NumericalFailure, match="tends to 0 as k -> -inf"):
+        level_flow(None, T, fam, 0.0)
+    monkeypatch.setattr(edge, "_level_phases",
+                        failing_at_0(lambda k: 1.0 + 0.0 * k))
+    with pytest.raises(BoundaryOfRegularityError, match=r"at k=\[0\.\]$"):
+        level_flow(None, T, fam, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -901,17 +1133,17 @@ def test_relative_winding_builds_one_jet_batch_per_det_curve_evaluation(
         batches.append((len(ks), set(np.asarray(zs).tolist())))
         return full_jets(T, sides, ks, zs)
 
-    def counted_dets(bc, T, fam, ks, bc_ref=None):
+    def counted_dets(bc, T, fam, ks, bc_ref=None, stage=None):
         evaluations.append(len(ks))
-        return unitary_dets(bc, T, fam, ks, bc_ref=bc_ref)
+        return unitary_dets(bc, T, fam, ks, bc_ref=bc_ref, stage=stage)
 
     monkeypatch.setattr(extension, "_full_jets", counted_jets)
     monkeypatch.setattr(edge, "_unitary_dets", counted_dets)
     relative_winding(bc, bc_ref, T, fam)
-    # the end check on the six momenta of the large-momentum stage, then
-    # one batch per det-curve call
-    assert evaluations
-    assert batches == [(n, {1j}) for n in [6] + evaluations]
+    # the seed batch holds the six momenta of the large-momentum stage
+    # ahead of the seeds; then one batch per det-curve call
+    assert evaluations[0] == len(extension.K_ENDS) + edge._PHASE_SEEDS
+    assert batches == [(n, {1j}) for n in evaluations]
 
 
 @pytest.mark.parametrize("fixture, side, cond, ref", _UNITARY_CASES)
@@ -920,6 +1152,7 @@ def test_flow_end_certificate_builds_one_jet_batch_on_the_stage_momenta(
     model = request.getfixturevalue(fixture)
     T, fam = model.triple(side), model.fiber_family(side)
     bc = model.make_bc(cond[0], **cond[1])
+    alone = edge._phases_at(bc, T, fam, extension.K_ENDS, model.fiducial_E)
     batches, certificate = [], []
     full_jets, end_margins = extension._full_jets, edge._end_margins
 
@@ -927,17 +1160,21 @@ def test_flow_end_certificate_builds_one_jet_batch_on_the_stage_momenta(
         batches.append((tuple(ks), set(np.asarray(zs).tolist())))
         return full_jets(T, sides, ks, zs)
 
-    def counted_margins(*args):
-        start = len(batches)
-        out = end_margins(*args)
-        certificate.extend(batches[start:])
-        return out
+    def counted_margins(th, level):
+        certificate.append((len(batches), th))
+        return end_margins(th, level)
 
     monkeypatch.setattr(extension, "_full_jets", counted_jets)
     monkeypatch.setattr(edge, "_end_margins", counted_margins)
     flow = level_flow(bc, T, fam, model.fiducial_E)
-    # one batch of six rows at the real level: K_LADDER on each side
-    assert certificate == [(extension.K_ENDS, {model.fiducial_E})]
+    # the seed batch at the real level holds K_LADDER on each side ahead of
+    # the seeds, and the certificate reads those six rows of it, bit for
+    # bit the phases of the stage alone; then one batch per round
+    (ks, levels), = batches[:1]
+    assert ks[:6] == extension.K_ENDS and len(ks) == 6 + edge._PHASE_SEEDS
+    assert levels == {model.fiducial_E}
+    (seen, th), = certificate
+    assert seen == 1 and np.array_equal(th, alone)
     assert len(flow.ends) == 2
 
 

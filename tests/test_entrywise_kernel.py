@@ -89,7 +89,7 @@ def test_level_phases_equal_the_stacked_level_phases(name):
     real = zs.imag == 0.0
     F = model.fiber_family(T.side).stacks(ks[real])
     rows, lams = np.arange(np.sum(real)), zs[real].real
-    theta, code = extension._level_phases(bc, T, F)(rows, lams)
+    theta, code = extension._level_phases(bc, T, F)[0](rows, lams)
     assert np.array_equal(code, stacked._full_jets_batch(T, F, lams)[1])
     ok = code == 0
     assert 0 < np.sum(ok) < len(rows)

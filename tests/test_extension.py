@@ -388,7 +388,7 @@ def test_krein_Q_independent_of_basis_scaling():
 def test_weyl_W_dirichlet_is_identity(lap_model):
     bc = lap_model.make_bc("dirichlet")
     Q = np.array([[[0.3 + 0.4j]]])
-    for W in _weyl(bc, lap_model.triple(), np.array([0.3]), Q):
+    for W in _weyl(*bc.ab_batch([0.3]), Q):
         assert np.allclose(W, [[[1.0]]])
 
 

@@ -170,11 +170,18 @@ _CLOSURE_CASES = _closure_cases()
 @pytest.mark.parametrize("name, model, side, bc, ref", _CLOSURE_CASES,
                          ids=[case[0] for case in _CLOSURE_CASES])
 def test_winding_closes_exactly_where_affiliation_settles_at_k_limit(
-        name, model, side, bc, ref):
+        monkeypatch, name, model, side, bc, ref):
     T, fam = model.triple(side), model.fiber_family(side)
     evidence = affiliation_check(bc, T, fam, bc_ref=ref).evidence
     dev = max(evidence["+"][-1], evidence["-"][-1])
-    assert _closure_deviation(bc, T, fam, ref) == dev
+    # the deviation the winding reads off its seed batch's stage rows
+    seen = []
+
+    def closure(U, relative):
+        seen.append(_closure_deviation(U, relative))
+        return seen[-1]
+
+    monkeypatch.setattr(edge, "_closure_deviation", closure)
     # only the Laplacian pair stays apart: its deviation reads 2.000
     assert (dev > _SETTLE) == name.startswith("laplacian")
     if dev > _SETTLE:
@@ -182,6 +189,7 @@ def test_winding_closes_exactly_where_affiliation_settles_at_k_limit(
             relative_winding(bc, ref, T, fam)
     else:
         relative_winding(bc, ref, T, fam)
+    assert seen == [dev]
 
 
 def _line_curves():

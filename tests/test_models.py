@@ -172,3 +172,33 @@ def test_interface_scan_window_uses_smaller_mass():
     assert hi <= edge and hi > edge - 1e-6
     assert lo >= -edge and lo < -edge + 1e-6
     assert model.declared_gap.hi == 1.0
+
+
+@pytest.mark.parametrize("name, params, gap", [
+    ("dirac", {"m": 1.0}, (-1.0, 1.0)),
+    ("dirac", {"m": -1.0}, (-1.0, 1.0)),
+    ("regdirac", {"m": -1.0, "eps": 0.1}, (-1.0, 1.0)),
+    ("regdirac", {"m": 1.0, "eps": 0.1}, (-1.0, 1.0)),
+    ("shallow", {"f": 1.0, "nu": 0.1}, (0.0, 1.0)),
+])
+def test_declared_gaps_at_the_table_parameters(name, params, gap):
+    # 1 + 2 eps m > 0 (and 2 nu f < 1): each band edge is at k = 0
+    g = build_model(name, **params).declared_gap
+    assert (g.lo, g.hi) == gap
+
+
+@pytest.mark.parametrize("name, params, edge", [
+    ("regdirac", {"m": 4.0, "eps": -1.5}, np.sqrt(23.0) / 3.0),
+    ("regdirac", {"m": -4.0, "eps": 1.5}, np.sqrt(23.0) / 3.0),
+    ("shallow", {"f": 1.0, "nu": 1.0}, np.sqrt(3.0) / 2.0),
+    ("shallow", {"f": -1.0, "nu": -1.0}, np.sqrt(3.0) / 2.0),
+])
+def test_declared_gap_ends_at_a_band_edge_off_k0(name, params, edge):
+    # 1 + 2 eps m < 0 (2 nu f > 1): the band's minimum over k lies off
+    # k = 0; sampled along k1 it is the declared gap's upper end
+    model = build_model(name, **params)
+    g = model.declared_gap
+    assert g.hi == pytest.approx(edge, rel=1e-14)
+    ks = np.linspace(0.0, 3.0, 30001)
+    upper = np.linalg.eigvalsh(model.symbol.eval_batch(ks, 0.0 * ks))[:, -1]
+    assert edge - 1e-12 <= upper.min() <= edge + 1e-6

@@ -167,7 +167,7 @@ def test_tracked_columns_count_integers_with_monotone_phases(
     windows = [model.scan_window(k, gap) for k in ks]
     F = model.fiber_family(T.side).stacks(ks)
     lo, hi = np.array(windows).T
-    phases = _level_phases(bc, T, F)
+    phases, _ = _level_phases(bc, T, F)
 
     def fun(owner, lams):
         th, code = edge._batched(phases, owner, lams)
@@ -268,7 +268,8 @@ def test_tables_command_prints_the_recorded_tables(which, code):
 def test_python_m_bec_prints_the_recorded_table():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)))
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
     done = subprocess.run([sys.executable, "-m", "bec", "tables", "dirac"],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
